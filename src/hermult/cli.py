@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-2,0,2" as a value, not an option: argparse's own pattern
+        # only admits single negative numbers.  No option starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 

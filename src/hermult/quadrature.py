@@ -1,10 +1,28 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-Finite-p norms integrate |phi_nu|^p over [-R, R] with R = sqrt(2*lambda) + 12,
-splitting the range at the zeros of the Hermite function (so each panel sees
-a smooth lobe) and refining all panels by bisection until two successive
-global estimates agree.  The sup norm scans a dense grid and polishes the
-winning bracket by golden section.
+``lp_norm_1d`` takes one of three routes, chosen by p and the degree n:
+
+- Even p (2, 4, 6, ...): under x = y*sqrt(2/p), |phi_n(x)|^p is a
+  polynomial of degree p*n in y times e^{-y^2}, so the Gauss-Hermite rule
+  with M = p*n/2 + 1 nodes integrates it exactly.  Its weights are taken
+  from the Christoffel-Darboux identity w_i e^{y_i^2} = 1/(M phi_{M-1}(y_i)^2),
+  which stays in the double range where the plain weights underflow.
+  There is no refinement, so the tolerance is only validated.
+- p = inf: on x > 0, f = phi^2 + phi'^2/(lambda - x^2) with lambda = 2n + 1
+  has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
+  increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
+  Polynomials, 7.6); past sqrt(lambda) |phi_n| is convex and decays.  The
+  maximum therefore lies on the last lobe, between the largest zero and
+  sqrt(lambda), where a 65-point grid is zoomed in on it.
+- Other p (odd, fractional, p = 1): |phi_n|^p is integrated over
+  [-R, R] with R = sqrt(2*lambda) + 12, split at the zeros of phi_n so
+  each panel sees a smooth lobe, and all panels are refined by bisection
+  until two successive global estimates agree to the tolerance.
+
+Even p whose node count M would make the exact rule dearer than the work
+budget takes the bisection route.  A norm whose recurrence work exceeds
+``NORM_WORK_BUDGET`` is refused with ``CapabilityError``: up front from its
+estimated work, and during bisection before the pass that would cross it.
 """
 
 from __future__ import annotations
@@ -18,12 +36,29 @@ from scipy.special import roots_hermite
 
 from ._accel import phi_row, weighted_abs_power_sum
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d
+# eval_phi_1d stays a module attribute for code that looks it up here.
+from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
 
 _GH_MAX_NODES = 10_000
 _GL_ORDER = 16
 _MAX_REFINEMENTS = 12
 _RHO_TOL = 1e-10
+
+# Recurrence work of a norm is counted in point-steps: a phi_row call over
+# P points at degree n costs n * (P + _STEP_POINTS), because each step of
+# the numpy backend's recurrence has a fixed cost about that of 4096 point
+# updates (19 us against 4.5 ns per point on a 2-vCPU Xeon).
+_STEP_POINTS = 4096
+# Work above which a norm is refused; on that machine the numpy backend
+# takes 4-15 s for it, the most for the bisection route's wide grids.
+NORM_WORK_BUDGET = 1e9
+# Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
+_NORM_CACHE_SIZE = 4096
+
+_SUP_POINTS = 65
+# The sup search stops once the grid's best point is within
+# lambda * h^2 / 8 <= 2^-53 of the maximum in log magnitude.
+_SUP_STOP = 8.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -132,14 +167,30 @@ def _half_line_integral(degree: int, p: float, edges: np.ndarray) -> float:
     return weighted_abs_power_sum(vals, logs, weights, p)
 
 
+def _phi_row_work(points: int, degree: int) -> float:
+    return float(degree) * (points + _STEP_POINTS)
+
+
+def _panel_work(edges: np.ndarray, degree: int) -> float:
+    return _phi_row_work(_GL_ORDER * (len(edges) - 1), degree)
+
+
 def _lp_integral_1d(degree: int, p: float, tol: float) -> float:
     """Adaptive evaluation of the full-line integral of |phi_degree|^p."""
     lam = 2.0 * degree + 1.0
     R = math.sqrt(2.0 * lam) + 12.0
     edges = _initial_edges(degree, R)
     history = [_half_line_integral(degree, p, edges)]
+    spent = _panel_work(edges, degree)
     for _ in range(_MAX_REFINEMENTS):
         edges = _bisect(edges)
+        spent += _panel_work(edges, degree)
+        if spent > NORM_WORK_BUDGET:
+            raise CapabilityError(
+                f"L^{p} integral for degree {degree} needs more than {NORM_WORK_BUDGET:.0e} "
+                f"point-steps of recurrence work to reach {tol}; half-line estimates so far: "
+                f"{history}"
+            )
         history.append(_half_line_integral(degree, p, edges))
         if abs(history[-1] - history[-2]) <= tol * abs(history[-1]):
             return 2.0 * history[-1]
@@ -149,48 +200,104 @@ def _lp_integral_1d(degree: int, p: float, tol: float) -> float:
     )
 
 
-def _sup_norm_1d(degree: int, tol: float) -> float:
+def _even_rule_nodes(degree: int, p: float) -> int:
+    return int(p) // 2 * degree + 1
+
+
+def _even_p_integral_1d(degree: int, p: float) -> float:
+    """Exact integral of |phi_degree|^p for even p by an M-point Gauss-Hermite rule."""
+    M = _even_rule_nodes(degree, p)
+    y = roots_hermite(M)[0][M // 2:]
+    vals, logs = phi_row(y, M - 1)
+    # w_i e^{y_i^2}, doubled for the mirrored node -y_i except at y_i = 0
+    weights = 2.0 * np.exp(-math.log(M) - 2.0 * (np.log(np.abs(vals)) + logs))
+    if M % 2:
+        weights[0] *= 0.5
+    scale = math.sqrt(2.0 / p)
+    vals, logs = phi_row(scale * y, degree)
+    return scale * weighted_abs_power_sum(vals, logs, weights, p)
+
+
+def _sup_calls(lam: float) -> int:
+    """Upper bound on the grid calls of _sup_norm_1d: the last lobe is
+    narrower than 2, each call divides the spacing by 32, and the curvature
+    of log|phi| is below lambda."""
+    h0 = 2.0 / (_SUP_POINTS - 1)
+    return 1 + max(0, math.ceil(math.log(h0 * math.sqrt(lam / _SUP_STOP), 32)))
+
+
+def _sup_norm_1d(degree: int) -> float:
+    """max |phi_degree|, searched on the last lobe [largest zero, sqrt(2n+1)].
+
+    Each call evaluates a 65-point grid on the bracket and narrows it to
+    the two cells around the best point, which keeps the maximum because
+    phi is concave on the lobe.  The curvature of log|phi| there is
+    lambda - x^2, at most lambda - a^2 on [a, b].
+    """
+    if degree == 0:
+        return math.pi ** -0.25
     lam = 2.0 * degree + 1.0
-    R = math.sqrt(2.0 * lam) + 12.0
-    spacing = 0.25 / math.sqrt(lam)
-    grid = np.arange(0.0, R + spacing, spacing)
-    vals, logs = phi_row(grid, degree)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(vals != 0.0, np.log(np.abs(vals)) + logs, -np.inf)
-    i = int(np.argmax(logmag))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def f(x):
-        return -eval_phi_1d(degree, x).log_magnitude()
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > 1e-12 * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    best = min(fc, fd, -float(logmag[i]))
-    return math.exp(-best)
+    a, b = float(roots_hermite(degree)[0][-1]), math.sqrt(lam)
+    best = -math.inf
+    while True:
+        grid = np.linspace(a, b, _SUP_POINTS)
+        vals, logs = phi_row(grid, degree)
+        with np.errstate(divide="ignore"):
+            logmag = np.log(np.abs(vals)) + logs
+        i = int(np.argmax(logmag))
+        best = max(best, float(logmag[i]))
+        h = grid[1] - grid[0]
+        if (lam - a * a) * h * h <= _SUP_STOP:
+            return math.exp(best)
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _SUP_POINTS - 1)]
 
 
-@functools.lru_cache(maxsize=None)
-def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
+def _norm_route(degree: int, p: float):
+    """(route, estimated point-steps of recurrence work) of one norm.
+
+    The bisection estimate counts its first two passes, the fewest it
+    makes; the loop itself stops before a pass that would cross the budget.
+    """
     if math.isinf(p):
-        return _sup_norm_1d(degree, tol)
+        return "sup", _sup_calls(2.0 * degree + 1.0) * _phi_row_work(_SUP_POINTS, degree)
+    if p.is_integer() and int(p) % 2 == 0:
+        M = _even_rule_nodes(degree, p)
+        half = M - M // 2
+        work = _phi_row_work(half, M - 1) + _phi_row_work(half, degree)
+        if work <= NORM_WORK_BUDGET:
+            return "even", work
+    panels = degree // 2 + 32
+    work = sum(_phi_row_work(k * _GL_ORDER * panels, degree) for k in (1, 2))
+    return "bisection", work
+
+
+@functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
+def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
+    route, work = _norm_route(degree, p)
+    if work > NORM_WORK_BUDGET:
+        raise CapabilityError(
+            f"||phi_{degree}||_{p} needs about {work:.2g} point-steps of recurrence work, "
+            f"above the budget {NORM_WORK_BUDGET:.0e}"
+        )
+    if route == "sup":
+        return _sup_norm_1d(degree)
+    if route == "even":
+        return _even_p_integral_1d(degree, p) ** (1.0 / p)
     return _lp_integral_1d(degree, p, tol) ** (1.0 / p)
 
 
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
-    """One-dimensional norm ||phi_degree||_p by adaptive quadrature."""
+    """One-dimensional norm ||phi_degree||_p.
+
+    Even p uses the exact Gauss-Hermite rule with p*degree/2 + 1 nodes, so
+    ``tol`` is only validated; p = inf searches the last lobe, where
+    Sonin's argument places the maximum; other p refine panels split at
+    the zeros by bisection until two estimates agree to ``tol``.  Raises
+    CapabilityError, before any recurrence work, when the estimated work
+    exceeds NORM_WORK_BUDGET point-steps (for example degree 10**6 at
+    p = 4, or degree 10**4 at p = 1), and during bisection before a pass
+    that would cross it.
+    """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
         raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
     if degree > MAX_DEGREE_DEFAULT:

@@ -197,6 +197,14 @@ class TestKernel:
             assert len(row["x"]) == 2
             assert row["abs_error"] < 1e-9
 
+    def test_grid_value_starting_with_minus(self):
+        # the README form: a separate value that argparse would take for an option
+        spaced = run_cli("kernel", "--t", "0.5", "--grid", "-2,0,2", "--format", "csv")
+        joined = run_cli("kernel", "--t", "0.5", "--grid=-2,0,2", "--format", "csv")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+        assert len(csv_rows(spaced.stdout)) == 10
+
     def test_csv_joins_coordinates(self):
         proc = run_cli("kernel", "--grid", "0,1", "--n", "2", "--N", "40",
                        "--format", "csv")

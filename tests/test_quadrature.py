@@ -5,6 +5,7 @@ definition of phi_k, fully independent of the package quadrature.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import hermult.quadrature as quad
 from hermult import CapabilityError, ConvergenceError, DomainError
-from hermult._accel import phi_table
+from hermult._accel import phi_row, phi_table
 from hermult.quadrature import (
     NormEstimate,
     QuadratureRule,
@@ -49,6 +50,26 @@ def norm_oracle(k, p):
     pts = [-lim] + (sorted(roots_hermite(k)[0].tolist()) if k else []) + [lim]
     val = mpmath.quad(integrand, pts)
     return float(val ** (mpmath.mpf(1) / p))
+
+
+def sup_oracle(k):
+    """max |phi_k| over the real zeros of phi_k' = (2k H_{k-1} - x H_k) e^{-x^2/2} / c_k.
+
+    Hermite coefficients are exact integers from H_{j+1} = 2x H_j - 2j H_{j-1};
+    mpmath.polyroots finds every critical point.
+    """
+    H = [[1], [0, 2]]  # ascending coefficients
+    for j in range(1, k + 1):
+        a, b = H[j], H[j - 1]
+        H.append([(2 * a[i - 1] if i else 0) - (2 * j * b[i] if i < len(b) else 0)
+                  for i in range(len(a) + 1)])
+    lower = H[k - 1] if k else [0]
+    q = [(2 * k * lower[i] if i < len(lower) else 0) - (H[k][i - 1] if i else 0)
+         for i in range(k + 2)]
+    roots = mpmath.polyroots(q[::-1], maxsteps=500, extraprec=400)
+    den = mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+    crit = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -25]
+    return float(max(abs(mpmath.hermite(k, x) * mpmath.exp(-x * x / 2)) for x in crit) / den)
 
 
 class TestGaussHermiteRule:
@@ -119,7 +140,16 @@ class TestLpNorms:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 12])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_against_mpmath_oracle(self, k, p):
-        assert lp_norm_1d(k, p, 1e-10) == pytest.approx(norm_oracle(k, p), rel=1e-8)
+        # even p runs the exact Gauss-Hermite rule, the others bisection to 1e-10
+        rel = 1e-12 if p in (2.0, 4.0, 6.0) else 1e-8
+        assert lp_norm_1d(k, p, 1e-10) == pytest.approx(norm_oracle(k, p), rel=rel)
+
+    @pytest.mark.parametrize("k", [200, 1000])
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_exact_rule_matches_bisection(self, k, p):
+        exact = quad._even_p_integral_1d(k, p)
+        adaptive = quad._lp_integral_1d(k, p, 1e-12)
+        assert exact == pytest.approx(adaptive, rel=1e-11)
 
     def test_l2_normalization_many_degrees(self):
         for k in [0, 5, 40, 137, 600]:
@@ -130,6 +160,26 @@ class TestLpNorms:
         assert lp_norm_1d(0, math.inf) == pytest.approx(math.pi ** -0.25, rel=1e-10)
         want = math.sqrt(2.0) * math.pi ** -0.25 * math.exp(-0.5)
         assert lp_norm_1d(1, math.inf) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 12, 33])
+    def test_sup_norm_against_mpmath_oracle(self, k):
+        assert lp_norm_1d(k, math.inf) == pytest.approx(sup_oracle(k), rel=1e-13)
+
+    def test_last_lobe_matches_dense_scan(self):
+        # A scan of [0, R] at spacing 5e-3 for every degree at once, then a
+        # second scan at spacing 5e-6 around each degree's best point: its
+        # value lies below the maximum by at most lambda * h^2 / 8 < 3e-9.
+        nmax = 200
+        R = math.sqrt(2 * (2 * nmax + 1)) + 12
+        coarse = np.linspace(0.0, R, int(R / 5e-3) + 1)
+        table = np.abs(phi_table(coarse, nmax))
+        for k in range(nmax + 1):
+            i = int(np.argmax(table[k]))
+            fine = np.linspace(coarse[max(i - 1, 0)], coarse[i + 1], 2001)
+            vals, logs = phi_row(fine, k)
+            dense = float(np.max(np.abs(vals) * np.exp(logs)))
+            got = lp_norm_1d(k, math.inf)
+            assert dense * (1 - 1e-14) <= got <= dense * (1 + 3e-9), k
 
     def test_sup_norm_uniform_bound(self):
         # classical uniform bound, also used by the kernel tail certificates
@@ -153,6 +203,35 @@ class TestLpNorms:
             lp_norm_1d(3, 2.0, tol=0.5)
         with pytest.raises(DomainError):
             lp_norm_1d(-2, 2.0)
+
+    @pytest.mark.parametrize("degree,p", [
+        (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**4, 1.0), (10**6, 2.5),
+    ])
+    def test_refused_before_any_work(self, degree, p):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norm_1d(degree, p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bisection_refused_before_crossing_budget(self, monkeypatch):
+        # degree 40 at p = 4/3 needs more passes than a 1e6 point-step budget allows
+        monkeypatch.setattr(quad, "NORM_WORK_BUDGET", 1e6)
+        route, work = quad._norm_route(40, 4 / 3)
+        assert route == "bisection" and work < quad.NORM_WORK_BUDGET
+        with pytest.raises(CapabilityError):
+            quad._lp_integral_1d(40, 4 / 3, 1e-8)
+
+    def test_large_even_p_takes_bisection(self):
+        # the exact rule's p * n / 2 + 1 = 90001 nodes would exceed the budget
+        assert quad._norm_route(300, 600.0)[0] == "bisection"
+        assert quad._norm_route(300, 100.0)[0] == "even"
+        sup = lp_norm_1d(300, math.inf)
+        # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
+        assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
+
+    def test_norm_cache_is_bounded(self):
+        # bounded, and large enough for the ~400 norms of an s_r_sum at N = 200
+        assert 400 <= quad._lp_norm_1d_cached.cache_info().maxsize < 10**5
 
     def test_convergence_error_carries_last_two(self, monkeypatch):
         monkeypatch.setattr(quad, "_MAX_REFINEMENTS", 1)
