@@ -1,23 +1,19 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels: the scaled Hermite recurrence and weighted power sums.
 
-The backend is chosen at import time: numba is used when it imports
-cleanly and the environment variable ``HERMULT_NO_NUMBA`` is unset (or
-falsy).  Both implementations follow the same scaled three-term
-recurrence
+Every kernel is vectorized with numpy over the grid points and follows the
+scaled three-term recurrence
 
     phi_{k+1}(x) = x*sqrt(2/(k+1))*phi_k(x) - sqrt(k/(k+1))*phi_{k-1}(x)
 
 seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 ``mantissa * exp(log_scale)`` so the seed and the tails survive far
 outside the range of plain doubles.  Rescaling multiplies by an exact
-power of two, so the two backends perform identical float operations
-per grid point.
+power of two, so it adds no rounding of its own.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -28,65 +24,16 @@ _RESCALE = 2.0 ** 400
 _RESCALE_INV = 2.0 ** -400
 _RESCALE_LOG = 400.0 * math.log(2.0)
 
-_flag = os.environ.get("HERMULT_NO_NUMBA", "").strip().lower()
-_numba_wanted = _flag not in {"1", "true", "yes", "on"}
-
-HAS_NUMBA = False
-if _numba_wanted:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+# Below this largest exponent every term of a power sum is factored by it.
+_SHIFT_BELOW = -700.0
 
 
-def _phi_row_py(x, degree):
+def phi_row(x, degree):
     """Scaled Hermite-function row: values of phi_degree on the grid x.
 
     Returns (mantissa, log_scale) arrays; the represented value is
     mantissa * exp(log_scale).
     """
-    npts = x.shape[0]
-    vals = np.empty(npts)
-    logs = np.empty(npts)
-    for i in range(npts):
-        xi = x[i]
-        ls = -0.5 * xi * xi
-        v0 = _PI_QUARTER
-        v1 = v0
-        if degree == 0:
-            vals[i] = v0
-            logs[i] = ls
-            continue
-        v1 = xi * math.sqrt(2.0) * v0
-        for k in range(1, degree):
-            c1 = math.sqrt(2.0 / (k + 1.0))
-            c0 = math.sqrt(k / (k + 1.0))
-            v2 = xi * c1 * v1 - c0 * v0
-            v0 = v1
-            v1 = v2
-            m = abs(v1)
-            m0 = abs(v0)
-            if m0 > m:
-                m = m0
-            if m > _RESCALE:
-                v0 *= _RESCALE_INV
-                v1 *= _RESCALE_INV
-                ls += _RESCALE_LOG
-            elif 0.0 < m < _RESCALE_INV:
-                v0 *= _RESCALE
-                v1 *= _RESCALE
-                ls -= _RESCALE_LOG
-        vals[i] = v1
-        logs[i] = ls
-    return vals, logs
-
-
-def _phi_row_np(x, degree):
-    """Vectorized twin of _phi_row_py; same per-point operations."""
     ls = -0.5 * x * x
     v0 = np.full(x.shape, _PI_QUARTER)
     if degree == 0:
@@ -112,56 +59,12 @@ def _phi_row_np(x, degree):
     return v1, ls
 
 
-def _phi_table_py(x, nmax):
+def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
     Entries whose true magnitude is below the double range come out as
     exact zeros.
     """
-    npts = x.shape[0]
-    out = np.empty((nmax + 1, npts))
-    for i in range(npts):
-        xi = x[i]
-        ls = -0.5 * xi * xi
-        es = math.exp(ls)
-        v0 = _PI_QUARTER
-        out[0, i] = v0 * es
-        if nmax == 0:
-            continue
-        v1 = xi * math.sqrt(2.0) * v0
-        out[1, i] = v1 * es
-        for k in range(1, nmax):
-            c1 = math.sqrt(2.0 / (k + 1.0))
-            c0 = math.sqrt(k / (k + 1.0))
-            v2 = xi * c1 * v1 - c0 * v0
-            v0 = v1
-            v1 = v2
-            m = abs(v1)
-            m0 = abs(v0)
-            if m0 > m:
-                m = m0
-            if m > _RESCALE:
-                v0 *= _RESCALE_INV
-                v1 *= _RESCALE_INV
-                ls += _RESCALE_LOG
-                es *= _RESCALE
-            elif 0.0 < m < _RESCALE_INV:
-                v0 *= _RESCALE
-                v1 *= _RESCALE
-                ls -= _RESCALE_LOG
-                es *= _RESCALE_INV
-            if ls > -700.0:
-                out[k + 1, i] = v1 * es
-            elif v1 == 0.0:
-                out[k + 1, i] = 0.0
-            else:
-                t = math.log(abs(v1)) + ls
-                out[k + 1, i] = math.copysign(math.exp(t), v1) if t > -745.0 else 0.0
-    return out
-
-
-def _phi_table_np(x, nmax):
-    """Vectorized twin of _phi_table_py."""
     npts = x.shape[0]
     out = np.empty((nmax + 1, npts))
     ls = -0.5 * x * x
@@ -203,44 +106,20 @@ def _phi_table_np(x, nmax):
     return out
 
 
-def _waps_py(vals, logs, weights, p):
-    """Compensated sum of weights[i] * |vals[i] * exp(logs[i])|^p."""
-    total = 0.0
-    comp = 0.0
-    for i in range(vals.shape[0]):
-        v = vals[i]
-        if v == 0.0:
-            continue
-        t = p * (math.log(abs(v)) + logs[i])
-        if t < -745.0:
-            continue
-        term = weights[i] * math.exp(t)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+def weighted_abs_power_sum(vals, logs, weights, p):
+    """Sum of weights[i] * |vals[i] * exp(logs[i])|^p as (total, shift).
 
-
-def _waps_np(vals, logs, weights, p):
-    """Vectorized twin of _waps_py (pairwise numpy summation)."""
+    The sum is total * exp(shift).  shift is 0.0 unless the largest
+    exponent p * ln|value| is below -700, where every term would underflow;
+    then that exponent is factored out of all terms, so a p-th root taken
+    as total^(1/p) * exp(shift/p) stays in range.  Terms more than 745
+    below the shift are dropped.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = p * (np.log(np.abs(vals)) + logs)
+    top = float(np.max(t))
+    shift = top if -math.inf < top < _SHIFT_BELOW else 0.0
+    t = t - shift
     ok = (vals != 0.0) & (t >= -745.0)
     terms = np.where(ok, weights * np.exp(np.where(ok, t, 0.0)), 0.0)
-    return float(np.sum(terms))
-
-
-if HAS_NUMBA:
-    phi_row = njit(cache=True)(_phi_row_py)
-    phi_table = njit(cache=True)(_phi_table_py)
-    weighted_abs_power_sum = njit(cache=True)(_waps_py)
-else:
-    phi_row = _phi_row_np
-    phi_table = _phi_table_np
-    weighted_abs_power_sum = _waps_np
-
-# Exposed for the backend-comparison benchmark and cross-checks.
-phi_row_numpy = _phi_row_np
-phi_table_numpy = _phi_table_np
-weighted_abs_power_sum_numpy = _waps_np
+    return float(np.sum(terms)), shift

@@ -22,11 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .hermite_core import as_entries, count_up_to, enumerate_up_to
+from .hermite_core import as_entries
 from .quadrature import lp_norm_1d, norm_model_exponent
-from .spectral_ops import Symbol
+from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
-_LATTICE_CAP = 2_000_000
 _MAX_DOUBLINGS = 6
 _P1_HYPOTHESIS = "1 < p1 < infinity"
 
@@ -77,13 +76,12 @@ class RegimeCase:
     log_power: Fraction
     p1_conj: Fraction
 
-    def entry_factor(self, u: int) -> float:
-        """Per-entry weight factor: constant below the cutoff, u^a (ln u)^l above."""
+    def entry_factors(self, us) -> list[float]:
+        """Per-entry weight factors: constant below the cutoff, u^a (ln u)^l above."""
         a = float(self.alpha)
         lam = float(self.log_power)
-        if u <= self.k:
-            return self.k ** a * math.log(self.k) ** lam
-        return u ** a * math.log(u) ** lam
+        k = self.k
+        return [v ** a * math.log(v) ** lam for v in (u if u > k else k for u in us)]
 
 
 def _weight_law(p2_regime: str, p1_branch: str, p1: Fraction, p2, r: Fraction):
@@ -188,81 +186,7 @@ def partition_cells(dimension: int, k: int):
 
 def kappa_weight(case: RegimeCase, nu) -> float:
     """Product of per-entry factors; strictly positive."""
-    entries = as_entries(nu)
-    w = 1.0
-    for u in entries:
-        w *= case.entry_factor(u)
-    return w
-
-
-def _entry_factor_vector(case: RegimeCase, N: int) -> np.ndarray:
-    return np.array([case.entry_factor(u) for u in range(N + 1)])
-
-
-def _level_sums(entry_vec: np.ndarray, dimension: int, N: int) -> np.ndarray:
-    """g[K] = sum over |nu| = K of the per-entry factor products."""
-    g = entry_vec
-    for _ in range(dimension - 1):
-        g = np.convolve(g, entry_vec)[: N + 1]
-    return g
-
-
-def _weighted_partial(m: Symbol, weight_fn, entry_vec, N: int, r: float) -> float:
-    """Partial sum over |nu| <= N of weight(nu) * |m(nu)|^r, deterministic."""
-    n = m.dimension
-    if m.is_radial:
-        g = _level_sums(entry_vec, n, N)
-        return math.fsum(
-            g[K] * abs(m.level_value(K)) ** r for K in range(N + 1) if g[K] != 0.0
-        )
-    if m.table is not None:
-        return math.fsum(
-            weight_fn(key) * abs(v) ** r
-            for key, v in m.support_items()
-            if sum(key) <= N and v != 0.0
-        )
-    if count_up_to(n, N) > _LATTICE_CAP:
-        raise DomainError("lattice too large for a non-radial custom symbol")
-    return math.fsum(
-        weight_fn(nu.entries) * abs(m(nu)) ** r for nu in enumerate_up_to(n, N)
-    )
-
-
-def _exp_polylog_tail(coeff: float, crate: float, n: int,
-                      a_pow: float, l_pow: float, N: int) -> float:
-    """Certified sum over K > N of
-    coeff * C(K+n-1, n-1) * (1+K)^a_pow * ln(2+K)^l_pow * e^{-crate*K}.
-
-    The term ratio is bounded by a quantity decreasing to e^{-crate} < 1,
-    so once it drops below 1 a geometric remainder closes the sum.
-    """
-    if coeff == 0.0:
-        return 0.0
-    total = 0.0
-    K = N + 1
-    base_ratio = math.exp(-crate)
-    while True:
-        t = -crate * K
-        if t <= -745.0:
-            return total
-        term = coeff * math.comb(K + n - 1, n - 1) * math.exp(t)
-        if a_pow != 0.0:
-            term *= (1.0 + K) ** a_pow
-        if l_pow != 0.0:
-            term *= math.log(2.0 + K) ** l_pow
-        if term == 0.0:
-            return total
-        q = base_ratio * (K + n) / (K + 1)
-        if a_pow > 0.0:
-            q *= ((K + 2) / (K + 1)) ** a_pow
-        if l_pow > 0.0:
-            q *= (math.log(3.0 + K) / math.log(2.0 + K)) ** l_pow
-        if q < 1.0:
-            remainder = term * q / (1.0 - q)
-            if remainder <= 1e-9 * (total + term) or K - N > 200_000:
-                return total + term + remainder
-        total += term
-        K += 1
+    return math.prod(case.entry_factors(as_entries(nu)))
 
 
 def _finite_table_tail(m: Symbol, weight_fn, N: int, r: float) -> float:
@@ -413,8 +337,8 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
         tail, kind = _kappa_tail(m, case, N_used)
         if divergent or (tail is not None and tail < tol) or tail is None:
             break
-    entry_vec = _entry_factor_vector(case, N_used) if m.is_radial else None
-    partial = _weighted_partial(m, lambda e: kappa_weight(case, e), entry_vec, N_used, r)
+    partial = lattice_sum(m, N_used, term=lambda v: abs(v) ** r,
+                          factors=case.entry_factors(range(N_used + 1)))
     return CriterionReport(
         criterion="kappa",
         partial_sum=partial,
@@ -508,10 +432,7 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
         if tail is None or (tail is not None and tail < tol):
             break
 
-    def weight_fn(entries):
-        return math.prod(float(gvec[u]) for u in entries)
-
-    partial = _weighted_partial(m, weight_fn, gvec, N_used, rfl)
+    partial = lattice_sum(m, N_used, term=lambda v: abs(v) ** rfl, factors=gvec)
 
     regime = None
     try:

@@ -46,10 +46,10 @@ _RHO_TOL = 1e-10
 
 # Recurrence work of a norm is counted in point-steps: a phi_row call over
 # P points at degree n costs n * (P + _STEP_POINTS), because each step of
-# the numpy backend's recurrence has a fixed cost about that of 4096 point
+# the vectorized recurrence has a fixed cost about that of 4096 point
 # updates (19 us against 4.5 ns per point on a 2-vCPU Xeon).
 _STEP_POINTS = 4096
-# Work above which a norm is refused; on that machine the numpy backend
+# Work above which a norm is refused; on that machine the recurrence
 # takes 4-15 s for it, the most for the bisection route's wide grids.
 NORM_WORK_BUDGET = 1e9
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
@@ -118,19 +118,15 @@ def truncated_rule(radius: float, panels: int = 64, order: int = _GL_ORDER) -> Q
         raise DomainError(f"radius must be positive and finite, got {radius}")
     if panels < 1:
         raise DomainError("panels must be >= 1")
-    edges = np.linspace(-radius, radius, panels + 1)
-    x, w = _leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = _panel_nodes(np.linspace(-radius, radius, panels + 1), order)
     return QuadratureRule(
         nodes=nodes, weights=weights, kind="truncated_adaptive", truncation_radius=radius
     )
 
 
-def _panel_nodes(edges: np.ndarray):
-    x, w = _leggauss(_GL_ORDER)
+def _panel_nodes(edges: np.ndarray, order: int = _GL_ORDER):
+    """Nodes and weights of the order-point Gauss-Legendre rule on each panel."""
+    x, w = _leggauss(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -161,7 +157,7 @@ def _initial_edges(degree: int, R: float) -> np.ndarray:
     return np.unique(edges)
 
 
-def _half_line_integral(degree: int, p: float, edges: np.ndarray) -> float:
+def _half_line_integral(degree: int, p: float, edges: np.ndarray):
     nodes, weights = _panel_nodes(edges)
     vals, logs = phi_row(nodes, degree)
     return weighted_abs_power_sum(vals, logs, weights, p)
@@ -175,12 +171,18 @@ def _panel_work(edges: np.ndarray, degree: int) -> float:
     return _phi_row_work(_GL_ORDER * (len(edges) - 1), degree)
 
 
-def _lp_integral_1d(degree: int, p: float, tol: float) -> float:
-    """Adaptive evaluation of the full-line integral of |phi_degree|^p."""
+def _lp_integral_1d(degree: int, p: float, tol: float):
+    """Adaptive evaluation of the full-line integral of |phi_degree|^p.
+
+    Returns (total, shift), the integral being total * e^shift.  All
+    estimates are kept on the largest shift seen, so they compare directly
+    and no rescaling overflows.
+    """
     lam = 2.0 * degree + 1.0
     R = math.sqrt(2.0 * lam) + 12.0
     edges = _initial_edges(degree, R)
-    history = [_half_line_integral(degree, p, edges)]
+    total, shift = _half_line_integral(degree, p, edges)
+    history = [total]
     spent = _panel_work(edges, degree)
     for _ in range(_MAX_REFINEMENTS):
         edges = _bisect(edges)
@@ -188,14 +190,19 @@ def _lp_integral_1d(degree: int, p: float, tol: float) -> float:
         if spent > NORM_WORK_BUDGET:
             raise CapabilityError(
                 f"L^{p} integral for degree {degree} needs more than {NORM_WORK_BUDGET:.0e} "
-                f"point-steps of recurrence work to reach {tol}; half-line estimates so far: "
-                f"{history}"
+                f"point-steps of recurrence work to reach {tol}; half-line estimates so far "
+                f"(times e^{shift!r}): {history}"
             )
-        history.append(_half_line_integral(degree, p, edges))
+        total, pass_shift = _half_line_integral(degree, p, edges)
+        if pass_shift > shift:
+            history = [h * math.exp(shift - pass_shift) for h in history]
+            shift = pass_shift
+        history.append(total * math.exp(pass_shift - shift))
         if abs(history[-1] - history[-2]) <= tol * abs(history[-1]):
-            return 2.0 * history[-1]
+            return 2.0 * history[-1], shift
     raise ConvergenceError(
-        f"L^{p} integral for degree {degree} did not converge to {tol}",
+        f"L^{p} integral for degree {degree} did not converge to {tol} "
+        f"(estimates times e^{shift!r})",
         last_two=(2.0 * history[-2], 2.0 * history[-1]),
     )
 
@@ -204,8 +211,9 @@ def _even_rule_nodes(degree: int, p: float) -> int:
     return int(p) // 2 * degree + 1
 
 
-def _even_p_integral_1d(degree: int, p: float) -> float:
-    """Exact integral of |phi_degree|^p for even p by an M-point Gauss-Hermite rule."""
+def _even_p_integral_1d(degree: int, p: float):
+    """Exact integral of |phi_degree|^p for even p by an M-point Gauss-Hermite
+    rule, as (total, shift) with the integral total * e^shift."""
     M = _even_rule_nodes(degree, p)
     y = roots_hermite(M)[0][M // 2:]
     vals, logs = phi_row(y, M - 1)
@@ -215,7 +223,8 @@ def _even_p_integral_1d(degree: int, p: float) -> float:
         weights[0] *= 0.5
     scale = math.sqrt(2.0 / p)
     vals, logs = phi_row(scale * y, degree)
-    return scale * weighted_abs_power_sum(vals, logs, weights, p)
+    total, shift = weighted_abs_power_sum(vals, logs, weights, p)
+    return scale * total, shift
 
 
 def _sup_calls(lam: float) -> int:
@@ -282,8 +291,10 @@ def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
     if route == "sup":
         return _sup_norm_1d(degree)
     if route == "even":
-        return _even_p_integral_1d(degree, p) ** (1.0 / p)
-    return _lp_integral_1d(degree, p, tol) ** (1.0 / p)
+        total, shift = _even_p_integral_1d(degree, p)
+    else:
+        total, shift = _lp_integral_1d(degree, p, tol)
+    return total ** (1.0 / p) * math.exp(shift / p)
 
 
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:

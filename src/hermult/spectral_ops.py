@@ -205,6 +205,43 @@ def custom_symbol(fn, n: int = 1, envelope: Envelope | None = None,
                   lower_envelope=lower_envelope, level_evaluator=level_fn, label=label)
 
 
+def _exp_polylog_tail(coeff: float, crate: float, n: int,
+                      a_pow: float, l_pow: float, N: int) -> float:
+    """Certified sum over K > N of
+    coeff * C(K+n-1, n-1) * (1+K)^a_pow * ln(2+K)^l_pow * e^{-crate*K}.
+
+    The term ratio is bounded by a quantity decreasing to e^{-crate} < 1,
+    so once it drops below 1 a geometric remainder closes the sum.
+    """
+    if coeff == 0.0:
+        return 0.0
+    total = 0.0
+    K = N + 1
+    base_ratio = math.exp(-crate)
+    while True:
+        t = -crate * K
+        if t <= -745.0:
+            return total
+        term = coeff * math.comb(K + n - 1, n - 1) * math.exp(t)
+        if a_pow != 0.0:
+            term *= (1.0 + K) ** a_pow
+        if l_pow != 0.0:
+            term *= math.log(2.0 + K) ** l_pow
+        if term == 0.0:
+            return total
+        q = base_ratio * (K + n) / (K + 1)
+        if a_pow > 0.0:
+            q *= ((K + 2) / (K + 1)) ** a_pow
+        if l_pow > 0.0:
+            q *= (math.log(3.0 + K) / math.log(2.0 + K)) ** l_pow
+        if q < 1.0:
+            remainder = term * q / (1.0 - q)
+            if remainder <= 1e-9 * (total + term) or K - N > 200_000:
+                return total + term + remainder
+        total += term
+        K += 1
+
+
 def level_tail_bound(m: Symbol, N: int) -> float | None:
     """Certified bound on sum_{|nu| > N} |m(nu)|, or None if unavailable.
 
@@ -222,28 +259,52 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
     if env.kind == "finite":
         return 0.0 if N >= env.support_order else None
     if env.kind == "exponential":
-        c = env.rate
-        total = 0.0
-        K = N + 1
-        ratio_base = math.exp(-c)
-        while True:
-            t = -c * K
-            term = env.C * math.comb(K + n - 1, n - 1) * (math.exp(t) if t > -745.0 else 0.0)
-            if term == 0.0:
-                return total
-            q = ratio_base * (K + n) / (K + 1)
-            if q < 1.0:
-                remainder = term * q / (1.0 - q)
-                if remainder <= 1e-6 * (total + term) or K - N > 100_000:
-                    return total + term + remainder
-            total += term
-            K += 1
+        return _exp_polylog_tail(env.C, env.rate, n, 0.0, 0.0, N)
     # polynomial: converges iff rate > n
     beta = env.rate
     if beta <= n:
         return None
     # mult(K) <= (K+1)^(n-1); sum (K+1)^(n-1-beta) <= integral from N
     return env.C * (N + 1.0) ** (n - beta) / (beta - n)
+
+
+def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
+    """fsum over |nu| <= N of term(m(nu)) * prod_j factors[nu_j, j].
+
+    ``factors`` has N + 1 rows and one column per coordinate, or a single
+    column shared by all of them; None makes every factor 1.  Radial
+    symbols are summed level by level, with level weights from the
+    convolution of the columns (the binomial level counts when ``factors``
+    is None); finite tables over their support; other symbols over the
+    whole lattice, refused above _LATTICE_CAP indices.
+    """
+    n = m.dimension
+    F = None
+    if factors is not None:
+        F = np.broadcast_to(np.asarray(factors, dtype=float).reshape(N + 1, -1), (N + 1, n))
+    if m.is_radial:
+        if F is None:
+            g = [math.comb(K + n - 1, n - 1) for K in range(N + 1)]
+        else:
+            g = F[:, 0]
+            for j in range(1, n):
+                g = np.convolve(g, F[:, j])[: N + 1]
+        return math.fsum(term(m.level_value(K)) * g[K] for K in range(N + 1))
+    if m.table is not None:
+        items = [(key, v) for key, v in m.support_items() if sum(key) <= N]
+    else:
+        size = count_up_to(n, N)
+        if size > _LATTICE_CAP:
+            raise CapabilityError(
+                f"lattice of {size} indices is too large for a non-radial custom symbol"
+            )
+        items = ((nu.entries, m(nu)) for nu in enumerate_up_to(n, N))
+    if F is None:
+        return math.fsum(term(v) for _, v in items)
+    cols = F.T.tolist()
+    return math.fsum(
+        term(v) * math.prod(cols[j][u] for j, u in enumerate(key)) for key, v in items
+    )
 
 
 @dataclass(frozen=True)
@@ -414,34 +475,8 @@ def kernel_series(m: Symbol, x, y, N: int) -> KernelValue:
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if len(xs) != n or len(ys) != n:
         raise DomainError(f"points must have dimension {n}")
-    Tx = phi_table(xs, N)
-    Ty = phi_table(ys, N)
-    G = Tx * Ty  # G[u, j] = phi_u(x_j) phi_u(y_j)
-    if m.is_radial:
-        g = G[:, 0]
-        for j in range(1, n):
-            g = np.convolve(g, G[:, j])[: N + 1]
-        value = math.fsum(m.level_value(K) * g[K] for K in range(N + 1))
-    elif m.table is not None:
-        terms = []
-        for key, val in m.support_items():
-            if sum(key) > N:
-                continue
-            prod = val
-            for j, u in enumerate(key):
-                prod *= G[u, j]
-            terms.append(prod)
-        value = math.fsum(terms)
-    else:
-        if count_up_to(n, N) > _LATTICE_CAP:
-            raise CapabilityError("lattice too large for a non-radial custom symbol")
-        terms = []
-        for nu in enumerate_up_to(n, N):
-            prod = m(nu)
-            for j, u in enumerate(nu.entries):
-                prod *= G[u, j]
-            terms.append(prod)
-        value = math.fsum(terms)
+    # phi_u(x_j) phi_u(y_j), one column per coordinate
+    value = lattice_sum(m, N, factors=phi_table(xs, N) * phi_table(ys, N))
     tail = level_tail_bound(m, N)
     if tail is not None:
         tail *= PHI_SUP_BOUND ** (2 * n)

@@ -26,7 +26,6 @@ from .errors import (
     TraceCheckRefused,
     UnsupportedRegimeError,
 )
-from .hermite_core import count_up_to, enumerate_up_to
 from .nuclearity import (
     CriterionReport,
     _exponent_str,
@@ -36,10 +35,9 @@ from .nuclearity import (
     s_r_sum,
 )
 from .quadrature import gauss_hermite_rule
-from .spectral_ops import Symbol, _log_sinh, effective_weights, level_tail_bound
+from .spectral_ops import Symbol, _log_sinh, effective_weights, lattice_sum, level_tail_bound
 
 _TRACE_MAX_DOUBLINGS = 12
-_LATTICE_CAP = 2_000_000
 
 
 def _check_dimension(m: Symbol, n: int | None) -> int:
@@ -59,20 +57,6 @@ class TraceValue:
     truncation_order: int
 
 
-def _symbol_partial_trace(m: Symbol, N: int) -> float:
-    """Sum of m(nu) over |nu| <= N, deterministic order."""
-    n = m.dimension
-    if m.is_radial:
-        return math.fsum(
-            math.comb(K + n - 1, n - 1) * m.level_value(K) for K in range(N + 1)
-        )
-    if m.table is not None:
-        return math.fsum(v for key, v in m.support_items() if sum(key) <= N)
-    if count_up_to(n, N) > _LATTICE_CAP:
-        raise CapabilityError("lattice too large for a non-radial custom symbol")
-    return math.fsum(m(nu) for nu in enumerate_up_to(n, N))
-
-
 def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
                      N: int | None = None) -> TraceValue:
     """Lattice sum of the symbol with a certified tail below tol.
@@ -90,13 +74,13 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
         tail = level_tail_bound(m, N)
         if tail is None:
             raise InconclusiveError("no certified tail bound at this truncation")
-        return TraceValue(value=_symbol_partial_trace(m, N), tail_bound=tail,
+        return TraceValue(value=lattice_sum(m, N), tail_bound=tail,
                           truncation_order=N)
     order = 200 * n
     history = []
     for _ in range(_TRACE_MAX_DOUBLINGS + 1):
         tail = level_tail_bound(m, order)
-        history.append(_symbol_partial_trace(m, order))
+        history.append(lattice_sum(m, order))
         if tail is not None and tail < tol:
             return TraceValue(value=history[-1], tail_bound=tail, truncation_order=order)
         if tail is None:
@@ -124,25 +108,8 @@ def trace_diagonal_quadrature(m: Symbol, n: int | None = None, N: int = 60,
     ew = effective_weights(rule)
     T = phi_table(rule.nodes, N)
     q = (T * T) @ ew
-    if m.is_radial:
-        qconv = q
-        for _ in range(n - 1):
-            qconv = np.convolve(qconv, q)[: N + 1]
-        value = math.fsum(m.level_value(K) * qconv[K] for K in range(N + 1))
-    elif m.table is not None:
-        value = math.fsum(
-            v * math.prod(float(q[u]) for u in key)
-            for key, v in m.support_items()
-            if sum(key) <= N
-        )
-    else:
-        if count_up_to(n, N) > _LATTICE_CAP:
-            raise CapabilityError("lattice too large for a non-radial custom symbol")
-        value = math.fsum(
-            m(nu) * math.prod(float(q[u]) for u in nu.entries)
-            for nu in enumerate_up_to(n, N)
-        )
-    reference = _symbol_partial_trace(m, N)
+    value = lattice_sum(m, N, factors=q)
+    reference = lattice_sum(m, N)
     slack = max(tol, 1e-10) * (1.0 + abs(reference))
     if not abs(value - reference) <= slack:
         raise ConvergenceError(

@@ -242,18 +242,6 @@ class TestKappaSum:
         with pytest.raises(DomainError):
             kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1, k=10), N=5)
 
-    def test_radial_fast_path_matches_lattice(self):
-        from hermult.spectral_ops import Envelope, custom_symbol
-
-        case = classify_regime(Fraction(4, 3), 2, 1)
-        fast = kappa_sum(heat_symbol(0.7, n=2), case, N=24).partial_sum
-        slow_symbol = custom_symbol(
-            lambda e: math.exp(-0.7 * (2 * sum(e) + 2)), n=2,
-            envelope=Envelope(kind="exponential", C=math.exp(-1.4), rate=1.4),
-        )
-        slow = kappa_sum(slow_symbol, case, N=24).partial_sum
-        assert fast == pytest.approx(slow, rel=1e-13)
-
     def test_deterministic(self):
         case = classify_regime(Fraction(6, 5), 6, Fraction(2, 3))
         a = kappa_sum(heat_symbol(0.5), case, N=40).partial_sum

@@ -147,8 +147,9 @@ class TestLpNorms:
     @pytest.mark.parametrize("k", [200, 1000])
     @pytest.mark.parametrize("p", [4.0, 6.0])
     def test_exact_rule_matches_bisection(self, k, p):
-        exact = quad._even_p_integral_1d(k, p)
-        adaptive = quad._lp_integral_1d(k, p, 1e-12)
+        exact, exact_shift = quad._even_p_integral_1d(k, p)
+        adaptive, adaptive_shift = quad._lp_integral_1d(k, p, 1e-12)
+        assert exact_shift == adaptive_shift == 0.0
         assert exact == pytest.approx(adaptive, rel=1e-11)
 
     def test_l2_normalization_many_degrees(self):
@@ -228,6 +229,23 @@ class TestLpNorms:
         sup = lp_norm_1d(300, math.inf)
         # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
         assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
+
+    @pytest.mark.parametrize("degree,p", [(50, 1000.0), (50, 999.0), (300, 1000.0), (5, 2000.0)])
+    def test_underflowing_power_keeps_the_norm(self, degree, p):
+        # ||phi||_inf^p is below the double range; Hoelder interpolation with
+        # ||phi||_2 = 1 gives ||phi||_4^(1/theta) <= ||phi||_p <= ||phi||_inf^(1 - 2/p)
+        theta = (0.5 - 0.25) / (0.5 - 1.0 / p)
+        norm = lp_norm_1d(degree, p)
+        assert norm > 0.0
+        assert lp_norm_1d(degree, 4.0) ** (1.0 / theta) <= norm
+        assert norm <= lp_norm_1d(degree, math.inf) ** (1.0 - 2.0 / p)
+
+    def test_bisection_moves_estimates_to_the_largest_shift(self, monkeypatch):
+        # the second pass's largest exponent rises above -700, so it has no
+        # shift; the first estimate moves to its scale, e^(-712) stays finite
+        passes = iter([(1.0, -712.0), (math.exp(-699.0), 0.0), (math.exp(-699.0), 0.0)])
+        monkeypatch.setattr(quad, "_half_line_integral", lambda *args: next(passes))
+        assert quad._lp_integral_1d(40, 3.0, 1e-8) == (2.0 * math.exp(-699.0), 0.0)
 
     def test_norm_cache_is_bounded(self):
         # bounded, and large enough for the ~400 norms of an s_r_sum at N = 200

@@ -128,14 +128,6 @@ class TestDiagonalQuadrature:
         value = trace_diagonal_quadrature(table_symbol({(0,): 1.0}), N=5)
         assert math.isclose(value, 1.0, rel_tol=1e-13)
 
-    def test_custom_lattice_route_matches_radial(self):
-        def ev(entries):
-            return math.exp(-0.7 * (2 * sum(entries) + 2))
-
-        lattice = trace_diagonal_quadrature(custom_symbol(ev, n=2), N=12)
-        radial = trace_diagonal_quadrature(heat_symbol(0.7, n=2), N=12)
-        assert math.isclose(lattice, radial, rel_tol=1e-13)
-
     def test_matches_truncated_symbol_sum(self):
         m = heat_symbol(0.2)
         value = trace_diagonal_quadrature(m, N=25)
