@@ -28,16 +28,17 @@ _RESCALE_LOG = 400.0 * math.log(2.0)
 _SHIFT_BELOW = -700.0
 
 
-def phi_row(x, degree):
-    """Scaled Hermite-function row: values of phi_degree on the grid x.
+def phi_pair(x, degree):
+    """phi_{degree-1} and phi_degree on the grid x, on one log scale.
 
-    Returns (mantissa, log_scale) arrays; the represented value is
-    mantissa * exp(log_scale).
+    Returns (previous, current, log_scale) arrays; the represented values
+    are previous * exp(log_scale) and current * exp(log_scale), and
+    phi_{-1} = 0.
     """
     ls = -0.5 * x * x
     v0 = np.full(x.shape, _PI_QUARTER)
     if degree == 0:
-        return v0, ls
+        return np.zeros(x.shape), v0, ls
     v1 = x * math.sqrt(2.0) * v0
     for k in range(1, degree):
         c1 = math.sqrt(2.0 / (k + 1.0))
@@ -56,7 +57,17 @@ def phi_row(x, degree):
             v0 = np.where(small, v0 * _RESCALE, v0)
             v1 = np.where(small, v1 * _RESCALE, v1)
             ls = np.where(small, ls - _RESCALE_LOG, ls)
-    return v1, ls
+    return v0, v1, ls
+
+
+def phi_row(x, degree):
+    """Scaled Hermite-function row: values of phi_degree on the grid x.
+
+    Returns (mantissa, log_scale) arrays; the represented value is
+    mantissa * exp(log_scale).
+    """
+    _, v, ls = phi_pair(x, degree)
+    return v, ls
 
 
 def phi_table(x, nmax):

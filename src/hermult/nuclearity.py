@@ -337,8 +337,10 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
         tail, kind = _kappa_tail(m, case, N_used)
         if divergent or (tail is not None and tail < tol) or tail is None:
             break
-    partial = lattice_sum(m, N_used, term=lambda v: abs(v) ** r,
-                          factors=case.entry_factors(range(N_used + 1)))
+    # a table's terms stop at its largest order, and so do the factors they use
+    top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
+    partial = lattice_sum(m, top, term=lambda v: abs(v) ** r,
+                          factors=case.entry_factors(range(top + 1)))
     return CriterionReport(
         criterion="kappa",
         partial_sum=partial,
@@ -419,6 +421,8 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     n = m.dimension
 
     if N is not None:
+        if N < 0:
+            raise DomainError(f"truncation order must be >= 0, got {N}")
         orders = [N]
     else:
         orders = [200 * n * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]

@@ -4,10 +4,8 @@
 
 - Even p (2, 4, 6, ...): under x = y*sqrt(2/p), |phi_n(x)|^p is a
   polynomial of degree p*n in y times e^{-y^2}, so the Gauss-Hermite rule
-  with M = p*n/2 + 1 nodes integrates it exactly.  Its weights are taken
-  from the Christoffel-Darboux identity w_i e^{y_i^2} = 1/(M phi_{M-1}(y_i)^2),
-  which stays in the double range where the plain weights underflow.
-  There is no refinement, so the tolerance is only validated.
+  with M = p*n/2 + 1 nodes integrates it exactly.  There is no
+  refinement, so the tolerance is only validated.
 - p = inf: on x > 0, f = phi^2 + phi'^2/(lambda - x^2) with lambda = 2n + 1
   has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
@@ -18,6 +16,28 @@
   [-R, R] with R = sqrt(2*lambda) + 12, split at the zeros of phi_n so
   each panel sees a smooth lobe, and all panels are refined by bisection
   until two successive global estimates agree to the tolerance.
+
+The Gauss-Hermite rules are built here, by ``roots_hermite``:
+
+- Guesses: x^2 for a positive zero of H_M is a zero of a Laguerre
+  polynomial L_m^(+-1/2), m = M // 2.  Tricomi's expansion guesses the bulk
+  and Gatteschi's, through the zeros of Ai (a short DLMF table, then the
+  asymptotic series), the largest ones; each is used where its error is
+  the smaller (Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016)).
+- Refinement: a Halley step per zero from one run of the scaled
+  recurrence, which returns phi_M and phi_{M-1} on one log scale:
+  phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
+  gives the second derivative at no cost.
+- Stop rule: after a Halley step h the error is |x^2 - 2M - 1| |h|^3 / 6
+  to leading order.  A zero is final once that bound is below 2^-53 of
+  it; only the others take another pass.  Every rule of 49 nodes or more
+  is final after one pass, smaller ones after two.
+- Weights: w e^{y^2} = 2 / phi_M'(y)^2, with phi_M' carried from the
+  evaluated point to the refined zero by its Taylor series from the same
+  equation.  This stays in the double range where w underflows.
+
+Half-rules (y >= 0) are cached per M; the sup norm refines only the
+largest zero.
 
 Even p whose node count M would make the exact rule dearer than the work
 budget takes the bisection route.  A norm whose recurrence work exceeds
@@ -32,9 +52,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
-from ._accel import phi_row, weighted_abs_power_sum
+from ._accel import phi_pair, phi_row, weighted_abs_power_sum
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
 from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
@@ -54,6 +73,9 @@ _STEP_POINTS = 4096
 NORM_WORK_BUDGET = 1e9
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
+
+# A zero is final once Halley's cubic error bound is below 2^-53 relative.
+_NODE_STOP = 6.0 * 2.0 ** -53
 
 _SUP_POINTS = 65
 # The sup search stops once the grid's best point is within
@@ -100,9 +122,149 @@ def gauss_hermite_rule(M: int) -> QuadratureRule:
     """
     if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or not 1 <= M <= _GH_MAX_NODES:
         raise CapabilityError(f"node count must be an int in [1, {_GH_MAX_NODES}], got {M!r}")
-    nodes, weights = roots_hermite(int(M))
-    weights = np.maximum(weights, np.nextafter(0.0, 1.0))
+    y, w = roots_hermite(int(M))
+    mirrored = slice(M % 2, None)  # every node but y = 0
+    nodes = np.concatenate([-y[mirrored][::-1], y])
+    half = np.maximum(w * np.exp(-y * y), np.nextafter(0.0, 1.0))
+    weights = np.concatenate([half[mirrored][::-1], half])
     return QuadratureRule(nodes=nodes, weights=weights, kind="gauss_hermite")
+
+
+# Zeros a_1, ..., a_10 of the Airy function Ai (DLMF Table 9.9.1); later
+# zeros come from the asymptotic series DLMF 9.9.6 and 9.9.18.
+_AIRY_ZEROS = np.array([
+    -2.338107410459767, -4.0879494441309706, -5.5205598280955511,
+    -6.786708090071759, -7.9441335871208531, -9.0226508533409804,
+    -10.040174341558086, -11.008524303733263, -11.936015563236263,
+    -12.828776752865757,
+])
+# Half-rules kept by roots_hermite; the M-node one holds about 8 M bytes.
+_RULE_CACHE_SIZE = 128
+# A node still missing the stop rule after this many passes is an error.
+_MAX_NODE_PASSES = 8
+# Rules of fewer nodes take two passes, rules of this many or more one
+# (checked for every M up to 3300 and on a ladder to 34500).
+_ONE_PASS_NODES = 49
+
+
+def _airy_zeros(j: np.ndarray) -> np.ndarray:
+    """The zeros a_j of Ai for j = 1, 2, ... (given as floats)."""
+    t = 0.375 * math.pi * (4.0 * j - 1.0)
+    r = t ** -2.0
+    series = 1.0 + r * (5.0 / 48.0 + r * (-5.0 / 36.0 + r * (
+        77125.0 / 82944.0 + r * (-108056875.0 / 6967296.0 + r * 162375596875.0 / 334430208.0))))
+    a = -t ** (2.0 / 3.0) * series
+    listed = j <= len(_AIRY_ZEROS)
+    a[listed] = _AIRY_ZEROS[j[listed].astype(int) - 1]
+    return a
+
+
+def _edge_count(m: int) -> int:
+    """How many of the largest zeros take Gatteschi's guess rather than
+    Tricomi's: the errors of the two cross near 0.77 m^0.45 (measured on
+    rules of 8 to 32001 nodes)."""
+    return max(1, int(0.77 * m ** 0.45))
+
+
+def _zero_guesses(M: int, j: np.ndarray) -> np.ndarray:
+    """Asymptotic guesses for the positive zeros of H_M, j = 1, 2, ... counting
+    down from the largest.
+
+    x^2 is a zero of the Laguerre polynomial L_m^(alpha), m = M // 2,
+    alpha = -1/2 for even M and 1/2 for odd M, whose zeros Gatteschi (near
+    the largest, through the Airy zeros) and Tricomi (elsewhere) expand in
+    nu = 4m + 2 alpha + 2 = 2M + 1 (Gatteschi, J. Comput. Appl. Math. 144
+    (2002) 7-27).
+    """
+    nu = 2.0 * M + 1.0
+    x2 = np.empty(len(j))
+    edge = j <= _edge_count(M // 2)
+    a = _airy_zeros(j[edge])
+    c = 2.0 ** (1.0 / 3.0)
+    x2[edge] = (
+        nu + c * c * a * nu ** (1.0 / 3.0) + 0.2 * c ** 4 * a * a * nu ** (-1.0 / 3.0)
+        + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a ** 3) / nu
+        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * c * c * nu ** (-5.0 / 3.0)
+        - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a) * c * nu ** (-7.0 / 3.0)
+    )
+    # theta - sin(theta) = pi (4j - 1) / nu by Newton's method from below,
+    # where theta^3 / 6 >= theta - sin(theta) puts the start
+    rhs = math.pi * (4.0 * j[~edge] - 1.0) / nu
+    theta = np.cbrt(6.0 * rhs)
+    for _ in range(8):
+        theta -= (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
+    t = np.cos(0.5 * theta) ** 2
+    x2[~edge] = nu * t - (1.25 / (1.0 - t) ** 2 - 1.0 / (1.0 - t) - 0.25) / (3.0 * nu)
+    return np.sqrt(x2)
+
+
+def _halley_nodes(y: np.ndarray, M: int):
+    """Zeros of phi_M refined from the guesses y >= 0 by Halley passes.
+
+    Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs.  A pass runs
+    the scaled recurrence once for phi_M and phi_{M-1} on one log scale;
+    phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
+    gives the higher derivatives.  The step's cubic error bound decides
+    which nodes are final; only the others take another pass.  phi_M' is
+    carried from the evaluated point to the refined node by the Taylor
+    series the same equation supplies.
+    """
+    lam = 2.0 * M + 1.0
+    y = np.array(y, dtype=float)
+    d = np.empty_like(y)
+    logs = np.empty_like(y)
+    todo = np.arange(len(y))
+    for _ in range(_MAX_NODE_PASSES):
+        x = y[todo]
+        prev, cur, ls = phi_pair(x, M)
+        dx = math.sqrt(2.0 * M) * prev - x * cur
+        q = x * x - lam
+        ratio = cur / dx
+        h = -ratio / (1.0 - 0.5 * q * ratio * ratio)
+        y[todo] = x + h
+        d[todo] = dx + h * (q * cur + 0.5 * h * (
+            2.0 * x * cur + q * dx + h / 3.0 * (4.0 * x * dx + (2.0 + q * q) * cur)))
+        logs[todo] = ls
+        # Halley's error after the step is |q| / 6 * |h|^3 to leading order
+        todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
+        if not len(todo):
+            return y, d, logs
+    raise ConvergenceError(
+        f"{len(todo)} zeros of phi_{M} missed the stop rule after {_MAX_NODE_PASSES} passes"
+    )
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def roots_hermite(M: int):
+    """Nonnegative half of the M-point Gauss-Hermite rule.
+
+    Returns read-only arrays (nodes, weights): the zeros y >= 0 of H_M in
+    increasing order (y = 0 first when M is odd) and w e^{y^2}, where w is
+    the weight of y for e^{-x^2}; the rule's other nodes are -y.  The
+    scaled weights are 2 / phi_M'(y)^2, in range where w underflows.
+    """
+    j = np.arange(M // 2, 0, -1, dtype=float)
+    y = _zero_guesses(M, j)
+    if M % 2:
+        y = np.concatenate([[0.0], y])
+    y, d, logs = _halley_nodes(y, M)
+    w = 2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs))
+    y.flags.writeable = False
+    w.flags.writeable = False
+    return y, w
+
+
+def _largest_zero_guess(degree: int) -> float:
+    if degree < 2:
+        return 0.0
+    return float(_zero_guesses(degree, np.array([1.0]))[0])
+
+
+def _largest_zero(degree: int) -> float:
+    """The largest zero of H_degree (0 for degree 1), refined alone."""
+    if degree < 2:
+        return 0.0
+    return float(_halley_nodes(np.array([_largest_zero_guess(degree)]), degree)[0][0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -148,7 +310,7 @@ def _initial_edges(degree: int, R: float) -> np.ndarray:
         interior = np.array([])
     else:
         z = roots_hermite(degree)[0]
-        interior = z[z > 1e-12]
+        interior = z[z > 0.0]
     z0 = interior[-1] if len(interior) else 0.0
     tail_panels = 24
     tail = np.linspace(z0, R, tail_panels + 1)[1:]
@@ -215,10 +377,9 @@ def _even_p_integral_1d(degree: int, p: float):
     """Exact integral of |phi_degree|^p for even p by an M-point Gauss-Hermite
     rule, as (total, shift) with the integral total * e^shift."""
     M = _even_rule_nodes(degree, p)
-    y = roots_hermite(M)[0][M // 2:]
-    vals, logs = phi_row(y, M - 1)
-    # w_i e^{y_i^2}, doubled for the mirrored node -y_i except at y_i = 0
-    weights = 2.0 * np.exp(-math.log(M) - 2.0 * (np.log(np.abs(vals)) + logs))
+    y, w = roots_hermite(M)
+    # doubled for the mirrored node -y_i except at y_i = 0
+    weights = 2.0 * w
     if M % 2:
         weights[0] *= 0.5
     scale = math.sqrt(2.0 / p)
@@ -227,12 +388,12 @@ def _even_p_integral_1d(degree: int, p: float):
     return scale * total, shift
 
 
-def _sup_calls(lam: float) -> int:
-    """Upper bound on the grid calls of _sup_norm_1d: the last lobe is
-    narrower than 2, each call divides the spacing by 32, and the curvature
-    of log|phi| is below lambda."""
-    h0 = 2.0 / (_SUP_POINTS - 1)
-    return 1 + max(0, math.ceil(math.log(h0 * math.sqrt(lam / _SUP_STOP), 32)))
+def _sup_calls(lam: float, a: float) -> int:
+    """Upper bound on the grid calls of _sup_norm_1d on [a, sqrt(lambda)]:
+    each call divides the spacing by 32, and the curvature of log|phi|
+    stays below lambda - a^2 because a only grows."""
+    h0 = (math.sqrt(lam) - a) / (_SUP_POINTS - 1)
+    return 1 + max(0, math.ceil(math.log(h0 * math.sqrt((lam - a * a) / _SUP_STOP), 32)))
 
 
 def _sup_norm_1d(degree: int) -> float:
@@ -246,7 +407,7 @@ def _sup_norm_1d(degree: int) -> float:
     if degree == 0:
         return math.pi ** -0.25
     lam = 2.0 * degree + 1.0
-    a, b = float(roots_hermite(degree)[0][-1]), math.sqrt(lam)
+    a, b = _largest_zero(degree), math.sqrt(lam)
     best = -math.inf
     while True:
         grid = np.linspace(a, b, _SUP_POINTS)
@@ -261,18 +422,36 @@ def _sup_norm_1d(degree: int) -> float:
         a, b = grid[max(i - 1, 0)], grid[min(i + 1, _SUP_POINTS - 1)]
 
 
+def _node_work(M: int, points: int) -> float:
+    """Point-steps of the Halley passes for `points` zeros of phi_M; each
+    pass runs the recurrence loop M - 1 times."""
+    passes = 1 if M >= _ONE_PASS_NODES else 2
+    return passes * _phi_row_work(points, max(M - 1, 0))
+
+
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
-    The bisection estimate counts its first two passes, the fewest it
-    makes; the loop itself stops before a pass that would cross the budget.
+    The exact rule and the sup norm count the node passes they make.  The
+    bisection estimate counts its first two passes, the fewest it makes;
+    the loop itself stops before a pass that would cross the budget.  Its
+    panel edges need the n-node rule too, whose one pass is left out of
+    both counts: it adds n (n/2 + 4096) point-steps, 4.5% at degree 6255
+    and under 2% of the time, and counting it would refuse degrees the
+    route has always served.
     """
     if math.isinf(p):
-        return "sup", _sup_calls(2.0 * degree + 1.0) * _phi_row_work(_SUP_POINTS, degree)
+        lam = 2.0 * degree + 1.0
+        # a lower bound on the largest zero: 1% of the lobe below the guess,
+        # whose error stays below 0.2% of it
+        guess = _largest_zero_guess(degree)
+        a = guess - 0.01 * (math.sqrt(lam) - guess)
+        work = _node_work(degree, 1) + _sup_calls(lam, a) * _phi_row_work(_SUP_POINTS, degree)
+        return "sup", work
     if p.is_integer() and int(p) % 2 == 0:
         M = _even_rule_nodes(degree, p)
         half = M - M // 2
-        work = _phi_row_work(half, M - 1) + _phi_row_work(half, degree)
+        work = _node_work(M, half) + _phi_row_work(half, degree)
         if work <= NORM_WORK_BUDGET:
             return "even", work
     panels = degree // 2 + 32

@@ -262,3 +262,33 @@ class TestParsing:
     def test_error_objects_are_schema_versioned(self):
         proc = run_cli("criterion", "--p1", "1")
         assert stderr_json(proc)["schema"] == 1
+
+
+class TestNoScipy:
+    def test_import_and_every_subcommand_leave_scipy_unloaded(self, tmp_path):
+        # scipy is a test oracle only: neither the import nor any subcommand,
+        # run in-process by main(), may load it
+        table = tmp_path / "weights.csv"
+        table.write_text("0,0,1.0\n1,2,-0.5\n")
+        script = f"""
+import sys
+import hermult
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from hermult.cli import main
+codes = [main(argv) for argv in (
+    ["semigroup", "--n", "1", "--t", "1"],
+    ["criterion", "--p1", "2", "--p2", "2", "--r", "1", "--symbol", "heat:1"],
+    ["criterion", "--p1", "4/3", "--p2", "4", "--symbol", "heat:0.5"],
+    ["criterion", "--p1", "3/2", "--p2", "inf", "--symbol", "heat:1", "--N", "30"],
+    ["trace", "--symbol", "power:3", "--N", "80"],
+    ["trace", "--symbol", "table:{table}", "--n", "2"],
+    ["kernel", "--t", "0.5", "--grid", "-2,0,2", "--format", "csv"],
+    ["norms", "--degrees", "10,100,1000", "--p", "1,2,4,inf"],
+)]
+loaded += [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(codes, sorted(set(loaded)), file=sys.stderr)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] []"

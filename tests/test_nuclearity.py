@@ -21,7 +21,13 @@ from hermult.nuclearity import (
     s_r_sum,
 )
 from hermult.quadrature import lp_norm_1d
-from hermult.spectral_ops import constant_symbol, heat_symbol, power_symbol, table_symbol
+from hermult.spectral_ops import (
+    constant_symbol,
+    heat_symbol,
+    lattice_sum,
+    power_symbol,
+    table_symbol,
+)
 
 GEOM_T1 = 1.0 / (math.e - math.exp(-1.0))  # sum of e^{-(2v+1)} over v >= 0
 
@@ -242,6 +248,18 @@ class TestKappaSum:
         with pytest.raises(DomainError):
             kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1, k=10), N=5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_sum_uses_factors_up_to_its_largest_order(self, n):
+        # the same bits as the sum over the whole truncation's factors
+        keys = [(0,) * n, (1,) + (0,) * (n - 1), (2,) * n, (0,) * (n - 1) + (7,), (3, 9, 0)[:n]]
+        m = table_symbol({k: 0.3 * (i + 1) - 1.0 for i, k in enumerate(keys)}, n=n)
+        case = classify_regime(Fraction(4, 3), 4, 1)
+        rep = kappa_sum(m, case)
+        full = lattice_sum(m, rep.truncation_order, term=abs,
+                           factors=case.entry_factors(range(rep.truncation_order + 1)))
+        assert rep.truncation_order == 200 * n
+        assert rep.partial_sum == full
+
     def test_deterministic(self):
         case = classify_regime(Fraction(6, 5), 6, Fraction(2, 3))
         a = kappa_sum(heat_symbol(0.5), case, N=40).partial_sum
@@ -286,6 +304,8 @@ class TestSrSum:
             s_r_sum(m, 2, 0.5, 1)
         with pytest.raises(DomainError):
             s_r_sum(m, 2, 2, 0)
+        with pytest.raises(DomainError):
+            s_r_sum(m, 2, 2, 1, N=-1)
 
     def test_regime_tags_attached_when_classifiable(self):
         rep = s_r_sum(heat_symbol(1.0), 2, 4, 1, N=20)

@@ -111,6 +111,115 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(M)
 
 
+def _count_passes(monkeypatch):
+    """Record the number of points of every Halley pass."""
+    calls = []
+    pair = quad.phi_pair
+
+    def counted(x, M):
+        calls.append(len(x))
+        return pair(x, M)
+
+    monkeypatch.setattr(quad, "phi_pair", counted)
+    return calls
+
+
+def _mp_phi_pair(x, M):
+    """(phi_{M-1}(x), phi_M(x)) by the three-term recurrence in mpmath."""
+    x = mpmath.mpf(x)
+    p0 = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+    p1 = mpmath.sqrt(2) * x * p0
+    for k in range(1, M):
+        p0, p1 = p1, x * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * p1 - mpmath.sqrt(
+            mpmath.mpf(k) / (k + 1)) * p0
+    return p0, p1
+
+
+class TestGaussHermiteNodes:
+    """hermult's own rule against scipy, which stays a test-only oracle."""
+
+    @staticmethod
+    def _assert_nodes_match_scipy(M):
+        from scipy.special import roots_hermite as scipy_roots
+
+        want = scipy_roots(M)[0]
+        y = quad.roots_hermite(M)[0]
+        got = np.concatenate([-y[M % 2:][::-1], y])
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 5e-13, (M, err.max())
+
+    def test_nodes_match_scipy_up_to_200(self):
+        for M in range(1, 201):
+            self._assert_nodes_match_scipy(M)
+
+    @pytest.mark.parametrize("M", [257, 401, 1000, 3201, 10_001])
+    def test_nodes_match_scipy_on_a_ladder(self, M):
+        self._assert_nodes_match_scipy(M)
+
+    @pytest.mark.parametrize("M", [401, 3201])
+    def test_nodes_are_zeros_to_rounding(self, M):
+        # one Newton correction phi_M / phi_M' in 30-digit arithmetic
+        y = quad.roots_hermite(M)[0]
+        with mpmath.workdps(30):
+            for i in np.unique(np.linspace(0, len(y) - 1, 6).astype(int)):
+                prev, cur = _mp_phi_pair(y[i], M)
+                d = mpmath.sqrt(2 * M) * prev - mpmath.mpf(y[i]) * cur
+                assert abs(cur / d) <= 1e-15 * max(y[i], 1e-300), (M, i)
+
+    def test_effective_weights_match_scipy(self):
+        # scipy's own w e^{x^2} is off by up to 3e-12 at the outermost nodes
+        # (the mpmath test below puts ours within 1e-13 there)
+        from scipy.special import roots_hermite as scipy_roots
+
+        for M in range(1, 151):
+            x, w = scipy_roots(M)
+            want = w[M // 2:] * np.exp(x[M // 2:] ** 2)
+            got = quad.roots_hermite(M)[1]
+            assert np.max(np.abs(got - want) / want) <= 5e-12, M
+
+    @pytest.mark.parametrize("M", [20, 77, 150])
+    def test_effective_weights_against_mpmath(self, M):
+        # w e^{y^2} = 1 / (M phi_{M-1}(y)^2) at a zero y refined in mpmath
+        y, w = quad.roots_hermite(M)
+        for i in range(len(y)):
+            x = mpmath.mpf(y[i])
+            for _ in range(2):
+                prev, cur = _mp_phi_pair(x, M)
+                x -= cur / (mpmath.sqrt(2 * M) * prev - x * cur)
+            prev, _ = _mp_phi_pair(x, M)
+            want = 1 / (M * prev * prev)
+            assert abs(w[i] - want) <= 1e-13 * want, (M, i)
+
+    def test_pass_counts(self, monkeypatch):
+        # two passes below _ONE_PASS_NODES nodes, one from there on; the
+        # route estimates count these
+        calls = _count_passes(monkeypatch)
+        for M in range(1, 201):
+            calls.clear()
+            quad.roots_hermite.__wrapped__(M)
+            assert len(calls) == (1 if M >= quad._ONE_PASS_NODES or M == 1 else 2), M
+
+    @pytest.mark.parametrize("M", [49, 61, 200, 3201])
+    def test_one_pass_is_final(self, M):
+        # another pass from the result moves the nodes and weights only by
+        # the rounding of the recurrence: 1 ulp up to M = 200, 4 at 3201
+        y, w = quad.roots_hermite(M)
+        again, d, logs = quad._halley_nodes(y, M)
+        assert np.all(np.abs(again - y) <= 4 * np.spacing(y))
+        assert np.allclose(2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs)), w, rtol=1e-12, atol=0)
+
+    def test_half_rules_are_cached_read_only(self):
+        y, w = quad.roots_hermite(33)
+        assert quad.roots_hermite(33)[0] is y
+        assert not y.flags.writeable and not w.flags.writeable
+        assert 0 < quad.roots_hermite.cache_info().maxsize <= 1024
+
+    def test_largest_zero_alone(self):
+        for n in list(range(1, 120)) + [401, 1606, 5000]:
+            want = quad.roots_hermite(n)[0][-1]
+            assert abs(quad._largest_zero(n) - want) <= np.spacing(want), n
+
+
 class TestRuleValidation:
     def test_truncated_rule_roundtrip(self):
         rule = truncated_rule(3.0, panels=8)
@@ -221,6 +330,50 @@ class TestLpNorms:
         assert route == "bisection" and work < quad.NORM_WORK_BUDGET
         with pytest.raises(CapabilityError):
             quad._lp_integral_1d(40, 4 / 3, 1e-8)
+
+    @pytest.mark.parametrize("degree,p,route", [
+        (34332, math.inf, "sup"), (16323, 4.0, "even"), (11616, 6.0, "even"),
+        (27790, 2.0, "even"), (6255, 1.0, "bisection"), (6255, 2.5, "bisection"),
+    ])
+    def test_largest_degrees_served_before_are_served(self, degree, p, route):
+        # the largest degrees within the budget when scipy supplied the nodes
+        got, work = quad._norm_route(degree, float(p))
+        assert got == route and work <= quad.NORM_WORK_BUDGET
+
+    def test_rule_at_the_p4_edge_takes_one_pass(self, monkeypatch):
+        # degree 16323 at p = 4 needs the 32647-node rule; the route's
+        # estimate counts one pass of it
+        from scipy.special import roots_hermite as scipy_roots
+
+        calls = _count_passes(monkeypatch)
+        M = quad._even_rule_nodes(16323, 4.0)
+        y = quad.roots_hermite.__wrapped__(M)[0]
+        assert calls == [M - M // 2]
+        want = scipy_roots(M)[0][M // 2:]
+        assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
+
+    @pytest.mark.parametrize("p", [math.inf, 2.0, 4.0, 6.0])
+    def test_estimates_cover_the_work_done(self, monkeypatch, p):
+        # point-steps as the estimate counts them: a phi_row call at degree n
+        # n (P + 4096), a node pass at M nodes (M - 1) (P + 4096)
+        done = []
+        row, pair = quad.phi_row, quad.phi_pair
+
+        def counted_row(x, n):
+            done.append(quad._phi_row_work(len(x), n))
+            return row(x, n)
+
+        def counted_pair(x, M):
+            done.append(quad._phi_row_work(len(x), max(M - 1, 0)))
+            return pair(x, M)
+
+        monkeypatch.setattr(quad, "phi_row", counted_row)
+        monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        for degree in list(range(0, 130)) + [401, 1606, 5000]:
+            done.clear()
+            quad.roots_hermite.cache_clear()
+            quad._lp_norm_1d_cached.__wrapped__(degree, p, 1e-8)
+            assert sum(done) <= quad._norm_route(degree, p)[1], degree
 
     def test_large_even_p_takes_bisection(self):
         # the exact rule's p * n / 2 + 1 = 90001 nodes would exceed the budget
