@@ -27,19 +27,26 @@ _RESCALE_LOG = 400.0 * math.log(2.0)
 # Below this largest exponent every term of a power sum is factored by it.
 _SHIFT_BELOW = -700.0
 
+# Values in one block of phi_rows: 1 MB per array.
+_BLOCK_POINTS = 1 << 17
 
-def phi_pair(x, degree):
-    """phi_{degree-1} and phi_degree on the grid x, on one log scale.
 
-    Returns (previous, current, log_scale) arrays; the represented values
-    are previous * exp(log_scale) and current * exp(log_scale), and
-    phi_{-1} = 0.
+def _recurrence(x, degree, lowest):
+    """Yield (previous, current, log_scale) for current = phi_lowest, ..., phi_degree.
+
+    The represented values are previous * exp(log_scale) and
+    current * exp(log_scale), and phi_{-1} = 0.  Every step makes new
+    arrays, so a yielded triple stays valid after the next step.
     """
     ls = -0.5 * x * x
     v0 = np.full(x.shape, _PI_QUARTER)
+    if lowest == 0:
+        yield np.zeros(x.shape), v0, ls
     if degree == 0:
-        return np.zeros(x.shape), v0, ls
+        return
     v1 = x * math.sqrt(2.0) * v0
+    if lowest <= 1:
+        yield v0, v1, ls
     for k in range(1, degree):
         c1 = math.sqrt(2.0 / (k + 1.0))
         c0 = math.sqrt(k / (k + 1.0))
@@ -57,7 +64,41 @@ def phi_pair(x, degree):
             v0 = np.where(small, v0 * _RESCALE, v0)
             v1 = np.where(small, v1 * _RESCALE, v1)
             ls = np.where(small, ls - _RESCALE_LOG, ls)
-    return v0, v1, ls
+        if k >= lowest - 1:
+            yield v0, v1, ls
+
+
+def phi_pair(x, degree):
+    """phi_{degree-1} and phi_degree on the grid x, on one log scale.
+
+    Returns (previous, current, log_scale) arrays; the represented values
+    are previous * exp(log_scale) and current * exp(log_scale), and
+    phi_{-1} = 0.
+    """
+    (step,) = _recurrence(x, degree, degree)
+    return step
+
+
+def phi_rows(x, degree, lowest=0):
+    """Rows phi_lowest, ..., phi_degree on the grid x, in blocks.
+
+    Yields (mantissas, log_scales) arrays of shape (rows, len(x)), one row
+    per degree in increasing order, with at most _BLOCK_POINTS values per
+    block (one row when a row is longer), so memory stays bounded whatever
+    the degree.  The block arrays are reused: consume each before asking
+    for the next.
+    """
+    rows = min(max(1, _BLOCK_POINTS // max(len(x), 1)), degree - lowest + 1)
+    vals = np.empty((rows, len(x)))
+    logs = np.empty((rows, len(x)))
+    i = 0
+    for u, (_, v, ls) in enumerate(_recurrence(x, degree, lowest), lowest):
+        vals[i] = v
+        logs[i] = ls
+        i += 1
+        if i == rows or u == degree:
+            yield vals[:i], logs[:i]
+            i = 0
 
 
 def phi_row(x, degree):
@@ -118,19 +159,29 @@ def phi_table(x, nmax):
 
 
 def weighted_abs_power_sum(vals, logs, weights, p):
-    """Sum of weights[i] * |vals[i] * exp(logs[i])|^p as (total, shift).
+    """Sums of weights[i] * |vals[..., i] * exp(logs[..., i])|^p as (total, shift).
 
-    The sum is total * exp(shift).  shift is 0.0 unless the largest
-    exponent p * ln|value| is below -700, where every term would underflow;
-    then that exponent is factored out of all terms, so a p-th root taken
+    The sums run over the last axis; a 1-d input gives floats, a block of
+    rows (one per degree) arrays with one entry per row.  A sum is
+    total * exp(shift).  shift is 0.0 unless the row's largest exponent
+    p * ln|value| is below -700, where every term would underflow; then
+    that exponent is factored out of the row's terms, so a p-th root taken
     as total^(1/p) * exp(shift/p) stays in range.  Terms more than 745
     below the shift are dropped.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = p * (np.log(np.abs(vals)) + logs)
-    top = float(np.max(t))
-    shift = top if -math.inf < top < _SHIFT_BELOW else 0.0
-    t = t - shift
-    ok = (vals != 0.0) & (t >= -745.0)
-    terms = np.where(ok, weights * np.exp(np.where(ok, t, 0.0)), 0.0)
-    return float(np.sum(terms)), shift
+        t = np.log(np.abs(vals))
+        t += logs
+        t *= p
+    top = np.max(t, axis=-1, keepdims=True)
+    shift = np.where((top > -math.inf) & (top < _SHIFT_BELOW), top, 0.0)
+    if shift.any():
+        t -= shift
+    # e^-inf = 0 drops a term exactly; zeros of vals are at -inf already
+    np.copyto(t, -math.inf, where=~(t >= -745.0))
+    np.exp(t, out=t)
+    t *= weights
+    total = np.sum(t, axis=-1)
+    if t.ndim == 1:
+        return float(total), float(shift[0])
+    return total, shift[:, 0]

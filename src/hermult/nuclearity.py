@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .hermite_core import as_entries
-from .quadrature import lp_norm_1d, norm_model_exponent
+from .quadrature import check_norm_budget, lp_norm_1d, lp_norms_1d, norm_model_exponent
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
 _MAX_DOUBLINGS = 6
@@ -361,12 +361,23 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
     )
 
 
-def _norm_factor(u: int, p) -> float:
-    return lp_norm_1d(u, float(p) if p != math.inf else math.inf)
+def _float_exponent(p) -> float:
+    return float(p) if p != math.inf else math.inf
 
 
 def _sr_entry_factor(u: int, p2, p1_conj, r: float) -> float:
-    return (_norm_factor(u, p2) * _norm_factor(u, p1_conj)) ** r
+    return (lp_norm_1d(u, _float_exponent(p2)) * lp_norm_1d(u, _float_exponent(p1_conj))) ** r
+
+
+def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
+    """(||phi_u||_{p2} ||phi_u||_{p1'})^r for u = 0..top, from one lp_norms_1d
+    array per exponent; refused before any norm is computed when either
+    norm of degree top is over the work budget."""
+    ps = (_float_exponent(p2), _float_exponent(p1_conj))
+    for p in ps:
+        check_norm_budget(top, p)
+    a, b = (lp_norms_1d(top, p).tolist() for p in ps)
+    return np.array([(x * y) ** r for x, y in zip(a, b)])
 
 
 def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
@@ -404,7 +415,15 @@ def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
 def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
             tol: float = 1e-8) -> CriterionReport:
     """Direct summability sum with quadrature norms:
-    sum over nu of |m(nu)|^r (norm_{p2}(phi_nu) norm_{p1'}(phi_nu))^r."""
+    sum over nu of |m(nu)|^r (norm_{p2}(phi_nu) norm_{p1'}(phi_nu))^r.
+
+    The norms of all degrees up to a truncation order come from
+    ``lp_norms_1d``: for even p from one Gauss-Hermite rule per (order, p),
+    for other p one norm per degree.  A finite table's sum stops at its
+    largest order, and so do its norms.  Each order is refused with
+    CapabilityError before any of its norms is computed when the top
+    degree's norm for either exponent exceeds the work budget.
+    """
     if p1 == math.inf:
         raise DomainError("p1 must be finite")
     p1f = _as_fraction(p1, "p1")
@@ -428,15 +447,17 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
         orders = [200 * n * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
 
     tail = kind = None
-    N_used = orders[0]
+    N_used = top = orders[0]
     gvec = None
     for N_used in orders:
-        gvec = np.array([_sr_entry_factor(u, p2f, p1_conj, rfl) for u in range(N_used + 1)])
+        # a table's terms stop at its largest order, and so do the factors they use
+        top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
+        gvec = _sr_factors(p2f, p1_conj, rfl, top)
         tail, kind = _sr_tail(m, p2f, p1_conj, rfl, N_used, gvec)
         if tail is None or (tail is not None and tail < tol):
             break
 
-    partial = lattice_sum(m, N_used, term=lambda v: abs(v) ** rfl, factors=gvec)
+    partial = lattice_sum(m, top, term=lambda v: abs(v) ** rfl, factors=gvec)
 
     regime = None
     try:

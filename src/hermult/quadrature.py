@@ -39,6 +39,20 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
 Half-rules (y >= 0) are cached per M; the sup norm refines only the
 largest zero.
 
+``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
+summability sum needs them.  For even p one rule serves all degrees: the
+rule of M = p*N/2 + 1 nodes is exact to polynomial degree 2M - 1 = p*N + 1,
+and |phi_u(y sqrt(2/p))|^p is a polynomial of degree p*u <= p*N times
+e^{-y^2}.  One run of the recurrence at the scaled nodes then passes
+through every degree 0..N, and each row's weighted p-th power sum is one
+of the integrals, so all N + 1 norms cost little more than the top one.
+Rows are summed in blocks of at most 2^17 values, so memory stays bounded
+whatever N is.  A single even-p norm is the same sweep with the power
+sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
+``lp_norm_1d(N, p)`` bit for bit.  Other p take ``lp_norm_1d`` per degree.
+Sweeps are cached per (N, p, tol), 16 of them; each depends on N alone,
+so no result depends on what was computed before.
+
 Even p whose node count M would make the exact rule dearer than the work
 budget takes the bisection route.  A norm whose recurrence work exceeds
 ``NORM_WORK_BUDGET`` is refused with ``CapabilityError``: up front from its
@@ -53,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import phi_pair, phi_row, weighted_abs_power_sum
+from ._accel import phi_pair, phi_row, phi_rows, weighted_abs_power_sum
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
 from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
@@ -73,6 +87,8 @@ _STEP_POINTS = 4096
 NORM_WORK_BUDGET = 1e9
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
+# Arrays kept by lp_norms_1d; the one of order N holds 8 (N + 1) bytes.
+_SWEEP_CACHE_SIZE = 16
 
 # A zero is final once Halley's cubic error bound is below 2^-53 relative.
 _NODE_STOP = 6.0 * 2.0 ** -53
@@ -123,11 +139,16 @@ def gauss_hermite_rule(M: int) -> QuadratureRule:
     if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or not 1 <= M <= _GH_MAX_NODES:
         raise CapabilityError(f"node count must be an int in [1, {_GH_MAX_NODES}], got {M!r}")
     y, w = roots_hermite(int(M))
-    mirrored = slice(M % 2, None)  # every node but y = 0
-    nodes = np.concatenate([-y[mirrored][::-1], y])
     half = np.maximum(w * np.exp(-y * y), np.nextafter(0.0, 1.0))
-    weights = np.concatenate([half[mirrored][::-1], half])
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss_hermite")
+    return QuadratureRule(nodes=_full_line(y, M, -1.0), weights=_full_line(half, M),
+                          kind="gauss_hermite")
+
+
+def _full_line(half: np.ndarray, M: int, sign: float = 1.0) -> np.ndarray:
+    """Values of the M-point rule's half (y >= 0) on all M nodes: sign times
+    the values at the mirrored nodes -y (y = 0 taken once), then the values
+    at y."""
+    return np.concatenate([sign * half[M % 2:][::-1], half])
 
 
 # Zeros a_1, ..., a_10 of the Airy function Ai (DLMF Table 9.9.1); later
@@ -373,9 +394,10 @@ def _even_rule_nodes(degree: int, p: float) -> int:
     return int(p) // 2 * degree + 1
 
 
-def _even_p_integral_1d(degree: int, p: float):
-    """Exact integral of |phi_degree|^p for even p by an M-point Gauss-Hermite
-    rule, as (total, shift) with the integral total * e^shift."""
+def _even_p_integrals(degree: int, p: float, lowest: int):
+    """Exact integrals of |phi_u|^p for u = lowest..degree and even p, by the
+    Gauss-Hermite rule that is exact for the top degree, as (totals, shifts)
+    arrays with the integrals totals * e^shifts."""
     M = _even_rule_nodes(degree, p)
     y, w = roots_hermite(M)
     # doubled for the mirrored node -y_i except at y_i = 0
@@ -383,9 +405,17 @@ def _even_p_integral_1d(degree: int, p: float):
     if M % 2:
         weights[0] *= 0.5
     scale = math.sqrt(2.0 / p)
-    vals, logs = phi_row(scale * y, degree)
-    total, shift = weighted_abs_power_sum(vals, logs, weights, p)
-    return scale * total, shift
+    sums = [weighted_abs_power_sum(vals, logs, weights, p)
+            for vals, logs in phi_rows(scale * y, degree, lowest)]
+    totals = np.concatenate([total for total, _ in sums])
+    return scale * totals, np.concatenate([shift for _, shift in sums])
+
+
+def _even_p_integral_1d(degree: int, p: float):
+    """Exact integral of |phi_degree|^p for even p, as (total, shift) with the
+    integral total * e^shift: the top row of the sweep, alone."""
+    totals, shifts = _even_p_integrals(degree, p, degree)
+    return float(totals[0]), float(shifts[0])
 
 
 def _sup_calls(lam: float, a: float) -> int:
@@ -459,21 +489,57 @@ def _norm_route(degree: int, p: float):
     return "bisection", work
 
 
-@functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
-def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
+def check_norm_budget(degree: int, p: float) -> str:
+    """The route of ||phi_degree||_p; raises CapabilityError when its
+    estimated recurrence work exceeds NORM_WORK_BUDGET."""
     route, work = _norm_route(degree, p)
     if work > NORM_WORK_BUDGET:
         raise CapabilityError(
             f"||phi_{degree}||_{p} needs about {work:.2g} point-steps of recurrence work, "
             f"above the budget {NORM_WORK_BUDGET:.0e}"
         )
+    return route
+
+
+def _root(total: float, shift: float, p: float) -> float:
+    """The p-th root of the integral total * e^shift."""
+    return total ** (1.0 / p) * math.exp(shift / p)
+
+
+@functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
+def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
+    route = check_norm_budget(degree, p)
     if route == "sup":
         return _sup_norm_1d(degree)
     if route == "even":
         total, shift = _even_p_integral_1d(degree, p)
     else:
         total, shift = _lp_integral_1d(degree, p, tol)
-    return total ** (1.0 / p) * math.exp(shift / p)
+    return _root(total, shift, p)
+
+
+@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
+def _lp_norms_1d_cached(degree: int, p: float, tol: float) -> np.ndarray:
+    if check_norm_budget(degree, p) == "even":
+        totals, shifts = _even_p_integrals(degree, p, 0)
+        norms = np.array([_root(t, s, p) for t, s in zip(totals.tolist(), shifts.tolist())])
+    else:
+        norms = np.array([lp_norm_1d(u, p, tol) for u in range(degree + 1)])
+    norms.flags.writeable = False
+    return norms
+
+
+def _norm_args(degree, p, tol):
+    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
+        raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
+    if degree > MAX_DEGREE_DEFAULT:
+        raise CapabilityError(f"degree {degree} exceeds {MAX_DEGREE_DEFAULT}")
+    p = float(p)
+    if not (p >= 1.0):
+        raise DomainError(f"p must be in [1, inf], got {p}")
+    if not 1e-14 < tol < 1e-2:
+        raise DomainError(f"tol must be in (1e-14, 1e-2), got {tol}")
+    return int(degree), p, float(tol)
 
 
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
@@ -488,16 +554,19 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     p = 4, or degree 10**4 at p = 1), and during bisection before a pass
     that would cross it.
     """
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
-    if degree > MAX_DEGREE_DEFAULT:
-        raise CapabilityError(f"degree {degree} exceeds {MAX_DEGREE_DEFAULT}")
-    p = float(p)
-    if not (p >= 1.0):
-        raise DomainError(f"p must be in [1, inf], got {p}")
-    if not 1e-14 < tol < 1e-2:
-        raise DomainError(f"tol must be in (1e-14, 1e-2), got {tol}")
-    return _lp_norm_1d_cached(int(degree), p, float(tol))
+    return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
+
+
+def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
+    """The read-only array of ||phi_u||_p for u = 0..N.
+
+    When ||phi_N||_p takes the exact rule (even p), all N + 1 norms come
+    from that one rule and one recurrence over the degrees, and entry N is
+    lp_norm_1d(N, p) bit for bit; other p take lp_norm_1d per degree.
+    Raises CapabilityError, before any recurrence work, when the work
+    estimate of ||phi_N||_p exceeds NORM_WORK_BUDGET.
+    """
+    return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 
 
 def lp_norm_phi(nu, p: float, tol: float = 1e-8) -> float:

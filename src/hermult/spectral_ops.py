@@ -18,7 +18,7 @@ import numpy as np
 from ._accel import phi_table
 from .errors import CapabilityError, DomainError
 from .hermite_core import as_entries, count_up_to, enumerate_up_to
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _full_line, roots_hermite
 
 # Classical uniform bound sup_x |phi_k(x)| <= 1.086435 * pi^(-1/4),
 # used as the per-factor constant in certified series tails.
@@ -369,15 +369,17 @@ class CoefficientVector:
 def effective_weights(rule: QuadratureRule) -> np.ndarray:
     """Weights for integrating plain functions (no e^{-x^2} factor).
 
-    For Gauss-Hermite rules this is w_i e^{x_i^2}, computed through the
-    Christoffel identity w_i e^{x_i^2} = 1 / sum_{k<M} phi_k(x_i)^2,
-    which stays in range for every rule size.  Truncated rules already
+    For Gauss-Hermite rules this is w_i e^{x_i^2}, mirrored from the
+    half-rule of ``roots_hermite``, which computes it as 2 / phi_M'(x_i)^2
+    and so stays in range for every rule size.  Truncated rules already
     integrate plain functions.
     """
     if rule.kind == "gauss_hermite":
         M = len(rule)
-        T = phi_table(rule.nodes, M - 1)
-        return 1.0 / np.sum(T * T, axis=0)
+        y, w = roots_hermite(M)
+        if not np.array_equal(rule.nodes, _full_line(y, M, -1.0)):
+            raise DomainError(f"rule nodes are not those of the {M}-point Gauss-Hermite rule")
+        return _full_line(w, M)
     return rule.weights.copy()
 
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from hermult.errors import DomainError, UnsupportedRegimeError
+import hermult.nuclearity as nuc
+import hermult.quadrature as quad
+from hermult.errors import CapabilityError, DomainError, UnsupportedRegimeError
 from hermult.hermite_core import enumerate_up_to
 from hermult.nuclearity import (
     CriterionReport,
@@ -306,6 +309,37 @@ class TestSrSum:
             s_r_sum(m, 2, 2, 0)
         with pytest.raises(DomainError):
             s_r_sum(m, 2, 2, 1, N=-1)
+
+    @pytest.mark.parametrize("p1,p2", [(2, 2), (Fraction(4, 3), 4), (Fraction(3, 2), 3)])
+    def test_table_uses_norms_up_to_its_largest_order(self, monkeypatch, p1, p2):
+        # six norms up to degree 5, not the 402 up to N = 200 the sum runs to
+        table = {(0,): 1.0, (3,): -0.5, (5,): 0.25}
+        asked = []
+        sweep = nuc.lp_norms_1d
+
+        def counted(N, p, tol=1e-8):
+            asked.append(N)
+            return sweep(N, p, tol)
+
+        monkeypatch.setattr(nuc, "lp_norms_1d", counted)
+        rep = s_r_sum(table_symbol(table), p1, p2, 1)
+        p1_conj = float(p1) / (float(p1) - 1.0)
+        want = math.fsum(abs(v) * lp_norm_1d(u, float(p2)) * lp_norm_1d(u, p1_conj)
+                         for (u,), v in table.items())
+        assert rep.truncation_order == 200 and asked == [5, 5]
+        assert rep.partial_sum == pytest.approx(want, rel=1e-13)
+
+    def test_refused_before_any_norm(self, monkeypatch):
+        # the p2 = 1 norm of degree 7000 is over the work budget; refused
+        # before any of the norms below it is computed
+        def computed(*args):
+            raise AssertionError(f"norm {args} computed before the refusal")
+
+        monkeypatch.setattr(quad, "_lp_norm_1d_cached", computed)
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=7000)
+        assert time.perf_counter() - start < 1.0
 
     def test_regime_tags_attached_when_classifiable(self):
         rep = s_r_sum(heat_symbol(1.0), 2, 4, 1, N=20)

@@ -6,6 +6,8 @@ definition of phi_k, fully independent of the package quadrature.
 
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from hermult.quadrature import (
     norm_model,
     lp_norm_1d,
     lp_norm_phi,
+    lp_norms_1d,
     norm_estimate,
     norm_regime,
     truncated_rule,
@@ -354,10 +357,10 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("p", [math.inf, 2.0, 4.0, 6.0])
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
-        # point-steps as the estimate counts them: a phi_row call at degree n
-        # n (P + 4096), a node pass at M nodes (M - 1) (P + 4096)
+        # point-steps as the estimate counts them: a phi_row or phi_rows call
+        # at degree n n (P + 4096), a node pass at M nodes (M - 1) (P + 4096)
         done = []
-        row, pair = quad.phi_row, quad.phi_pair
+        row, pair, rows = quad.phi_row, quad.phi_pair, quad.phi_rows
 
         def counted_row(x, n):
             done.append(quad._phi_row_work(len(x), n))
@@ -367,8 +370,13 @@ class TestLpNorms:
             done.append(quad._phi_row_work(len(x), max(M - 1, 0)))
             return pair(x, M)
 
+        def counted_rows(x, n, lowest=0):
+            done.append(quad._phi_row_work(len(x), n))
+            return rows(x, n, lowest)
+
         monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        monkeypatch.setattr(quad, "phi_rows", counted_rows)
         for degree in list(range(0, 130)) + [401, 1606, 5000]:
             done.clear()
             quad.roots_hermite.cache_clear()
@@ -410,6 +418,79 @@ class TestLpNorms:
             quad._lp_integral_1d(5, 1.37, 1e-13)
         a, b = exc.value.last_two
         assert a > 0 and b > 0 and a != b
+
+
+class TestNormSweep:
+    """lp_norms_1d: every even-p norm up to N from the rule of degree N."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 200, 1000])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_matches_per_degree_norms(self, p, N):
+        # at N = 1000 a sample of degrees, and a wider bound: there each
+        # route is itself ~7e-14 off a long-double evaluation on its rule
+        sweep = lp_norms_1d(N, p)
+        degrees = range(N + 1) if N <= 200 else sorted({*range(0, N + 1, 53), N - 1, N})
+        rel = 1e-13 if N <= 200 else 2e-13
+        for u in degrees:
+            assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=rel), u
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 200, 1000])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_top_row_is_the_single_norm(self, p, N):
+        assert lp_norms_1d(N, p)[N] == quad._lp_norm_1d_cached.__wrapped__(N, p, 1e-8)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_low_degrees_of_a_large_sweep_against_mpmath(self, p):
+        sweep = lp_norms_1d(1000, p)
+        for u in range(6):
+            assert sweep[u] == pytest.approx(norm_oracle(u, p), rel=1e-13), u
+
+    def test_l2_norms_stay_one(self):
+        assert np.max(np.abs(lp_norms_1d(3000, 2.0) - 1.0)) <= 3e-14
+
+    def test_other_p_take_the_per_degree_norms(self):
+        for p in (1.0, 3.0, math.inf):
+            assert lp_norms_1d(12, p).tolist() == [lp_norm_1d(u, p) for u in range(13)]
+
+    def test_read_only_and_cached(self):
+        a = lp_norms_1d(30, 4.0)
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert lp_norms_1d(30, 4.0) is a
+        assert 1 <= quad._lp_norms_1d_cached.cache_info().maxsize <= 64
+
+    def test_refused_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norms_1d(10**5, 4.0)
+        with pytest.raises(DomainError):
+            lp_norms_1d(-1, 4.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_s_r_sum_does_not_depend_on_a_larger_order(self):
+        from hermult.nuclearity import s_r_sum
+        from hermult.spectral_ops import heat_symbol
+
+        def fresh(N):
+            for cache in (quad._lp_norms_1d_cached, quad._lp_norm_1d_cached, quad.roots_hermite):
+                cache.cache_clear()
+            return s_r_sum(heat_symbol(0.3), Fraction(4, 3), 6, 1, N=N)
+
+        alone = fresh(40)
+        fresh(80)
+        after = s_r_sum(heat_symbol(0.3), Fraction(4, 3), 6, 1, N=40)
+        assert after.partial_sum == alone.partial_sum
+        assert after.tail_bound == alone.tail_bound
+
+    def test_memory_is_bounded(self):
+        # the whole (N + 1) x (M / 2) table would take about 256 MB
+        tracemalloc.start()
+        try:
+            quad._lp_norms_1d_cached.__wrapped__(4000, 4.0, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestOrthonormality:

@@ -7,7 +7,8 @@ import pytest
 
 from hermult.errors import CapabilityError, DomainError
 from hermult.hermite_core import enumerate_up_to, eval_phi_1d, eval_phi_nd
-from hermult.quadrature import gauss_hermite_rule, truncated_rule
+from hermult._accel import phi_table
+from hermult.quadrature import QuadratureRule, gauss_hermite_rule, roots_hermite, truncated_rule
 from hermult.spectral_ops import (
     CoefficientVector,
     Envelope,
@@ -210,6 +211,26 @@ class TestEffectiveWeights:
         ew = effective_weights(rule)
         direct = rule.weights * np.exp(rule.nodes ** 2)
         assert np.allclose(ew, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 21, 61, 400])
+    def test_mirrors_the_rule_half(self, M):
+        y, w = roots_hermite(M)
+        ew = effective_weights(gauss_hermite_rule(M))
+        assert np.array_equal(ew[M // 2:], w)
+        assert np.array_equal(ew[:M // 2], w[M % 2:][::-1])
+
+    @pytest.mark.parametrize("M", [21, 61, 81])
+    def test_matches_christoffel_sum(self, M):
+        # w e^{x^2} = 1 / sum_{k < M} phi_k(x)^2 at the rule's nodes
+        rule = gauss_hermite_rule(M)
+        T = phi_table(rule.nodes, M - 1)
+        assert effective_weights(rule) == pytest.approx(1.0 / np.sum(T * T, axis=0), rel=1e-13)
+
+    def test_other_nodes_rejected(self):
+        rule = gauss_hermite_rule(5)
+        moved = QuadratureRule(rule.nodes * 1.01, rule.weights, "gauss_hermite")
+        with pytest.raises(DomainError):
+            effective_weights(moved)
 
     def test_large_rule_stays_finite(self):
         ew = effective_weights(gauss_hermite_rule(400))
