@@ -8,7 +8,8 @@ scaled three-term recurrence
 seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 ``mantissa * exp(log_scale)`` so the seed and the tails survive far
 outside the range of plain doubles.  Rescaling multiplies by an exact
-power of two, so it adds no rounding of its own.
+power of two, so it adds no rounding of its own.  ``phi_tail`` carries the
+tail integrals int_x^inf phi_k along the same loop and scale.
 """
 
 from __future__ import annotations
@@ -27,45 +28,116 @@ _RESCALE_LOG = 400.0 * math.log(2.0)
 # Below this largest exponent every term of a power sum is factored by it.
 _SHIFT_BELOW = -700.0
 
+# erfc(t) e^(t^2) is summed as a series from here on; math.erfc(26) is
+# 5.7e-296, near the bottom of the double range.
+_ERFCX_SERIES_FROM = 26.0
+
 # Values in one block of phi_rows: 1 MB per array.
 _BLOCK_POINTS = 1 << 17
 
 
-def _recurrence(x, degree, lowest):
-    """Yield (previous, current, log_scale) for current = phi_lowest, ..., phi_degree.
+def _erfcx(t):
+    """erfc(t) * e^(t^2) for an array t >= 0, to a few units in the last place.
+
+    Below _ERFCX_SERIES_FROM the product is formed from math.erfc and
+    e^(t^2), with t^2 split into two doubles so that its rounding, up to
+    t^2 * 2^-53 relative, does not reach the exponential.  From there on
+    erfc(t) nears the bottom of the double range and the asymptotic series
+    sum_k (-1)^k (2k - 1)!! / (2 t^2)^k / (t sqrt(pi)) takes over, summed
+    for k <= 8; the first term left out is below 3e-21 there.
+    """
+    out = np.empty(t.shape)
+    near = t < _ERFCX_SERIES_FROM
+    tn = t[near]
+    # t^2 = hi + lo exactly (Dekker's product)
+    hi = tn * tn
+    c = 134217729.0 * tn
+    th = c - (c - tn)
+    tl = tn - th
+    lo = ((th * th - hi) + 2.0 * th * tl) + tl * tl
+    erfc = np.fromiter(map(math.erfc, tn.tolist()), float, len(tn))
+    out[near] = erfc * np.exp(hi) * (1.0 + lo)
+    tf = t[~near]
+    r = 0.5 / (tf * tf)
+    s = np.ones(tf.shape)
+    for k in range(8, 0, -1):
+        s = 1.0 - (2 * k - 1) * r * s
+    out[~near] = s / (math.sqrt(math.pi) * tf)
+    return out
+
+
+def _recurrence(x, degree, lowest, tails=False):
+    """Yield (previous, current, log_scale, tail) for current = phi_lowest, ..., phi_degree.
 
     The represented values are previous * exp(log_scale) and
-    current * exp(log_scale), and phi_{-1} = 0.  Every step makes new
-    arrays, so a yielded triple stays valid after the next step.
+    current * exp(log_scale), and phi_{-1} = 0.  tail is None unless
+    tails is set; then it is the mantissa, on the same log scale, of the
+    tail integral J_current(x) = int_x^inf phi_current for x >= 0.
+    Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1}
+    over [x, inf) gives
+
+        J_{k+1} = sqrt(k/(k+1)) J_{k-1} + sqrt(2/(k+1)) phi_k(x),
+
+    with the coefficients of the phi recurrence, from
+    J_0 = pi^(-1/4) sqrt(pi/2) erfc(x/sqrt(2)) and J_1 = sqrt(2) phi_0(x).
+    sqrt(k/(k+1)) < 1, so the tail recurrence is stable, and it is
+    rescaled with phi, so it shares phi's range.
+
+    The loop works in place: a yielded tuple is valid until the next step.
     """
     ls = -0.5 * x * x
     v0 = np.full(x.shape, _PI_QUARTER)
+    j0 = j1 = None
+    if tails:
+        j0 = (_PI_QUARTER * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
+        j1 = math.sqrt(2.0) * v0
     if lowest == 0:
-        yield np.zeros(x.shape), v0, ls
+        yield np.zeros(x.shape), v0, ls, j0
     if degree == 0:
         return
     v1 = x * math.sqrt(2.0) * v0
     if lowest <= 1:
-        yield v0, v1, ls
+        yield v0, v1, ls, j1
+    buf = np.empty(x.shape)
+    m = np.empty(x.shape)
     for k in range(1, degree):
         c1 = math.sqrt(2.0 / (k + 1.0))
         c0 = math.sqrt(k / (k + 1.0))
-        v2 = x * c1 * v1 - c0 * v0
-        v0 = v1
-        v1 = v2
-        m = np.maximum(np.abs(v1), np.abs(v0))
-        big = m > _RESCALE
-        if big.any():
-            v0 = np.where(big, v0 * _RESCALE_INV, v0)
-            v1 = np.where(big, v1 * _RESCALE_INV, v1)
-            ls = np.where(big, ls + _RESCALE_LOG, ls)
-        small = (m > 0.0) & (m < _RESCALE_INV)
-        if small.any():
-            v0 = np.where(small, v0 * _RESCALE, v0)
-            v1 = np.where(small, v1 * _RESCALE, v1)
-            ls = np.where(small, ls - _RESCALE_LOG, ls)
+        # phi_{k+1} = x c1 phi_k - c0 phi_{k-1}, written over phi_{k-1}
+        np.multiply(x, c1, out=buf)
+        buf *= v1
+        v0 *= c0
+        np.subtract(buf, v0, out=v0)
+        if tails:
+            j0 *= c0
+            np.multiply(v1, c1, out=buf)
+            j0 += buf
+            j0, j1 = j1, j0
+        v0, v1 = v1, v0
+        np.abs(v1, out=m)
+        np.abs(v0, out=buf)
+        np.maximum(m, buf, out=m)
+        # the masks are formed only when a bound is crossed (or m holds a nan)
+        if m.size and not m.max() <= _RESCALE:
+            big = m > _RESCALE
+            if big.any():
+                v0 = np.where(big, v0 * _RESCALE_INV, v0)
+                v1 = np.where(big, v1 * _RESCALE_INV, v1)
+                ls = np.where(big, ls + _RESCALE_LOG, ls)
+                if tails:
+                    j0 = np.where(big, j0 * _RESCALE_INV, j0)
+                    j1 = np.where(big, j1 * _RESCALE_INV, j1)
+        if m.size and not m.min() >= _RESCALE_INV:
+            small = (m > 0.0) & (m < _RESCALE_INV)
+            if small.any():
+                v0 = np.where(small, v0 * _RESCALE, v0)
+                v1 = np.where(small, v1 * _RESCALE, v1)
+                ls = np.where(small, ls - _RESCALE_LOG, ls)
+                if tails:
+                    j0 = np.where(small, j0 * _RESCALE, j0)
+                    j1 = np.where(small, j1 * _RESCALE, j1)
         if k >= lowest - 1:
-            yield v0, v1, ls
+            yield v0, v1, ls, j1
 
 
 def phi_pair(x, degree):
@@ -75,8 +147,18 @@ def phi_pair(x, degree):
     are previous * exp(log_scale) and current * exp(log_scale), and
     phi_{-1} = 0.
     """
-    (step,) = _recurrence(x, degree, degree)
-    return step
+    ((prev, cur, ls, _),) = _recurrence(x, degree, degree)
+    return prev, cur, ls
+
+
+def phi_tail(x, degree):
+    """Tail integrals J_degree(x) = int_x^inf phi_degree on the grid x >= 0.
+
+    Returns (mantissa, log_scale) arrays; the represented value is
+    mantissa * exp(log_scale).
+    """
+    ((_, _, ls, tail),) = _recurrence(x, degree, degree, tails=True)
+    return tail, ls
 
 
 def phi_rows(x, degree, lowest=0):
@@ -92,7 +174,7 @@ def phi_rows(x, degree, lowest=0):
     vals = np.empty((rows, len(x)))
     logs = np.empty((rows, len(x)))
     i = 0
-    for u, (_, v, ls) in enumerate(_recurrence(x, degree, lowest), lowest):
+    for u, (_, v, ls, _) in enumerate(_recurrence(x, degree, lowest), lowest):
         vals[i] = v
         logs[i] = ls
         i += 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .hermite_core import as_entries
-from .quadrature import check_norm_budget, lp_norm_1d, lp_norms_1d, norm_model_exponent
+from .quadrature import check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_model_exponent
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
 _MAX_DOUBLINGS = 6
@@ -372,10 +372,10 @@ def _sr_entry_factor(u: int, p2, p1_conj, r: float) -> float:
 def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
     """(||phi_u||_{p2} ||phi_u||_{p1'})^r for u = 0..top, from one lp_norms_1d
     array per exponent; refused before any norm is computed when either
-    norm of degree top is over the work budget."""
+    array is over the work budget."""
     ps = (_float_exponent(p2), _float_exponent(p1_conj))
     for p in ps:
-        check_norm_budget(top, p)
+        check_sweep_budget(top, p)
     a, b = (lp_norms_1d(top, p).tolist() for p in ps)
     return np.array([(x * y) ** r for x, y in zip(a, b)])
 
@@ -421,8 +421,8 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     ``lp_norms_1d``: for even p from one Gauss-Hermite rule per (order, p),
     for other p one norm per degree.  A finite table's sum stops at its
     largest order, and so do its norms.  Each order is refused with
-    CapabilityError before any of its norms is computed when the top
-    degree's norm for either exponent exceeds the work budget.
+    CapabilityError before any of its norms is computed when the estimated
+    work of either exponent's norms up to it exceeds the work budget.
     """
     if p1 == math.inf:
         raise DomainError("p1 must be finite")

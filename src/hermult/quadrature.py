@@ -1,18 +1,24 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of three routes, chosen by p and the degree n:
+``lp_norm_1d`` takes one of four routes, chosen by p and the degree n:
 
 - Even p (2, 4, 6, ...): under x = y*sqrt(2/p), |phi_n(x)|^p is a
   polynomial of degree p*n in y times e^{-y^2}, so the Gauss-Hermite rule
   with M = p*n/2 + 1 nodes integrates it exactly.  There is no
   refinement, so the tolerance is only validated.
+- p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
+  J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
+  |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
+  its own recurrence, carried along the scaled one for phi at 0 and the
+  n-node rule's zeros.  A zero's error enters only at second order,
+  since phi_n vanishes there; the tolerance is only validated.
 - p = inf: on x > 0, f = phi^2 + phi'^2/(lambda - x^2) with lambda = 2n + 1
   has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
   Polynomials, 7.6); past sqrt(lambda) |phi_n| is convex and decays.  The
   maximum therefore lies on the last lobe, between the largest zero and
   sqrt(lambda), where a 65-point grid is zoomed in on it.
-- Other p (odd, fractional, p = 1): |phi_n|^p is integrated over
+- Bisection, for every other p: |phi_n|^p is integrated over
   [-R, R] with R = sqrt(2*lambda) + 12, split at the zeros of phi_n so
   each panel sees a smooth lobe, and all panels are refined by bisection
   until two successive global estimates agree to the tolerance.
@@ -53,10 +59,15 @@ sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
 Sweeps are cached per (N, p, tol), 16 of them; each depends on N alone,
 so no result depends on what was computed before.
 
-Even p whose node count M would make the exact rule dearer than the work
-budget takes the bisection route.  A norm whose recurrence work exceeds
-``NORM_WORK_BUDGET`` is refused with ``CapabilityError``: up front from its
-estimated work, and during bisection before the pass that would cross it.
+Each route estimates its recurrence work in point-steps.  p = 1 and even
+p take their exact route unless its estimate is over the work budget or
+above _BISECTION_WEIGHT times bisection's, as at even p so large that the
+rule's p*n/2 + 1 nodes cost more than the panels.  A norm whose
+recurrence work exceeds ``NORM_WORK_BUDGET`` is refused with
+``CapabilityError``: up front from its estimated work, and during
+bisection before the pass that would cross it.  A sweep is admitted by
+the work of all its norms: the even-p sweep's rule, recurrence and N + 1
+row power sums, or the sum of the per-degree estimates.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import phi_pair, phi_row, phi_rows, weighted_abs_power_sum
+from ._accel import phi_pair, phi_row, phi_rows, phi_tail, weighted_abs_power_sum
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
 from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
@@ -85,6 +96,14 @@ _STEP_POINTS = 4096
 # Work above which a norm is refused; on that machine the recurrence
 # takes 4-15 s for it, the most for the bisection route's wide grids.
 NORM_WORK_BUDGET = 1e9
+# A point-step of bisection takes 2 to 4.6 times as long as one of an exact
+# route (measured at degrees 13 to 1600 and p = 2, 4, 6): its grids of 16
+# points per panel outgrow the cache, and it may make more passes than the
+# two its estimate counts.  Its estimate is weighed by this against theirs.
+_BISECTION_WEIGHT = 4.0
+# A weighted power sum over a row costs about as much per value as four
+# recurrence point-steps (a log and an exp: 21 ns against 5-6 ns).
+_POWER_POINTS = 4
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
 # Arrays kept by lp_norms_1d; the one of order N holds 8 (N + 1) bytes.
@@ -208,6 +227,8 @@ def _zero_guesses(M: int, j: np.ndarray) -> np.ndarray:
         + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * c * c * nu ** (-5.0 / 3.0)
         - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a) * c * nu ** (-7.0 / 3.0)
     )
+    if edge.all():
+        return np.sqrt(x2)
     # theta - sin(theta) = pi (4j - 1) / nu by Newton's method from below,
     # where theta^3 / 6 >= theta - sin(theta) puts the start
     rhs = math.pi * (4.0 * j[~edge] - 1.0) / nu
@@ -418,6 +439,24 @@ def _even_p_integral_1d(degree: int, p: float):
     return float(totals[0]), float(shifts[0])
 
 
+def _zero_points(degree: int) -> np.ndarray:
+    """0 and the positive zeros of phi_degree, increasing (0 once when it is a zero)."""
+    if degree == 0:
+        return np.zeros(1)
+    y = roots_hermite(degree)[0]
+    return y if degree % 2 else np.concatenate([[0.0], y])
+
+
+def _l1_norm_1d(degree: int) -> float:
+    """||phi_degree||_1 from the tail integrals J(a) = int_a^inf phi_degree
+    at 0 and the positive zeros: phi keeps its sign between consecutive
+    points, so the half-line integral of |phi| is the sum of
+    |J(a_j) - J(a_{j+1})| and of |J| at the largest zero."""
+    mantissa, logs = phi_tail(_zero_points(degree), degree)
+    tails = mantissa * np.exp(logs)
+    return 2.0 * math.fsum(np.abs(np.diff(tails, append=0.0)).tolist())
+
+
 def _sup_calls(lam: float, a: float) -> int:
     """Upper bound on the grid calls of _sup_norm_1d on [a, sqrt(lambda)]:
     each call divides the spacing by 32, and the curvature of log|phi|
@@ -462,13 +501,17 @@ def _node_work(M: int, points: int) -> float:
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
-    The exact rule and the sup norm count the node passes they make.  The
-    bisection estimate counts its first two passes, the fewest it makes;
-    the loop itself stops before a pass that would cross the budget.  Its
-    panel edges need the n-node rule too, whose one pass is left out of
-    both counts: it adds n (n/2 + 4096) point-steps, 4.5% at degree 6255
-    and under 2% of the time, and counting it would refuse degrees the
-    route has always served.
+    The exact routes count the node passes they make: the sup norm's
+    refinement of the largest zero, the rule of the even-p route and the
+    degree's own rule for the zero route.  The bisection estimate counts
+    its first two passes, the fewest it makes; the loop itself stops before
+    a pass that would cross the budget.  Its panel edges need the n-node
+    rule too, whose one pass is left out: it adds n (n/2 + 4096)
+    point-steps, 4.5% at degree 6255 and under 2% of the time, and counting
+    it would refuse degrees the route has always served.
+
+    p = 1 and even p take their exact route unless it is over the budget
+    or dearer than bisection's estimate weighed by _BISECTION_WEIGHT.
     """
     if math.isinf(p):
         lam = 2.0 * degree + 1.0
@@ -478,15 +521,40 @@ def _norm_route(degree: int, p: float):
         a = guess - 0.01 * (math.sqrt(lam) - guess)
         work = _node_work(degree, 1) + _sup_calls(lam, a) * _phi_row_work(_SUP_POINTS, degree)
         return "sup", work
-    if p.is_integer() and int(p) % 2 == 0:
+    panels = degree // 2 + 32
+    bisection = sum(_phi_row_work(k * _GL_ORDER * panels, degree) for k in (1, 2))
+    if p == 1.0:
+        route = "zeros"
+        work = _node_work(degree, degree - degree // 2) + _phi_row_work(degree // 2 + 1, degree)
+    elif p.is_integer() and int(p) % 2 == 0:
         M = _even_rule_nodes(degree, p)
         half = M - M // 2
+        route = "even"
         work = _node_work(M, half) + _phi_row_work(half, degree)
-        if work <= NORM_WORK_BUDGET:
-            return "even", work
-    panels = degree // 2 + 32
-    work = sum(_phi_row_work(k * _GL_ORDER * panels, degree) for k in (1, 2))
-    return "bisection", work
+    else:
+        return "bisection", bisection
+    if work <= NORM_WORK_BUDGET and work <= _BISECTION_WEIGHT * bisection:
+        return route, work
+    return "bisection", bisection
+
+
+def _sweep_route(N: int, p: float):
+    """(route of ||phi_N||_p, estimated point-steps of lp_norms_1d(N, p)).
+
+    The even-p sweep adds the weighted power sums of its N + 1 rows to the
+    top norm's estimate; the others sum the estimates of their N + 1 norms,
+    stopping once the sum is over the budget.
+    """
+    route, work = _norm_route(N, p)
+    if route == "even":
+        M = _even_rule_nodes(N, p)
+        return route, work + _POWER_POINTS * (N + 1) * (M - M // 2)
+    total = 0.0
+    for u in range(N + 1):
+        total += _norm_route(u, p)[1]
+        if total > NORM_WORK_BUDGET:
+            break
+    return route, total
 
 
 def check_norm_budget(degree: int, p: float) -> str:
@@ -501,6 +569,19 @@ def check_norm_budget(degree: int, p: float) -> str:
     return route
 
 
+def check_sweep_budget(N: int, p: float) -> str:
+    """The route of ||phi_N||_p; raises CapabilityError when the estimated
+    recurrence work of lp_norms_1d(N, p), all N + 1 norms, exceeds
+    NORM_WORK_BUDGET."""
+    route, work = _sweep_route(N, p)
+    if work > NORM_WORK_BUDGET:
+        raise CapabilityError(
+            f"||phi_u||_{p} for u <= {N} need more than {NORM_WORK_BUDGET:.0e} point-steps "
+            f"of recurrence work in all"
+        )
+    return route
+
+
 def _root(total: float, shift: float, p: float) -> float:
     """The p-th root of the integral total * e^shift."""
     return total ** (1.0 / p) * math.exp(shift / p)
@@ -511,6 +592,8 @@ def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
     route = check_norm_budget(degree, p)
     if route == "sup":
         return _sup_norm_1d(degree)
+    if route == "zeros":
+        return _l1_norm_1d(degree)
     if route == "even":
         total, shift = _even_p_integral_1d(degree, p)
     else:
@@ -520,7 +603,7 @@ def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _lp_norms_1d_cached(degree: int, p: float, tol: float) -> np.ndarray:
-    if check_norm_budget(degree, p) == "even":
+    if check_sweep_budget(degree, p) == "even":
         totals, shifts = _even_p_integrals(degree, p, 0)
         norms = np.array([_root(t, s, p) for t, s in zip(totals.tolist(), shifts.tolist())])
     else:
@@ -545,14 +628,15 @@ def _norm_args(degree, p, tol):
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     """One-dimensional norm ||phi_degree||_p.
 
-    Even p uses the exact Gauss-Hermite rule with p*degree/2 + 1 nodes, so
-    ``tol`` is only validated; p = inf searches the last lobe, where
-    Sonin's argument places the maximum; other p refine panels split at
-    the zeros by bisection until two estimates agree to ``tol``.  Raises
-    CapabilityError, before any recurrence work, when the estimated work
-    exceeds NORM_WORK_BUDGET point-steps (for example degree 10**6 at
-    p = 4, or degree 10**4 at p = 1), and during bisection before a pass
-    that would cross it.
+    Even p uses the exact Gauss-Hermite rule with p*degree/2 + 1 nodes and
+    p = 1 the tail integrals of phi_degree at its zeros, so ``tol`` is
+    only validated; p = inf searches the last lobe, where Sonin's argument
+    places the maximum; other p, and even p whose rule costs more than
+    bisection, refine panels split at the zeros by bisection until two
+    estimates agree to ``tol``.  Raises CapabilityError, before any
+    recurrence work, when the estimated work exceeds NORM_WORK_BUDGET
+    point-steps (for example degree 10**6 at p = 4, or degree 10**5 at
+    p = 1), and during bisection before a pass that would cross it.
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -562,9 +646,11 @@ def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
 
     When ||phi_N||_p takes the exact rule (even p), all N + 1 norms come
     from that one rule and one recurrence over the degrees, and entry N is
-    lp_norm_1d(N, p) bit for bit; other p take lp_norm_1d per degree.
-    Raises CapabilityError, before any recurrence work, when the work
-    estimate of ||phi_N||_p exceeds NORM_WORK_BUDGET.
+    lp_norm_1d(N, p) bit for bit; other p, p = 1 among them, take
+    lp_norm_1d per degree.  Raises CapabilityError, before any recurrence
+    work, when the estimated work of all N + 1 norms exceeds
+    NORM_WORK_BUDGET: the rule's, the recurrence's and the N + 1 row power
+    sums for the one sweep, the sum of the per-degree estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 

@@ -25,6 +25,7 @@ from hermult import (
     eval_phi_1d,
     eval_phi_nd,
 )
+from hermult._accel import _erfcx, phi_pair, phi_row, phi_rows, phi_tail
 
 mpmath.mp.dps = 50
 
@@ -71,6 +72,89 @@ def test_deep_tail_is_log_scaled():
     assert hv.log_magnitude() == pytest.approx(-800.0 + math.log(PHI0_AT_0), rel=1e-12)
     assert hv.to_float() == 0.0  # below double range once collapsed
     assert hv.sign == 1.0
+
+
+def reference_recurrence(x, degree):
+    """The scaled recurrence with fresh arrays and masks at every step, as
+    _accel ran it before its loop went in place; yields (previous, current,
+    log_scale) for degrees 0..degree."""
+    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
+    ls = -0.5 * x * x
+    v0 = np.full(x.shape, math.pi ** -0.25)
+    yield np.zeros(x.shape), v0, ls
+    if degree == 0:
+        return
+    v1 = x * math.sqrt(2.0) * v0
+    yield v0, v1, ls
+    for k in range(1, degree):
+        c1 = math.sqrt(2.0 / (k + 1.0))
+        c0 = math.sqrt(k / (k + 1.0))
+        v0, v1 = v1, x * c1 * v1 - c0 * v0
+        m = np.maximum(np.abs(v1), np.abs(v0))
+        big = m > R
+        if big.any():
+            v0, v1, ls = (np.where(big, v0 * RI, v0), np.where(big, v1 * RI, v1),
+                          np.where(big, ls + RL, ls))
+        small = (m > 0.0) & (m < RI)
+        if small.any():
+            v0, v1, ls = (np.where(small, v0 * R, v0), np.where(small, v1 * R, v1),
+                          np.where(small, ls - RL, ls))
+        yield v0, v1, ls
+
+
+@pytest.mark.parametrize("points", [1, 65, 1600])
+def test_in_place_loop_keeps_the_bits(points):
+    # grids reaching far into the tails, where both rescalings run
+    x = np.linspace(-3.0, 70.0, points) if points > 1 else np.array([38.5])
+    want = list(reference_recurrence(x, 1600))
+    # phi_rows reuses its block arrays, so each block is copied
+    blocks = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, 1600)]
+    rows = np.concatenate([vals for vals, _ in blocks])
+    logs = np.concatenate([ls for _, ls in blocks])
+    assert np.array_equal(rows, np.array([cur for _, cur, _ in want]))
+    assert np.array_equal(logs, np.array([ls for _, _, ls in want]))
+    for n in (0, 1, 2, 48, 49, 401, 1600):
+        prev, cur, ls = phi_pair(x, n)
+        assert np.array_equal(prev, want[n][0]) and np.array_equal(cur, want[n][1])
+        assert np.array_equal(ls, want[n][2])
+        vals, row_ls = phi_row(x, n)
+        assert np.array_equal(vals, want[n][1]) and np.array_equal(row_ls, want[n][2])
+
+
+def test_scaled_erfc_against_mpmath():
+    # both sides of the switch to the asymptotic series at t = 26
+    t = np.array([0.0, 1e-3, 0.5, 1.0, 3.7, 10.0, 25.99, 26.0, 26.5, 40.0, 1e3, 1e8])
+    got = _erfcx(t)
+    for ti, gi in zip(t.tolist(), got.tolist()):
+        want = mpmath.erfc(ti) * mpmath.exp(mpmath.mpf(ti) ** 2)
+        assert abs(gi - want) <= 4e-16 * want, ti
+
+
+def tail_oracle(k, a):
+    """int_a^inf phi_k from the definition, split at the zeros of H_k above a."""
+    from scipy.special import roots_hermite
+
+    zeros = roots_hermite(k)[0].tolist() if k else []
+    pts = [a] + [z for z in zeros if z > a] + [a + 60.0]
+    return mpmath.quad(lambda x: phi_oracle(k, x), pts)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 24])
+def test_tail_integrals_against_mpmath(degree):
+    a = np.array([0.0, 0.3, 1.7, 4.2, 9.0])
+    mantissa, logs = phi_tail(a, degree)
+    for ai, m, ls in zip(a.tolist(), mantissa.tolist(), logs.tolist()):
+        want = tail_oracle(degree, ai)
+        got = mpmath.mpf(m) * mpmath.exp(ls)
+        assert abs(got - want) <= 1e-14 * max(abs(want), mpmath.mpf("1e-300")), (degree, ai)
+
+
+def test_tail_integrals_far_out_stay_in_range():
+    # J_0(40) = pi^-1/4 sqrt(pi/2) erfc(40/sqrt 2) is about e^-803.7
+    mantissa, logs = phi_tail(np.array([40.0]), 0)
+    want = mpmath.pi ** -0.25 * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(40 / mpmath.sqrt(2))
+    got = mpmath.mpf(mantissa[0]) * mpmath.exp(logs[0])
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_log_scaled_agrees_with_oracle_far_out():
@@ -154,7 +238,9 @@ def test_enumerate_level_examples():
 
 
 def brute_level(n, k):
-    return sorted(t for t in product(range(k + 1), repeat=n) if sum(t) == k)
+    # the first n - 1 coordinates fix the last one, k minus their sum
+    return sorted(head + (k - sum(head),) for head in product(range(k + 1), repeat=n - 1)
+                  if sum(head) <= k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -341,6 +341,19 @@ class TestSrSum:
             s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=7000)
         assert time.perf_counter() - start < 1.0
 
+    def test_refused_by_the_work_of_all_norms(self, monkeypatch):
+        # the L^1 norm of degree 1000 is within the budget, the 1001 norms
+        # up to it are not
+        def computed(*args):
+            raise AssertionError(f"norm {args} computed before the refusal")
+
+        monkeypatch.setattr(quad, "_lp_norm_1d_cached", computed)
+        assert quad._norm_route(1000, 1.0)[1] <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1000)
+        assert time.perf_counter() - start < 1.0
+
     def test_regime_tags_attached_when_classifiable(self):
         rep = s_r_sum(heat_symbol(1.0), 2, 4, 1, N=20)
         assert rep.p2_regime == "eq4"

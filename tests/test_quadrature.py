@@ -252,8 +252,9 @@ class TestLpNorms:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 12])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_against_mpmath_oracle(self, k, p):
-        # even p runs the exact Gauss-Hermite rule, the others bisection to 1e-10
-        rel = 1e-12 if p in (2.0, 4.0, 6.0) else 1e-8
+        # even p runs the exact Gauss-Hermite rule, p = 1 the tail integrals
+        # at the zeros, p = 3 bisection to 1e-10
+        rel = {1.0: 1e-13, 3.0: 1e-8}.get(p, 1e-12)
         assert lp_norm_1d(k, p, 1e-10) == pytest.approx(norm_oracle(k, p), rel=rel)
 
     @pytest.mark.parametrize("k", [200, 1000])
@@ -318,7 +319,7 @@ class TestLpNorms:
             lp_norm_1d(-2, 2.0)
 
     @pytest.mark.parametrize("degree,p", [
-        (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**4, 1.0), (10**6, 2.5),
+        (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**5, 1.0), (10**6, 2.5),
     ])
     def test_refused_before_any_work(self, degree, p):
         start = time.perf_counter()
@@ -336,12 +337,21 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("degree,p,route", [
         (34332, math.inf, "sup"), (16323, 4.0, "even"), (11616, 6.0, "even"),
-        (27790, 2.0, "even"), (6255, 1.0, "bisection"), (6255, 2.5, "bisection"),
+        (27790, 2.0, "even"), (6255, 1.0, "zeros"), (6255, 2.5, "bisection"),
     ])
     def test_largest_degrees_served_before_are_served(self, degree, p, route):
         # the largest degrees within the budget when scipy supplied the nodes
         got, work = quad._norm_route(degree, float(p))
         assert got == route and work <= quad.NORM_WORK_BUDGET
+
+    def test_l1_served_degree_edge(self):
+        # one node pass and one tail pass, about 2 n (n/2 + 4096) point-steps
+        route, work = quad._norm_route(27790, 1.0)
+        assert route == "zeros" and work <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norm_1d(27791, 1.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_rule_at_the_p4_edge_takes_one_pass(self, monkeypatch):
         # degree 16323 at p = 4 needs the 32647-node rule; the route's
@@ -355,12 +365,13 @@ class TestLpNorms:
         want = scipy_roots(M)[0][M // 2:]
         assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
 
-    @pytest.mark.parametrize("p", [math.inf, 2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0])
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
-        # point-steps as the estimate counts them: a phi_row or phi_rows call
-        # at degree n n (P + 4096), a node pass at M nodes (M - 1) (P + 4096)
+        # point-steps as the estimate counts them: a phi_row, phi_rows or
+        # phi_tail call at degree n n (P + 4096), a node pass at M nodes
+        # (M - 1) (P + 4096)
         done = []
-        row, pair, rows = quad.phi_row, quad.phi_pair, quad.phi_rows
+        row, pair, rows, tail = quad.phi_row, quad.phi_pair, quad.phi_rows, quad.phi_tail
 
         def counted_row(x, n):
             done.append(quad._phi_row_work(len(x), n))
@@ -376,7 +387,12 @@ class TestLpNorms:
 
         monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        def counted_tail(x, n):
+            done.append(quad._phi_row_work(len(x), n))
+            return tail(x, n)
+
         monkeypatch.setattr(quad, "phi_rows", counted_rows)
+        monkeypatch.setattr(quad, "phi_tail", counted_tail)
         for degree in list(range(0, 130)) + [401, 1606, 5000]:
             done.clear()
             quad.roots_hermite.cache_clear()
@@ -384,12 +400,42 @@ class TestLpNorms:
             assert sum(done) <= quad._norm_route(degree, p)[1], degree
 
     def test_large_even_p_takes_bisection(self):
-        # the exact rule's p * n / 2 + 1 = 90001 nodes would exceed the budget
+        # the exact rule's p * n / 2 + 1 = 90001 nodes would exceed the
+        # budget; its 15001 nodes at p = 100 would cost 35 times bisection
         assert quad._norm_route(300, 600.0)[0] == "bisection"
-        assert quad._norm_route(300, 100.0)[0] == "even"
+        assert quad._norm_route(300, 100.0)[0] == "bisection"
+        assert quad._norm_route(300, 8.0)[0] == "even"
         sup = lp_norm_1d(300, math.inf)
         # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
         assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
+
+    def test_route_by_cost(self):
+        # the exact rule needs 30001 nodes, bisection two passes at degree 100
+        assert quad._norm_route(100, 600.0)[0] == "bisection"
+        start = time.perf_counter()
+        got = lp_norm_1d(100, 600.0)
+        assert time.perf_counter() - start < 0.5
+        exact = quad._root(*quad._even_p_integral_1d(100, 600.0), 600.0)
+        assert got == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_common_even_p_keep_the_exact_rule(self, p):
+        # every degree of the benchmark's norm table and the CLI's defaults
+        for degree in range(0, 1617):
+            assert quad._norm_route(degree, p)[0] == "even", degree
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 400, 1600])
+    def test_zero_route_matches_bisection(self, degree):
+        total, shift = quad._lp_integral_1d(degree, 1.0, 1e-11)
+        assert shift == 0.0
+        assert quad._l1_norm_1d(degree) == pytest.approx(total, rel=2e-13)
+
+    @pytest.mark.parametrize("degree", [3000, 10000])
+    def test_zero_route_within_its_bounds_at_large_degree(self, degree):
+        # Hoelder: 1 = ||phi||_2^2 <= ||phi||_inf ||phi||_1; Cauchy-Schwarz
+        # against 1 + x^2 with int x^2 phi_n^2 = n + 1/2 gives the upper bound
+        norm = lp_norm_1d(degree, 1.0)
+        assert 1.0 / lp_norm_1d(degree, math.inf) <= norm <= math.sqrt(math.pi * (degree + 1.5))
 
     @pytest.mark.parametrize("degree,p", [(50, 1000.0), (50, 999.0), (300, 1000.0), (5, 2000.0)])
     def test_underflowing_power_keeps_the_norm(self, degree, p):
@@ -466,6 +512,47 @@ class TestNormSweep:
         with pytest.raises(DomainError):
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("N,p", [(27790, 2.0), (1000, 1.0), (400, math.inf)])
+    def test_admitted_by_the_work_of_all_its_norms(self, N, p):
+        # the top norm alone is within the budget, all N + 1 of them are not
+        assert quad._norm_route(N, p)[1] <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norms_1d(N, p)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0)])
+    def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
+        # recurrence point-steps as in the per-norm test, and each value of a
+        # weighted power sum as _POWER_POINTS of them
+        done = []
+        pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+
+        def counted_pair(x, M):
+            done.append(quad._phi_row_work(len(x), max(M - 1, 0)))
+            return pair(x, M)
+
+        def counted_rows(x, n, lowest=0):
+            done.append(quad._phi_row_work(len(x), n))
+            return rows(x, n, lowest)
+
+        def counted_tail(x, n):
+            done.append(quad._phi_row_work(len(x), n))
+            return tail(x, n)
+
+        def counted_power(vals, logs, weights, p):
+            done.append(quad._POWER_POINTS * vals.size)
+            return power(vals, logs, weights, p)
+
+        monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        monkeypatch.setattr(quad, "phi_rows", counted_rows)
+        monkeypatch.setattr(quad, "phi_tail", counted_tail)
+        monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
+        for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
+            cache.cache_clear()
+        quad._lp_norms_1d_cached.__wrapped__(N, p, 1e-8)
+        assert sum(done) <= quad._sweep_route(N, p)[1]
 
     def test_s_r_sum_does_not_depend_on_a_larger_order(self):
         from hermult.nuclearity import s_r_sum
