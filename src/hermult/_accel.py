@@ -8,8 +8,10 @@ scaled three-term recurrence
 seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 ``mantissa * exp(log_scale)`` so the seed and the tails survive far
 outside the range of plain doubles.  Rescaling multiplies by an exact
-power of two, so it adds no rounding of its own.  ``phi_tail`` carries the
-tail integrals int_x^inf phi_k along the same loop and scale.
+power of two, so it adds no rounding of its own.  Every kernel runs on the
+one loop of ``_recurrence``: ``phi_tail`` carries the tail integrals
+int_x^inf phi_k along it on the same scale, and ``phi_table`` turns its
+rows into plain floats.
 """
 
 from __future__ import annotations
@@ -196,47 +198,37 @@ def phi_row(x, degree):
 def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
-    Entries whose true magnitude is below the double range come out as
-    exact zeros.
+    Each row is the mantissa times exp(log_scale) as a plain float.  The
+    loop only ever rescales by 2^(+-400), so that factor is exactly
+    e^(-x^2/2) * 2^(400 j) with j the net count of rescalings, rebuilt when
+    the loop rebinds log_scale, which it does only on a rescale.  From
+    degree 2 on, points whose log_scale is at most -700 take the log form
+    instead, where that factor would have left the double range.  Entries
+    whose true magnitude is below the double range come out as exact zeros.
     """
-    npts = x.shape[0]
-    out = np.empty((nmax + 1, npts))
-    ls = -0.5 * x * x
-    es = np.exp(ls)
-    v0 = np.full(npts, _PI_QUARTER)
-    out[0] = v0 * es
-    if nmax == 0:
-        return out
-    v1 = x * math.sqrt(2.0) * v0
-    out[1] = v1 * es
-    for k in range(1, nmax):
-        c1 = math.sqrt(2.0 / (k + 1.0))
-        c0 = math.sqrt(k / (k + 1.0))
-        v2 = x * c1 * v1 - c0 * v0
-        v0 = v1
-        v1 = v2
-        m = np.maximum(np.abs(v1), np.abs(v0))
-        big = m > _RESCALE
-        if big.any():
-            v0 = np.where(big, v0 * _RESCALE_INV, v0)
-            v1 = np.where(big, v1 * _RESCALE_INV, v1)
-            ls = np.where(big, ls + _RESCALE_LOG, ls)
-            es = np.where(big, es * _RESCALE, es)
-        small = (m > 0.0) & (m < _RESCALE_INV)
-        if small.any():
-            v0 = np.where(small, v0 * _RESCALE, v0)
-            v1 = np.where(small, v1 * _RESCALE, v1)
-            ls = np.where(small, ls - _RESCALE_LOG, ls)
-            es = np.where(small, es * _RESCALE_INV, es)
-        row = v1 * es
-        deep = ls <= -700.0
-        if deep.any():
+    out = np.empty((nmax + 1, x.shape[0]))
+    ls0 = -0.5 * x * x
+    e0 = np.exp(ls0)
+    scale_of = es = deep = None
+    for k, (_, v, ls, _) in enumerate(_recurrence(x, nmax, 0)):
+        if ls is not scale_of:
+            scale_of = ls
+            with np.errstate(invalid="ignore"):
+                j = np.rint((ls - ls0) / _RESCALE_LOG)
+            # a non-finite point has a nan row whatever its scale
+            j = np.where(np.isfinite(j), j, 0.0).astype(np.int64)
+            es = np.ldexp(e0, 400 * j)
+            deep = ls <= -700.0
+            if not deep.any():
+                deep = None
+        row = out[k]
+        np.multiply(v, es, out=row)
+        if k >= 2 and deep is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.log(np.abs(v1)) + ls
-                alt = np.where(t > -745.0, np.copysign(np.exp(np.maximum(t, -745.0)), v1), 0.0)
-            alt = np.where(v1 == 0.0, 0.0, alt)
-            row = np.where(deep, alt, row)
-        out[k + 1] = row
+                t = np.log(np.abs(v)) + ls
+                alt = np.where(t > -745.0, np.copysign(np.exp(np.maximum(t, -745.0)), v), 0.0)
+            alt = np.where(v == 0.0, 0.0, alt)
+            np.copyto(row, alt, where=deep)
     return out
 
 

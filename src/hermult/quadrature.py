@@ -538,12 +538,15 @@ def _norm_route(degree: int, p: float):
     return "bisection", bisection
 
 
+@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _sweep_route(N: int, p: float):
     """(route of ||phi_N||_p, estimated point-steps of lp_norms_1d(N, p)).
 
     The even-p sweep adds the weighted power sums of its N + 1 rows to the
     top norm's estimate; the others sum the estimates of their N + 1 norms,
-    stopping once the sum is over the budget.
+    stopping once the sum is over the budget.  Cached, so that the check of
+    a caller that admits a sweep before asking for it (s_r_sum admits both
+    exponents first) and the check in lp_norms_1d cost one estimate.
     """
     route, work = _norm_route(N, p)
     if route == "even":

@@ -9,7 +9,9 @@ the closed-form heat kernel for comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -284,12 +286,17 @@ def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
         F = np.broadcast_to(np.asarray(factors, dtype=float).reshape(N + 1, -1), (N + 1, n))
     if m.is_radial:
         if F is None:
-            g = [math.comb(K + n - 1, n - 1) for K in range(N + 1)]
+            # C(K + n - 1, n - 1) indices at level K
+            g = map(math.comb, range(n - 1, N + n), itertools.repeat(n - 1))
         else:
             g = F[:, 0]
             for j in range(1, n):
                 g = np.convolve(g, F[:, j])[: N + 1]
-        return math.fsum(term(m.level_value(K)) * g[K] for K in range(N + 1))
+        # levels stream into fsum: a list of them would cost 32 bytes a level
+        levels = map(float, map(m.level_evaluator, range(N + 1)))
+        if term is not float:
+            levels = map(term, levels)
+        return math.fsum(map(operator.mul, levels, g))
     if m.table is not None:
         items = [(key, v) for key, v in m.support_items() if sum(key) <= N]
     else:
@@ -438,6 +445,8 @@ def synthesize(c: CoefficientVector, x) -> float:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if len(xs) != c.dimension:
         raise DomainError(f"point has dimension {len(xs)}, expected {c.dimension}")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("points must be finite")
     items = c.items()
     if not items:
         return 0.0
@@ -477,8 +486,13 @@ def kernel_series(m: Symbol, x, y, N: int) -> KernelValue:
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if len(xs) != n or len(ys) != n:
         raise DomainError(f"points must have dimension {n}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("points must be finite")
+    # one table on all 2n points: the rescalings act on each point alone,
+    # so its columns are those of separate tables on x and on y
+    T = phi_table(np.concatenate((xs, ys)), N)
     # phi_u(x_j) phi_u(y_j), one column per coordinate
-    value = lattice_sum(m, N, factors=phi_table(xs, N) * phi_table(ys, N))
+    value = lattice_sum(m, N, factors=T[:, :n] * T[:, n:])
     tail = level_tail_bound(m, N)
     if tail is not None:
         tail *= PHI_SUP_BOUND ** (2 * n)

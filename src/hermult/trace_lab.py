@@ -61,9 +61,13 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
                      N: int | None = None) -> TraceValue:
     """Lattice sum of the symbol with a certified tail below tol.
 
-    Without an explicit truncation order the sum is doubled until the
-    tail bound drops below tol; symbols with no envelope and infinite
-    support cannot be certified and raise an inconclusive error.
+    Without an explicit truncation order the order is doubled from 200 n
+    until the tail bound drops below tol.  The bound never looks at a
+    partial sum, so the order comes from it alone and the lattice is summed
+    once, at that order; only when the doublings run out are the sums at
+    the last two orders formed, for the error.  Symbols with no envelope
+    and infinite support cannot be certified and raise an inconclusive
+    error.
     """
     n = _check_dimension(m, n)
     if m.envelope is None and m.table is None:
@@ -76,19 +80,17 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
             raise InconclusiveError("no certified tail bound at this truncation")
         return TraceValue(value=lattice_sum(m, N), tail_bound=tail,
                           truncation_order=N)
-    order = 200 * n
-    history = []
-    for _ in range(_TRACE_MAX_DOUBLINGS + 1):
+    orders = [200 * n * 2 ** i for i in range(_TRACE_MAX_DOUBLINGS + 1)]
+    for order in orders:
         tail = level_tail_bound(m, order)
-        history.append(lattice_sum(m, order))
-        if tail is not None and tail < tol:
-            return TraceValue(value=history[-1], tail_bound=tail, truncation_order=order)
         if tail is None:
             raise InconclusiveError("no certified tail bound is available for this symbol")
-        order *= 2
+        if tail < tol:
+            return TraceValue(value=lattice_sum(m, order), tail_bound=tail,
+                              truncation_order=order)
     raise ConvergenceError(
         f"trace tail bound did not reach {tol:g} after {_TRACE_MAX_DOUBLINGS} doublings",
-        last_two=tuple(history[-2:]),
+        last_two=tuple(lattice_sum(m, order) for order in orders[-2:]),
     )
 
 

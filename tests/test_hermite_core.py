@@ -25,7 +25,7 @@ from hermult import (
     eval_phi_1d,
     eval_phi_nd,
 )
-from hermult._accel import _erfcx, phi_pair, phi_row, phi_rows, phi_tail
+from hermult._accel import _erfcx, phi_pair, phi_row, phi_rows, phi_table, phi_tail
 
 mpmath.mp.dps = 50
 
@@ -119,6 +119,58 @@ def test_in_place_loop_keeps_the_bits(points):
         assert np.array_equal(ls, want[n][2])
         vals, row_ls = phi_row(x, n)
         assert np.array_equal(vals, want[n][1]) and np.array_equal(row_ls, want[n][2])
+
+
+def reference_table(x, nmax):
+    """phi_table as it ran on its own loop, carrying exp(log_scale) along
+    as es and multiplying it by 2^(+-400) at every rescaling."""
+    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
+    out = np.empty((nmax + 1, x.shape[0]))
+    ls = -0.5 * x * x
+    es = np.exp(ls)
+    v0 = np.full(x.shape, math.pi ** -0.25)
+    out[0] = v0 * es
+    if nmax == 0:
+        return out
+    v1 = x * math.sqrt(2.0) * v0
+    out[1] = v1 * es
+    for k in range(1, nmax):
+        c1 = math.sqrt(2.0 / (k + 1.0))
+        c0 = math.sqrt(k / (k + 1.0))
+        v0, v1 = v1, x * c1 * v1 - c0 * v0
+        m = np.maximum(np.abs(v1), np.abs(v0))
+        big = m > R
+        if big.any():
+            v0, v1 = np.where(big, v0 * RI, v0), np.where(big, v1 * RI, v1)
+            ls, es = np.where(big, ls + RL, ls), np.where(big, es * R, es)
+        small = (m > 0.0) & (m < RI)
+        if small.any():
+            v0, v1 = np.where(small, v0 * R, v0), np.where(small, v1 * R, v1)
+            ls, es = np.where(small, ls - RL, ls), np.where(small, es * RI, es)
+        row = v1 * es
+        deep = ls <= -700.0
+        if deep.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.log(np.abs(v1)) + ls
+                alt = np.where(t > -745.0, np.copysign(np.exp(np.maximum(t, -745.0)), v1), 0.0)
+            alt = np.where(v1 == 0.0, 0.0, alt)
+            row = np.where(deep, alt, row)
+        out[k + 1] = row
+    return out
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0]),
+    np.array([-110.0]),
+    np.array([0.0, 1e-300, -5e-324, 38.5]),
+    # e^(-x^2/2) is subnormal from 37.6 and zero from 38.6 on
+    np.linspace(36.0, 40.0, 41),
+    np.linspace(-110.0, 110.0, 81),
+    np.random.default_rng(7).uniform(-110.0, 110.0, 23),
+], ids=["origin", "far", "tiny", "subnormal-seed", "wide-81", "random-23"])
+def test_table_on_the_one_loop_keeps_the_bits(x):
+    for nmax in (0, 1, 2, 3, 401, 5000):
+        assert np.array_equal(phi_table(x, nmax), reference_table(x, nmax)), nmax
 
 
 def test_scaled_erfc_against_mpmath():

@@ -6,6 +6,7 @@ level, a table over its support and a custom symbol over the lattice.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,15 @@ import pytest
 from hermult.errors import CapabilityError
 from hermult.hermite_core import enumerate_up_to
 from hermult.nuclearity import classify_regime, kappa_sum, s_r_sum
-from hermult.spectral_ops import Envelope, custom_symbol, heat_symbol, kernel_series, table_symbol
+from hermult.spectral_ops import (
+    Envelope,
+    custom_symbol,
+    heat_symbol,
+    kernel_series,
+    lattice_sum,
+    power_symbol,
+    table_symbol,
+)
 from hermult.trace_lab import trace_diagonal_quadrature, trace_symbol_sum
 
 CASE = (Fraction(4, 3), 2, 1)
@@ -55,3 +64,19 @@ def test_custom_lattice_above_cap_is_refused(route):
                       envelope=Envelope(kind="exponential", C=1.0, rate=1.0))
     with pytest.raises(CapabilityError, match="lattice"):
         ROUTES[route](m, 60)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_sum_streams_its_levels(n):
+    # a list of the 102,401 levels would hold at least 3.2 MB
+    m = power_symbol(3.0, n=n)
+    N = 102_400
+    tracemalloc.start()
+    try:
+        got = lattice_sum(m, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    want = math.fsum(m.level_value(K) * math.comb(K + n - 1, n - 1) for K in range(N + 1))
+    assert got == want

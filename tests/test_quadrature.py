@@ -554,6 +554,17 @@ class TestNormSweep:
         quad._lp_norms_1d_cached.__wrapped__(N, p, 1e-8)
         assert sum(done) <= quad._sweep_route(N, p)[1]
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_is_estimated_once_per_order_and_exponent(self, p):
+        # s_r_sum admits a sweep and then asks lp_norms_1d for it, which
+        # checks it again; the second check reuses the first estimate
+        quad._sweep_route.cache_clear()
+        quad._lp_norms_1d_cached.cache_clear()
+        quad.check_sweep_budget(37, p)
+        quad.lp_norms_1d(37, p)
+        info = quad._sweep_route.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_s_r_sum_does_not_depend_on_a_larger_order(self):
         from hermult.nuclearity import s_r_sum
         from hermult.spectral_ops import heat_symbol

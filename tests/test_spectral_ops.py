@@ -1,6 +1,7 @@
 """Tests for symbols, transforms, multipliers, and kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hermult.spectral_ops import (
     effective_weights,
     heat_symbol,
     kernel_series,
+    lattice_sum,
     level_tail_bound,
     mehler_kernel,
     power_symbol,
@@ -347,6 +349,13 @@ class TestApplyAndSynthesize:
         with pytest.raises(DomainError):
             synthesize(unit_vector((0,), 0), [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_synthesize_refuses_non_finite_points(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="points must be finite"):
+                synthesize(unit_vector((2,), 2), bad)
+
     def test_eigenfunction_action(self):
         # analyze -> apply -> synthesize reproduces m(nu) phi_nu pointwise
         rule = gauss_hermite_rule(64)
@@ -443,6 +452,30 @@ class TestKernelSeries:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             kernel_series(heat_symbol(1.0, n=2), 0.0, 0.0, 10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_table_equals_two(self, n):
+        # phi_table on x and y together; the rescalings act on each point
+        # alone, so the factors are those of one table per point set
+        rng = np.random.default_rng(n)
+        N = 40
+        m = heat_symbol(0.4, n=n)
+        for _ in range(5):
+            x, y = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+            want = lattice_sum(m, N, factors=phi_table(x, N) * phi_table(y, N))
+            assert kernel_series(m, x, y, N).value == want
+        x, y = np.full(n, 38.0), np.linspace(-40.0, 0.0, n)
+        want = lattice_sum(m, N, factors=phi_table(x, N) * phi_table(y, N))
+        assert kernel_series(m, x, y, N).value == want
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_are_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="points must be finite"):
+                kernel_series(heat_symbol(1.0), [bad], [0.0], 20)
+            with pytest.raises(DomainError, match="points must be finite"):
+                kernel_series(heat_symbol(1.0, n=2), [0.0, 1.0], [0.5, bad], 20)
 
 
 class TestMehlerKernel:

@@ -19,6 +19,7 @@ from hermult.spectral_ops import (
     constant_symbol,
     custom_symbol,
     heat_symbol,
+    lattice_sum,
     power_symbol,
     table_symbol,
 )
@@ -100,6 +101,33 @@ class TestSymbolSum:
         assert exc.value.last_two is not None
         lo, hi = exc.value.last_two
         assert hi >= lo > 0.0
+        # the sums at the last two orders, 200 * 2^11 and 200 * 2^12, as
+        # they were when every doubling summed the lattice
+        assert (lo.hex(), hi.hex()) == ("0x1.1ab642a83788ap+0", "0x1.1ab642a97712bp+0")
+
+    @pytest.mark.parametrize("m,order", [
+        (power_symbol(3.0), 102_400),
+        (heat_symbol(1.0), 200),
+        (heat_symbol(0.3, n=2), 400),
+        (power_symbol(5.0, n=3), 76_800),
+    ], ids=["power:3", "heat:1", "heat:0.3-n2", "power:5-n3"])
+    def test_one_lattice_sum_at_the_bound_order(self, m, order, monkeypatch):
+        import hermult.trace_lab as tl
+
+        orders = []
+
+        def counted(sym, N, *args, **kwargs):
+            orders.append(N)
+            return lattice_sum(sym, N, *args, **kwargs)
+
+        monkeypatch.setattr(tl, "lattice_sum", counted)
+        got = trace_symbol_sum(m)
+        assert orders == [order] and got.truncation_order == order
+        n = m.dimension
+        want = math.fsum(
+            m.level_value(K) * math.comb(K + n - 1, n - 1) for K in range(order + 1)
+        )
+        assert got.value == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
