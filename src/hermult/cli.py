@@ -80,6 +80,16 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def _int_list(text: str):
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -169,17 +179,20 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ";".join(_cell(v) for v in value)
     return str(value)
 
 
-def _emit(args, obj, header, rows) -> str:
+def _emit(args, obj, rows) -> str:
+    """JSON of obj, or CSV of rows (dicts): a header of their keys, then their values."""
     if args.format == "json":
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([_cell(v) for v in row.values()])
     return sink.getvalue()
 
 
@@ -188,19 +201,16 @@ def _run_norms(args) -> str:
     for nu in args.degrees:
         for p in args.p:
             est = norm_estimate(nu, float(p), k=args.k, tol=args.tol)
-            ratio = est.computed / est.predicted
-            rows.append((nu, _p_str(p), est.computed, est.predicted, ratio))
+            rows.append({"nu": nu, "p": _p_str(p), "computed": est.computed,
+                         "model": est.predicted, "ratio": est.computed / est.predicted})
     obj = {
         "schema": 1,
         "subcommand": "norms",
         "k": args.k,
         "tolerance": args.tol,
-        "rows": [
-            {"nu": nu, "p": p, "computed": c, "model": m, "ratio": q}
-            for nu, p, c, m, q in rows
-        ],
+        "rows": rows,
     }
-    return _emit(args, obj, ("nu", "p", "computed", "model", "ratio"), rows)
+    return _emit(args, obj, rows)
 
 
 _CRITERION_COLUMNS = (
@@ -215,8 +225,7 @@ def _run_criterion(args) -> str:
     case = classify_regime(args.p1, args.p2, _resolve_r(args), k=args.k)
     report = kappa_sum(m, case, N=_resolve_order(args, args.n), tol=args.tol)
     obj = report.to_json_obj()
-    row = tuple(obj[c] for c in _CRITERION_COLUMNS)
-    return _emit(args, obj, _CRITERION_COLUMNS, [row])
+    return _emit(args, obj, [{c: obj[c] for c in _CRITERION_COLUMNS}])
 
 
 _TRACE_COLUMNS = (
@@ -233,15 +242,8 @@ def _run_trace(args) -> str:
         m, n=args.n, N=_resolve_order(args, args.n), tol=args.tol, closed_form=closed
     )
     obj = report.to_json_obj()
-    disc = report.discrepancies
-    row = (
-        report.symbol, report.dimension, report.truncation_order,
-        report.symbol_sum, report.symbol_tail, report.diagonal_quadrature,
-        report.quadrature_tol, report.closed_form,
-        disc.get("symbol_vs_quadrature"), disc.get("symbol_vs_closed"),
-        disc.get("quadrature_vs_closed"),
-    )
-    return _emit(args, obj, _TRACE_COLUMNS, [row])
+    flat = {**obj, **obj["discrepancies"]}
+    return _emit(args, obj, [{c: flat.get(c) for c in _TRACE_COLUMNS}])
 
 
 def _run_semigroup(args) -> str:
@@ -251,29 +253,17 @@ def _run_semigroup(args) -> str:
         m = heat_symbol(t, n=args.n)
         closed = semigroup_trace_closed_form(t, args.n)
         report = trace_report(m, n=args.n, N=order, tol=args.tol, closed_form=closed)
-        rows.append((
-            t, report.symbol_sum, report.diagonal_quadrature, closed,
-            max(report.discrepancies.values()),
-        ))
+        rows.append({"t": t, "symbol_sum": report.symbol_sum,
+                     "diagonal_quadrature": report.diagonal_quadrature, "closed_form": closed,
+                     "max_abs_discrepancy": max(report.discrepancies.values())})
     obj = {
         "schema": 1,
         "subcommand": "semigroup",
         "dimension": args.n,
         "truncation_order": order,
-        "rows": [
-            {
-                "t": t,
-                "symbol_sum": s,
-                "diagonal_quadrature": d,
-                "closed_form": c,
-                "max_abs_discrepancy": e,
-            }
-            for t, s, d, c, e in rows
-        ],
+        "rows": rows,
     }
-    header = ("t", "symbol_sum", "diagonal_quadrature", "closed_form",
-              "max_abs_discrepancy")
-    return _emit(args, obj, header, rows)
+    return _emit(args, obj, rows)
 
 
 def _run_kernel(args) -> str:
@@ -286,34 +276,18 @@ def _run_kernel(args) -> str:
             y = (ys,) * args.n
             series = kernel_series(m, x, y, order)
             closed = mehler_kernel(args.t, x, y)
-            rows.append((
-                list(x), list(y), series.value, closed,
-                abs(series.value - closed), series.tail_bound,
-            ))
+            rows.append({"x": list(x), "y": list(y), "series": series.value,
+                         "closed_form": closed, "abs_error": abs(series.value - closed),
+                         "tail_bound": series.tail_bound})
     obj = {
         "schema": 1,
         "subcommand": "kernel",
         "dimension": args.n,
         "t": args.t,
         "truncation_order": order,
-        "rows": [
-            {
-                "x": x,
-                "y": y,
-                "series": s,
-                "closed_form": c,
-                "abs_error": e,
-                "tail_bound": b,
-            }
-            for x, y, s, c, e, b in rows
-        ],
+        "rows": rows,
     }
-    header = ("x", "y", "series", "closed_form", "abs_error", "tail_bound")
-    csv_rows = [
-        (";".join(repr(c) for c in x), ";".join(repr(c) for c in y), s, cf, e, b)
-        for x, y, s, cf, e, b in rows
-    ]
-    return _emit(args, obj, header, csv_rows)
+    return _emit(args, obj, rows)
 
 
 def _add_common(sub, n_flag=True):
@@ -321,8 +295,8 @@ def _add_common(sub, n_flag=True):
         sub.add_argument("--n", type=int, default=1, help="dimension (default 1)")
     sub.add_argument("--N", type=int, default=None,
                      help="truncation order (default 200 per dimension)")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="tolerance (default 1e-8)")
+    sub.add_argument("--tol", type=_tolerance, default=1e-8,
+                     help="tolerance, finite and positive (default 1e-8)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format (default json)")
     sub.add_argument("--output", default=None,

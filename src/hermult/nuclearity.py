@@ -16,7 +16,7 @@ divergent comparison series, anything else is "inconclusive".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -56,12 +56,6 @@ def _exponent_str(p) -> str:
     return "inf" if p == math.inf else str(p)
 
 
-def _parse_exponent(text: str):
-    if text == "inf":
-        return math.inf
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class RegimeCase:
     """One of the nine weight-law cases, with its exponents resolved."""
@@ -82,6 +76,17 @@ class RegimeCase:
         lam = float(self.log_power)
         k = self.k
         return [v ** a * math.log(v) ** lam for v in (u if u > k else k for u in us)]
+
+
+def _p2_and_r(p2, r):
+    """p2 in [1, inf] and r in (0, 1], as exact values."""
+    p2f = _as_fraction(p2, "p2", allow_inf=True)
+    if p2f != math.inf and p2f < 1:
+        raise DomainError(f"p2 must lie in [1, inf], got {p2f}")
+    rf = _as_fraction(r, "r")
+    if not 0 < rf <= 1:
+        raise DomainError(f"r must lie in (0, 1], got {rf}")
+    return p2f, rf
 
 
 def _weight_law(p2_regime: str, p1_branch: str, p1: Fraction, p2, r: Fraction):
@@ -123,12 +128,7 @@ def classify_regime(p1, p2, r, k: int = 10) -> RegimeCase:
             f"p1 = {p1f} is outside the supported range",
             hypothesis=_P1_HYPOTHESIS,
         )
-    p2f = _as_fraction(p2, "p2", allow_inf=True)
-    if p2f != math.inf and p2f < 1:
-        raise DomainError(f"p2 must lie in [1, inf], got {p2f}")
-    rf = _as_fraction(r, "r")
-    if not 0 < rf <= 1:
-        raise DomainError(f"r must lie in (0, 1], got {rf}")
+    p2f, rf = _p2_and_r(p2, r)
     if not isinstance(k, int) or k < 2:
         raise DomainError(f"cutoff k must be an integer >= 2, got {k!r}")
 
@@ -189,29 +189,11 @@ def kappa_weight(case: RegimeCase, nu) -> float:
     return math.prod(case.entry_factors(as_entries(nu)))
 
 
-def _finite_table_tail(m: Symbol, weight_fn, N: int, r: float) -> float:
-    return math.fsum(
-        weight_fn(key) * abs(v) ** r
-        for key, v in m.support_items()
-        if sum(key) > N and v != 0.0
-    )
-
-
 def _kappa_tail(m: Symbol, case: RegimeCase, N: int):
-    """(tail_bound, kind) with kind in {"exact", "certified"}, or (None, None)."""
-    r = float(case.r)
-    if m.table is not None:
-        return _finite_table_tail(m, lambda e: kappa_weight(case, e), N, r), "exact"
+    """(tail_bound, "certified") under an exponential envelope."""
     env = m.envelope
-    if env is None:
-        return None, None
-    if env.kind == "finite":
-        return (0.0, "exact") if N >= env.support_order else (None, None)
-    if env.C == 0.0:
-        return 0.0, "certified"
-    if env.kind != "exponential":
-        return None, None
     n = m.dimension
+    r = float(case.r)
     alpha = float(case.alpha)
     lam = float(case.log_power)
     k = case.k
@@ -245,8 +227,25 @@ def _divergence_certified(m: Symbol, case: RegimeCase) -> bool:
     return q >= -1.0
 
 
+class _Report:
+    """JSON view of a report dataclass: {"schema": 1}, then each field in
+    declaration order, a nested report as its own view and a dict sorted
+    by key."""
+
+    def to_json_obj(self):
+        obj = {"schema": 1}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Report):
+                value = value.to_json_obj()
+            elif isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            obj[f.name] = value
+        return obj
+
+
 @dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Report):
     """Outcome of one summability criterion evaluation."""
 
     criterion: str
@@ -275,45 +274,87 @@ class CriterionReport:
         if self.partial_sum < 0:
             raise DomainError("partial sum must be nonnegative")
 
-    def to_json_obj(self):
-        return {
-            "schema": 1,
-            "criterion": self.criterion,
-            "partial_sum": self.partial_sum,
-            "tail_bound": self.tail_bound,
-            "tail_kind": self.tail_kind,
-            "truncation_order": self.truncation_order,
-            "verdict": self.verdict,
-            "p1": self.p1,
-            "p2": self.p2,
-            "r": self.r,
-            "k": self.k,
-            "p2_regime": self.p2_regime,
-            "p1_branch": self.p1_branch,
-            "alpha": self.alpha,
-            "log_power": self.log_power,
-            "symbol": self.symbol,
-            "tolerance": self.tolerance,
-        }
-
     @classmethod
     def from_json_obj(cls, obj) -> "CriterionReport":
         if obj.get("schema") != 1:
             raise DomainError("unsupported report schema")
-        fields = {key: obj[key] for key in (
-            "criterion", "partial_sum", "tail_bound", "tail_kind",
-            "truncation_order", "verdict", "p1", "p2", "r", "k",
-            "p2_regime", "p1_branch", "alpha", "log_power", "symbol", "tolerance",
-        )}
-        return cls(**fields)
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
-def _resolve_verdict(tail, kind, tol, divergent):
-    if divergent:
-        return "divergent"
-    if tail is not None and tail < tol:
-        return "finite"
-    return "inconclusive"
+def _check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+
+
+def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail, column):
+    """(tail_bound, kind) beyond order N, or (None, None) when there is none.
+
+    A table's tail is its exact weighted sum; a finite envelope's is zero
+    once N covers its support; a zero envelope constant certifies zero;
+    an exponential envelope goes to the criterion's own ``exp_tail``.
+    """
+    if m.table is not None:
+        return math.fsum(
+            weight(key) * abs(v) ** r
+            for key, v in m.support_items()
+            if sum(key) > N and v != 0.0
+        ), "exact"
+    env = m.envelope
+    if env is None:
+        return None, None
+    if env.kind == "finite":
+        return (0.0, "exact") if N >= env.support_order else (None, None)
+    if env.C == 0.0:
+        return 0.0, "certified"
+    if env.kind != "exponential":
+        return None, None
+    return exp_tail(N, column)
+
+
+def _criterion(criterion: str, m: Symbol, N: int | None, start: int, tol: float,
+               exponents, case: RegimeCase | None, column, weight, exp_tail,
+               divergent: bool = False) -> CriterionReport:
+    """The truncation-order loop, verdict and report both criteria share.
+
+    Orders are N alone, or ``start`` doubled up to _MAX_DOUBLINGS times; the
+    loop stops at the first order whose tail is below tol or has no bound,
+    and at once when divergence is certified.  Per order, ``column(top)``
+    gives the factors of entries 0..top; ``weight`` and ``exp_tail`` are
+    the criterion's table weight and exponential tail (``_criterion_tail``).
+    ``exponents`` is (p1, p2, r); ``case`` the weight-law case, or None.
+    """
+    _check_tol(tol)
+    orders = [N] if N is not None else [start * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
+    p1, p2, r = exponents
+    rfl = float(r)
+    for N_used in orders:
+        # a table's terms stop at its largest order, and so do the factors they use
+        top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
+        col = column(top)
+        tail, kind = _criterion_tail(m, N_used, rfl, weight, exp_tail, col)
+        if divergent or tail is None or tail < tol:
+            break
+    partial = lattice_sum(m, top, term=lambda v: abs(v) ** rfl, factors=col)
+    finite = tail is not None and tail < tol
+    verdict = "divergent" if divergent else "finite" if finite else "inconclusive"
+    return CriterionReport(
+        criterion=criterion,
+        partial_sum=partial,
+        tail_bound=tail,
+        tail_kind=kind,
+        truncation_order=N_used,
+        verdict=verdict,
+        p1=str(p1),
+        p2=_exponent_str(p2),
+        r=str(r),
+        k=case.k if case else None,
+        p2_regime=case.p2_regime if case else None,
+        p1_branch=case.p1_branch if case else None,
+        alpha=float(case.alpha) if case else None,
+        log_power=float(case.log_power) if case else None,
+        symbol=m.label,
+        tolerance=tol,
+    )
 
 
 def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
@@ -321,52 +362,19 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
     """Weighted partial sum of |m|^r with the case's weight law, plus verdict."""
     n = m.dimension
     floor_N = case.k * n
-    if N is not None:
-        if N < floor_N:
-            raise DomainError(f"truncation order must be >= k*n = {floor_N}")
-        orders = [N]
-    else:
-        start = max(200 * n, floor_N)
-        orders = [start * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
-
-    divergent = _divergence_certified(m, case)
-    r = float(case.r)
-    tail = kind = None
-    N_used = orders[0]
-    for N_used in orders:
-        tail, kind = _kappa_tail(m, case, N_used)
-        if divergent or (tail is not None and tail < tol) or tail is None:
-            break
-    # a table's terms stop at its largest order, and so do the factors they use
-    top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
-    partial = lattice_sum(m, top, term=lambda v: abs(v) ** r,
-                          factors=case.entry_factors(range(top + 1)))
-    return CriterionReport(
-        criterion="kappa",
-        partial_sum=partial,
-        tail_bound=tail,
-        tail_kind=kind,
-        truncation_order=N_used,
-        verdict=_resolve_verdict(tail, kind, tol, divergent),
-        p1=str(case.p1),
-        p2=_exponent_str(case.p2),
-        r=str(case.r),
-        k=case.k,
-        p2_regime=case.p2_regime,
-        p1_branch=case.p1_branch,
-        alpha=float(case.alpha),
-        log_power=float(case.log_power),
-        symbol=m.label,
-        tolerance=tol,
+    if N is not None and N < floor_N:
+        raise DomainError(f"truncation order must be >= k*n = {floor_N}")
+    return _criterion(
+        "kappa", m, N, max(200 * n, floor_N), tol, (case.p1, case.p2, case.r), case,
+        column=lambda top: case.entry_factors(range(top + 1)),
+        weight=lambda entries: kappa_weight(case, entries),
+        exp_tail=lambda N_used, _: _kappa_tail(m, case, N_used),
+        divergent=_divergence_certified(m, case),
     )
 
 
 def _float_exponent(p) -> float:
     return float(p) if p != math.inf else math.inf
-
-
-def _sr_entry_factor(u: int, p2, p1_conj, r: float) -> float:
-    return (lp_norm_1d(u, _float_exponent(p2)) * lp_norm_1d(u, _float_exponent(p1_conj))) ** r
 
 
 def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
@@ -381,22 +389,10 @@ def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
 
 
 def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
-    """Tail for the direct sum; growth exponents come from the norm models
-    and the constant is fitted on the computed range, so the bound is
-    labeled empirical rather than certified."""
-    if m.table is not None:
-        def wf(entries):
-            return math.prod(_sr_entry_factor(u, p2, p1_conj, r) for u in entries)
-        return _finite_table_tail(m, wf, N, r), "exact"
+    """Tail for the direct sum under an exponential envelope; growth
+    exponents come from the norm models and the constant is fitted on the
+    computed range, so the bound is labeled empirical rather than certified."""
     env = m.envelope
-    if env is None:
-        return None, None
-    if env.kind == "finite":
-        return (0.0, "exact") if N >= env.support_order else (None, None)
-    if env.C == 0.0:
-        return 0.0, "certified"
-    if env.kind != "exponential":
-        return None, None
     n = m.dimension
     e2 = norm_model_exponent(float(p2) if p2 != math.inf else math.inf)
     e1 = norm_model_exponent(float(p1_conj) if p1_conj != math.inf else math.inf)
@@ -429,63 +425,29 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     p1f = _as_fraction(p1, "p1")
     if p1f < 1:
         raise DomainError(f"p1 must be >= 1, got {p1f}")
-    p2f = _as_fraction(p2, "p2", allow_inf=True)
-    if p2f != math.inf and p2f < 1:
-        raise DomainError(f"p2 must lie in [1, inf], got {p2f}")
-    rf = _as_fraction(r, "r")
-    if not 0 < rf <= 1:
-        raise DomainError(f"r must lie in (0, 1], got {rf}")
+    p2f, rf = _p2_and_r(p2, r)
     p1_conj = math.inf if p1f == 1 else p1f / (p1f - 1)
     rfl = float(rf)
-    n = m.dimension
-
-    if N is not None:
-        if N < 0:
-            raise DomainError(f"truncation order must be >= 0, got {N}")
-        orders = [N]
-    else:
-        orders = [200 * n * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
-
-    tail = kind = None
-    N_used = top = orders[0]
-    gvec = None
-    for N_used in orders:
-        # a table's terms stop at its largest order, and so do the factors they use
-        top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
-        gvec = _sr_factors(p2f, p1_conj, rfl, top)
-        tail, kind = _sr_tail(m, p2f, p1_conj, rfl, N_used, gvec)
-        if tail is None or (tail is not None and tail < tol):
-            break
-
-    partial = lattice_sum(m, top, term=lambda v: abs(v) ** rfl, factors=gvec)
-
-    regime = None
+    p2x, p1x = _float_exponent(p2f), _float_exponent(p1_conj)
+    if N is not None and N < 0:
+        raise DomainError(f"truncation order must be >= 0, got {N}")
     try:
         regime = classify_regime(p1f, p2f, rf)
     except (UnsupportedRegimeError, DomainError):
-        pass
-    return CriterionReport(
-        criterion="s_r",
-        partial_sum=partial,
-        tail_bound=tail,
-        tail_kind=kind,
-        truncation_order=N_used,
-        verdict=_resolve_verdict(tail, kind, tol, False),
-        p1=str(p1f),
-        p2=_exponent_str(p2f),
-        r=str(rf),
-        k=regime.k if regime else None,
-        p2_regime=regime.p2_regime if regime else None,
-        p1_branch=regime.p1_branch if regime else None,
-        alpha=float(regime.alpha) if regime else None,
-        log_power=float(regime.log_power) if regime else None,
-        symbol=m.label,
-        tolerance=tol,
+        regime = None
+    return _criterion(
+        "s_r", m, N, 200 * m.dimension, tol, (p1f, p2f, rf), regime,
+        column=lambda top: _sr_factors(p2f, p1_conj, rfl, top),
+        # a table's tail takes each degree's own norms: the sweep's column
+        # can differ from them in the last bits
+        weight=lambda entries: math.prod(
+            (lp_norm_1d(u, p2x) * lp_norm_1d(u, p1x)) ** rfl for u in entries),
+        exp_tail=lambda N_used, gvec: _sr_tail(m, p2f, p1_conj, rfl, N_used, gvec),
     )
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Report):
     """Empirical two-sided comparison of the direct and asymptotic sums."""
 
     ratio: float
@@ -497,20 +459,6 @@ class RatioReport:
     sr_partial_doubled: float
     kappa_partial: float
     kappa_partial_doubled: float
-
-    def to_json_obj(self):
-        return {
-            "schema": 1,
-            "ratio": self.ratio,
-            "ratio_doubled": self.ratio_doubled,
-            "drift": self.drift,
-            "truncation_order": self.truncation_order,
-            "anomaly": self.anomaly,
-            "sr_partial": self.sr_partial,
-            "sr_partial_doubled": self.sr_partial_doubled,
-            "kappa_partial": self.kappa_partial,
-            "kappa_partial_doubled": self.kappa_partial_doubled,
-        }
 
 
 def _ratio(sr: float, kp: float):

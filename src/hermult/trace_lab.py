@@ -28,7 +28,9 @@ from .errors import (
 )
 from .nuclearity import (
     CriterionReport,
+    _check_tol,
     _exponent_str,
+    _Report,
     classify_regime,
     gl_condition,
     kappa_sum,
@@ -70,6 +72,8 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
     error.
     """
     n = _check_dimension(m, n)
+    if N is not None and N < 0:
+        raise DomainError(f"truncation order must be >= 0, got {N}")
     if m.envelope is None and m.table is None:
         raise InconclusiveError(
             "symbol has no envelope and no finite support; trace tail cannot be certified"
@@ -80,6 +84,7 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
             raise InconclusiveError("no certified tail bound at this truncation")
         return TraceValue(value=lattice_sum(m, N), tail_bound=tail,
                           truncation_order=N)
+    _check_tol(tol)
     orders = [200 * n * 2 ** i for i in range(_TRACE_MAX_DOUBLINGS + 1)]
     for order in orders:
         tail = level_tail_bound(m, order)
@@ -106,6 +111,7 @@ def trace_diagonal_quadrature(m: Symbol, n: int | None = None, N: int = 60,
     n = _check_dimension(m, n)
     if N < 0:
         raise DomainError("truncation order must be >= 0")
+    _check_tol(tol)
     rule = gauss_hermite_rule(N + 1)
     ew = effective_weights(rule)
     T = phi_table(rule.nodes, N)
@@ -161,7 +167,7 @@ def semigroup_trace_mehler_form(t: float, n: int = 1) -> float:
 
 
 @dataclass(frozen=True)
-class TraceReport:
+class TraceReport(_Report):
     """Multi-route trace comparison for one symbol."""
 
     symbol: str
@@ -173,20 +179,6 @@ class TraceReport:
     quadrature_tol: float
     closed_form: float | None
     discrepancies: dict
-
-    def to_json_obj(self):
-        return {
-            "schema": 1,
-            "symbol": self.symbol,
-            "dimension": self.dimension,
-            "truncation_order": self.truncation_order,
-            "symbol_sum": self.symbol_sum,
-            "symbol_tail": self.symbol_tail,
-            "diagonal_quadrature": self.diagonal_quadrature,
-            "quadrature_tol": self.quadrature_tol,
-            "closed_form": self.closed_form,
-            "discrepancies": dict(sorted(self.discrepancies.items())),
-        }
 
 
 def trace_report(m: Symbol, n: int | None = None, N: int = 60, tol: float = 1e-8,
@@ -244,7 +236,7 @@ def galerkin_matrix(m: Symbol, truncation: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectralTraceReport:
+class SpectralTraceReport(_Report):
     """Comparison of the lattice trace against the eigenvalue sum."""
 
     symbol: str
@@ -259,23 +251,6 @@ class SpectralTraceReport:
     galerkin_truncation: int
     max_offdiagonal: float
     discrepancy: float
-
-    def to_json_obj(self):
-        return {
-            "schema": 1,
-            "symbol": self.symbol,
-            "p": self.p,
-            "r_gl": self.r_gl,
-            "r_used": self.r_used,
-            "hypotheses_met": self.hypotheses_met,
-            "criterion": self.criterion.to_json_obj(),
-            "trace": self.trace,
-            "trace_tail": self.trace_tail,
-            "eigenvalue_sum": self.eigenvalue_sum,
-            "galerkin_truncation": self.galerkin_truncation,
-            "max_offdiagonal": self.max_offdiagonal,
-            "discrepancy": self.discrepancy,
-        }
 
 
 def spectral_trace_check(m: Symbol, p, n: int | None = None, tol: float = 1e-8,

@@ -264,6 +264,34 @@ class TestParsing:
         assert stderr_json(proc)["schema"] == 1
 
 
+class TestTolerance:
+    # --tol must be finite and positive for every subcommand; before, criterion
+    # printed "tolerance": NaN or Infinity (not JSON) and semigroup reported a
+    # ConvergenceError
+    @pytest.mark.parametrize("argv", [
+        ("criterion", "--symbol", "heat:1", "--tol", "nan"),
+        ("criterion", "--symbol", "heat:1", "--tol", "inf"),
+        ("criterion", "--symbol", "heat:1", "--tol", "-1"),
+        ("criterion", "--symbol", "heat:1", "--tol", "0"),
+        ("semigroup", "--t", "1", "--tol", "nan"),
+        ("norms", "--tol", "nan"),
+    ], ids=["criterion-nan", "criterion-inf", "criterion-neg", "criterion-zero",
+            "semigroup-nan", "norms-nan"])
+    def test_refused_as_config_error(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        error = stderr_json(proc)["error"]
+        assert error["type"] == "ConfigError"
+        assert "--tol" in error["message"]
+
+    def test_non_number_keeps_argparse_message(self):
+        proc = run_cli("trace", "--tol", "abc")
+        assert proc.returncode == 2
+        assert stderr_json(proc)["error"]["message"] == (
+            "argument --tol: invalid float value: 'abc'"
+        )
+
+
 class TestNoScipy:
     def test_import_and_every_subcommand_leave_scipy_unloaded(self, tmp_path):
         # scipy is a test oracle only: neither the import nor any subcommand,

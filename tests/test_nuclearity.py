@@ -432,6 +432,28 @@ class TestCriterionReport:
         back = CriterionReport.from_json_obj(json.loads(json.dumps(rep.to_json_obj())))
         assert back == rep
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_tolerance_refused(self, tol):
+        with pytest.raises(DomainError):
+            kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1), tol=tol)
+        with pytest.raises(DomainError):
+            s_r_sum(heat_symbol(1.0), 2, 2, 1, N=10, tol=tol)
+
+    def test_json_view_is_schema_then_fields(self):
+        # the JSON key order is part of the output: schema first, then the
+        # fields in declaration order, a nested report as its own view
+        crit = kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1), N=40)
+        assert list(crit.to_json_obj()) == [
+            "schema", "criterion", "partial_sum", "tail_bound", "tail_kind",
+            "truncation_order", "verdict", "p1", "p2", "r", "k", "p2_regime",
+            "p1_branch", "alpha", "log_power", "symbol", "tolerance",
+        ]
+        ratio = compare_sr_kappa(heat_symbol(1.0), classify_regime(2, 2, 1), N=20)
+        assert list(ratio.to_json_obj()) == [
+            "schema", "ratio", "ratio_doubled", "drift", "truncation_order", "anomaly",
+            "sr_partial", "sr_partial_doubled", "kappa_partial", "kappa_partial_doubled",
+        ]
+
     def test_finite_verdict_requires_tail(self):
         with pytest.raises(DomainError):
             CriterionReport(

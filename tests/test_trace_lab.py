@@ -133,6 +133,27 @@ class TestSymbolSum:
         with pytest.raises(DomainError):
             trace_symbol_sum(heat_symbol(1.0, n=2), n=1)
 
+    @pytest.mark.parametrize("m,N", [
+        (heat_symbol(1.0), -1),
+        (table_symbol({(0,): 1.0, (2,): 0.5}), -3),
+    ], ids=["heat", "table"])
+    def test_negative_order_refused(self, m, N, monkeypatch):
+        import hermult.trace_lab as tl
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("summed before refusing the order")
+
+        monkeypatch.setattr(tl, "lattice_sum", no_sum)
+        with pytest.raises(DomainError):
+            trace_symbol_sum(m, N=N)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_tolerance_refused(self, tol):
+        with pytest.raises(DomainError):
+            trace_symbol_sum(heat_symbol(1.0), tol=tol)
+        with pytest.raises(DomainError):
+            trace_diagonal_quadrature(heat_symbol(1.0), N=20, tol=tol)
+
     def test_deterministic(self):
         a = trace_symbol_sum(heat_symbol(0.3, n=2))
         b = trace_symbol_sum(heat_symbol(0.3, n=2))
@@ -242,6 +263,11 @@ class TestTraceReportRoutes:
         assert obj["dimension"] == 1
         assert obj["truncation_order"] == 40
         assert list(obj["discrepancies"]) == sorted(obj["discrepancies"])
+        assert list(obj) == [
+            "schema", "symbol", "dimension", "truncation_order", "symbol_sum",
+            "symbol_tail", "diagonal_quadrature", "quadrature_tol", "closed_form",
+            "discrepancies",
+        ]
 
 
 class TestGalerkinMatrix:
@@ -322,6 +348,12 @@ class TestSpectralTraceCheck:
         assert obj["criterion"]["verdict"] == "finite"
         assert obj["p"] == "2"
         assert isinstance(obj["eigenvalue_sum"], float)
+        assert list(obj) == [
+            "schema", "symbol", "p", "r_gl", "r_used", "hypotheses_met", "criterion",
+            "trace", "trace_tail", "eigenvalue_sum", "galerkin_truncation",
+            "max_offdiagonal", "discrepancy",
+        ]
+        assert obj["criterion"] == rep.criterion.to_json_obj()
 
     def test_deterministic(self):
         a = spectral_trace_check(heat_symbol(0.5), 2, truncation=40)
