@@ -17,7 +17,11 @@
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
   Polynomials, 7.6); past sqrt(lambda) |phi_n| is convex and decays.  The
   maximum therefore lies on the last lobe, between the largest zero and
-  sqrt(lambda), where a 65-point grid is zoomed in on it.
+  sqrt(lambda).  One run of the recurrence evaluates phi_n and phi_{n-1}
+  on a 65-point grid that reaches one lobe below the guess for the largest
+  zero; its last sign change brackets that zero, and the best grid point
+  to its right is polished by Newton's method on the Taylor series that
+  phi'' = (x^2 - lambda) phi gives there.
 - Bisection, for every other p: |phi_n|^p is integrated over
   [-R, R] with R = sqrt(2*lambda) + 12, split at the zeros of phi_n so
   each panel sees a smooth lobe, and all panels are refined by bisection
@@ -42,8 +46,7 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
   evaluated point to the refined zero by its Taylor series from the same
   equation.  This stays in the double range where w underflows.
 
-Half-rules (y >= 0) are cached per M; the sup norm refines only the
-largest zero.
+Half-rules (y >= 0) are cached per M.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
 summability sum needs them.  For even p one rule serves all degrees: the
@@ -113,9 +116,11 @@ _SWEEP_CACHE_SIZE = 16
 _NODE_STOP = 6.0 * 2.0 ** -53
 
 _SUP_POINTS = 65
-# The sup search stops once the grid's best point is within
-# lambda * h^2 / 8 <= 2^-53 of the maximum in log magnitude.
-_SUP_STOP = 8.0 * 2.0 ** -53
+# Caps on the sup polish: at every degree up to 1600 and on a ladder to
+# 10^5 its Taylor series stops at 11 to 13 coefficients and Newton's method
+# settles in 4 steps.
+_SUP_TERMS = 40
+_SUP_NEWTON = 8
 
 
 @dataclass(frozen=True)
@@ -302,13 +307,6 @@ def _largest_zero_guess(degree: int) -> float:
     return float(_zero_guesses(degree, np.array([1.0]))[0])
 
 
-def _largest_zero(degree: int) -> float:
-    """The largest zero of H_degree (0 for degree 1), refined alone."""
-    if degree < 2:
-        return 0.0
-    return float(_halley_nodes(np.array([_largest_zero_guess(degree)]), degree)[0][0])
-
-
 @functools.lru_cache(maxsize=32)
 def _leggauss(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -457,38 +455,72 @@ def _l1_norm_1d(degree: int) -> float:
     return 2.0 * math.fsum(np.abs(np.diff(tails, append=0.0)).tolist())
 
 
-def _sup_calls(lam: float, a: float) -> int:
-    """Upper bound on the grid calls of _sup_norm_1d on [a, sqrt(lambda)]:
-    each call divides the spacing by 32, and the curvature of log|phi|
-    stays below lambda - a^2 because a only grows."""
-    h0 = (math.sqrt(lam) - a) / (_SUP_POINTS - 1)
-    return 1 + max(0, math.ceil(math.log(h0 * math.sqrt((lam - a * a) / _SUP_STOP), 32)))
-
-
 def _sup_norm_1d(degree: int) -> float:
-    """max |phi_degree|, searched on the last lobe [largest zero, sqrt(2n+1)].
+    """max |phi_degree|, from one run of the recurrence.
 
-    Each call evaluates a 65-point grid on the bracket and narrows it to
-    the two cells around the best point, which keeps the maximum because
-    phi is concave on the lobe.  The curvature of log|phi| there is
-    lambda - x^2, at most lambda - a^2 on [a, b].
+    The grid of _SUP_POINTS points over [g - (sqrt(lambda) - g), sqrt(lambda)],
+    with g the guess for the largest zero, reaches one lobe below it.  Its
+    last sign change of phi brackets the largest zero, and Sonin's argument
+    puts the maximum on the points to its right, where log|phi| is concave:
+    the maximum lies within one cell of the best of them, x0.  With
+    x = x0 + t, phi'' = (x^2 - lambda) phi gives the Taylor coefficients of
+    P(t) = phi(x0 + t) from a_0 = phi(x0) and
+    a_1 = phi'(x0) = sqrt(2n) phi_{n-1}(x0) - x0 phi(x0):
+
+        (k + 2)(k + 1) a_{k+2} = (x0^2 - lambda) a_k + 2 x0 a_{k-1} + a_{k-2},
+
+    summed until two consecutive terms over the cell are below 2^-53 of
+    a_0.  Newton's method on P'(t) = 0, with t kept within one cell of
+    x0, finds the maximum |P(t*)|.
     """
     if degree == 0:
         return math.pi ** -0.25
     lam = 2.0 * degree + 1.0
-    a, b = _largest_zero(degree), math.sqrt(lam)
-    best = -math.inf
-    while True:
-        grid = np.linspace(a, b, _SUP_POINTS)
-        vals, logs = phi_row(grid, degree)
-        with np.errstate(divide="ignore"):
-            logmag = np.log(np.abs(vals)) + logs
-        i = int(np.argmax(logmag))
-        best = max(best, float(logmag[i]))
-        h = grid[1] - grid[0]
-        if (lam - a * a) * h * h <= _SUP_STOP:
-            return math.exp(best)
-        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _SUP_POINTS - 1)]
+    b = math.sqrt(lam)
+    g = _largest_zero_guess(degree)
+    grid = np.linspace(max(0.0, g - (b - g)), b, _SUP_POINTS)
+    prev, cur, logs = phi_pair(grid, degree)
+    # an exact zero counts as a sign change: phi_1's only zero is the grid's first point
+    sign = np.sign(cur)
+    changes = np.flatnonzero(sign[:-1] != sign[1:])
+    if not len(changes):
+        raise ConvergenceError(
+            f"phi_{degree} changes sign nowhere on [{grid[0]!r}, {b!r}], so its "
+            f"largest zero is not bracketed"
+        )
+    start = changes[-1] + 1
+    with np.errstate(divide="ignore"):
+        i = start + int(np.argmax(np.log(np.abs(cur[start:])) + logs[start:]))
+    x0, h = float(grid[i]), float(grid[1] - grid[0])
+    a = [float(cur[i]), math.sqrt(2.0 * degree) * float(prev[i]) - x0 * float(cur[i])]
+    q = x0 * x0 - lam
+    small = 2.0 ** -53 * abs(a[0])
+    for k in range(_SUP_TERMS):
+        nxt = q * a[k] + (2.0 * x0 * a[k - 1] if k else 0.0) + (a[k - 2] if k > 1 else 0.0)
+        a.append(nxt / ((k + 2.0) * (k + 1.0)))
+        if k and (abs(a[-1]) * h + abs(a[-2])) * h ** (k + 1) <= small:
+            break
+    else:
+        raise ConvergenceError(f"the Taylor series of phi_{degree} at {x0!r} did not converge")
+    t = 0.0
+    for _ in range(_SUP_NEWTON):
+        d1 = d2 = 0.0
+        for j in range(len(a) - 1, 1, -1):
+            d1 = d1 * t + j * a[j]
+            d2 = d2 * t + j * (j - 1.0) * a[j]
+        step = -(d1 * t + a[1]) / d2
+        t_next = min(max(t + step, -h), h)
+        # the last steps may swing by an ulp of t
+        settled = abs(t_next - t) <= 2.0 ** -52 * h
+        t = t_next
+        if settled:
+            break
+    else:
+        raise ConvergenceError(f"Newton's method for the maximum of phi_{degree} did not settle")
+    value = 0.0
+    for c in reversed(a):
+        value = value * t + c
+    return abs(value) * math.exp(float(logs[i]))
 
 
 def _node_work(M: int, points: int) -> float:
@@ -501,26 +533,20 @@ def _node_work(M: int, points: int) -> float:
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
-    The exact routes count the node passes they make: the sup norm's
-    refinement of the largest zero, the rule of the even-p route and the
-    degree's own rule for the zero route.  The bisection estimate counts
-    its first two passes, the fewest it makes; the loop itself stops before
-    a pass that would cross the budget.  Its panel edges need the n-node
-    rule too, whose one pass is left out: it adds n (n/2 + 4096)
-    point-steps, 4.5% at degree 6255 and under 2% of the time, and counting
-    it would refuse degrees the route has always served.
+    The exact routes count the recurrence runs they make: the sup norm's
+    one grid, the rule of the even-p route and the degree's own rule for
+    the zero route.  The bisection estimate counts its first two passes,
+    the fewest it makes; the loop itself stops before a pass that would
+    cross the budget.  Its panel edges need the n-node rule too, whose one
+    pass is left out: it adds n (n/2 + 4096) point-steps, 4.5% at degree
+    6255 and under 2% of the time, and counting it would refuse degrees
+    the route has always served.
 
     p = 1 and even p take their exact route unless it is over the budget
     or dearer than bisection's estimate weighed by _BISECTION_WEIGHT.
     """
     if math.isinf(p):
-        lam = 2.0 * degree + 1.0
-        # a lower bound on the largest zero: 1% of the lobe below the guess,
-        # whose error stays below 0.2% of it
-        guess = _largest_zero_guess(degree)
-        a = guess - 0.01 * (math.sqrt(lam) - guess)
-        work = _node_work(degree, 1) + _sup_calls(lam, a) * _phi_row_work(_SUP_POINTS, degree)
-        return "sup", work
+        return "sup", _phi_row_work(_SUP_POINTS, degree)
     panels = degree // 2 + 32
     bisection = sum(_phi_row_work(k * _GL_ORDER * panels, degree) for k in (1, 2))
     if p == 1.0:

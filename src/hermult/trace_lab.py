@@ -213,6 +213,11 @@ def trace_report(m: Symbol, n: int | None = None, N: int = 60, tol: float = 1e-8
     )
 
 
+def _check_galerkin_dimension(m: Symbol) -> None:
+    if m.dimension != 1:
+        raise CapabilityError("Galerkin diagonalization supports dimension 1 only")
+
+
 def galerkin_matrix(m: Symbol, truncation: int) -> np.ndarray:
     """Quadrature Galerkin matrix of the multiplier on degrees <= truncation.
 
@@ -222,8 +227,7 @@ def galerkin_matrix(m: Symbol, truncation: int) -> np.ndarray:
     independent check of the symbol values.  One-dimensional symbols
     only.
     """
-    if m.dimension != 1:
-        raise CapabilityError("Galerkin diagonalization supports dimension 1 only")
+    _check_galerkin_dimension(m)
     if truncation < 0:
         raise DomainError("truncation must be >= 0")
     rule = gauss_hermite_rule(truncation + 1)
@@ -262,8 +266,10 @@ def spectral_trace_check(m: Symbol, p, n: int | None = None, tol: float = 1e-8,
     different r clears the hypotheses_met flag.  At p = 1 the weight-law
     cases do not apply and the direct quadrature-norm sum is used
     instead.  A criterion verdict other than finite refuses the check.
+    Symbols of dimension other than 1 are refused before any of that work.
     """
     n = _check_dimension(m, n)
+    _check_galerkin_dimension(m)
     r_gl = gl_condition(p)
     r_used = Fraction(r_gl) if r is None else r
     hypotheses_met = r is None or Fraction(r) == r_gl

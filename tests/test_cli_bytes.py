@@ -73,11 +73,11 @@ GOLDEN = {
         "      \"ratio\": 1.058467183940061\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 0.5623899268603818,\n"
-        "      \"model\": 0.5294992556064605,\n"
+        "      \"computed\": 0.5623899268603816,\n"
+        "      \"model\": 0.5294992556064597,\n"
         "      \"nu\": 5,\n"
         "      \"p\": \"inf\",\n"
-        "      \"ratio\": 1.0621165580605965\n"
+        "      \"ratio\": 1.0621165580605976\n"
         "    },\n"
         "    {\n"
         "      \"computed\": 2.937569799269476,\n"
@@ -94,8 +94,8 @@ GOLDEN = {
         "      \"ratio\": 1.0\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 0.5294992556064605,\n"
-        "      \"model\": 0.5294992556064605,\n"
+        "      \"computed\": 0.5294992556064597,\n"
+        "      \"model\": 0.5294992556064597,\n"
         "      \"nu\": 10,\n"
         "      \"p\": \"inf\",\n"
         "      \"ratio\": 1.0\n"

@@ -354,6 +354,14 @@ class TestSrSum:
             s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1000)
         assert time.perf_counter() - start < 1.0
 
+    def test_p1_equal_one_served_at_the_default_order_in_dimension_two(self):
+        # the 401 sup norms and L^1 norms up to the default order 400 are
+        # within the work budget; the heat symbol's sum factorizes
+        rep = s_r_sum(heat_symbol(1.0, n=2), 1, 1, Fraction(2, 3))
+        assert rep.truncation_order == 400 and rep.verdict == "finite"
+        one = s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=400).partial_sum
+        assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
+
     def test_regime_tags_attached_when_classifiable(self):
         rep = s_r_sum(heat_symbol(1.0), 2, 4, 1, N=20)
         assert rep.p2_regime == "eq4"

@@ -58,8 +58,11 @@ def norm_oracle(k, p):
 def sup_oracle(k):
     """max |phi_k| over the real zeros of phi_k' = (2k H_{k-1} - x H_k) e^{-x^2/2} / c_k.
 
-    Hermite coefficients are exact integers from H_{j+1} = 2x H_j - 2j H_{j-1};
-    mpmath.polyroots finds every critical point.
+    Hermite coefficients are exact integers from H_{j+1} = 2x H_j - 2j H_{j-1}.
+    numpy's companion matrix in the Hermite basis, where the critical
+    polynomial is k H_{k-1} - H_{k+1} / 2, places all k + 1 critical points;
+    Newton's method on the exact integer polynomial refines each in mpmath,
+    and they must stay distinct, so none is missed.
     """
     H = [[1], [0, 2]]  # ascending coefficients
     for j in range(1, k + 1):
@@ -69,10 +72,21 @@ def sup_oracle(k):
     lower = H[k - 1] if k else [0]
     q = [(2 * k * lower[i] if i < len(lower) else 0) - (H[k][i - 1] if i else 0)
          for i in range(k + 2)]
-    roots = mpmath.polyroots(q[::-1], maxsteps=500, extraprec=400)
-    den = mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
-    crit = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -25]
-    return float(max(abs(mpmath.hermite(k, x) * mpmath.exp(-x * x / 2)) for x in crit) / den)
+    dq = [i * q[i] for i in range(1, k + 2)]
+    hermite_basis = np.zeros(k + 2)
+    hermite_basis[k + 1] = -0.5
+    if k:
+        hermite_basis[k - 1] = k
+    crit = []
+    with mpmath.workdps(40 + k):
+        for guess in np.polynomial.hermite.hermroots(hermite_basis):
+            x = mpmath.mpf(float(np.real(guess)))
+            for _ in range(8):
+                x -= mpmath.polyval(q[::-1], x) / mpmath.polyval(dq[::-1], x)
+            crit.append(x)
+        assert len({mpmath.nstr(x, 30) for x in crit}) == k + 1
+        den = mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+        return float(max(abs(mpmath.hermite(k, x) * mpmath.exp(-x * x / 2)) for x in crit) / den)
 
 
 class TestGaussHermiteRule:
@@ -217,10 +231,23 @@ class TestGaussHermiteNodes:
         assert not y.flags.writeable and not w.flags.writeable
         assert 0 < quad.roots_hermite.cache_info().maxsize <= 1024
 
-    def test_largest_zero_alone(self):
+    def test_sup_grid_brackets_the_largest_zero(self, monkeypatch):
+        # the last sign change on the sup norm's one grid
+        runs = []
+        pair = quad.phi_pair
+
+        def recorded(x, n):
+            out = pair(x, n)
+            runs.append((x, out[1]))
+            return out
+
+        monkeypatch.setattr(quad, "phi_pair", recorded)
         for n in list(range(1, 120)) + [401, 1606, 5000]:
-            want = quad.roots_hermite(n)[0][-1]
-            assert abs(quad._largest_zero(n) - want) <= np.spacing(want), n
+            runs.clear()
+            quad._sup_norm_1d(n)
+            ((grid, cur),) = runs
+            i = np.flatnonzero(np.sign(cur[:-1]) != np.sign(cur[1:]))[-1]
+            assert grid[i] <= quad.roots_hermite(n)[0][-1] <= grid[i + 1], n
 
 
 class TestRuleValidation:
@@ -275,7 +302,7 @@ class TestLpNorms:
         want = math.sqrt(2.0) * math.pi ** -0.25 * math.exp(-0.5)
         assert lp_norm_1d(1, math.inf) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("k", [2, 3, 7, 12, 33])
+    @pytest.mark.parametrize("k", range(60))
     def test_sup_norm_against_mpmath_oracle(self, k):
         assert lp_norm_1d(k, math.inf) == pytest.approx(sup_oracle(k), rel=1e-13)
 
@@ -296,10 +323,32 @@ class TestLpNorms:
             assert dense * (1 - 1e-14) <= got <= dense * (1 + 3e-9), k
 
     def test_sup_norm_uniform_bound(self):
-        # classical uniform bound, also used by the kernel tail certificates
-        bound = 1.086435 * math.pi ** -0.25
-        for k in [0, 1, 2, 9, 33, 150, 1200]:
-            assert lp_norm_1d(k, math.inf) <= bound
+        # Indritz's bound |phi_n| <= pi^(-1/4), an equality at n = 0 (Cramer's
+        # 1.086435 pi^(-1/4) is the classical, weaker one)
+        bound = math.pi ** -0.25
+        norms = list(lp_norms_1d(400, math.inf)) + [lp_norm_1d(k, math.inf)
+                                                   for k in (1000, 3000, 10000)]
+        assert norms[0] == bound
+        assert max(norms[1:]) <= bound
+
+    def test_sup_norm_makes_one_recurrence_run(self, monkeypatch):
+        runs = []
+        row, pair = quad.phi_row, quad.phi_pair
+
+        def counted_row(x, n):
+            runs.append(n)
+            return row(x, n)
+
+        def counted_pair(x, n):
+            runs.append(n)
+            return pair(x, n)
+
+        monkeypatch.setattr(quad, "phi_row", counted_row)
+        monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        for n in list(range(1, 60)) + [401, 1606]:
+            runs.clear()
+            quad._lp_norm_1d_cached.__wrapped__(n, math.inf, 1e-8)
+            assert runs == [n], n
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_tensor_factorization(self, p):
@@ -343,6 +392,15 @@ class TestLpNorms:
         # the largest degrees within the budget when scipy supplied the nodes
         got, work = quad._norm_route(degree, float(p))
         assert got == route and work <= quad.NORM_WORK_BUDGET
+
+    def test_sup_served_degree_edge(self):
+        # one 65-point run, n (65 + 4096) point-steps
+        route, work = quad._norm_route(240326, math.inf)
+        assert route == "sup" and work <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norm_1d(240327, math.inf)
+        assert time.perf_counter() - start < 1.0
 
     def test_l1_served_degree_edge(self):
         # one node pass and one tail pass, about 2 n (n/2 + 4096) point-steps
@@ -513,7 +571,7 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(27790, 2.0), (1000, 1.0), (400, math.inf)])
+    @pytest.mark.parametrize("N,p", [(27790, 2.0), (1000, 1.0), (693, math.inf)])
     def test_admitted_by_the_work_of_all_its_norms(self, N, p):
         # the top norm alone is within the budget, all N + 1 of them are not
         assert quad._norm_route(N, p)[1] <= quad.NORM_WORK_BUDGET
@@ -521,6 +579,12 @@ class TestNormSweep:
         with pytest.raises(CapabilityError):
             lp_norms_1d(N, p)
         assert time.perf_counter() - start < 1.0
+
+    def test_sup_sweep_served_past_400(self):
+        # the sum of n (65 + 4096) point-steps over n <= N is within the
+        # budget up to N = 692; 693 is refused above
+        assert quad.check_sweep_budget(400, math.inf) == "sup"
+        assert quad.check_sweep_budget(692, math.inf) == "sup"
 
     @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0)])
     def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):

@@ -1,6 +1,7 @@
 """Tests for the multi-route trace comparisons."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -320,6 +321,14 @@ class TestSpectralTraceCheck:
             spectral_trace_check(constant_symbol(1.0), 2)
         assert exc.value.verdict == "divergent"
         assert isinstance(exc.value.report, CriterionReport)
+
+    def test_dimension_two_refused_before_any_work(self):
+        # the criterion at p = 1 alone would take seconds of norms in dimension 2
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError) as exc:
+            spectral_trace_check(heat_symbol(1.0, n=2), 1, truncation=20)
+        assert time.perf_counter() - start < 0.05
+        assert str(exc.value) == "Galerkin diagonalization supports dimension 1 only"
 
     def test_p_one_uses_direct_norm_route(self):
         rep = spectral_trace_check(heat_symbol(1.0), 1, truncation=40)
