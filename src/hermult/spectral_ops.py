@@ -532,9 +532,11 @@ def mehler_kernel(t: float, x, y) -> float:
         raise DomainError("points must be finite")
     n = len(xs)
     z = 2.0 * t
-    sq = float(xs @ xs + ys @ ys)
-    d = xs - ys
-    diffsq = float(d @ d)
+    # squares past the double range are inf, which gives the value 0.0
+    with np.errstate(over="ignore"):
+        sq = float(xs @ xs + ys @ ys)
+        d = xs - ys
+        diffsq = float(d @ d)
     L = -0.5 * n * (math.log(2.0 * math.pi) + _log_sinh(z))
     L -= 0.5 * sq * math.tanh(t)
     if diffsq != 0.0:

@@ -205,6 +205,16 @@ class TestKernel:
         assert spaced.stdout == joined.stdout
         assert len(csv_rows(spaced.stdout)) == 10
 
+    def test_huge_points_give_zero_without_warnings(self):
+        proc = run_cli("kernel", "--t", "0.5", "--grid=1e150,0", "--format", "csv")
+        assert proc.returncode == 0 and proc.stderr == ""
+        header, *rows = csv_rows(proc.stdout)
+        assert len(rows) == 4
+        for row in rows:
+            cells = dict(zip(header, row))
+            if "1e+150" in (cells["x"], cells["y"]):
+                assert cells["series"] == cells["closed_form"] == cells["abs_error"] == "0.0"
+
     def test_csv_joins_coordinates(self):
         proc = run_cli("kernel", "--grid", "0,1", "--n", "2", "--N", "40",
                        "--format", "csv")

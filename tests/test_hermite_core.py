@@ -7,6 +7,7 @@ test.
 """
 
 import math
+import warnings
 from itertools import product
 
 import mpmath
@@ -102,11 +103,27 @@ def reference_recurrence(x, degree):
         yield v0, v1, ls
 
 
+def rescalings(want):
+    """Point rescalings (upward, downward) in a run of reference_recurrence,
+    read off the steps of its log scales."""
+    logs = [ls for _, _, ls in want]
+    up = sum(int(np.sum(b > a)) for a, b in zip(logs, logs[1:]))
+    down = sum(int(np.sum(b < a)) for a, b in zip(logs, logs[1:]))
+    return up, down
+
+
 @pytest.mark.parametrize("points", [1, 65, 1600])
 def test_in_place_loop_keeps_the_bits(points):
-    # grids reaching far into the tails, where both rescalings run
+    # grids reaching far into the tails, where the upward rescaling runs.
+    # No input is known on which the downward one runs: the mantissas start
+    # at pi^(-1/4), an upward rescaling leaves a pair maximum above 1, and
+    # for a fixed x the pair max(|phi_{k-1}|, |phi_k|) e^(x^2/2) grows up
+    # to the turning point k ~ x^2/2 and then oscillates under an envelope
+    # falling like k^(-1/4), never by anything near 2^400.  Grids of 600
+    # points from 1e-320 to 1e307, run to degree 20,000, fired none.
     x = np.linspace(-3.0, 70.0, points) if points > 1 else np.array([38.5])
     want = list(reference_recurrence(x, 1600))
+    assert rescalings(want) == ({1: 2, 65: 153, 1600: 3713}[points], 0)
     # phi_rows reuses its block arrays, so each block is copied
     blocks = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, 1600)]
     rows = np.concatenate([vals for vals, _ in blocks])
@@ -119,6 +136,85 @@ def test_in_place_loop_keeps_the_bits(points):
         assert np.array_equal(ls, want[n][2])
         vals, row_ls = phi_row(x, n)
         assert np.array_equal(vals, want[n][1]) and np.array_equal(row_ls, want[n][2])
+
+
+def reference_tail(x, degree):
+    """phi_tail's loop with the range test at every step, beside
+    reference_recurrence; yields (tail, log_scale) for degrees 0..degree."""
+    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
+    ls = -0.5 * x * x
+    v0 = np.full(x.shape, math.pi ** -0.25)
+    j0 = (math.pi ** -0.25 * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
+    j1 = math.sqrt(2.0) * v0
+    yield j0, ls
+    if degree == 0:
+        return
+    v1 = x * math.sqrt(2.0) * v0
+    yield j1, ls
+    for k in range(1, degree):
+        c1 = math.sqrt(2.0 / (k + 1.0))
+        c0 = math.sqrt(k / (k + 1.0))
+        v0, v1 = v1, x * c1 * v1 - c0 * v0
+        j0, j1 = j1, j0 * c0 + v0 * c1
+        m = np.maximum(np.abs(v1), np.abs(v0))
+        for mask, f, dl in ((m > R, RI, RL), ((m > 0.0) & (m < RI), R, -RL)):
+            if mask.any():
+                v0, v1 = np.where(mask, v0 * f, v0), np.where(mask, v1 * f, v1)
+                j0, j1 = np.where(mask, j0 * f, j0), np.where(mask, j1 * f, j1)
+                ls = np.where(mask, ls + dl, ls)
+        yield j1, ls
+
+
+SKIP_GRIDS = {
+    "empty": np.array([]),
+    "nan": np.array([0.5, np.nan, 60.0, -1.0]),
+    "inf": np.array([np.inf, -2.0, 45.0, -np.inf]),
+    # one step can carry a value past the test's reach
+    "huge": np.array([1e130, -30.0, 0.5]),
+    "tiny-and-far": np.array([1e-300, -5e-324, 0.0, 70.0, -85.0, 1e-310, 120.0]),
+    "random-9": np.random.default_rng(11).uniform(-40.0, 40.0, 9),
+}
+
+
+@pytest.mark.parametrize("x", SKIP_GRIDS.values(), ids=SKIP_GRIDS.keys())
+def test_skipped_range_tests_keep_the_bits(x):
+    # the loop runs its range test only where the growth bounds allow a
+    # rescaling (every step on a grid with a non-finite or a huge point);
+    # the references run it at every step
+    def same(a, b):
+        return np.array_equal(a, b, equal_nan=True)
+
+    # the non-finite and huge grids make inf - inf on both sides
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = list(reference_recurrence(x, 1200))
+        for n in (0, 1, 2, 3, 401, 1200):
+            prev, cur, ls = phi_pair(x, n)
+            assert same(prev, want[n][0]) and same(cur, want[n][1]) and same(ls, want[n][2]), n
+        for degree, lowest in ((0, 0), (1, 0), (2, 0), (2, 2), (1200, 2), (1200, 7), (1200, 400)):
+            rows = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, degree, lowest)]
+            got = np.concatenate([vals for vals, _ in rows])
+            logs = np.concatenate([ls for _, ls in rows])
+            assert same(got, np.array([cur for _, cur, _ in want[lowest:degree + 1]])), (degree, lowest)
+            assert same(logs, np.array([ls for _, _, ls in want[lowest:degree + 1]])), (degree, lowest)
+        xt = np.abs(x)
+        tails = list(reference_tail(xt, 1200))
+        for n in (0, 1, 2, 3, 401, 1200):
+            tail, ls = phi_tail(xt, n)
+            assert same(tail, tails[n][0]) and same(ls, tails[n][1]), n
+
+
+def test_huge_points_have_zero_table_columns():
+    # |phi_k(x)| is below the double range for every k <= nmax at these
+    # points, which never enter the loop; the other columns keep their bits
+    huge = np.array([1e20, -1e140, 1e150, 1e154, -1e200, 1e308])
+    x = np.array([0.5, 1e20, -1.0, -1e140, 1e150, 1e154, -1e200, 1e308, 60.0])
+    keep = np.isin(x, huge, invert=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nmax in (0, 1, 2, 40, 300):
+            T = phi_table(x, nmax)
+            assert np.all(T[:, ~keep] == 0.0) and not np.signbit(T[:, ~keep]).any()
+            assert np.array_equal(T[:, keep], phi_table(x[keep], nmax)), nmax
 
 
 def reference_table(x, nmax):

@@ -8,6 +8,7 @@ import pytest
 
 from hermult.errors import CapabilityError, DomainError
 from hermult.hermite_core import enumerate_up_to, eval_phi_1d, eval_phi_nd
+from hermult import _accel
 from hermult._accel import phi_table
 from hermult.quadrature import QuadratureRule, gauss_hermite_rule, roots_hermite, truncated_rule
 from hermult.spectral_ops import (
@@ -467,6 +468,35 @@ class TestKernelSeries:
         x, y = np.full(n, 38.0), np.linspace(-40.0, 0.0, n)
         want = lattice_sum(m, N, factors=phi_table(x, N) * phi_table(y, N))
         assert kernel_series(m, x, y, N).value == want
+
+    def test_range_test_runs_on_few_steps(self, monkeypatch):
+        # the growth bounds leave the recurrence's range test to a few of
+        # the steps of a table on six points in [-3, 3]
+        calls = []
+        real = _accel._range_test
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_accel, "_range_test", counted)
+        rng = np.random.default_rng(3)
+        N, runs = 300, 5
+        m = heat_symbol(0.5, n=3)
+        for _ in range(runs):
+            kernel_series(m, rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3), N)
+        # one table of N - 1 loop steps per call; the first step is tested
+        assert runs <= len(calls) <= 0.05 * runs * (N - 1)
+
+    @pytest.mark.parametrize("x", [1e20, 1e140, 1e150, 1e154, 1e200, 1e308])
+    def test_huge_points_give_zero(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_series(heat_symbol(1.0), [x], [0.5], 10).value == 0.0
+            assert kernel_series(heat_symbol(1.0), [-x], [x], 10).value == 0.0
+            assert kernel_series(heat_symbol(0.5, n=2), [0.5, x], [x, -1.0], 40).value == 0.0
+            assert mehler_kernel(1.0, [x], [0.5]) == 0.0
+            assert mehler_kernel(1.0, [x, 0.0], [-x, 0.0]) == 0.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_points_are_refused(self, bad):
