@@ -7,19 +7,29 @@ scaled three-term recurrence
 
 seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 ``mantissa * exp(log_scale)`` so the seed and the tails survive far
-outside the range of plain doubles.  Rescaling multiplies by an exact
-power of two, so it adds no rounding of its own.  Every kernel runs on the
-one loop of ``_recurrence``: ``phi_tail`` carries the tail integrals
-int_x^inf phi_k along it on the same scale, and ``phi_table`` turns its
-rows into plain floats.
+outside the range of plain doubles.  Every kernel runs on the one loop of
+``_recurrence``: ``phi_tail`` carries the tail integrals int_x^inf phi_k
+along it on the same scale, and ``phi_table`` turns its rows into plain
+floats.
 
-A point is rescaled when its pair maximum max(|phi_{k-1}|, |phi_k|), in
-mantissas, leaves [2^-400, 2^400].  With a = max |x| over the grid,
-c1 = sqrt(2/(k+1)) and c0 = sqrt(k/(k+1)), step k maps a pair maximum mk
-to at most mk * max(1, a c1 + c0) and to at least mk * c0 / (1 + a c1).
-The range test runs only on steps where these two growth bounds allow a
-crossing; on the others it could not fire, so every rescaling, and every
-bit, is that of a test at every step.
+The loop keeps an integer rescale count j per point: a rescaling
+multiplies the point's mantissas by 2^-400 (j + 1) or by 2^400 (j - 1),
+which is exact, and its log scale is formed from j alone, as
+-x^2/2 + 400 j ln 2 rounded once (-x^2/2 and ln 2 are each held as two
+doubles).  So a mantissa is the same number, up to an exact power of two,
+whichever step rescales it, and the log scale does not drift with the
+number of rescalings.
+
+The range test rescales the points whose pair maximum
+max(|phi_{k-1}|, |phi_k|), in mantissas, has left [2^-400, 2^400].  With
+a = max |x| over the grid, c1 = sqrt(2/(k+1)) and c0 = sqrt(k/(k+1)),
+step k maps a pair maximum mk to at most mk * max(1, a c1 + c0) and to at
+least mk * c0 / (1 + a c1).  After a test, these growth bounds put the
+next one on the last step before a pair maximum could leave the wide
+window [2^-800, 2^800], about 400 bits of headroom; inside it no pair
+maximum overflows or turns subnormal, and one rescaling brings it back
+into [2^-400, 2^400].  The node pass of roots_hermite(3177) runs the test
+on 17 of its 3176 steps.
 """
 
 from __future__ import annotations
@@ -32,16 +42,24 @@ import numpy as np
 _PI_QUARTER = math.pi ** (-0.25)
 
 # Rescale by 2^400 so mantissa adjustments are exact.
-_RESCALE = 2.0 ** 400
-_RESCALE_INV = 2.0 ** -400
-_RESCALE_LOG = 400.0 * math.log(2.0)
+_RESCALE_BITS = 400
+_RESCALE = 2.0 ** _RESCALE_BITS
+_RESCALE_INV = 2.0 ** -_RESCALE_BITS
 
-# The range test is skipped on steps where the growth bounds keep every pair
-# maximum inside [2^-_LIMIT, 2^_LIMIT]; the bit to 400 covers their rounding.
-_LIMIT = 399.0
+# ln 2 = _LN2_HI + _LN2_LO to 2^-82; _LN2_HI has 26 significant bits, so
+# its product with an integer below 2^27 is exact.
+_LN2_HI = 0.6931471824645996
+_LN2_LO = -1.904654299957768e-09
+
+# Between range tests the growth bounds keep every pair maximum inside
+# [2^-_WIDE, 2^_WIDE], and at the last step inside [2^-_LAST, 2^_LAST];
+# the bit to 800 and to 400 covers their rounding.
+_WIDE = 799.0
+_LAST = 399.0
 
 # On a grid with max |x| below this, one step grows a value by less than
-# 2^399, so after the range test every value is at most 2^400.
+# 2^399, so the step after a range test stays inside the window.  Other
+# grids, and grids with a non-finite point, are tested at every step.
 _BOUNDED_BELOW = 2.0 ** 398
 
 # Steps whose coefficients and bounds are built at once (0.5 MB of lists).
@@ -61,6 +79,22 @@ _ERFCX_SERIES_FROM = 26.0
 # Values in one block of phi_rows: 1 MB per array.
 _BLOCK_POINTS = 1 << 17
 
+# The smallest normal double.
+_TINY = 2.0 ** -1022
+
+
+def _square(t):
+    """t^2 as two doubles (hi, lo), hi = t * t rounded (Dekker's product).
+
+    hi + lo is exact while t^2 and the parts of the split are normal
+    doubles.
+    """
+    hi = t * t
+    c = 134217729.0 * t
+    th = c - (c - t)
+    tl = t - th
+    return hi, ((th * th - hi) + 2.0 * th * tl) + tl * tl
+
 
 def _erfcx(t):
     """erfc(t) * e^(t^2) for an array t >= 0, to a few units in the last place.
@@ -75,12 +109,7 @@ def _erfcx(t):
     out = np.empty(t.shape)
     near = t < _ERFCX_SERIES_FROM
     tn = t[near]
-    # t^2 = hi + lo exactly (Dekker's product)
-    hi = tn * tn
-    c = 134217729.0 * tn
-    th = c - (c - tn)
-    tl = tn - th
-    lo = ((th * th - hi) + 2.0 * th * tl) + tl * tl
+    hi, lo = _square(tn)
     erfc = np.fromiter(map(math.erfc, tn.tolist()), float, len(tn))
     out[near] = erfc * np.exp(hi) * (1.0 + lo)
     tf = t[~near]
@@ -92,63 +121,72 @@ def _erfcx(t):
     return out
 
 
-def _range_test(v0, v1, ls, j0, j1, m, buf, down):
+def _half_square(x):
+    """-x^2/2 as two doubles (hi, lo): hi = -0.5 x x, the log scale of a
+    point never rescaled, and lo the rest (0 where x^2 overflows or x is
+    not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = -0.5 * x * x
+        lo = -0.5 * _square(x)[1]
+    lo[~np.isfinite(lo)] = 0.0
+    return hi, lo
+
+
+def _log_scale(x, count):
+    """-x^2/2 + 400 count ln 2, rounded once, from -x^2/2 = hi + lo (_half_square).
+
+    400 count _LN2_HI is exact, and Knuth's two-sum carries the rounding
+    of its sum with hi into the low parts.  A point with count 0 keeps hi;
+    a non-finite one keeps hi + 400 count _LN2_HI.
+    """
+    hi, lo = _half_square(x)
+    n = _RESCALE_BITS * count
+    a = n * _LN2_HI
+    with np.errstate(invalid="ignore"):
+        s = hi + a
+        b = s - hi
+        e = (hi - (s - b)) + (a - b)
+        ls = s + (e + (lo + n * _LN2_LO))
+    return np.where(count == 0, hi, np.where(np.isfinite(s), ls, s))
+
+
+def _range_test(v0, v1, count, t0, t1, m, buf):
     """Rescale the points whose pair maximum max(|v0|, |v1|) left [2^-400, 2^400].
 
-    The upper bound is always tested, the lower one when down is set.
-    Without down, every |v0| must be known to be at most 2^400, so that
-    |v1| alone decides the upper test.  Returns the new (v0, v1, ls, j0,
-    j1), the largest of the values tested (|v1|, or the pair maxima with
-    down) and the smallest pair maximum (None without down), both taken
-    after the rescaling, and whether any point was rescaled.
+    A pair maximum above 2^400 is multiplied by 2^-400 and one below
+    2^-400 (but not 0) by 2^400, with v0, v1 and the tails t0, t1 (None
+    unless tails are carried), in place.  Returns the rescale count (a new
+    array when some point was rescaled, else count itself) and the largest
+    and the smallest pair maximum after the rescaling.
     """
-    np.abs(v1, out=m)
-    if down:
-        np.abs(v0, out=buf)
-        np.maximum(m, buf, out=m)
-    top = m.max()
-    bottom = m.min() if down else None
-    rescaled = False
+    np.abs(v0, out=m)
+    np.abs(v1, out=buf)
+    np.maximum(m, buf, out=m)
+    top, bottom = m.max(), m.min()
     # the masks are formed only when a bound is crossed (or m holds a nan)
-    if not top <= _RESCALE:
-        big = m > _RESCALE
-        if big.any():
-            rescaled = True
-            v0 = np.where(big, v0 * _RESCALE_INV, v0)
-            v1 = np.where(big, v1 * _RESCALE_INV, v1)
-            ls = np.where(big, ls + _RESCALE_LOG, ls)
-            if j0 is not None:
-                j0 = np.where(big, j0 * _RESCALE_INV, j0)
-                j1 = np.where(big, j1 * _RESCALE_INV, j1)
-    if down and not bottom >= _RESCALE_INV:
-        small = (m > 0.0) & (m < _RESCALE_INV)
-        if small.any():
-            rescaled = True
-            v0 = np.where(small, v0 * _RESCALE, v0)
-            v1 = np.where(small, v1 * _RESCALE, v1)
-            ls = np.where(small, ls - _RESCALE_LOG, ls)
-            if j0 is not None:
-                j0 = np.where(small, j0 * _RESCALE, j0)
-                j1 = np.where(small, j1 * _RESCALE, j1)
-    if rescaled:
-        np.abs(v1, out=m)
-        if down:
-            np.abs(v0, out=buf)
-            np.maximum(m, buf, out=m)
-            bottom = m.min()
-        top = m.max()
-    return v0, v1, ls, j0, j1, top, bottom, rescaled
+    if top <= _RESCALE and bottom >= _RESCALE_INV:
+        return count, top, bottom
+    up = m > _RESCALE
+    down = (m > 0.0) & (m < _RESCALE_INV)
+    if up.any() or down.any():
+        factor = np.where(up, _RESCALE_INV, np.where(down, _RESCALE, 1.0))
+        for arr in (v0, v1, m) if t0 is None else (v0, v1, m, t0, t1):
+            arr *= factor
+        count = count + up - down
+    return count, m.max(), m.min()
 
 
 def _recurrence(x, degree, lowest, tails=False):
-    """Yield (previous, current, log_scale, tail) for current = phi_lowest, ..., phi_degree.
+    """Yield (previous, current, log_scale, count, tail) for current = phi_lowest, ..., phi_degree.
 
     The represented values are previous * exp(log_scale) and
-    current * exp(log_scale), and phi_{-1} = 0.  tail is None unless
-    tails is set; then it is the mantissa, on the same log scale, of the
-    tail integral J_current(x) = int_x^inf phi_current for x >= 0.
-    Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1}
-    over [x, inf) gives
+    current * exp(log_scale), and phi_{-1} = 0; count is the rescale
+    count j of the module docstring, whole numbers held as doubles, and
+    log_scale is formed from it.  tail is None unless tails is set; then it is the mantissa, on the
+    same log scale, of the tail integral J_current(x) = int_x^inf
+    phi_current for x >= 0.  Integrating
+    phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} over [x, inf)
+    gives
 
         J_{k+1} = sqrt(k/(k+1)) J_{k-1} + sqrt(2/(k+1)) phi_k(x),
 
@@ -158,44 +196,42 @@ def _recurrence(x, degree, lowest, tails=False):
     rescaled with phi, so it shares phi's range.
 
     The range test (``_range_test``) runs at the first step of each chunk
-    of _CHUNK steps and then only where the growth bounds of the module
-    docstring allow a crossing: after each test, cumulative sums of log2
-    of the bounds give the first step at which the largest pair maximum
-    could pass 2^_LIMIT or the smallest fall below 2^-_LIMIT, and the
-    steps before it skip the test.  The upper and lower tests keep their
-    own next step.  While only the upper one is due, every |phi_k| is
-    known to be at most 2^400, so |phi_{k+1}| alone decides it.  A grid
-    with a non-finite point or max |x| >= _BOUNDED_BELOW is tested at
-    every step, and so, from the moment it appears, is a grid where some
-    pair maximum is 0.
+    of _CHUNK steps.  After each test, cumulative sums of log2 of the
+    growth bounds of the module docstring give the last step before the
+    largest pair maximum could pass 2^_WIDE or the smallest fall below
+    2^-_WIDE, and the next test runs there.  The last step is tested too
+    where the bounds do not keep its pair maxima in [2^-400, 2^400], so
+    the last pair leaves the loop with them there, where an exp of its
+    log scale loses the fewest bits.  A grid with a non-finite point or
+    max |x| >= _BOUNDED_BELOW is tested at every step.
 
     The loop works in place: a yielded tuple is valid until the next step.
     """
     ls = -0.5 * x * x
+    count = np.zeros(x.shape)
     v0 = np.full(x.shape, _PI_QUARTER)
-    j0 = j1 = None
+    t0 = t1 = None
     if tails:
-        j0 = (_PI_QUARTER * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
-        j1 = math.sqrt(2.0) * v0
+        t0 = (_PI_QUARTER * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
+        t1 = math.sqrt(2.0) * v0
     if lowest == 0:
-        yield np.zeros(x.shape), v0, ls, j0
+        yield np.zeros(x.shape), v0, ls, count, t0
     if degree == 0:
         return
     v1 = x * math.sqrt(2.0) * v0
     if lowest <= 1:
-        yield v0, v1, ls, j1
+        yield v0, v1, ls, count, t1
     buf = np.empty(x.shape)
     m = np.empty(x.shape)
     a = float(np.max(np.abs(x))) if x.size else 0.0
     # False for a non-finite point, and for points so large that one step
-    # could carry a value past the test's reach (then every step is tested)
+    # could carry a value past the window
     bounded = a < _BOUNDED_BELOW
     for start in range(1, degree, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, degree), dtype=float)
         c1s = np.sqrt(2.0 / (ks + 1.0))
         c0s = np.sqrt(ks / (ks + 1.0))
-        # the range test of the chunk's first step always runs
-        up_at = down_at = start if x.size else degree
+        test_at = start if x.size else degree
         if bounded:
             # bits a pair maximum can gain (grow) or lose (shrink) by the
             # end of each step of the chunk
@@ -208,44 +244,34 @@ def _recurrence(x, degree, lowest, tails=False):
             v0 *= c0
             np.subtract(buf, v0, out=v0)
             if tails:
-                j0 *= c0
+                t0 *= c0
                 np.multiply(v1, c1, out=buf)
-                j0 += buf
-                j0, j1 = j1, j0
+                t0 += buf
+                t0, t1 = t1, t0
             v0, v1 = v1, v0
-            if k >= up_at or k >= down_at:
-                down = k >= down_at or not bounded
-                v0, v1, ls, j0, j1, top, bottom, rescaled = _range_test(
-                    v0, v1, ls, j0, j1, m, buf, down)
-                if bounded:
+            if k == test_at:
+                before = count
+                count, top, bottom = _range_test(v0, v1, count, t0, t1, m, buf)
+                if count is not before:
+                    ls = _log_scale(x, count)
+                test_at = k + 1
+                if bounded and bottom > 0.0:
+                    # log2 bounds at chunk step s: high + grow[s] on the
+                    # largest pair maximum, low - shrink[s] on the smallest;
+                    # a grid with a pair maximum of 0 is tested at every step
                     i = k - start
-                    # log2 of the largest |phi_{k+1}| (pair maximum with down)
-                    top = math.log2(top) if top > 0.0 else -math.inf
-                    # log2 bound on the largest pair maximum: without down,
-                    # |phi_k| is bounded by the last step's test or else by
-                    # the growth bound on the pair maxima of the last step
-                    high = top
-                    if not down:
-                        high = max(top, last_top if last_at == k - 1 else high_base + grow[i - 1])
-                    last_top, last_at = top, k
-                    # bound at step k + j: high_base + grow[i + j]
-                    high_base = high - grow[i]
-                    up_at = max(k + 1, start + bisect_right(grow, _LIMIT - high_base))
-                    if down:
-                        # a pair maximum of 0 stays 0; low_base is nan then,
-                        # and the lower test runs at every step
-                        low = math.log2(bottom) if bottom > 0.0 else math.nan
-                        low_base = low + shrink[i]
-                    elif rescaled:
-                        # a point rescaled down keeps a pair maximum above 1
-                        low_base = min(low_base, shrink[i])
-                    if down or rescaled:
-                        # bound at step k + j: low_base - shrink[i + j]
-                        down_at = k + 1
-                        if not math.isnan(low_base):
-                            down_at = max(k + 1, start + bisect_right(shrink, low_base + _LIMIT))
+                    high = math.log2(top) - grow[i]
+                    low = math.log2(bottom) + shrink[i]
+                    leave = min(bisect_right(grow, _WIDE - high), bisect_right(shrink, low + _WIDE))
+                    test_at = max(k + 1, start + leave - 1) if leave < len(grow) else degree
+                    last = degree - 1 - start
+                    if test_at >= degree - 1 and last < len(grow):
+                        # the last step is tested where the bounds let a
+                        # pair maximum end outside [2^-_LAST, 2^_LAST]
+                        out = high + grow[last] > _LAST or low - shrink[last] < -_LAST
+                        test_at = degree - 1 if out else degree
             if k >= lowest - 1:
-                yield v0, v1, ls, j1
+                yield v0, v1, ls, count, t1
 
 
 def phi_pair(x, degree):
@@ -255,7 +281,7 @@ def phi_pair(x, degree):
     are previous * exp(log_scale) and current * exp(log_scale), and
     phi_{-1} = 0.
     """
-    ((prev, cur, ls, _),) = _recurrence(x, degree, degree)
+    ((prev, cur, ls, _, _),) = _recurrence(x, degree, degree)
     return prev, cur, ls
 
 
@@ -265,7 +291,7 @@ def phi_tail(x, degree):
     Returns (mantissa, log_scale) arrays; the represented value is
     mantissa * exp(log_scale).
     """
-    ((_, _, ls, tail),) = _recurrence(x, degree, degree, tails=True)
+    ((_, _, ls, _, tail),) = _recurrence(x, degree, degree, tails=True)
     return tail, ls
 
 
@@ -282,7 +308,7 @@ def phi_rows(x, degree, lowest=0):
     vals = np.empty((rows, len(x)))
     logs = np.empty((rows, len(x)))
     i = 0
-    for u, (_, v, ls, _) in enumerate(_recurrence(x, degree, lowest), lowest):
+    for u, (_, v, ls, _, _) in enumerate(_recurrence(x, degree, lowest), lowest):
         vals[i] = v
         logs[i] = ls
         i += 1
@@ -325,18 +351,39 @@ def _vanishing(x, nmax):
     return out
 
 
+def _gauss_factor(x):
+    """e^(-x^2/2) as (frac, expo) with frac * 2^expo equal to it, frac in [0.5, 1).
+
+    Where exp(-0.5 x x) is a normal double, frac and expo are its own
+    parts, exactly; elsewhere e^(-x^2/2) has left the double range and is
+    formed from -x^2/2 in two doubles (_half_square) as 2^E e^r, with
+    r = -x^2/2 - E ln 2 in [0, ln 2) from the split ln 2.  A non-finite
+    -x^2/2 keeps exp(-0.5 x x).
+    """
+    hi = -0.5 * x * x
+    e0 = np.exp(hi)
+    frac, expo = np.frexp(e0)
+    far = e0 < _TINY
+    if far.any():
+        far &= np.isfinite(hi)
+        h, lo = _half_square(x[far])
+        big = np.floor(h / math.log(2.0))
+        frac[far], e = np.frexp(np.exp((h - big * _LN2_HI) + (lo - big * _LN2_LO)))
+        expo[far] = e + big.astype(e.dtype)
+    return frac, expo
+
+
 def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
-    Each row is the mantissa times exp(log_scale) as a plain float.  The
-    loop only ever rescales by 2^(+-400), so that factor is exactly
-    e^(-x^2/2) * 2^(400 j) with j the net count of rescalings, rebuilt when
-    the loop rebinds log_scale, which it does only on a rescale.  From
-    degree 2 on, points whose log_scale is at most -700 take the log form
-    instead, where that factor would have left the double range.  Entries
-    whose true magnitude is below the double range come out as exact zeros,
-    and so do the columns of the points that _vanishing finds, which never
-    enter the loop.
+    Each row is the mantissa times e^(-x^2/2) 2^(400 j), j the rescale
+    count, with that factor rebuilt only when the count changes.  Where the
+    factor is a normal double it is exact and multiplies the mantissa;
+    elsewhere the mantissa is multiplied by the fraction of e^(-x^2/2)
+    first and the power of two is applied last, so each entry is rounded
+    to the double range once.  Entries whose true magnitude is below the
+    double range come out as exact zeros, and so do the columns of the
+    points that _vanishing finds, which never enter the loop.
     """
     gone = _vanishing(x, nmax)
     if gone.any():
@@ -345,28 +392,20 @@ def phi_table(x, nmax):
         out[:, ~gone] = phi_table(x[~gone], nmax)
         return out
     out = np.empty((nmax + 1, x.shape[0]))
-    ls0 = -0.5 * x * x
-    e0 = np.exp(ls0)
-    scale_of = es = deep = None
-    for k, (_, v, ls, _) in enumerate(_recurrence(x, nmax, 0)):
-        if ls is not scale_of:
-            scale_of = ls
-            with np.errstate(invalid="ignore"):
-                j = np.rint((ls - ls0) / _RESCALE_LOG)
-            # a non-finite point has a nan row whatever its scale
-            j = np.where(np.isfinite(j), j, 0.0).astype(np.int64)
-            es = np.ldexp(e0, 400 * j)
-            deep = ls <= -700.0
-            if not deep.any():
-                deep = None
+    frac, expo = _gauss_factor(x)
+    last = None
+    for k, (_, v, _, count, _) in enumerate(_recurrence(x, nmax, 0)):
+        if count is not last:
+            last = count
+            shift = expo + _RESCALE_BITS * count
+            # the factor is below the normal range there
+            deep = np.flatnonzero(shift < -1021.0)
+            shift = shift.astype(np.int64)
+            factor = np.ldexp(frac, shift)
         row = out[k]
-        np.multiply(v, es, out=row)
-        if k >= 2 and deep is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.log(np.abs(v)) + ls
-                alt = np.where(t > -745.0, np.copysign(np.exp(np.maximum(t, -745.0)), v), 0.0)
-            alt = np.where(v == 0.0, 0.0, alt)
-            np.copyto(row, alt, where=deep)
+        np.multiply(v, factor, out=row)
+        if len(deep):
+            row[deep] = np.ldexp(v[deep] * frac[deep], shift[deep])
     return out
 
 

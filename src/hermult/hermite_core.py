@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._accel import phi_row
+from ._accel import _BOUNDED_BELOW, _vanishing, phi_row
 from .errors import CapabilityError, DomainError
 
 MAX_DEGREE_DEFAULT = 1_000_000
@@ -140,7 +140,12 @@ def eval_phi_1d(degree: int, x: float, max_degree: int = MAX_DEGREE_DEFAULT) -> 
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    vals, logs = phi_row(np.array([x]), int(degree))
+    point = np.array([x])
+    # one step of the recurrence can outgrow its rescaling out there, and
+    # the value is below the double range at every degree it serves
+    if abs(x) >= _BOUNDED_BELOW and _vanishing(point, int(degree))[0]:
+        return HermiteValue(0.0, None)
+    vals, logs = phi_row(point, int(degree))
     return _pack(float(vals[0]), float(logs[0]))
 
 

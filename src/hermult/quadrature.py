@@ -93,11 +93,16 @@ _RHO_TOL = 1e-10
 
 # Recurrence work of a norm is counted in point-steps: a phi_row call over
 # P points at degree n costs n * (P + _STEP_POINTS), because each step of
-# the vectorized recurrence has a fixed cost about that of 4096 point
-# updates (19 us against 4.5 ns per point on a 2-vCPU Xeon).
+# the vectorized recurrence has a fixed cost.  It was about that of 4096
+# point updates when the range test ran at every step (19 us against
+# 4.5 ns per point on a 2-vCPU Xeon); with the test on a few steps it is
+# 3-4 us against 4.3 ns, about 800.  The constant is kept, so that the
+# routes and the largest degrees served stay where they were.
 _STEP_POINTS = 4096
-# Work above which a norm is refused; on that machine the recurrence
-# takes 4-15 s for it, the most for the bisection route's wide grids.
+# Work above which a norm is refused; it was set when the recurrence took
+# 4-15 s for it on that machine, the most for the bisection route's wide
+# grids.  The exact routes' largest degrees (240,326 at p = inf, 27,790 at
+# p = 1, 16,323 at p = 4) now take 1.7-2.3 s.
 NORM_WORK_BUDGET = 1e9
 # A point-step of bisection takes 2 to 4.6 times as long as one of an exact
 # route (measured at degrees 13 to 1600 and p = 2, 4, 6): its grids of 16

@@ -112,6 +112,35 @@ def rescalings(want):
     return up, down
 
 
+RESCALE_LOG = 400.0 * math.log(2.0)
+
+
+def assert_power_of_two_apart(got, got_ls, want, want_ls):
+    """got equals want times an exact 2^(400 d) at every entry, d read off
+    the log scales of the two runs (nan-equal where a grid point is not
+    finite)."""
+    with np.errstate(invalid="ignore"):
+        d = np.rint((want_ls - got_ls) / RESCALE_LOG)
+    d = np.where(np.isfinite(d), d, 0.0).astype(np.int64)
+    assert np.array_equal(got, np.ldexp(want, 400 * d), equal_nan=True)
+
+
+def assert_exact_log_scales(x, got_ls, want_ls):
+    """Where the reference has not rescaled a point (its log scale is still
+    -0.5 x x), got_ls is bit-identical to it; elsewhere it is within 2 ulps
+    of -x^2/2 + 400 j ln 2 in 50-digit mpmath, j the run's rescale count."""
+    xs = np.broadcast_to(x, got_ls.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ls0 = -0.5 * xs * xs
+        fresh = want_ls == ls0
+        assert np.array_equal(got_ls[fresh], want_ls[fresh])
+        rest = ~fresh & np.isfinite(got_ls)
+        j = np.rint((got_ls[rest] - ls0[rest]) / RESCALE_LOG)
+    for xi, ji, li in set(zip(xs[rest].tolist(), j.tolist(), got_ls[rest].tolist())):
+        exact = -mpmath.mpf(xi) ** 2 / 2 + 400 * int(ji) * mpmath.log(2)
+        assert abs(mpmath.mpf(li) - exact) <= 2 * math.ulp(li), (xi, ji)
+
+
 @pytest.mark.parametrize("points", [1, 65, 1600])
 def test_in_place_loop_keeps_the_bits(points):
     # grids reaching far into the tails, where the upward rescaling runs.
@@ -120,22 +149,30 @@ def test_in_place_loop_keeps_the_bits(points):
     # for a fixed x the pair max(|phi_{k-1}|, |phi_k|) e^(x^2/2) grows up
     # to the turning point k ~ x^2/2 and then oscillates under an envelope
     # falling like k^(-1/4), never by anything near 2^400.  Grids of 600
-    # points from 1e-320 to 1e307, run to degree 20,000, fired none.
+    # points from 1e-320 to 1e307, run to degree 20,000, fired none.  The
+    # loop rescales later than the reference, which tests every step, so
+    # its mantissas are the reference's times exact powers of 2^400.
     x = np.linspace(-3.0, 70.0, points) if points > 1 else np.array([38.5])
     want = list(reference_recurrence(x, 1600))
     assert rescalings(want) == ({1: 2, 65: 153, 1600: 3713}[points], 0)
+    want_rows = np.array([cur for _, cur, _ in want])
+    want_logs = np.array([ls for _, _, ls in want])
     # phi_rows reuses its block arrays, so each block is copied
     blocks = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, 1600)]
     rows = np.concatenate([vals for vals, _ in blocks])
     logs = np.concatenate([ls for _, ls in blocks])
-    assert np.array_equal(rows, np.array([cur for _, cur, _ in want]))
-    assert np.array_equal(logs, np.array([ls for _, _, ls in want]))
+    assert_power_of_two_apart(rows, logs, want_rows, want_logs)
+    assert_exact_log_scales(x, logs, want_logs)
     for n in (0, 1, 2, 48, 49, 401, 1600):
         prev, cur, ls = phi_pair(x, n)
-        assert np.array_equal(prev, want[n][0]) and np.array_equal(cur, want[n][1])
-        assert np.array_equal(ls, want[n][2])
+        assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
+        assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
+        assert_exact_log_scales(x, ls, want[n][2])
+        # the last step is tested, so the pair ends inside [2^-400, 2^400]
+        pair_max = np.maximum(np.abs(prev), np.abs(cur))
+        assert np.all((2.0 ** -400 <= pair_max) & (pair_max <= 2.0 ** 400))
         vals, row_ls = phi_row(x, n)
-        assert np.array_equal(vals, want[n][1]) and np.array_equal(row_ls, want[n][2])
+        assert np.array_equal(vals, cur) and np.array_equal(row_ls, ls)
 
 
 def reference_tail(x, degree):
@@ -179,28 +216,30 @@ SKIP_GRIDS = {
 @pytest.mark.parametrize("x", SKIP_GRIDS.values(), ids=SKIP_GRIDS.keys())
 def test_skipped_range_tests_keep_the_bits(x):
     # the loop runs its range test only where the growth bounds allow a
-    # rescaling (every step on a grid with a non-finite or a huge point);
-    # the references run it at every step
-    def same(a, b):
-        return np.array_equal(a, b, equal_nan=True)
-
+    # pair maximum to leave [2^-800, 2^800] (every step on a grid with a
+    # non-finite or a huge point); the references run it at every step
     # the non-finite and huge grids make inf - inf on both sides
     with np.errstate(invalid="ignore", over="ignore"):
         want = list(reference_recurrence(x, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
             prev, cur, ls = phi_pair(x, n)
-            assert same(prev, want[n][0]) and same(cur, want[n][1]) and same(ls, want[n][2]), n
+            assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
+            assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
+            assert_exact_log_scales(x, ls, want[n][2])
         for degree, lowest in ((0, 0), (1, 0), (2, 0), (2, 2), (1200, 2), (1200, 7), (1200, 400)):
             rows = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, degree, lowest)]
             got = np.concatenate([vals for vals, _ in rows])
             logs = np.concatenate([ls for _, ls in rows])
-            assert same(got, np.array([cur for _, cur, _ in want[lowest:degree + 1]])), (degree, lowest)
-            assert same(logs, np.array([ls for _, _, ls in want[lowest:degree + 1]])), (degree, lowest)
+            want_logs = np.array([ls for _, _, ls in want[lowest:degree + 1]])
+            assert_power_of_two_apart(got, logs, np.array([cur for _, cur, _ in want[lowest:degree + 1]]),
+                                      want_logs)
+            assert_exact_log_scales(x, logs, want_logs)
         xt = np.abs(x)
         tails = list(reference_tail(xt, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
             tail, ls = phi_tail(xt, n)
-            assert same(tail, tails[n][0]) and same(ls, tails[n][1]), n
+            assert_power_of_two_apart(tail, ls, tails[n][0], tails[n][1])
+            assert_exact_log_scales(xt, ls, tails[n][1])
 
 
 def test_huge_points_have_zero_table_columns():
@@ -265,8 +304,43 @@ def reference_table(x, nmax):
     np.random.default_rng(7).uniform(-110.0, 110.0, 23),
 ], ids=["origin", "far", "tiny", "subnormal-seed", "wide-81", "random-23"])
 def test_table_on_the_one_loop_keeps_the_bits(x):
+    # columns with |x| <= 37 keep the reference's bits whenever either loop
+    # rescales.  Past 37.6 the reference multiplied by a subnormal or zero
+    # e^(-x^2/2), so there each entry is checked against its mantissa times
+    # e^(-x^2/2) 2^(400 j) in mpmath; up to 37.6 the table keeps the seed
+    # exp(-0.5 x x) of every column, so it stands for e^(-x^2/2) there
+    near = np.abs(x) <= 37.0
+    far = np.flatnonzero(~near).tolist()
     for nmax in (0, 1, 2, 3, 401, 5000):
-        assert np.array_equal(phi_table(x, nmax), reference_table(x, nmax)), nmax
+        got = phi_table(x, nmax)
+        assert np.array_equal(got[:, near], reference_table(x[near], nmax)), nmax
+        if not far:
+            continue
+        blocks = [(v.copy(), ls.copy()) for v, ls in phi_rows(x, nmax)]
+        mantissas = np.concatenate([v for v, _ in blocks])
+        logs = np.concatenate([ls for _, ls in blocks])
+        for k in sorted({min(k, nmax) for k in (1, 2, nmax)} | set(range(0, nmax, 97))):
+            for i in far:
+                j = round((logs[k, i] + 0.5 * x[i] * x[i]) / RESCALE_LOG)
+                half = -0.5 * x[i] * x[i]
+                if math.exp(half) < 2.0 ** -1022:
+                    half = -mpmath.mpf(x[i]) ** 2 / 2
+                scale = half + 400 * j * mpmath.log(2)
+                want = mpmath.mpf(mantissas[k, i]) * mpmath.exp(scale)
+                # one rounding to the double range, after at most 3 ulps
+                tol = 4 * 2.0 ** -53 * abs(want) + 2.0 ** -1074
+                assert abs(got[k, i] - want) <= tol, (nmax, k, x[i])
+
+
+def test_table_past_the_gaussian_underflow():
+    # e^(-x^2/2) is zero in doubles at these points, phi_k(x) is not
+    for x in (39.0, 40.0):
+        T = phi_table(np.array([x]), 1500)
+        for k in (0, 1, 2, 100, 799, 800, 1000, 1500):
+            v, ls = phi_row(np.array([x]), k)
+            want = float(mpmath.mpf(v[0]) * mpmath.exp(ls[0]))
+            assert abs(T[k, 0] - want) <= 1e-13 * abs(want) + 2.0 ** -1074, (x, k)
+    assert phi_table(np.array([40.0]), 1500)[800, 0] == pytest.approx(0.2513631, rel=1e-6)
 
 
 def test_scaled_erfc_against_mpmath():
@@ -342,6 +416,16 @@ def test_eval_phi_1d_errors():
         eval_phi_1d(2, math.inf)
     with pytest.raises(CapabilityError):
         eval_phi_1d(11, 0.0, max_degree=10)
+
+
+@pytest.mark.parametrize("x", [1e120, 1e150, -1e150, 1e200, 1e308])
+def test_eval_phi_1d_at_huge_points_is_zero(x):
+    # one step of the recurrence would outgrow its rescaling; the value is
+    # below the double range, and no numpy warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 2, 10, 1000):
+            assert eval_phi_1d(n, x) == HermiteValue(0.0, None), n
 
 
 def test_eval_phi_nd_products():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hermult.quadrature as quad
-from hermult import CapabilityError, ConvergenceError, DomainError
+from hermult import CapabilityError, ConvergenceError, DomainError, _accel
 from hermult._accel import phi_row, phi_table
 from hermult.quadrature import (
     NormEstimate,
@@ -216,6 +216,21 @@ class TestGaussHermiteNodes:
             quad.roots_hermite.__wrapped__(M)
             assert len(calls) == (1 if M >= quad._ONE_PASS_NODES or M == 1 else 2), M
 
+    def test_range_test_runs_a_few_times_per_pass(self, monkeypatch):
+        # between range tests the growth bounds leave a pair maximum about
+        # 400 bits of headroom, so the node pass of a wide rule tests only a
+        # few of its 3176 steps (17 when this was written)
+        calls = []
+        real = _accel._range_test
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_accel, "_range_test", counted)
+        quad.roots_hermite.__wrapped__(3177)
+        assert 1 <= len(calls) <= 64
+
     @pytest.mark.parametrize("M", [49, 61, 200, 3201])
     def test_one_pass_is_final(self, M):
         # another pass from the result moves the nodes and weights only by
@@ -349,6 +364,36 @@ class TestLpNorms:
             runs.clear()
             quad._lp_norm_1d_cached.__wrapped__(n, math.inf, 1e-8)
             assert runs == [n], n
+
+    @pytest.mark.parametrize("n", [977, 34332, 240326])
+    def test_sup_grid_log_scales_are_exact(self, monkeypatch, n):
+        # each log scale on the sup norm's grid, its best point included,
+        # is -x^2/2 + 400 j ln 2 rounded once from the rescale count j
+        runs = []
+        pair = quad.phi_pair
+
+        def recorded(x, m):
+            out = pair(x, m)
+            runs.append((x, out[2]))
+            return out
+
+        monkeypatch.setattr(quad, "phi_pair", recorded)
+        quad._sup_norm_1d(n)
+        ((grid, logs),) = runs
+        with mpmath.workdps(50):
+            for x, ls in zip(grid.tolist(), logs.tolist()):
+                j = round((ls + 0.5 * x * x) / (400.0 * math.log(2.0)))
+                exact = -mpmath.mpf(x) ** 2 / 2 + 400 * j * mpmath.log(2)
+                assert j > 0 and abs(mpmath.mpf(ls) - exact) <= 2 * math.ulp(ls), (n, x)
+
+    def test_sup_norm_at_the_served_edge(self):
+        # max |phi_240326| to 40 digits, from the recurrence in 50-digit
+        # decimal arithmetic (exponent range widened, no rescaling) and
+        # Newton's method on phi' = sqrt(2n) phi_{n-1} - x phi, with
+        # phi'' = (x^2 - 2n - 1) phi, from the best point of the sup grid
+        # until a step was below 1e-30: x* = 693.2000596067915519335621...
+        want = mpmath.mpf("0.2268556445668074977502718054493784561456")
+        assert abs(lp_norm_1d(240326, math.inf) - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_tensor_factorization(self, p):

@@ -488,6 +488,12 @@ class TestKernelSeries:
         # one table of N - 1 loop steps per call; the first step is tested
         assert runs <= len(calls) <= 0.05 * runs * (N - 1)
 
+    def test_table_past_the_gaussian_underflow(self):
+        # e^(-x^2/2) is zero in doubles at x = 40, phi_800(40)^2 = 0.0632 is not
+        got = kernel_series(table_symbol({(800,): 1.0}), [40.0], [40.0], 800).value
+        assert got == pytest.approx(eval_phi_1d(800, 40.0).to_float() ** 2, rel=1e-13)
+        assert got == pytest.approx(0.0632, rel=1e-3)
+
     @pytest.mark.parametrize("x", [1e20, 1e140, 1e150, 1e154, 1e200, 1e308])
     def test_huge_points_give_zero(self, x):
         with warnings.catch_warnings():
