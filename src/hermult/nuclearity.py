@@ -2,11 +2,14 @@
 
 Two sums decide r-summability of a symbol m over exponent pairs
 (p1, p2): the direct sum s_r built from quadrature Lp norms, and an
-asymptotic surrogate built from closed-form weight laws.  The weight
-law depends on where p2 falls relative to 4 and where p1 falls
-relative to 4/3, giving nine cases; every weight factors over the
-entries of nu, with entries <= k contributing a constant k-factor and
-entries > k contributing u^alpha (ln u)^lambda.
+asymptotic surrogate built from closed-form weight laws.  The direct sum
+weighs an index by (||phi_nu||_{p2} ||phi_nu||_{p1'})^r, so the surrogate's
+weight law is the sum of two per-exponent norm laws ``quadrature.norm_law``:
+alpha = r (e(p2) + e(p1')) and lambda = r (lam(p2) + lam(p1')).  Each law
+changes form at 4, so the cases are where p2 and p1' fall relative to 4
+(p1' against 4 is p1 against 4/3): nine in all.  Every weight factors
+over the entries of nu, with entries <= k contributing a constant
+k-factor and entries > k contributing u^alpha (ln u)^lambda.
 
 Verdicts are three-valued: "finite" requires a tail bound below the
 tolerance, "divergent" requires a certified lower bound with a
@@ -16,6 +19,7 @@ divergent comparison series, anything else is "inconclusive".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -23,11 +27,13 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .hermite_core import as_entries
-from .quadrature import check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_model_exponent
+from .quadrature import _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_law
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
 _MAX_DOUBLINGS = 6
 _P1_HYPOTHESIS = "1 < p1 < infinity"
+# p1' against 4 is p1 against 4/3, the other way round
+_P1_BRANCH = {"sub4": "gt43", "eq4": "eq43", "super4": "lt43"}
 
 
 def _as_fraction(value, name: str, allow_inf: bool = False):
@@ -36,20 +42,13 @@ def _as_fraction(value, name: str, allow_inf: bool = False):
         if allow_inf:
             return math.inf
         raise DomainError(f"{name} must be finite")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
         return Fraction(value).limit_denominator(1_000_000)
     raise DomainError(f"{name} has unsupported type {type(value).__name__}")
-
-
-def _inv(p) -> Fraction:
-    """1/p as a Fraction, with 1/inf = 0."""
-    return Fraction(0) if p == math.inf else Fraction(1) / p
 
 
 def _exponent_str(p) -> str:
@@ -89,34 +88,9 @@ def _p2_and_r(p2, r):
     return p2f, rf
 
 
-def _weight_law(p2_regime: str, p1_branch: str, p1: Fraction, p2, r: Fraction):
-    """(alpha, log_power) for the nine cases."""
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    p1inv = _inv(p1)
-    p2inv = _inv(p2)
-    if p2_regime == "sub4":
-        if p1_branch == "gt43":
-            return r * half * (p2inv - p1inv), Fraction(0)
-        if p1_branch == "eq43":
-            return r * half * (p2inv - Fraction(3, 4)), r
-        return r * half * (p2inv + p1inv / 3 - 1), Fraction(0)
-    if p2_regime == "eq4":
-        if p1_branch == "gt43":
-            return r * half * (Fraction(1, 4) - p1inv), r
-        if p1_branch == "eq43":
-            return -r / 4, 2 * r
-        return r * sixth * (p1inv - Fraction(9, 4)), r
-    # super4; 1/p2' = 1 - 1/p2
-    if p1_branch == "gt43":
-        return r * half * ((1 - p2inv) / 3 - p1inv), Fraction(0)
-    if p1_branch == "eq43":
-        return -r * sixth * (p2inv + Fraction(5, 4)), r
-    return r * sixth * (p1inv - p2inv - 2), Fraction(0)
-
-
 def classify_regime(p1, p2, r, k: int = 10) -> RegimeCase:
-    """Resolve (p1, p2, r) to its weight-law case with exact arithmetic."""
+    """Resolve (p1, p2, r) to its weight-law case with exact arithmetic:
+    the sum of the norm laws at p2 and at the conjugate p1'."""
     if p1 == math.inf:
         raise UnsupportedRegimeError(
             "p1 = infinity is outside the supported range",
@@ -131,25 +105,11 @@ def classify_regime(p1, p2, r, k: int = 10) -> RegimeCase:
     p2f, rf = _p2_and_r(p2, r)
     if not isinstance(k, int) or k < 2:
         raise DomainError(f"cutoff k must be an integer >= 2, got {k!r}")
-
-    if p2f == math.inf or p2f > 4:
-        p2_regime = "super4"
-    elif p2f == 4:
-        p2_regime = "eq4"
-    else:
-        p2_regime = "sub4"
-    four_thirds = Fraction(4, 3)
-    if p1f > four_thirds:
-        p1_branch = "gt43"
-    elif p1f == four_thirds:
-        p1_branch = "eq43"
-    else:
-        p1_branch = "lt43"
-
-    alpha, log_power = _weight_law(p2_regime, p1_branch, p1f, p2f, rf)
+    p1_conj = p1f / (p1f - 1)
+    (regime2, e2, lam2), (regime1, e1, lam1) = _norm_case(p2f), _norm_case(p1_conj)
     return RegimeCase(
-        p1=p1f, p2=p2f, r=rf, p2_regime=p2_regime, p1_branch=p1_branch,
-        k=k, alpha=alpha, log_power=log_power, p1_conj=p1f / (p1f - 1),
+        p1=p1f, p2=p2f, r=rf, p2_regime=regime2, p1_branch=_P1_BRANCH[regime1], k=k,
+        alpha=rf * (e2 + e1), log_power=rf * (lam2 + lam1), p1_conj=p1_conj,
     )
 
 
@@ -286,6 +246,13 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _check_order(N, floor: int = 0) -> int:
+    """A truncation order as an int; anything but an integer >= floor is refused."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < floor:
+        raise DomainError(f"truncation order must be an integer >= {floor}, got {N!r}")
+    return int(N)
+
+
 def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail, column):
     """(tail_bound, kind) beyond order N, or (None, None) when there is none.
 
@@ -361,11 +328,10 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
               tol: float = 1e-8) -> CriterionReport:
     """Weighted partial sum of |m|^r with the case's weight law, plus verdict."""
     n = m.dimension
-    floor_N = case.k * n
-    if N is not None and N < floor_N:
-        raise DomainError(f"truncation order must be >= k*n = {floor_N}")
+    if N is not None:
+        N = _check_order(N, case.k * n)
     return _criterion(
-        "kappa", m, N, max(200 * n, floor_N), tol, (case.p1, case.p2, case.r), case,
+        "kappa", m, N, max(200 * n, case.k * n), tol, (case.p1, case.p2, case.r), case,
         column=lambda top: case.entry_factors(range(top + 1)),
         weight=lambda entries: kappa_weight(case, entries),
         exp_tail=lambda N_used, _: _kappa_tail(m, case, N_used),
@@ -390,14 +356,13 @@ def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
 
 def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
     """Tail for the direct sum under an exponential envelope; growth
-    exponents come from the norm models and the constant is fitted on the
+    exponents come from the norm laws and the constant is fitted on the
     computed range, so the bound is labeled empirical rather than certified."""
     env = m.envelope
     n = m.dimension
-    e2 = norm_model_exponent(float(p2) if p2 != math.inf else math.inf)
-    e1 = norm_model_exponent(float(p1_conj) if p1_conj != math.inf else math.inf)
-    gamma = r * (max(0.0, e2) + max(0.0, e1))
-    lam = r * ((1.0 if p2 == 4 else 0.0) + (1.0 if p1_conj == 4 else 0.0))
+    (e2, lam2), (e1, lam1) = norm_law(p2), norm_law(p1_conj)
+    gamma = r * (max(0.0, float(e2)) + max(0.0, float(e1)))
+    lam = r * float(lam2 + lam1)
     probe = min(N, 300)
     A = 1.05 * max(
         gvec[u] / ((1.0 + u) ** gamma * math.log(2.0 + u) ** lam)
@@ -429,8 +394,8 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     p1_conj = math.inf if p1f == 1 else p1f / (p1f - 1)
     rfl = float(rf)
     p2x, p1x = _float_exponent(p2f), _float_exponent(p1_conj)
-    if N is not None and N < 0:
-        raise DomainError(f"truncation order must be >= 0, got {N}")
+    if N is not None:
+        N = _check_order(N)
     try:
         regime = classify_regime(p1f, p2f, rf)
     except (UnsupportedRegimeError, DomainError):
@@ -473,9 +438,7 @@ def compare_sr_kappa(m: Symbol, case: RegimeCase, N: int | None = None) -> Ratio
     """Ratio of partial sums at N and at 2N; the drift between the two is
     the stabilization diagnostic."""
     n = m.dimension
-    N0 = N if N is not None else max(200 * n, case.k * n)
-    if N0 < case.k * n:
-        raise DomainError(f"truncation order must be >= k*n = {case.k * n}")
+    N0 = _check_order(N if N is not None else max(200 * n, case.k * n), case.k * n)
     results = {}
     for order in (N0, 2 * N0):
         kp = kappa_sum(m, case, N=order).partial_sum

@@ -71,13 +71,23 @@ recurrence work exceeds ``NORM_WORK_BUDGET`` is refused with
 bisection before the pass that would cross it.  A sweep is admitted by
 the work of all its norms: the even-p sweep's rule, recurrence and N + 1
 row power sums, or the sum of the per-degree estimates.
+
+The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
+(Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
+Hermite and Laguerre expansions, 1993), exactly in Fractions:
+e(p) = 1/(2p) - 1/4 for p < 4, e(4) = -1/8 and e(p) = -1/(6p) - 1/12 for
+p > 4 (-1/12 at p = inf); lam(4) = 1 and lam(p) = 0 elsewhere.  The norm
+models, the weight laws of ``nuclearity`` and the s_r tail all derive
+from it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -698,48 +708,56 @@ def lp_norm_phi(nu, p: float, tol: float = 1e-8) -> float:
     return out
 
 
-def norm_regime(p: float) -> str:
-    p = float(p)
-    if not (p >= 1.0):
+def _norm_case(p) -> tuple[str, Fraction, Fraction]:
+    """(regime, e, lam) of the norm law at p in [1, inf], decided exactly;
+    a float is taken exactly."""
+    if p == math.inf:
+        inv = Fraction(0)
+    elif p >= 1:
+        inv = 1 / Fraction(int(p) if isinstance(p, numbers.Integral) else p)
+    else:
         raise DomainError(f"p must be in [1, inf], got {p}")
-    if p < 4.0:
-        return "sub4"
-    if p == 4.0:
-        return "eq4"
-    return "super4"
+    quarter = Fraction(1, 4)
+    if inv > quarter:
+        return "sub4", inv / 2 - quarter, Fraction(0)
+    if inv == quarter:
+        return "eq4", Fraction(-1, 8), Fraction(1)
+    return "super4", -inv / 6 - Fraction(1, 12), Fraction(0)
 
 
-def norm_model_exponent(p: float) -> float:
-    """The pure-power exponent of the norm model at Lebesgue exponent p."""
-    regime = norm_regime(p)
-    if regime == "sub4":
-        return 1.0 / (2.0 * p) - 0.25
-    if regime == "eq4":
-        return -0.125
-    if math.isinf(p):
-        return -1.0 / 12.0
-    return -1.0 / (6.0 * p) - 1.0 / 12.0
+def norm_regime(p) -> str:
+    """Where p lies against 4: "sub4", "eq4" or "super4"."""
+    return _norm_case(p)[0]
+
+
+def norm_law(p) -> tuple[Fraction, Fraction]:
+    """(e, lam) with ||phi_n||_p of order n^e (ln n)^lam, exactly.
+
+    e = 1/(2p) - 1/4 below p = 4, -1/8 at 4 and -1/(6p) - 1/12 above it
+    (-1/12 at p = inf); lam is 1 at p = 4 and 0 elsewhere.
+    """
+    return _norm_case(p)[1:]
+
+
+def norm_model_exponent(p) -> float:
+    """The power exponent e(p) of the norm law, as a float."""
+    return float(norm_law(p)[0])
 
 
 def norm_model(nu_1d, p: float, k: int = 10) -> float:
-    """Model factor for ||phi_nu||_p: frozen at rho_k for nu <= k, power law above.
-
-    The p = 4 branch carries the ln(nu) factor; all models are defined
-    up to an absolute constant.
+    """Model factor for ||phi_nu||_p: frozen at rho_k for nu <= k, and
+    nu^e (ln nu)^lam from ``norm_law`` above; all models are defined up to
+    an absolute constant.
     """
     nu = float(nu_1d)
     if nu < 0 or not math.isfinite(nu):
         raise DomainError(f"degree must be nonnegative and finite, got {nu_1d!r}")
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
         raise DomainError(f"cutoff k must be an int >= 2, got {k!r}")
-    p = float(p)
-    regime = norm_regime(p)
+    e, lam = norm_law(p)
     if nu <= k:
-        return _lp_norm_1d_cached(int(k), p, _RHO_TOL)
-    e = norm_model_exponent(p)
-    if regime == "eq4":
-        return nu ** e * math.log(nu)
-    return nu ** e
+        return _lp_norm_1d_cached(int(k), float(p), _RHO_TOL)
+    return nu ** float(e) * math.log(nu) ** float(lam)
 
 
 @dataclass(frozen=True)
@@ -760,7 +778,9 @@ class NormEstimate:
 
 
 def norm_estimate(nu, p: float, k: int = 10, tol: float = 1e-8) -> NormEstimate:
-    """Bundle the quadrature norm of phi_nu with its model value."""
+    """Bundle the quadrature norm of phi_nu with its model value, both at
+    the float p the norm is computed at."""
+    p = float(p)
     entries = as_entries(nu)
     computed = lp_norm_phi(entries, p, tol)
     predicted = 1.0
@@ -768,7 +788,7 @@ def norm_estimate(nu, p: float, k: int = 10, tol: float = 1e-8) -> NormEstimate:
         predicted *= norm_model(e, p, k)
     degree = entries[0] if len(entries) == 1 else entries
     return NormEstimate(
-        p=float(p), degree=degree, computed=computed, predicted=predicted, regime=norm_regime(p)
+        p=p, degree=degree, computed=computed, predicted=predicted, regime=norm_regime(p)
     )
 
 
@@ -780,13 +800,11 @@ def _fit_degrees(lo: int, hi: int, samples: int) -> np.ndarray:
 def fit_norm_exponent(p: float, degree_range, samples: int = 10, tol: float = 1e-8) -> float:
     """Least-squares slope of log ||phi_nu||_p against log nu.
 
-    At p = 4 the model carries a logarithmic factor, so the fit runs
+    Where the norm law carries a logarithmic factor (p = 4), the fit runs
     jointly in (log nu, log log nu) and the power coefficient is
     returned; fit_norm_exponent_p4 exposes the fitted log power too.
     """
-    if float(p) == 4.0:
-        return fit_norm_exponent_p4(degree_range, samples, tol)[0]
-    slope, _ = _fit(p, degree_range, samples, tol, with_log_term=False)
+    slope, _ = _fit(p, degree_range, samples, tol, with_log_term=norm_law(p)[1] != 0)
     return slope
 
 

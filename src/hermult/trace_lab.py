@@ -28,6 +28,8 @@ from .errors import (
 )
 from .nuclearity import (
     CriterionReport,
+    _as_fraction,
+    _check_order,
     _check_tol,
     _exponent_str,
     _Report,
@@ -72,8 +74,8 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
     error.
     """
     n = _check_dimension(m, n)
-    if N is not None and N < 0:
-        raise DomainError(f"truncation order must be >= 0, got {N}")
+    if N is not None:
+        N = _check_order(N)
     if m.envelope is None and m.table is None:
         raise InconclusiveError(
             "symbol has no envelope and no finite support; trace tail cannot be certified"
@@ -109,8 +111,7 @@ def trace_diagonal_quadrature(m: Symbol, n: int | None = None, N: int = 60,
     reproduce the truncated symbol sum; a mismatch raises.
     """
     n = _check_dimension(m, n)
-    if N < 0:
-        raise DomainError("truncation order must be >= 0")
+    N = _check_order(N)
     _check_tol(tol)
     rule = gauss_hermite_rule(N + 1)
     ew = effective_weights(rule)
@@ -297,7 +298,7 @@ def spectral_trace_check(m: Symbol, p, n: int | None = None, tol: float = 1e-8,
     off = A - np.diag(np.diag(A))
     return SpectralTraceReport(
         symbol=m.label,
-        p=_exponent_str(p if isinstance(p, Fraction) else Fraction(p).limit_denominator(10 ** 6)),
+        p=_exponent_str(_as_fraction(p, "p")),
         r_gl=str(r_gl),
         r_used=str(Fraction(r_used)),
         hypotheses_met=hypotheses_met,

@@ -5,6 +5,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hermult.nuclearity as nuc
@@ -14,6 +15,7 @@ from hermult.hermite_core import enumerate_up_to
 from hermult.nuclearity import (
     CriterionReport,
     PartitionCell,
+    RegimeCase,
     classify_regime,
     compare_sr_kappa,
     gl_condition,
@@ -23,7 +25,7 @@ from hermult.nuclearity import (
     partition_cells,
     s_r_sum,
 )
-from hermult.quadrature import lp_norm_1d
+from hermult.quadrature import lp_norm_1d, norm_regime
 from hermult.spectral_ops import (
     constant_symbol,
     heat_symbol,
@@ -46,6 +48,78 @@ NINE_CASES = {
     (Fraction(4, 3), Fraction(6)): ("super4", "eq43", Fraction(-17, 72), Fraction(1)),
     (Fraction(6, 5), Fraction(6)): ("super4", "lt43", Fraction(-2, 9), Fraction(0)),
 }
+
+
+def _inv(p):
+    """1/p as a Fraction, with 1/inf = 0."""
+    return Fraction(0) if p == math.inf else Fraction(1) / p
+
+
+def reference_law(p1, p2, r):
+    """(p2_regime, p1_branch, alpha, log_power) by nine hand-written
+    branches, one per case: the reference the derivation from the
+    per-exponent norm law must reproduce."""
+    p2_regime = "super4" if p2 == math.inf or p2 > 4 else "eq4" if p2 == 4 else "sub4"
+    four_thirds = Fraction(4, 3)
+    p1_branch = "gt43" if p1 > four_thirds else "eq43" if p1 == four_thirds else "lt43"
+    half = Fraction(1, 2)
+    sixth = Fraction(1, 6)
+    p1inv = _inv(p1)
+    p2inv = _inv(p2)
+    if p2_regime == "sub4":
+        if p1_branch == "gt43":
+            law = r * half * (p2inv - p1inv), Fraction(0)
+        elif p1_branch == "eq43":
+            law = r * half * (p2inv - Fraction(3, 4)), r
+        else:
+            law = r * half * (p2inv + p1inv / 3 - 1), Fraction(0)
+    elif p2_regime == "eq4":
+        if p1_branch == "gt43":
+            law = r * half * (Fraction(1, 4) - p1inv), r
+        elif p1_branch == "eq43":
+            law = -r / 4, 2 * r
+        else:
+            law = r * sixth * (p1inv - Fraction(9, 4)), r
+    # super4; 1/p2' = 1 - 1/p2
+    elif p1_branch == "gt43":
+        law = r * half * ((1 - p2inv) / 3 - p1inv), Fraction(0)
+    elif p1_branch == "eq43":
+        law = -r * sixth * (p2inv + Fraction(5, 4)), r
+    else:
+        law = r * sixth * (p1inv - p2inv - 2), Fraction(0)
+    return (p2_regime, p1_branch) + law
+
+
+class TestNormLawDerivation:
+    def test_every_field_matches_the_nine_branch_reference(self):
+        tiny = Fraction(1, 10 ** 20)
+        p1s = {Fraction(a, b) for b in range(1, 7) for a in range(b + 1, 8 * b + 1)}
+        p1s |= {Fraction(4, 3) - tiny, Fraction(4, 3) + tiny, 1 + tiny}
+        p2s = {Fraction(a, b) for b in range(1, 5) for a in range(b, 10 * b + 1)}
+        p2s |= {4 - tiny, 4 + tiny, Fraction(10 ** 9)}
+        cases = 0
+        for r in (Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(1, 7)):
+            for p1 in sorted(p1s):
+                for p2 in sorted(p2s) + [math.inf]:
+                    case = classify_regime(p1, p2, r)
+                    reg, branch, alpha, lam = reference_law(p1, p2, r)
+                    assert case == RegimeCase(
+                        p1=p1, p2=p2, r=r, p2_regime=reg, p1_branch=branch, k=10,
+                        alpha=alpha, log_power=lam, p1_conj=p1 / (p1 - 1),
+                    ), (p1, p2, r)
+                    assert type(case.alpha) is type(case.log_power) is Fraction
+                    cases += 1
+        assert cases > 15_000
+
+    def test_labels_are_exact_near_four(self):
+        above = Fraction(4 * 10 ** 20 + 1, 10 ** 20)
+        below = Fraction(4 * 10 ** 20 - 1, 10 ** 20)
+        assert float(above) == float(below) == 4.0
+        assert norm_regime(above) == classify_regime(2, above, 1).p2_regime == "super4"
+        assert norm_regime(below) == classify_regime(2, below, 1).p2_regime == "sub4"
+        near = Fraction(4, 3) + Fraction(1, 10 ** 20)
+        assert classify_regime(near, 2, 1).p1_branch == "gt43"
+        assert classify_regime(Fraction(4, 3), 2, 1).p1_branch == "eq43"
 
 
 class TestClassifyRegime:
@@ -103,6 +177,18 @@ class TestClassifyRegime:
             classify_regime(2, 2, 1, k=1)
         with pytest.raises(DomainError):
             classify_regime(2, 2, 1, k=2.5)
+
+    def test_numpy_integer_exponents(self):
+        case = classify_regime(np.int64(2), np.int64(4), np.int64(1))
+        assert case == classify_regime(2, 4, 1)
+        assert all(type(f.numerator) is int for f in (case.p1, case.p2, case.r, case.alpha))
+        with pytest.raises(UnsupportedRegimeError):
+            classify_regime(np.int64(1), 2, 1)
+
+    def test_booleans_are_the_integers_they_were(self):
+        assert classify_regime(2, True, True) == classify_regime(2, 1, 1)
+        with pytest.raises(UnsupportedRegimeError):
+            classify_regime(True, 2, 1)
 
     def test_r_scaling_of_alpha(self):
         full = classify_regime(Fraction(4, 3), 4, 1)
@@ -370,6 +456,37 @@ class TestSrSum:
         assert rep1.p2_regime is None
 
 
+class TestTruncationOrder:
+    """Every criterion refuses an order that is not an integer at or above
+    its floor, and reports a NumPy integer order as an int."""
+
+    CALLS = {
+        "kappa_sum": lambda N: kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1), N=N),
+        "s_r_sum": lambda N: s_r_sum(heat_symbol(1.0), 2, 2, 1, N=N),
+        "compare_sr_kappa": lambda N: compare_sr_kappa(
+            heat_symbol(1.0), classify_regime(2, 2, 1), N=N),
+    }
+    FLOORS = {"kappa_sum": 10, "s_r_sum": 0, "compare_sr_kappa": 10}
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_integers_refused(self, call):
+        for bad in (20.5, 20.0, Fraction(41, 2), "20", True, math.nan):
+            with pytest.raises(DomainError, match="truncation order"):
+                self.CALLS[call](bad)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_below_the_floor_refused(self, call):
+        with pytest.raises(DomainError, match="truncation order"):
+            self.CALLS[call](self.FLOORS[call] - 1)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_numpy_integer_reported_as_int(self, call):
+        got = self.CALLS[call](np.int64(20))
+        assert got == self.CALLS[call](20)
+        assert type(got.truncation_order) is int
+        assert json.loads(json.dumps(got.to_json_obj()))["truncation_order"] == 20
+
+
 class TestCompare:
     def test_identical_series_ratio_one(self):
         rep = compare_sr_kappa(heat_symbol(1.0), classify_regime(2, 2, 1), N=40)
@@ -425,6 +542,12 @@ class TestGlCondition:
             gl_condition(math.inf)
         with pytest.raises(DomainError):
             gl_condition(0.5)
+
+    def test_numpy_integer_exponent(self):
+        value = gl_condition(np.int64(4))
+        assert value == gl_condition(4) == Fraction(4, 5)
+        assert type(value.numerator) is int
+        assert gl_condition(True) == gl_condition(1)
 
 
 class TestCriterionReport:

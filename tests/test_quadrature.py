@@ -27,6 +27,8 @@ from hermult.quadrature import (
     lp_norm_phi,
     lp_norms_1d,
     norm_estimate,
+    norm_law,
+    norm_model_exponent,
     norm_regime,
     truncated_rule,
 )
@@ -709,6 +711,55 @@ class TestOrthonormality:
         assert np.max(np.abs(G - np.eye(51))) < 1e-12
 
 
+def old_double_exponent(p: float) -> float:
+    """The float formula the exponent view was written as before the law."""
+    if p < 4.0:
+        return 1.0 / (2.0 * p) - 0.25
+    if p == 4.0:
+        return -0.125
+    if math.isinf(p):
+        return -1.0 / 12.0
+    return -1.0 / (6.0 * p) - 1.0 / 12.0
+
+
+class TestNormLaw:
+    @pytest.mark.parametrize("p,law", [
+        (1, (Fraction(1, 4), 0)),
+        (2, (Fraction(0), 0)),
+        (4, (Fraction(-1, 8), 1)),
+        (6, (Fraction(-1, 9), 0)),
+        (math.inf, (Fraction(-1, 12), 0)),
+    ])
+    def test_pinned_values(self, p, law):
+        for q in (p, float(p), Fraction(p) if p != math.inf else p):
+            got = norm_law(q)
+            assert got == law
+            assert all(type(v) is Fraction and type(v.numerator) is int for v in got)
+
+    def test_exact_inputs(self):
+        assert norm_law(Fraction(3, 2)) == (Fraction(1, 12), 0)
+        assert norm_law(np.int64(6)) == norm_law(6)
+        assert type(norm_law(np.int64(6))[0].numerator) is int
+        # a float is taken exactly, not snapped to a nearby rational
+        assert norm_law(0.1 + 3.9)[0] == Fraction(-1, 8)
+        assert norm_law(4.000000000000001)[1] == 0
+        for bad in (0.5, 0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                norm_law(bad)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 5.0, 6.0, math.inf])
+    def test_float_view_keeps_the_old_bits(self, p):
+        assert norm_model_exponent(p) == old_double_exponent(p)
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.5, 3.0, 8.0, 10.0])
+    def test_float_view_is_correctly_rounded(self, p):
+        # the old formula rounded two or three times: it was up to 1.6 ulps
+        # off (at p = 2.5), and the view moves by at most 2 ulps from it
+        got = norm_model_exponent(p)
+        assert abs(Fraction(got) - norm_law(p)[0]) <= Fraction(math.ulp(got)) / 2
+        assert abs(got - old_double_exponent(p)) <= 2 * math.ulp(got)
+
+
 class TestLemma1Model:
     def test_frozen_examples(self):
         assert norm_model(100, 2.0, 10) == pytest.approx(1.0, rel=1e-14)
@@ -760,6 +811,22 @@ class TestNormEstimate:
         with pytest.raises(DomainError):
             NormEstimate(p=5.0, degree=3, computed=1.0, predicted=1.0, regime="sub4")
 
+    def test_estimate_takes_the_float_exponent(self):
+        # norm, model and regime all at float(p), which rounds to 4 here
+        est = norm_estimate((20,), Fraction(4 * 10 ** 20 + 1, 10 ** 20))
+        assert est == norm_estimate((20,), 4.0)
+        assert est.regime == "eq4"
+
+    @pytest.mark.parametrize("p,wrong", [
+        (4.0, "super4"), (4.0, "sub4"), (math.nextafter(4.0, 5.0), "eq4"),
+        (math.nextafter(4.0, 3.0), "eq4"), (math.inf, "eq4"), (1.0, "super4"),
+    ])
+    def test_wrong_regime_refused(self, p, wrong):
+        right = norm_regime(p)
+        assert NormEstimate(p=p, degree=3, computed=1.0, predicted=1.0, regime=right).regime == right
+        with pytest.raises(DomainError):
+            NormEstimate(p=p, degree=3, computed=1.0, predicted=1.0, regime=wrong)
+
 
 class TestExponentFits:
     def test_p2_slope_is_flat(self):
@@ -774,6 +841,12 @@ class TestExponentFits:
         power, logpow = fit_norm_exponent_p4((100, 600), 8)
         assert power == pytest.approx(-0.125, abs=0.05)
         assert math.isfinite(logpow)
+
+    def test_log_fit_where_the_law_has_a_log(self):
+        # the joint fit wherever lam(p) != 0, whatever type p has
+        power = fit_norm_exponent_p4((100, 600), 8)[0]
+        for p in (4, 4.0, Fraction(4), np.int64(4)):
+            assert fit_norm_exponent(p, (100, 600), 8) == power
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(DomainError):

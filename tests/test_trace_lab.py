@@ -299,7 +299,33 @@ class TestGalerkinMatrix:
             galerkin_matrix(heat_symbol(1.0), truncation=-1)
 
 
+class TestTruncationOrder:
+    CALLS = {
+        "trace_symbol_sum": lambda N: trace_symbol_sum(heat_symbol(1.0), N=N),
+        "trace_diagonal_quadrature": lambda N: trace_diagonal_quadrature(heat_symbol(1.0), N=N),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_integers_and_negatives_refused(self, call):
+        for bad in (10.5, 10.0, "10", True, -1, np.int64(-1)):
+            with pytest.raises(DomainError, match="truncation order"):
+                self.CALLS[call](bad)
+
+    def test_numpy_integer_reported_as_int(self):
+        got = trace_symbol_sum(heat_symbol(1.0), N=np.int64(30))
+        assert got == trace_symbol_sum(heat_symbol(1.0), N=30)
+        assert type(got.truncation_order) is int
+        assert trace_diagonal_quadrature(heat_symbol(1.0), N=np.int64(30)) == \
+            trace_diagonal_quadrature(heat_symbol(1.0), N=30)
+
+
 class TestSpectralTraceCheck:
+    def test_numpy_integer_exponent(self):
+        rep = spectral_trace_check(heat_symbol(1.0), np.int64(2), truncation=30)
+        assert rep == spectral_trace_check(heat_symbol(1.0), 2, truncation=30)
+        assert rep.p == "2"
+        assert spectral_trace_check(heat_symbol(1.0), 1.5, truncation=30).p == "3/2"
+
     def test_heat_at_p_two(self):
         rep = spectral_trace_check(heat_symbol(1.0), 2, truncation=60)
         assert rep.criterion.verdict == "finite"
