@@ -364,10 +364,11 @@ def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
     gamma = r * (max(0.0, float(e2)) + max(0.0, float(e1)))
     lam = r * float(lam2 + lam1)
     probe = min(N, 300)
-    A = 1.05 * max(
+    # gvec is a numpy array: a plain float keeps numpy scalars out of the report
+    A = 1.05 * float(max(
         gvec[u] / ((1.0 + u) ** gamma * math.log(2.0 + u) ** lam)
         for u in range(probe + 1)
-    )
+    ))
     coeff = (max(1.0, A)) ** n * env.C ** r
     crate = r * env.rate
     return _exp_polylog_tail(coeff, crate, n, n * gamma, n * lam, N), "empirical"

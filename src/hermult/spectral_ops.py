@@ -30,33 +30,55 @@ _SNAP = 1e-14
 _LATTICE_CAP = 2_000_000
 
 
+def _scaled_power(C: float, x: float, e: float) -> float:
+    """C * x**e for C >= 0 and x > 0, inf where x**e alone would overflow
+    and the product does too (x < 1 and e very negative)."""
+    try:
+        return C * x ** e
+    except OverflowError:
+        if C == 0.0:
+            return 0.0
+        L = math.log(C) + e * math.log(x)
+        return math.exp(L) if L < 709.0 else math.inf
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Certified upper bound on |m(nu)| as a function of K = |nu|.
 
-    kinds: "exponential" (C e^{-rate K}), "polynomial" (C (1+K)^{-rate}),
-    "finite" (zero beyond level support_order).
+    kinds: "exponential" (C e^{-rate K}), "polynomial" (C (shift+K)^{-rate}),
+    "finite" (zero beyond level support_order).  C and rate must be finite,
+    C >= 0, rate > 0 for "exponential" and rate >= 0 for "polynomial";
+    shift must be finite and > 0.
     """
 
     kind: str
     C: float = 1.0
     rate: float = 0.0
     support_order: int = -1
+    shift: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("exponential", "polynomial", "finite"):
             raise DomainError(f"unknown envelope kind {self.kind!r}")
+        if not (math.isfinite(self.C) and math.isfinite(self.rate)):
+            raise DomainError(f"envelope constant and rate must be finite, got "
+                              f"C = {self.C!r}, rate = {self.rate!r}")
         if self.C < 0:
             raise DomainError("envelope constant must be nonnegative")
         if self.kind == "exponential" and self.rate <= 0:
             raise DomainError("exponential envelope needs rate > 0")
+        if self.kind == "polynomial" and self.rate < 0:
+            raise DomainError("polynomial envelope needs rate >= 0")
+        if not (self.shift > 0 and math.isfinite(self.shift)):
+            raise DomainError(f"envelope shift must be positive and finite, got {self.shift!r}")
 
     def level_bound(self, K: int) -> float:
         if self.kind == "exponential":
             t = -self.rate * K
             return self.C * math.exp(t) if t > -745.0 else 0.0
         if self.kind == "polynomial":
-            return self.C * (1.0 + K) ** -self.rate
+            return _scaled_power(self.C, self.shift + K, -self.rate)
         return self.C if K <= self.support_order else 0.0
 
 
@@ -151,8 +173,10 @@ def power_symbol(a: float, n: int = 1) -> Symbol:
     def lev(K):
         return (2.0 * K + n) ** -a
 
-    # 1+|nu| <= 2|nu|+n <= (n+2)(1+|nu|)
-    env = Envelope(kind="polynomial", C=1.0, rate=a)
+    # the envelope is the symbol itself, 2^{-a} (n/2+|nu|)^{-a}, so the
+    # tail it certifies is the integral of the level sum (level_tail_bound);
+    # below, 2|nu|+n <= (n+2)(1+|nu|)
+    env = Envelope(kind="polynomial", C=2.0 ** -a, rate=a, shift=n / 2.0)
     low = LowerEnvelope(c=(n + 2.0) ** -a, beta=a)
     return Symbol(
         kind="power", dimension=n, evaluator=ev, envelope=env,
@@ -248,9 +272,16 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
     """Certified bound on sum_{|nu| > N} |m(nu)|, or None if unavailable.
 
     Exponential envelopes sum the level majorant mult(K)*C*e^{-cK} with a
-    geometric remainder once the term ratio drops below 1; polynomial
-    envelopes use mult(K) <= (K+1)^(n-1) and an integral comparison;
-    finite tables are summed exactly.
+    geometric remainder once the term ratio drops below 1; finite tables
+    are summed exactly.  A polynomial envelope C (s+K)^{-beta} converges
+    iff beta > n, and its level sum is bounded by the integral from N of
+    a decreasing majorant (the integral test).  With s >= n/2, AM-GM gives
+    mult(K) = C(K+n-1, n-1) <= (K+n/2)^(n-1)/(n-1)! <= (K+s)^(n-1)/(n-1)!,
+    so the tail is at most C (N+s)^(n-beta) / ((n-1)! (beta-n)); the power
+    symbol's envelope is the symbol itself (s = n/2), which makes this
+    the integral of its own level sum.  A smaller s uses
+    mult(K) <= (K+1)^(n-1) <= q^(n-1) (K+s)^(n-1) for K > N, where
+    q = max(1, (N+2)/(N+1+s)); at s = 1 that is C (N+1)^(n-beta) / (beta-n).
     """
     n = m.dimension
     if m.table is not None:
@@ -262,12 +293,13 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
         return 0.0 if N >= env.support_order else None
     if env.kind == "exponential":
         return _exp_polylog_tail(env.C, env.rate, n, 0.0, 0.0, N)
-    # polynomial: converges iff rate > n
-    beta = env.rate
+    beta, s = env.rate, env.shift
     if beta <= n:
         return None
-    # mult(K) <= (K+1)^(n-1); sum (K+1)^(n-1-beta) <= integral from N
-    return env.C * (N + 1.0) ** (n - beta) / (beta - n)
+    if s >= n / 2:
+        return _scaled_power(env.C, N + s, n - beta) / (math.factorial(n - 1) * (beta - n))
+    q = max(1.0, (N + 2.0) / (N + 1.0 + s))
+    return _scaled_power(env.C * q ** (n - 1), N + s, n - beta) / (beta - n)
 
 
 def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
@@ -285,17 +317,20 @@ def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
     if factors is not None:
         F = np.broadcast_to(np.asarray(factors, dtype=float).reshape(N + 1, -1), (N + 1, n))
     if m.is_radial:
+        # levels stream into fsum: a list of them would cost 32 bytes a level
+        levels = map(float, map(m.level_evaluator, range(N + 1)))
+        if term is not float:
+            levels = map(term, levels)
         if F is None:
+            if n == 1:
+                # one index per level: its weight 1 would change no bit
+                return math.fsum(levels)
             # C(K + n - 1, n - 1) indices at level K
             g = map(math.comb, range(n - 1, N + n), itertools.repeat(n - 1))
         else:
             g = F[:, 0]
             for j in range(1, n):
                 g = np.convolve(g, F[:, j])[: N + 1]
-        # levels stream into fsum: a list of them would cost 32 bytes a level
-        levels = map(float, map(m.level_evaluator, range(N + 1)))
-        if term is not float:
-            levels = map(term, levels)
         return math.fsum(map(operator.mul, levels, g))
     if m.table is not None:
         items = [(key, v) for key, v in m.support_items() if sum(key) <= N]

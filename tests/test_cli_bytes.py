@@ -24,7 +24,7 @@ GOLDEN = {
         "symbol,dimension,truncation_order,symbol_sum,symbol_tail,diagonal_quadrature,"
         "quadrature_tol,closed_form,symbol_vs_quadrature,symbol_vs_closed,"
         "quadrature_vs_closed\n"
-        "power:3,1,80,1.0517902646406982,7.620789513793629e-05,1.0517902646406978,1e-08,,"
+        "power:3,1,80,1.0517902646406982,9.644689633887581e-06,1.0517902646406978,1e-08,,"
         "4.440892098500626e-16,,\n"
     ),
     "trace-heat-n2-csv": (

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,15 @@ class TestEnvelopes:
         f = Envelope(kind="finite", C=5.0, support_order=3)
         assert f.level_bound(3) == 5.0
         assert f.level_bound(4) == 0.0
+        s = Envelope(kind="polynomial", C=0.125, rate=3.0, shift=0.5)
+        assert s.level_bound(4) == 0.125 * 4.5 ** -3.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 3.0, 7.25])
+    def test_power_envelope_is_the_symbol(self, a, n):
+        m = power_symbol(a, n=n)
+        for K in (0, 1, 7, 80, 25_600):
+            assert m.envelope.level_bound(K) == pytest.approx(m.level_value(K), rel=1e-14)
 
     def test_envelope_validation(self):
         with pytest.raises(DomainError):
@@ -124,6 +134,22 @@ class TestEnvelopes:
             Envelope(kind="exponential", rate=0.0)
         with pytest.raises(DomainError):
             LowerEnvelope(c=0.0, beta=1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="polynomial", C=math.nan, rate=3.0),
+        dict(kind="exponential", C=math.inf, rate=1.0),
+        dict(kind="polynomial", C=1.0, rate=math.inf),
+        dict(kind="exponential", C=1.0, rate=math.nan),
+        dict(kind="polynomial", C=1.0, rate=-0.5),
+        dict(kind="polynomial", C=1.0, rate=3.0, shift=0.0),
+        dict(kind="polynomial", C=1.0, rate=3.0, shift=-1.0),
+        dict(kind="polynomial", C=1.0, rate=3.0, shift=math.inf),
+        dict(kind="exponential", C=1.0, rate=1.0, shift=math.nan),
+    ], ids=["C-nan", "C-inf", "rate-inf", "rate-nan", "negative-polynomial-rate",
+            "shift-zero", "shift-negative", "shift-inf", "shift-nan"])
+    def test_envelope_refusals(self, kwargs):
+        with pytest.raises(DomainError):
+            Envelope(**kwargs)
 
     def test_exponential_tail_honest(self):
         # the certified bound dominates a long brute-force partial tail
@@ -151,6 +177,65 @@ class TestEnvelopes:
         brute = math.fsum(m.level_value(K) for K in range(N + 1, 200000))
         assert bound >= brute
         assert bound <= 10 * brute
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("da", [0.25, 0.5, 1.0, 2.5, "6", "9"])
+    def test_power_tail_is_certified_and_tight(self, n, da):
+        # exact tails sum_{K > N} C(K+n-1, n-1) (2K+n)^{-a} as Hurwitz zeta
+        # values (DLMF 25.11): with m = (2K+n)^{-a} = 2^{-a} (K+n/2)^{-a},
+        # n = 1 has multiplicity 1, n = 2 has K+1 and n = 3 has
+        # (K+1)(K+2)/2 = ((K+3/2)^2 - 1/4)/2
+        a = float(da) if isinstance(da, str) else n + da
+        m = power_symbol(a, n=n)
+        mpmath.mp.dps = 30
+        A = mpmath.mpf(a)
+        for N in (0, 1, 5, 80, 1000, 25_600):
+            if n == 1:
+                exact = 2 ** -A * mpmath.zeta(A, N + 1.5)
+            elif n == 2:
+                exact = 2 ** -A * mpmath.zeta(A - 1, N + 2)
+            else:
+                q = N + 2.5
+                exact = 2 ** (-A - 1) * (mpmath.zeta(A - 2, q) - mpmath.zeta(A, q) / 4)
+            bound = level_tail_bound(m, N)
+            assert type(bound) is float
+            assert bound >= exact, (N, bound, exact)
+            if N >= 80:
+                assert bound <= 1.06 * exact, (N, bound / exact)
+
+    @pytest.mark.parametrize("n,N", [(1, 40), (2, 30), (3, 20)])
+    def test_power_kernel_series_within_its_tail(self, n, N):
+        m = power_symbol(n + 2.0, n=n)
+        x, y = np.linspace(0.4, -0.9, n), np.linspace(-0.3, 1.2, n)
+        near, far = kernel_series(m, x, y, N), kernel_series(m, x, y, 8 * N)
+        assert 0.0 < abs(far.value - near.value) <= near.tail_bound
+
+    def test_polynomial_tail_at_unit_shift_is_unchanged(self):
+        # C (1+K)^{-beta}: mult(K) <= (K+1)^(n-1), then the integral from N
+        for n in (1, 2, 3, 4):
+            m = custom_symbol(lambda e: 0.0, n=n,
+                              envelope=Envelope(kind="polynomial", C=0.75, rate=n + 2.5))
+            for N in (0, 3, 400):
+                assert level_tail_bound(m, N) == 0.75 * (N + 1.0) ** -2.5 / 2.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [0.25, 1.0, 1.25, 1.5, 4.0])
+    def test_shifted_polynomial_tail_honest(self, n, shift):
+        beta = n + 1.5
+        m = custom_symbol(lambda e: 0.0, n=n,
+                          envelope=Envelope(kind="polynomial", C=1.0, rate=beta, shift=shift))
+        for N in (0, 2, 30):
+            brute = math.fsum(math.comb(K + n - 1, n - 1) * (shift + K) ** -beta
+                              for K in range(N + 1, 200_000))
+            assert level_tail_bound(m, N) >= brute
+
+    def test_shift_below_one_overflows_to_inf(self):
+        # 0.5^-2000 leaves the double range; the bound is inf, not an OverflowError
+        env = Envelope(kind="polynomial", C=1.0, rate=2000.0, shift=0.5)
+        m = custom_symbol(lambda e: 0.0, envelope=env)
+        assert env.level_bound(0) == math.inf and env.level_bound(1) == 0.0
+        assert level_tail_bound(m, 0) == math.inf
+        assert level_tail_bound(m, 1) == 0.0
 
     def test_polynomial_tail_needs_decay(self):
         assert level_tail_bound(power_symbol(0.5), 100) is None

@@ -1,7 +1,9 @@
 """Tests for the multi-route trace comparisons."""
 
+import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,11 +17,18 @@ from hermult.errors import (
     InconclusiveError,
     TraceCheckRefused,
 )
-from hermult.nuclearity import CriterionReport
+from hermult.nuclearity import (
+    CriterionReport,
+    classify_regime,
+    compare_sr_kappa,
+    kappa_sum,
+    s_r_sum,
+)
 from hermult.spectral_ops import (
     constant_symbol,
     custom_symbol,
     heat_symbol,
+    kernel_series,
     lattice_sum,
     power_symbol,
     table_symbol,
@@ -107,10 +116,10 @@ class TestSymbolSum:
         assert (lo.hex(), hi.hex()) == ("0x1.1ab642a83788ap+0", "0x1.1ab642a97712bp+0")
 
     @pytest.mark.parametrize("m,order", [
-        (power_symbol(3.0), 102_400),
+        (power_symbol(3.0), 25_600),
         (heat_symbol(1.0), 200),
         (heat_symbol(0.3, n=2), 400),
-        (power_symbol(5.0, n=3), 76_800),
+        (power_symbol(5.0, n=3), 9_600),
     ], ids=["power:3", "heat:1", "heat:0.3-n2", "power:5-n3"])
     def test_one_lattice_sum_at_the_bound_order(self, m, order, monkeypatch):
         import hermult.trace_lab as tl
@@ -396,3 +405,40 @@ class TestSpectralTraceCheck:
         assert a.trace == b.trace
         assert a.eigenvalue_sum == b.eigenvalue_sum
         assert a.discrepancy == b.discrepancy
+
+
+def _float_fields(obj, path=""):
+    """(path, value) of every field of a report that holds a number that
+    is not an int or a bool, nested reports and dict values included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _float_fields(value, f"{path}{f.name}.")
+        elif isinstance(value, dict):
+            yield from ((f"{path}{f.name}[{k}]", v) for k, v in value.items())
+        elif f.type.startswith("float"):
+            yield f"{path}{f.name}", value
+
+
+@pytest.mark.parametrize("make", [
+    lambda: s_r_sum(heat_symbol(1.0), 2, 2, 1, N=40),
+    lambda: s_r_sum(heat_symbol(1.0), Fraction(4, 3), 4, Fraction(2, 3), N=40),
+    lambda: kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1)),
+    lambda: kappa_sum(power_symbol(3.0), classify_regime(2, 2, 1)),
+    lambda: compare_sr_kappa(heat_symbol(1.0), classify_regime(2, 2, 1), N=30),
+    lambda: trace_report(heat_symbol(1.0), closed_form=GEOM_T1),
+    lambda: trace_report(power_symbol(3.0)),
+    lambda: spectral_trace_check(heat_symbol(1.0), 2, truncation=20),
+    lambda: spectral_trace_check(heat_symbol(1.0), 1, truncation=20),
+    lambda: trace_symbol_sum(power_symbol(3.0)),
+    lambda: trace_symbol_sum(heat_symbol(0.3, n=2)),
+    lambda: kernel_series(power_symbol(3.0), 0.3, -0.2, 40),
+    lambda: kernel_series(heat_symbol(1.0, n=2), [0.3, 0.1], [-0.2, 0.5], 20),
+], ids=["s_r", "s_r-4/3", "kappa", "kappa-power", "compare", "trace_report-heat",
+        "trace_report-power", "spectral-p2", "spectral-p1", "TraceValue-power",
+        "TraceValue-heat", "KernelValue-power", "KernelValue-heat"])
+def test_float_fields_are_plain_floats(make):
+    seen = list(_float_fields(make()))
+    assert seen
+    for path, value in seen:
+        assert value is None or type(value) is float, (path, type(value))
