@@ -195,9 +195,12 @@ def table_symbol(mapping: dict, n: int = 1) -> Symbol:
         entries = as_entries(key)
         if len(entries) != n:
             raise DomainError(f"table key {key!r} has wrong dimension (expected {n})")
-        clean[entries] = float(val)
+        v = float(val)
+        if not math.isfinite(v):
+            raise DomainError(f"table value at {entries!r} is not finite: {val!r}")
+        clean[entries] = v
         maxlevel = max(maxlevel, sum(entries))
-        maxval = max(maxval, abs(float(val)))
+        maxval = max(maxval, abs(v))
 
     def ev(entries):
         return clean.get(entries, 0.0)
@@ -210,6 +213,8 @@ def table_symbol(mapping: dict, n: int = 1) -> Symbol:
 def constant_symbol(value: float, n: int = 1) -> Symbol:
     """Constant symbol m(nu) = value; carries tight two-sided envelopes."""
     value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"constant symbol value must be finite, got {value}")
     if n < 1:
         raise DomainError("dimension must be >= 1")
     env = Envelope(kind="polynomial", C=abs(value), rate=0.0)
@@ -275,13 +280,12 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
     geometric remainder once the term ratio drops below 1; finite tables
     are summed exactly.  A polynomial envelope C (s+K)^{-beta} converges
     iff beta > n, and its level sum is bounded by the integral from N of
-    a decreasing majorant (the integral test).  With s >= n/2, AM-GM gives
-    mult(K) = C(K+n-1, n-1) <= (K+n/2)^(n-1)/(n-1)! <= (K+s)^(n-1)/(n-1)!,
-    so the tail is at most C (N+s)^(n-beta) / ((n-1)! (beta-n)); the power
-    symbol's envelope is the symbol itself (s = n/2), which makes this
-    the integral of its own level sum.  A smaller s uses
-    mult(K) <= (K+1)^(n-1) <= q^(n-1) (K+s)^(n-1) for K > N, where
-    q = max(1, (N+2)/(N+1+s)); at s = 1 that is C (N+1)^(n-beta) / (beta-n).
+    a decreasing majorant (the integral test).  AM-GM gives
+    mult(K) = C(K+n-1, n-1) <= (K+n/2)^(n-1)/(n-1)!, and for K > N
+    (K+n/2)/(K+s) <= q = max(1, (N+1+n/2)/(N+1+s)), so the tail is at most
+    C q^(n-1) (N+s)^(n-beta) / ((n-1)! (beta-n)).  The power symbol's
+    envelope is the symbol itself (s = n/2, q = 1), which makes this the
+    integral of its own level sum.
     """
     n = m.dimension
     if m.table is not None:
@@ -296,10 +300,9 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
     beta, s = env.rate, env.shift
     if beta <= n:
         return None
-    if s >= n / 2:
-        return _scaled_power(env.C, N + s, n - beta) / (math.factorial(n - 1) * (beta - n))
-    q = max(1.0, (N + 2.0) / (N + 1.0 + s))
-    return _scaled_power(env.C * q ** (n - 1), N + s, n - beta) / (beta - n)
+    q = max(1.0, (N + 1 + n / 2) / (N + 1 + s))
+    C = env.C * q ** (n - 1)
+    return _scaled_power(C, N + s, n - beta) / (math.factorial(n - 1) * (beta - n))
 
 
 def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
@@ -322,9 +325,6 @@ def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
         if term is not float:
             levels = map(term, levels)
         if F is None:
-            if n == 1:
-                # one index per level: its weight 1 would change no bit
-                return math.fsum(levels)
             # C(K + n - 1, n - 1) indices at level K
             g = map(math.comb, range(n - 1, N + n), itertools.repeat(n - 1))
         else:

@@ -158,6 +158,15 @@ class TestTrace:
                                   "--N", "8"))
         assert obj["symbol_sum"] == 5.0
 
+    def test_non_finite_table_value_exits_two(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("nu1,value\n0,5\n3,inf\n")
+        proc = run_cli("trace", "--symbol", f"table:{path}")
+        assert proc.returncode == 2
+        err = stderr_json(proc)["error"]
+        assert err["type"] == "DomainError"
+        assert "table value at (3,) is not finite: inf" in err["message"]
+
     def test_uncertifiable_tail_exits_four(self):
         proc = run_cli("trace", "--symbol", "power:0.5")
         assert proc.returncode == 4

@@ -18,7 +18,6 @@ from hermult.hermite_core import enumerate_up_to
 from hermult.nuclearity import classify_regime, kappa_sum, s_r_sum
 from hermult.spectral_ops import (
     Envelope,
-    constant_symbol,
     custom_symbol,
     heat_symbol,
     kernel_series,
@@ -82,25 +81,6 @@ def test_radial_sum_streams_its_levels(n):
     assert peak < 100_000
     want = math.fsum(m.level_value(K) * math.comb(K + n - 1, n - 1) for K in range(N + 1))
     assert got == want
-
-
-ONE_DIM = {
-    "heat": heat_symbol(0.05),
-    "power": power_symbol(3.0),
-    "constant": constant_symbol(-0.75),
-    "custom": custom_symbol(lambda e: math.cos(e[0]), level_fn=math.cos),
-}
-
-
-@pytest.mark.parametrize("N", [0, 1, 200, 25_600])
-@pytest.mark.parametrize("name", ONE_DIM)
-@pytest.mark.parametrize("term", [float, lambda v: abs(v) ** 0.5], ids=["plain", "term"])
-def test_one_dimensional_stream_keeps_the_weighted_bits(name, N, term):
-    # one index per level in dimension one: the sum of the levels alone is
-    # the multiplicity-weighted fsum, bit for bit
-    m = ONE_DIM[name]
-    want = math.fsum(term(m.level_value(K)) * math.comb(K, 0) for K in range(N + 1))
-    assert lattice_sum(m, N, term=term) == want
 
 
 def test_power_trace_evaluates_each_level_once():

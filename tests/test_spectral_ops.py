@@ -86,6 +86,11 @@ class TestSymbols:
         with pytest.raises(DomainError):
             table_symbol({(0, 1): 1.0}, n=1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_table_refuses_non_finite_values(self, bad):
+        with pytest.raises(DomainError, match=r"table value at \(3,\) is not finite"):
+            table_symbol({(0,): 5.0, (3,): bad})
+
     def test_table_support_items_sorted(self):
         m = table_symbol({(2, 0): 1.0, (0, 0): 2.0, (0, 1): 3.0}, n=2)
         assert [k for k, _ in m.support_items()] == [(0, 0), (0, 1), (2, 0)]
@@ -96,6 +101,11 @@ class TestSymbols:
         assert m.is_radial
         assert m.lower_envelope is not None
         assert constant_symbol(0.0).lower_envelope is None
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_constant_refuses_non_finite_values(self, bad):
+        with pytest.raises(DomainError, match="constant symbol value must be finite"):
+            constant_symbol(bad)
 
     def test_custom_symbol(self):
         m = custom_symbol(lambda e: float(e[0] % 2), n=1)
@@ -210,15 +220,7 @@ class TestEnvelopes:
         near, far = kernel_series(m, x, y, N), kernel_series(m, x, y, 8 * N)
         assert 0.0 < abs(far.value - near.value) <= near.tail_bound
 
-    def test_polynomial_tail_at_unit_shift_is_unchanged(self):
-        # C (1+K)^{-beta}: mult(K) <= (K+1)^(n-1), then the integral from N
-        for n in (1, 2, 3, 4):
-            m = custom_symbol(lambda e: 0.0, n=n,
-                              envelope=Envelope(kind="polynomial", C=0.75, rate=n + 2.5))
-            for N in (0, 3, 400):
-                assert level_tail_bound(m, N) == 0.75 * (N + 1.0) ** -2.5 / 2.5
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("shift", [0.25, 1.0, 1.25, 1.5, 4.0])
     def test_shifted_polynomial_tail_honest(self, n, shift):
         beta = n + 1.5
