@@ -1,16 +1,19 @@
 """Numeric kernels: the scaled Hermite recurrence and weighted power sums.
 
-Every kernel is vectorized with numpy over the grid points and follows the
-scaled three-term recurrence
+Every kernel follows the scaled three-term recurrence
 
     phi_{k+1}(x) = x*sqrt(2/(k+1))*phi_k(x) - sqrt(k/(k+1))*phi_{k-1}(x)
 
 seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 ``mantissa * exp(log_scale)`` so the seed and the tails survive far
-outside the range of plain doubles.  Every kernel runs on the one loop of
-``_recurrence``: ``phi_tail`` carries the tail integrals int_x^inf phi_k
-along it on the same scale, and ``phi_table`` turns its rows into plain
-floats.
+outside the range of plain doubles.  The kernels run on the one loop of
+``_recurrence``, vectorized with numpy over the grid points:
+``phi_tail`` carries the tail integrals int_x^inf phi_k along it on the
+same scale, and ``phi_table`` turns its rows into plain floats.  On grids
+of fewer than _COLUMN_POINTS points, where numpy's fixed cost per call
+outweighs its per-point speed, ``phi_table`` runs the same steps point by
+point in Python floats instead (``_column_mantissas``), with the same
+bits.
 
 The loop keeps an integer rescale count j per point: a rescaling
 multiplies the point's mantissas by 2^-400 (j + 1) or by 2^400 (j - 1),
@@ -82,6 +85,12 @@ _BLOCK_POINTS = 1 << 17
 # The smallest normal double.
 _TINY = 2.0 ** -1022
 
+# phi_table builds tables on fewer points point by point
+# (_column_mantissas).  Measured on 2 vCPUs, that producer costs as much
+# as the loop at about 24-27 points, for N = 30 to 300 and on
+# Gauss-Hermite nodes.
+_COLUMN_POINTS = 24
+
 
 def _square(t):
     """t^2 as two doubles (hi, lo), hi = t * t rounded (Dekker's product).
@@ -148,6 +157,13 @@ def _log_scale(x, count):
         e = (hi - (s - b)) + (a - b)
         ls = s + (e + (lo + n * _LN2_LO))
     return np.where(count == 0, hi, np.where(np.isfinite(s), ls, s))
+
+
+def _coefficients(start, stop):
+    """The step coefficients c1 = sqrt(2/(k+1)) and c0 = sqrt(k/(k+1)) for
+    k = start, ..., stop - 1, as two arrays."""
+    ks = np.arange(start, stop, dtype=float)
+    return np.sqrt(2.0 / (ks + 1.0)), np.sqrt(ks / (ks + 1.0))
 
 
 def _range_test(v0, v1, count, t0, t1, m, buf):
@@ -228,9 +244,7 @@ def _recurrence(x, degree, lowest, tails=False):
     # could carry a value past the window
     bounded = a < _BOUNDED_BELOW
     for start in range(1, degree, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, degree), dtype=float)
-        c1s = np.sqrt(2.0 / (ks + 1.0))
-        c0s = np.sqrt(ks / (ks + 1.0))
+        c1s, c0s = _coefficients(start, min(start + _CHUNK, degree))
         test_at = start if x.size else degree
         if bounded:
             # bits a pair maximum can gain (grow) or lose (shrink) by the
@@ -340,9 +354,7 @@ def _vanishing(x, nmax):
     ax = np.abs(x)
     out = ax > 38.0
     if out.any():
-        i = np.arange(nmax, dtype=float)
-        c1 = np.sqrt(2.0 / (i + 1.0))
-        c0 = np.sqrt(i / (i + 1.0))
+        c1, c0 = _coefficients(0, nmax)
         for j in np.flatnonzero(out).tolist():
             t = float(ax[j])
             # ln(t c1 + c0) as ln t + ln(c1 + c0/t), finite for every finite t
@@ -373,17 +385,104 @@ def _gauss_factor(x):
     return frac, expo
 
 
+def _vector_mantissas(x, nmax):
+    """Mantissas of phi_0..phi_nmax on the grid x from the one loop.
+
+    Returns (table, changes): table[k, i] is the mantissa of phi_k(x_i),
+    and changes lists (k, count), the rescale counts of every point from
+    row k up to the next entry's row.
+    """
+    table = np.empty((nmax + 1, x.shape[0]))
+    changes = []
+    for k, (_, v, _, count, _) in enumerate(_recurrence(x, nmax, 0)):
+        if not changes or count is not changes[-1][1]:
+            changes.append((k, count))
+        table[k] = v
+    return table, changes
+
+
+def _column_mantissas(x, nmax):
+    """(table, changes) as from _vector_mantissas, built point by point in Python floats.
+
+    Each step is the loop's x c1 phi_k - c0 phi_{k-1} with the loop's
+    coefficients, and a point is rescaled by the range test's rule
+    whenever its pair maximum is outside [2^-400, 2^400], here at every
+    step.  A mantissa is the loop's up to an exact power of two, and its
+    count says which one, so the table built from both is the same.  Each
+    point fills its column of the preallocated table through a
+    memoryview; the coefficients are built _CHUNK steps at a time.
+    """
+    pts = x.tolist()
+    table = np.empty((nmax + 1, len(pts)))
+    table[0] = _PI_QUARTER
+    state = [(_PI_QUARTER, t * math.sqrt(2.0) * _PI_QUARTER, 0) for t in pts]
+    if nmax:
+        table[1] = [b for _, b, _ in state]
+    events = []
+    for start in range(1, nmax, _CHUNK):
+        c1s, c0s = _coefficients(start, min(start + _CHUNK, nmax))
+        steps = list(zip(range(start + 1, nmax + 1), c1s.tolist(), c0s.tolist()))
+        for i, t in enumerate(pts):
+            col = memoryview(table[:, i])
+            a, b, j = state[i]
+            for k, c1, c0 in steps:
+                a, b = b, t * c1 * b - c0 * a
+                # |a| <= 2^400 after the last step, so the pair maximum
+                # can have left the range only if |b| has
+                if not _RESCALE_INV <= abs(b) <= _RESCALE:
+                    m = max(abs(a), abs(b))
+                    if m > _RESCALE:
+                        a, b, j = a * _RESCALE_INV, b * _RESCALE_INV, j + 1
+                        events.append((k, i, j))
+                    elif 0.0 < m < _RESCALE_INV:
+                        a, b, j = a * _RESCALE, b * _RESCALE, j - 1
+                        events.append((k, i, j))
+                col[k] = b
+            state[i] = a, b, j
+    changes = [(0, np.zeros(len(pts)))]
+    for k, i, j in sorted(events):
+        if k != changes[-1][0]:
+            changes.append((k, changes[-1][1].copy()))
+        changes[-1][1][i] = j
+    return table, changes
+
+
+def _scale_rows(table, x, changes):
+    """Turn the mantissas of a table into plain floats, in place.
+
+    Each entry is multiplied by e^(-x^2/2) 2^(400 j), j its point's
+    rescale count, with the factor built once for each entry of changes
+    (row k, counts) and applied to the rows up to the next entry.  Where
+    the factor is a normal double it is exact and multiplies the mantissa;
+    elsewhere (deep) the mantissa is multiplied by the fraction of
+    e^(-x^2/2) first and the power of two is applied last, so each entry
+    is rounded to the double range once.
+    """
+    frac, expo = _gauss_factor(x)
+    ends = [k for k, _ in changes[1:]] + [len(table)]
+    for (k, count), end in zip(changes, ends):
+        shift = expo + _RESCALE_BITS * count
+        # the factor is below the normal range there
+        deep = np.flatnonzero(shift < -1021.0)
+        shift = shift.astype(np.int64)
+        rows = table[k:end]
+        if len(deep):
+            low = np.ldexp(rows[:, deep] * frac[deep], shift[deep])
+        rows *= np.ldexp(frac, shift)
+        if len(deep):
+            rows[:, deep] = low
+
+
 def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
-    Each row is the mantissa times e^(-x^2/2) 2^(400 j), j the rescale
-    count, with that factor rebuilt only when the count changes.  Where the
-    factor is a normal double it is exact and multiplies the mantissa;
-    elsewhere the mantissa is multiplied by the fraction of e^(-x^2/2)
-    first and the power of two is applied last, so each entry is rounded
-    to the double range once.  Entries whose true magnitude is below the
+    The mantissas come from the one loop, or, on grids of fewer than
+    _COLUMN_POINTS points, from the same recurrence run point by point in
+    Python floats (_column_mantissas), where numpy's fixed cost per call
+    outweighs its per-point speed; _scale_rows turns either into plain
+    floats, with the same bits.  Entries whose true magnitude is below the
     double range come out as exact zeros, and so do the columns of the
-    points that _vanishing finds, which never enter the loop.
+    points that _vanishing finds, which never enter a recurrence.
     """
     gone = _vanishing(x, nmax)
     if gone.any():
@@ -391,22 +490,10 @@ def phi_table(x, nmax):
         out = np.zeros((nmax + 1, x.shape[0]))
         out[:, ~gone] = phi_table(x[~gone], nmax)
         return out
-    out = np.empty((nmax + 1, x.shape[0]))
-    frac, expo = _gauss_factor(x)
-    last = None
-    for k, (_, v, _, count, _) in enumerate(_recurrence(x, nmax, 0)):
-        if count is not last:
-            last = count
-            shift = expo + _RESCALE_BITS * count
-            # the factor is below the normal range there
-            deep = np.flatnonzero(shift < -1021.0)
-            shift = shift.astype(np.int64)
-            factor = np.ldexp(frac, shift)
-        row = out[k]
-        np.multiply(v, factor, out=row)
-        if len(deep):
-            row[deep] = np.ldexp(v[deep] * frac[deep], shift[deep])
-    return out
+    produce = _column_mantissas if x.shape[0] < _COLUMN_POINTS else _vector_mantissas
+    table, changes = produce(x, nmax)
+    _scale_rows(table, x, changes)
+    return table
 
 
 def weighted_abs_power_sum(vals, logs, weights, p):

@@ -160,12 +160,21 @@ def heat_symbol(t: float, n: int = 1) -> Symbol:
 
 
 def power_symbol(a: float, n: int = 1) -> Symbol:
-    """Symbol (2|nu|+n)^{-a} with a > 0."""
+    """Symbol (2|nu|+n)^{-a} with a > 0.
+
+    Its lower envelope (n+2)^{-a} (1+|nu|)^{-a} is left out (None) where
+    (n+2)^{-a} underflows to 0.0, from a > 677.9 at n = 1 (a > 462.8 at
+    n = 3), so divergence is never certified there; the symbol is summable
+    for every such a anyway.  a >= 1075, where 2^{-a} is 0.0, is refused:
+    its envelope constant would certify a zero tail.
+    """
     a = float(a)
     if not (a > 0 and math.isfinite(a)):
         raise DomainError(f"a must be positive and finite, got {a}")
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    if 2.0 ** -a == 0.0:
+        raise DomainError(f"a = {a:g} is too large: the envelope constant 2^-a underflows to 0")
 
     def ev(entries):
         return (2.0 * sum(entries) + n) ** -a
@@ -177,7 +186,8 @@ def power_symbol(a: float, n: int = 1) -> Symbol:
     # tail it certifies is the integral of the level sum (level_tail_bound);
     # below, 2|nu|+n <= (n+2)(1+|nu|)
     env = Envelope(kind="polynomial", C=2.0 ** -a, rate=a, shift=n / 2.0)
-    low = LowerEnvelope(c=(n + 2.0) ** -a, beta=a)
+    c = (n + 2.0) ** -a
+    low = LowerEnvelope(c=c, beta=a) if c > 0.0 else None
     return Symbol(
         kind="power", dimension=n, evaluator=ev, envelope=env,
         lower_envelope=low, level_evaluator=lev, label=f"power:{a:g}",

@@ -26,7 +26,7 @@ from hermult import (
     eval_phi_1d,
     eval_phi_nd,
 )
-from hermult._accel import _erfcx, phi_pair, phi_row, phi_rows, phi_table, phi_tail
+from hermult._accel import _COLUMN_POINTS, _erfcx, phi_pair, phi_row, phi_rows, phi_table, phi_tail
 
 mpmath.mp.dps = 50
 
@@ -330,6 +330,31 @@ def test_table_on_the_one_loop_keeps_the_bits(x):
                 # one rounding to the double range, after at most 3 ulps
                 tol = 4 * 2.0 ** -53 * abs(want) + 2.0 ** -1074
                 assert abs(got[k, i] - want) <= tol, (nmax, k, x[i])
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0]),
+    np.array([-110.0]),
+    np.array([0.0, 1e-300, -5e-324, 38.5]),
+    np.linspace(36.0, 40.0, 41),
+    np.linspace(-110.0, 110.0, 81),
+    np.random.default_rng(7).uniform(-110.0, 110.0, 23),
+], ids=["origin", "far", "tiny", "subnormal-seed", "wide-81", "random-23"])
+def test_column_table_keeps_the_bits_of_the_loop(x):
+    # the grids of test_table_on_the_one_loop_keeps_the_bits and points past
+    # the Gaussian underflow.  Columns are independent, so the table of
+    # each window of the points equals the matching columns of one table
+    # on all of them padded past _COLUMN_POINTS, which the loop builds;
+    # windows of _COLUMN_POINTS - 1 points are built point by point
+    pts = np.concatenate((x, [38.5, 40.0, 60.0, 110.0, 1e20, 1e308, math.nan]))
+    wide = np.concatenate((pts, np.linspace(-20.0, 20.0, _COLUMN_POINTS + 1)))
+    for nmax in (0, 1, 2, 3, 401, 5000):
+        loop = phi_table(wide, nmax)
+        for size in (_COLUMN_POINTS - 1, _COLUMN_POINTS, _COLUMN_POINTS + 1):
+            for start in range(0, len(pts), size):
+                window = np.arange(start, start + size) % len(pts)
+                got = phi_table(pts[window], nmax)
+                assert np.array_equal(got, loop[:, window], equal_nan=True), (nmax, size, start)
 
 
 def test_table_past_the_gaussian_underflow():

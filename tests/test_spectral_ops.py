@@ -1,6 +1,7 @@
 """Tests for symbols, transforms, multipliers, and kernels."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -74,6 +75,20 @@ class TestSymbols:
             power_symbol(0.0)
         with pytest.raises(DomainError):
             power_symbol(-2.0)
+
+    @pytest.mark.parametrize("a, n", [(700.0, 1), (500.0, 3), (1074.0, 1)])
+    def test_power_without_lower_envelope(self, a, n):
+        # (n+2)^{-a} underflows there, 2^{-a} does not: the symbol builds
+        # without a lower envelope, and its value at 0 is n^{-a}
+        m = power_symbol(a, n=n)
+        assert m.lower_envelope is None
+        assert m.envelope.C == 2.0 ** -a > 0.0
+        assert m((0,) * n) == float(n) ** -a
+
+    @pytest.mark.parametrize("a", [1075.0, 1100.0, 1e6])
+    def test_power_refused_where_the_envelope_constant_underflows(self, a):
+        with pytest.raises(DomainError, match=re.escape(f"a = {a:g} is too large")):
+            power_symbol(a)
 
     def test_table_lookup_and_default(self):
         m = table_symbol({(0,): 5.0, (3,): -2.0})
@@ -557,8 +572,10 @@ class TestKernelSeries:
         assert kernel_series(m, x, y, N).value == want
 
     def test_range_test_runs_on_few_steps(self, monkeypatch):
-        # the growth bounds leave the recurrence's range test to a few of
-        # the steps of a table on six points in [-3, 3]
+        # the growth bounds leave the loop's range test to a few of the
+        # steps of a table on six points in [-3, 3]; kernel_series builds
+        # its table on fewer than _COLUMN_POINTS points point by point,
+        # which never reaches the loop
         calls = []
         real = _accel._range_test
 
@@ -571,7 +588,11 @@ class TestKernelSeries:
         N, runs = 300, 5
         m = heat_symbol(0.5, n=3)
         for _ in range(runs):
-            kernel_series(m, rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3), N)
+            x, y = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
+            before = len(calls)
+            kernel_series(m, x, y, N)
+            assert len(calls) == before
+            _accel._vector_mantissas(np.concatenate((x, y)), N)
         # one table of N - 1 loop steps per call; the first step is tested
         assert runs <= len(calls) <= 0.05 * runs * (N - 1)
 

@@ -89,6 +89,12 @@ class TestSymbolSum:
         assert abs(tv.value - expected) <= tv.tail_bound
         assert math.isclose(tv.value, expected, rel_tol=1e-6)
 
+    def test_power_past_the_lower_envelope_underflow(self):
+        # 3^-700 and every later level underflow, so the sum is its first level
+        tv = trace_symbol_sum(power_symbol(700.0))
+        assert tv.value == 1.0
+        assert tv.tail_bound == 0.0
+
     def test_tail_bound_honest_for_heat(self):
         # envelope is exactly tight for heat, so only rounding separates
         # the bound from the discarded mass
