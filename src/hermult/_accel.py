@@ -9,7 +9,9 @@ seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
 outside the range of plain doubles.  The kernels run on the one loop of
 ``_recurrence``, vectorized with numpy over the grid points:
 ``phi_tail`` carries the tail integrals int_x^inf phi_k along it on the
-same scale, and ``phi_table`` turns its rows into plain floats.  On grids
+same scale, ``phi_pair`` and ``phi_tail`` read each point at its own
+degree (``_at_degrees``), and ``phi_table`` turns its rows into plain
+floats.  On grids
 of fewer than _COLUMN_POINTS points, where numpy's fixed cost per call
 outweighs its per-point speed, ``phi_table`` runs the same steps point by
 point in Python floats instead (``_column_mantissas``), with the same
@@ -81,6 +83,11 @@ _ERFCX_SERIES_FROM = 26.0
 
 # Values in one block of phi_rows: 1 MB per array.
 _BLOCK_POINTS = 1 << 17
+
+# _at_degrees cuts the passed points off the loop once those left are at
+# most this share of the points it carries (shares from 0.5 to 1 ran within
+# 10% of each other on sweeps of N = 30 to 692, 2 vCPUs).
+_CUT_SHARE = 0.75
 
 # The smallest normal double.
 _TINY = 2.0 ** -1022
@@ -192,7 +199,7 @@ def _range_test(v0, v1, count, t0, t1, m, buf):
     return count, m.max(), m.min()
 
 
-def _recurrence(x, degree, lowest, tails=False):
+def _recurrence(x, degree, lowest, tails=False, cuts=()):
     """Yield (previous, current, log_scale, count, tail) for current = phi_lowest, ..., phi_degree.
 
     The represented values are previous * exp(log_scale) and
@@ -221,6 +228,12 @@ def _recurrence(x, degree, lowest, tails=False):
     log scale loses the fewest bits.  A grid with a non-finite point or
     max |x| >= _BOUNDED_BELOW is tested at every step.
 
+    cuts, (step, n) pairs, drop points whose degree has passed: the loop
+    step that forms phi_{step+1} and every later one carry only the first
+    n points, and the yielded arrays have n entries.  A cut slices the
+    loop's arrays between two steps and leaves the range tests where they
+    were; without cuts each chunk's steps run as one run.
+
     The loop works in place: a yielded tuple is valid until the next step.
     """
     ls = -0.5 * x * x
@@ -243,69 +256,130 @@ def _recurrence(x, degree, lowest, tails=False):
     # False for a non-finite point, and for points so large that one step
     # could carry a value past the window
     bounded = a < _BOUNDED_BELOW
+    sizes = dict(cuts)
     for start in range(1, degree, _CHUNK):
-        c1s, c0s = _coefficients(start, min(start + _CHUNK, degree))
+        stop = min(start + _CHUNK, degree)
+        c1s, c0s = _coefficients(start, stop)
         test_at = start if x.size else degree
         if bounded:
             # bits a pair maximum can gain (grow) or lose (shrink) by the
             # end of each step of the chunk
             grow = np.cumsum(np.log2(np.maximum(1.0, a * c1s + c0s))).tolist()
             shrink = np.cumsum(np.log2((1.0 + a * c1s) / c0s)).tolist()
-        for k, c1, c0 in zip(range(start, degree), c1s.tolist(), c0s.tolist()):
-            # phi_{k+1} = x c1 phi_k - c0 phi_{k-1}, written over phi_{k-1}
-            np.multiply(x, c1, out=buf)
-            buf *= v1
-            v0 *= c0
-            np.subtract(buf, v0, out=v0)
-            if tails:
-                t0 *= c0
-                np.multiply(v1, c1, out=buf)
-                t0 += buf
-                t0, t1 = t1, t0
-            v0, v1 = v1, v0
-            if k == test_at:
-                before = count
-                count, top, bottom = _range_test(v0, v1, count, t0, t1, m, buf)
-                if count is not before:
-                    ls = _log_scale(x, count)
-                test_at = k + 1
-                if bounded and bottom > 0.0:
-                    # log2 bounds at chunk step s: high + grow[s] on the
-                    # largest pair maximum, low - shrink[s] on the smallest;
-                    # a grid with a pair maximum of 0 is tested at every step
-                    i = k - start
-                    high = math.log2(top) - grow[i]
-                    low = math.log2(bottom) + shrink[i]
-                    leave = min(bisect_right(grow, _WIDE - high), bisect_right(shrink, low + _WIDE))
-                    test_at = max(k + 1, start + leave - 1) if leave < len(grow) else degree
-                    last = degree - 1 - start
-                    if test_at >= degree - 1 and last < len(grow):
-                        # the last step is tested where the bounds let a
-                        # pair maximum end outside [2^-_LAST, 2^_LAST]
-                        out = high + grow[last] > _LAST or low - shrink[last] < -_LAST
-                        test_at = degree - 1 if out else degree
-            if k >= lowest - 1:
-                yield v0, v1, ls, count, t1
+        c1s, c0s = c1s.tolist(), c0s.tolist()
+        # the chunk's steps in runs between cuts, one run without them
+        bounds = (start, stop)
+        if sizes:
+            bounds = (start, *sorted(k for k in sizes if start < k < stop), stop)
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo in sizes:
+                n = sizes[lo]
+                x, v0, v1, buf, m = x[:n], v0[:n], v1[:n], buf[:n], m[:n]
+                count, ls = count[:n], ls[:n]
+                if tails:
+                    t0, t1 = t0[:n], t1[:n]
+            run = slice(lo - start, hi - start)
+            for k, c1, c0 in zip(range(lo, hi), c1s[run], c0s[run]):
+                # phi_{k+1} = x c1 phi_k - c0 phi_{k-1}, written over phi_{k-1}
+                np.multiply(x, c1, out=buf)
+                buf *= v1
+                v0 *= c0
+                np.subtract(buf, v0, out=v0)
+                if tails:
+                    t0 *= c0
+                    np.multiply(v1, c1, out=buf)
+                    t0 += buf
+                    t0, t1 = t1, t0
+                v0, v1 = v1, v0
+                if k == test_at:
+                    before = count
+                    count, top, bottom = _range_test(v0, v1, count, t0, t1, m, buf)
+                    if count is not before:
+                        ls = _log_scale(x, count)
+                    test_at = k + 1
+                    if bounded and bottom > 0.0:
+                        # log2 bounds at chunk step s: high + grow[s] on the
+                        # largest pair maximum, low - shrink[s] on the smallest;
+                        # a grid with a pair maximum of 0 is tested at every step
+                        i = k - start
+                        high = math.log2(top) - grow[i]
+                        low = math.log2(bottom) + shrink[i]
+                        leave = min(bisect_right(grow, _WIDE - high),
+                                    bisect_right(shrink, low + _WIDE))
+                        test_at = max(k + 1, start + leave - 1) if leave < len(grow) else degree
+                        last = degree - 1 - start
+                        if test_at >= degree - 1 and last < len(grow):
+                            # the last step is tested where the bounds let a
+                            # pair maximum end outside [2^-_LAST, 2^_LAST]
+                            out = high + grow[last] > _LAST or low - shrink[last] < -_LAST
+                            test_at = degree - 1 if out else degree
+                if k >= lowest - 1:
+                    yield v0, v1, ls, count, t1
+
+
+def _at_degrees(x, degree, tails=False):
+    """(previous, current, log_scale, tail) arrays of each point at its own degree.
+
+    degree is an int, the degree of every point, or an int ndarray with one
+    degree per point, nonincreasing; previous and current are the
+    mantissas of phi_{d-1}(x) and phi_d(x) at the point's degree d, on one
+    log scale, and tail is J_d(x) as ``_recurrence`` carries it (None
+    unless tails is set).  One run of the loop serves every degree: it
+    reads each degree's points at its own step and cuts the points whose
+    degree has passed, the last ones, once they are a quarter of those it
+    carries.  A point's values depend on its own x and degree alone, up to
+    the rescalings the range test makes, so an int degree and an array of
+    it give the same bits wherever no point is rescaled.
+    """
+    if not isinstance(degree, np.ndarray):
+        ((prev, cur, ls, _, tail),) = _recurrence(x, degree, degree, tails)
+        return prev, cur, ls, tail
+    outs = [np.empty(x.shape) for _ in range(3)] + [np.empty(x.shape) if tails else None]
+    if not x.size:
+        return tuple(outs)
+    steps = np.diff(degree)
+    if (steps > 0).any():
+        raise ValueError("the degrees of the points must not increase")
+    bounds = [0, *(np.flatnonzero(steps) + 1).tolist(), len(x)]
+    # each degree's points [lo, hi), from the lowest degree up
+    blocks = {int(degree[lo]): (lo, hi) for lo, hi in reversed(list(zip(bounds, bounds[1:])))}
+    cuts, carried = {}, len(x)
+    for u, (lo, _) in blocks.items():
+        # phi_0 and phi_1 are read before the loop's first step
+        if lo <= _CUT_SHARE * carried:
+            cuts[max(u, 1)] = carried = lo
+    rows = _recurrence(x, int(degree[0]), int(degree[-1]), tails, cuts.items())
+    for u, (prev, cur, ls, _, tail) in enumerate(rows, int(degree[-1])):
+        if u in blocks:
+            lo, hi = blocks[u]
+            for out, row in zip(outs, (prev, cur, ls, tail)):
+                if out is not None:
+                    out[lo:hi] = row[lo:hi]
+    return tuple(outs)
 
 
 def phi_pair(x, degree):
-    """phi_{degree-1} and phi_degree on the grid x, on one log scale.
+    """phi_{d-1} and phi_d on the grid x, on one log scale, at the degree d
+    of each point: degree is an int, or one int per point, nonincreasing
+    (_at_degrees).
 
     Returns (previous, current, log_scale) arrays; the represented values
     are previous * exp(log_scale) and current * exp(log_scale), and
     phi_{-1} = 0.
     """
-    ((prev, cur, ls, _, _),) = _recurrence(x, degree, degree)
+    prev, cur, ls, _ = _at_degrees(x, degree)
     return prev, cur, ls
 
 
 def phi_tail(x, degree):
-    """Tail integrals J_degree(x) = int_x^inf phi_degree on the grid x >= 0.
+    """Tail integrals J_d(x) = int_x^inf phi_d on the grid x >= 0, at the
+    degree d of each point: degree is an int, or one int per point,
+    nonincreasing.
 
     Returns (mantissa, log_scale) arrays; the represented value is
     mantissa * exp(log_scale).
     """
-    ((_, _, ls, _, tail),) = _recurrence(x, degree, degree, tails=True)
+    _, _, ls, tail = _at_degrees(x, degree, tails=True)
     return tail, ls
 
 
@@ -350,12 +424,14 @@ def _vanishing(x, nmax):
     from phi_0 = pi^(-1/4) e^(-x^2/2).  The bound grows with k, so a point
     is marked when its log at k = nmax is below _VANISH_BELOW.  e^(-x^2/2)
     alone is above e^-722 for |x| <= 38, so only larger points are summed.
+    An infinite point is marked, since every phi_k tends to 0 there; a nan
+    point is not.
     """
     ax = np.abs(x)
     out = ax > 38.0
     if out.any():
         c1, c0 = _coefficients(0, nmax)
-        for j in np.flatnonzero(out).tolist():
+        for j in np.flatnonzero(out & (ax < math.inf)).tolist():
             t = float(ax[j])
             # ln(t c1 + c0) as ln t + ln(c1 + c0/t), finite for every finite t
             growth = float(np.maximum(0.0, np.log(c1 + c0 / t) + math.log(t)).sum())
@@ -482,7 +558,8 @@ def phi_table(x, nmax):
     outweighs its per-point speed; _scale_rows turns either into plain
     floats, with the same bits.  Entries whose true magnitude is below the
     double range come out as exact zeros, and so do the columns of the
-    points that _vanishing finds, which never enter a recurrence.
+    points that _vanishing finds, which never enter a recurrence: huge
+    points and +-inf, where the zero column is the limit.
     """
     gone = _vanishing(x, nmax)
     if gone.any():

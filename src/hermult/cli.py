@@ -200,7 +200,7 @@ def _run_norms(args) -> str:
     rows = []
     for nu in args.degrees:
         for p in args.p:
-            est = norm_estimate(nu, float(p), k=args.k, tol=args.tol)
+            est = norm_estimate(nu, p, k=args.k, tol=args.tol)
             rows.append({"nu": nu, "p": _p_str(p), "computed": est.computed,
                          "model": est.predicted, "ratio": est.computed / est.predicted})
     obj = {

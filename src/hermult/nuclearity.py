@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
 from .hermite_core import as_entries
-from .quadrature import _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_law
+from .quadrature import (
+    _exact_exponent, _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_law,
+)
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
 _MAX_DOUBLINGS = 6
@@ -37,17 +39,17 @@ _P1_BRANCH = {"sub4": "gt43", "eq4": "eq43", "super4": "lt43"}
 
 
 def _as_fraction(value, name: str, allow_inf: bool = False):
-    """Exact rational view of an exponent; floats snap to small rationals."""
+    """Exact rational view of an exponent, read as the norm laws read it
+    (``quadrature._exact_exponent``): a float is the small rational it rounds
+    from, or else its exact value."""
     if value == math.inf:
         if allow_inf:
             return math.inf
         raise DomainError(f"{name} must be finite")
-    if isinstance(value, numbers.Rational):
-        return Fraction(int(value.numerator), int(value.denominator))
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-        return Fraction(value).limit_denominator(1_000_000)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    if isinstance(value, (numbers.Rational, float)):
+        return _exact_exponent(value)
     raise DomainError(f"{name} has unsupported type {type(value).__name__}")
 
 
@@ -381,10 +383,12 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
 
     The norms of all degrees up to a truncation order come from
     ``lp_norms_1d``: for even p from one Gauss-Hermite rule per (order, p),
-    for other p one norm per degree.  A finite table's sum stops at its
-    largest order, and so do its norms.  Each order is refused with
-    CapabilityError before any of its norms is computed when the estimated
-    work of either exponent's norms up to it exceeds the work budget.
+    for p = 1 and p = inf (p1 = 1) from one recurrence run over the grids
+    of every degree, for other p one norm per degree.  A finite table's
+    sum stops at its largest order, and so do its norms.  Each order is
+    refused with CapabilityError before any of its norms is computed when
+    the estimated work of either exponent's norms up to it exceeds the
+    work budget.
     """
     if p1 == math.inf:
         raise DomainError("p1 must be finite")

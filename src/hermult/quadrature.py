@@ -58,8 +58,16 @@ of the integrals, so all N + 1 norms cost little more than the top one.
 Rows are summed in blocks of at most 2^17 values, so memory stays bounded
 whatever N is.  A single even-p norm is the same sweep with the power
 sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
-``lp_norm_1d(N, p)`` bit for bit.  Other p take ``lp_norm_1d`` per degree.
-Sweeps are cached per (N, p, tol), 16 of them; each depends on N alone,
+``lp_norm_1d(N, p)`` bit for bit.  p = 1 and p = inf sweep as well: the
+zeros of every degree take their Halley passes together, and the grids
+of all the degrees (the zeros at p = 1, the sup grids at p = inf) share
+one run of the recurrence, which reads each degree's points at its own
+step (``_accel.phi_pair`` and ``phi_tail`` take a degree per point).  A
+single norm is the sweep of one degree.  No point of these sweeps is
+rescaled up to N = 280, so they keep the per-degree bits there, and a
+point rescaled at another step than in its own degree's run moves the
+last bits only.  Bisection p take ``lp_norm_1d`` per degree.  Sweeps are
+cached per (N, p, tol), 16 of them; each depends on N alone,
 so no result depends on what was computed before.
 
 Each route estimates its recurrence work in point-steps.  p = 1 and even
@@ -78,7 +86,8 @@ Hermite and Laguerre expansions, 1993), exactly in Fractions:
 e(p) = 1/(2p) - 1/4 for p < 4, e(4) = -1/8 and e(p) = -1/(6p) - 1/12 for
 p > 4 (-1/12 at p = inf); lam(4) = 1 and lam(p) = 0 elsewhere.  The norm
 models, the weight laws of ``nuclearity`` and the s_r tail all derive
-from it.
+from it, and all read an exponent through ``_exact_exponent``: a float is
+the small rational it rounds from, or else its exact value.
 """
 
 from __future__ import annotations
@@ -129,6 +138,10 @@ _SWEEP_CACHE_SIZE = 16
 
 # A zero is final once Halley's cubic error bound is below 2^-53 relative.
 _NODE_STOP = 6.0 * 2.0 ** -53
+
+# A float exponent reads as the rational of denominator at most this whose
+# nearest double it is (_exact_exponent).
+_EXPONENT_DENOMINATOR = 1_000_000
 
 _SUP_POINTS = 65
 # Caps on the sup polish: at every degree up to 1600 and on a ladder to
@@ -226,31 +239,54 @@ def _edge_count(m: int) -> int:
     return max(1, int(0.77 * m ** 0.45))
 
 
-def _zero_guesses(M: int, j: np.ndarray) -> np.ndarray:
+def _rule_constants(M):
+    """(nu, nu^(1/3), nu^(-1/3), nu^(-5/3), nu^(-7/3), edge count) of the
+    rule of M nodes, nu = 2M + 1, in Python floats; for an array of M, one
+    array per constant with an entry per M, each formed once per rule."""
+    if not isinstance(M, np.ndarray):
+        nu = 2.0 * M + 1.0
+        return (nu, nu ** (1.0 / 3.0), nu ** (-1.0 / 3.0), nu ** (-5.0 / 3.0),
+                nu ** (-7.0 / 3.0), _edge_count(M // 2))
+    # one rule per run of equal M
+    starts = np.flatnonzero(np.diff(M, prepend=-1))
+    rules = [_rule_constants(m) for m in M[starts].tolist()]
+    return np.repeat(np.array(rules).reshape(-1, 6), np.diff(starts, append=len(M)), axis=0).T
+
+
+def _zero_guesses(M, j: np.ndarray) -> np.ndarray:
     """Asymptotic guesses for the positive zeros of H_M, j = 1, 2, ... counting
-    down from the largest.
+    down from the largest; M is an int or an int array with one M per
+    entry of j.
 
     x^2 is a zero of the Laguerre polynomial L_m^(alpha), m = M // 2,
     alpha = -1/2 for even M and 1/2 for odd M, whose zeros Gatteschi (near
     the largest, through the Airy zeros) and Tricomi (elsewhere) expand in
     nu = 4m + 2 alpha + 2 = 2M + 1 (Gatteschi, J. Comput. Appl. Math. 144
-    (2002) 7-27).
+    (2002) 7-27).  The powers of nu come from _rule_constants, so an entry
+    gets the same bits whichever rules share the call.
     """
-    nu = 2.0 * M + 1.0
+    constants = _rule_constants(M)
+
+    def of(entries):
+        # the rule constants of the entries picked by the mask
+        return [c[entries] for c in constants] if isinstance(M, np.ndarray) else constants
+
     x2 = np.empty(len(j))
-    edge = j <= _edge_count(M // 2)
+    edge = j <= constants[5]
+    nu, nu13, nu_13, nu_53, nu_73, _ = of(edge)
     a = _airy_zeros(j[edge])
     c = 2.0 ** (1.0 / 3.0)
     x2[edge] = (
-        nu + c * c * a * nu ** (1.0 / 3.0) + 0.2 * c ** 4 * a * a * nu ** (-1.0 / 3.0)
+        nu + c * c * a * nu13 + 0.2 * c ** 4 * a * a * nu_13
         + (11.0 / 35.0 - 0.25 - 12.0 / 175.0 * a ** 3) / nu
-        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * c * c * nu ** (-5.0 / 3.0)
-        - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a) * c * nu ** (-7.0 / 3.0)
+        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * c * c * nu_53
+        - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a) * c * nu_73
     )
     if edge.all():
         return np.sqrt(x2)
     # theta - sin(theta) = pi (4j - 1) / nu by Newton's method from below,
     # where theta^3 / 6 >= theta - sin(theta) puts the start
+    nu = of(~edge)[0]
     rhs = math.pi * (4.0 * j[~edge] - 1.0) / nu
     theta = np.cbrt(6.0 * rhs)
     for _ in range(8):
@@ -260,8 +296,21 @@ def _zero_guesses(M: int, j: np.ndarray) -> np.ndarray:
     return np.sqrt(x2)
 
 
-def _halley_nodes(y: np.ndarray, M: int):
-    """Zeros of phi_M refined from the guesses y >= 0 by Halley passes.
+def _rule_guesses(rules):
+    """Guesses for the positive zeros of H_M, increasing, rule after rule for
+    M in rules, as (guesses, M of each guess)."""
+    rules = np.asarray(rules, dtype=np.int64)
+    half = rules // 2
+    M = np.repeat(rules, half)
+    # j counts down from M // 2 to 1 within each rule
+    j = np.repeat(np.cumsum(half), half) - np.arange(len(M))
+    return _zero_guesses(M, j.astype(float)), M
+
+
+def _halley_nodes(y: np.ndarray, M):
+    """Zeros of phi_M refined from the guesses y >= 0 by Halley passes; M is
+    an int or an int array with one M per guess, and all the rules take
+    each pass together.
 
     Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs.  A pass runs
     the scaled recurrence once for phi_M and phi_{M-1} on one log scale;
@@ -269,18 +318,20 @@ def _halley_nodes(y: np.ndarray, M: int):
     gives the higher derivatives.  The step's cubic error bound decides
     which nodes are final; only the others take another pass.  phi_M' is
     carried from the evaluated point to the refined node by the Taylor
-    series the same equation supplies.
+    series the same equation supplies.  A node depends on its guess and M
+    alone: a rescaling multiplies phi_M and phi_{M-1} by one power of two,
+    which leaves the step unchanged.
     """
-    lam = 2.0 * M + 1.0
     y = np.array(y, dtype=float)
     d = np.empty_like(y)
     logs = np.empty_like(y)
     todo = np.arange(len(y))
     for _ in range(_MAX_NODE_PASSES):
         x = y[todo]
-        prev, cur, ls = phi_pair(x, M)
-        dx = math.sqrt(2.0 * M) * prev - x * cur
-        q = x * x - lam
+        m = M[todo] if isinstance(M, np.ndarray) else M
+        prev, cur, ls = phi_pair(x, m)
+        dx = np.sqrt(2.0 * m) * prev - x * cur
+        q = x * x - (2.0 * m + 1.0)
         ratio = cur / dx
         h = -ratio / (1.0 - 0.5 * q * ratio * ratio)
         y[todo] = x + h
@@ -291,8 +342,10 @@ def _halley_nodes(y: np.ndarray, M: int):
         todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
         if not len(todo):
             return y, d, logs
+    missed = sorted(set(np.broadcast_to(M, y.shape)[todo].tolist()))
     raise ConvergenceError(
-        f"{len(todo)} zeros of phi_{M} missed the stop rule after {_MAX_NODE_PASSES} passes"
+        f"{len(todo)} zeros of phi_M, M in {missed}, missed the stop rule after "
+        f"{_MAX_NODE_PASSES} passes"
     )
 
 
@@ -305,8 +358,7 @@ def roots_hermite(M: int):
     the weight of y for e^{-x^2}; the rule's other nodes are -y.  The
     scaled weights are 2 / phi_M'(y)^2, in range where w underflows.
     """
-    j = np.arange(M // 2, 0, -1, dtype=float)
-    y = _zero_guesses(M, j)
+    y = _zero_guesses(M, np.arange(M // 2, 0, -1, dtype=float))
     if M % 2:
         y = np.concatenate([[0.0], y])
     y, d, logs = _halley_nodes(y, M)
@@ -314,12 +366,6 @@ def roots_hermite(M: int):
     y.flags.writeable = False
     w.flags.writeable = False
     return y, w
-
-
-def _largest_zero_guess(degree: int) -> float:
-    if degree < 2:
-        return 0.0
-    return float(_zero_guesses(degree, np.array([1.0]))[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -452,34 +498,82 @@ def _even_p_integral_1d(degree: int, p: float):
     return float(totals[0]), float(shifts[0])
 
 
-def _zero_points(degree: int) -> np.ndarray:
-    """0 and the positive zeros of phi_degree, increasing (0 once when it is a zero)."""
-    if degree == 0:
-        return np.zeros(1)
-    y = roots_hermite(degree)[0]
-    return y if degree % 2 else np.concatenate([[0.0], y])
+def _one_block(degrees, sizes):
+    """The degree argument of a kernel call over blocks of sizes points, one
+    block per degree: the int itself for one block, else one per point."""
+    if len(degrees) == 1:
+        return int(degrees[0])
+    return np.repeat(np.asarray(degrees, dtype=np.int64), sizes)
 
 
-def _l1_norm_1d(degree: int) -> float:
-    """||phi_degree||_1 from the tail integrals J(a) = int_a^inf phi_degree
-    at 0 and the positive zeros: phi keeps its sign between consecutive
-    points, so the half-line integral of |phi| is the sum of
-    |J(a_j) - J(a_{j+1})| and of |J| at the largest zero."""
-    mantissa, logs = phi_tail(_zero_points(degree), degree)
+def _l1_norm_1d(degrees) -> list[float]:
+    """||phi_u||_1 for each u in degrees, from the tail integrals
+    J(a) = int_a^inf phi_u at 0 and the positive zeros: phi keeps its sign
+    between consecutive points, so the half-line integral of |phi| is the
+    sum of |J(a_j) - J(a_{j+1})| and of |J| at the largest zero.
+
+    One degree takes its zeros from its cached rule (roots_hermite);
+    several, in nonincreasing order, take theirs from one set of Halley
+    passes over all their rules, which gives each rule's nodes bit for
+    bit.  The tails come from one phi_tail run over all the points, a
+    block of u // 2 + 1 per degree.
+    """
+    degrees = [int(u) for u in degrees]
+    if len(degrees) > 1:
+        y, M = _rule_guesses(degrees)
+        y = _halley_nodes(y, M)[0]
+    else:
+        y = roots_hermite(degrees[0])[0][degrees[0] % 2:] if degrees[0] else np.zeros(0)
+    sizes = [u // 2 + 1 for u in degrees]
+    ends = np.cumsum(sizes)
+    points = np.zeros(int(ends[-1]))
+    # 0 leads each block
+    zeros = np.zeros(len(points), dtype=bool)
+    zeros[ends - sizes] = True
+    points[~zeros] = y
+    mantissa, logs = phi_tail(points, _one_block(degrees, sizes))
     tails = mantissa * np.exp(logs)
-    return 2.0 * math.fsum(np.abs(np.diff(tails, append=0.0)).tolist())
+    after = np.append(tails[1:], 0.0)
+    after[ends - 1] = 0.0
+    gaps = np.abs(tails - after).tolist()
+    return [2.0 * math.fsum(gaps[end - size:end]) for size, end in zip(sizes, ends.tolist())]
 
 
-def _sup_norm_1d(degree: int) -> float:
-    """max |phi_degree|, from one run of the recurrence.
+def _sup_norm_1d(degrees) -> list[float]:
+    """max |phi_u| for each u in degrees, from one run of the recurrence.
 
     The grid of _SUP_POINTS points over [g - (sqrt(lambda) - g), sqrt(lambda)],
-    with g the guess for the largest zero, reaches one lobe below it.  Its
-    last sign change of phi brackets the largest zero, and Sonin's argument
-    puts the maximum on the points to its right, where log|phi| is concave:
-    the maximum lies within one cell of the best of them, x0.  With
-    x = x0 + t, phi'' = (x^2 - lambda) phi gives the Taylor coefficients of
-    P(t) = phi(x0 + t) from a_0 = phi(x0) and
+    with g the guess for the largest zero, reaches one lobe below it.  The
+    grids of all the degrees, in nonincreasing order, share one phi_pair
+    run; each degree then takes its maximum from its own grid (_sup_polish).
+    """
+    degrees = [int(u) for u in degrees]
+    us = [u for u in degrees if u]
+    if not us:
+        return [math.pi ** -0.25] * len(degrees)
+    guesses = _zero_guesses(_one_block([max(u, 2) for u in us], 1), np.ones(len(us))).tolist()
+    grids = []
+    for u, g in zip(us, guesses):
+        b = math.sqrt(2.0 * u + 1.0)
+        # phi_1's largest zero is 0
+        g = g if u > 1 else 0.0
+        grids.append(np.linspace(max(0.0, g - (b - g)), b, _SUP_POINTS))
+    prev, cur, logs = (
+        [a[k:k + _SUP_POINTS] for k in range(0, a.size, _SUP_POINTS)]
+        for a in phi_pair(np.concatenate(grids), _one_block(us, _SUP_POINTS)))
+    polished = iter(map(_sup_polish, us, grids, prev, cur, logs))
+    return [next(polished) if u else math.pi ** -0.25 for u in degrees]
+
+
+def _sup_polish(degree: int, grid, prev, cur, logs) -> float:
+    """max |phi_degree| from its grid, where phi_degree and phi_{degree-1}
+    are cur and prev times e^logs.
+
+    The grid's last sign change of phi brackets the largest zero, and
+    Sonin's argument puts the maximum on the points to its right, where
+    log|phi| is concave: the maximum lies within one cell of the best of
+    them, x0.  With x = x0 + t, phi'' = (x^2 - lambda) phi gives the
+    Taylor coefficients of P(t) = phi(x0 + t) from a_0 = phi(x0) and
     a_1 = phi'(x0) = sqrt(2n) phi_{n-1}(x0) - x0 phi(x0):
 
         (k + 2)(k + 1) a_{k+2} = (x0^2 - lambda) a_k + 2 x0 a_{k-1} + a_{k-2},
@@ -488,19 +582,13 @@ def _sup_norm_1d(degree: int) -> float:
     a_0.  Newton's method on P'(t) = 0, with t kept within one cell of
     x0, finds the maximum |P(t*)|.
     """
-    if degree == 0:
-        return math.pi ** -0.25
     lam = 2.0 * degree + 1.0
-    b = math.sqrt(lam)
-    g = _largest_zero_guess(degree)
-    grid = np.linspace(max(0.0, g - (b - g)), b, _SUP_POINTS)
-    prev, cur, logs = phi_pair(grid, degree)
     # an exact zero counts as a sign change: phi_1's only zero is the grid's first point
     sign = np.sign(cur)
     changes = np.flatnonzero(sign[:-1] != sign[1:])
     if not len(changes):
         raise ConvergenceError(
-            f"phi_{degree} changes sign nowhere on [{grid[0]!r}, {b!r}], so its "
+            f"phi_{degree} changes sign nowhere on [{grid[0]!r}, {grid[-1]!r}], so its "
             f"largest zero is not bracketed"
         )
     start = changes[-1] + 1
@@ -635,9 +723,9 @@ def _root(total: float, shift: float, p: float) -> float:
 def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
     route = check_norm_budget(degree, p)
     if route == "sup":
-        return _sup_norm_1d(degree)
+        return _sup_norm_1d([degree])[0]
     if route == "zeros":
-        return _l1_norm_1d(degree)
+        return _l1_norm_1d([degree])[0]
     if route == "even":
         total, shift = _even_p_integral_1d(degree, p)
     else:
@@ -645,11 +733,20 @@ def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
     return _root(total, shift, p)
 
 
+# The routes whose norms take a list of degrees, nonincreasing.
+_SWEEPS = {"sup": _sup_norm_1d, "zeros": _l1_norm_1d}
+
+
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _lp_norms_1d_cached(degree: int, p: float, tol: float) -> np.ndarray:
-    if check_sweep_budget(degree, p) == "even":
+    route = check_sweep_budget(degree, p)
+    if route == "even":
         totals, shifts = _even_p_integrals(degree, p, 0)
         norms = np.array([_root(t, s, p) for t, s in zip(totals.tolist(), shifts.tolist())])
+    elif route in _SWEEPS:
+        # every degree below takes the top one's route: its estimate is no
+        # larger.  The kernels take the points in nonincreasing degree.
+        norms = np.array(_SWEEPS[route](range(degree, -1, -1))[::-1])
     else:
         norms = np.array([lp_norm_1d(u, p, tol) for u in range(degree + 1)])
     norms.flags.writeable = False
@@ -690,11 +787,14 @@ def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
 
     When ||phi_N||_p takes the exact rule (even p), all N + 1 norms come
     from that one rule and one recurrence over the degrees, and entry N is
-    lp_norm_1d(N, p) bit for bit; other p, p = 1 among them, take
-    lp_norm_1d per degree.  Raises CapabilityError, before any recurrence
-    work, when the estimated work of all N + 1 norms exceeds
-    NORM_WORK_BUDGET: the rule's, the recurrence's and the N + 1 row power
-    sums for the one sweep, the sum of the per-degree estimates otherwise.
+    lp_norm_1d(N, p) bit for bit.  At p = 1 and p = inf one set of Halley
+    passes and one recurrence run over the grids of all degrees give the
+    N + 1 norms, bit for bit lp_norm_1d's up to N = 280 and within 1e-13
+    relative above.  Other p take lp_norm_1d per degree.  Raises
+    CapabilityError, before any recurrence work, when the estimated work
+    of all N + 1 norms exceeds NORM_WORK_BUDGET: the rule's, the
+    recurrence's and the N + 1 row power sums for the even-p sweep, the
+    sum of the per-degree estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 
@@ -708,13 +808,29 @@ def lp_norm_phi(nu, p: float, tol: float = 1e-8) -> float:
     return out
 
 
+def _exact_exponent(p) -> Fraction:
+    """The rational a finite exponent p stands for, the one reading of an
+    exponent that every law and regime uses.
+
+    Integers and rationals are taken as they are.  A float stands for the
+    rational of denominator at most 10^6 whose nearest double it is, where
+    there is one (4 / 3 reads as 4/3 and 1.2 as 6/5), and else for its
+    exact binary value (4.000000000000001 is not 4).
+    """
+    if isinstance(p, numbers.Rational):
+        return Fraction(int(p.numerator), int(p.denominator))
+    exact = Fraction(p)
+    near = exact.limit_denominator(_EXPONENT_DENOMINATOR)
+    return near if float(near) == p else exact
+
+
 def _norm_case(p) -> tuple[str, Fraction, Fraction]:
-    """(regime, e, lam) of the norm law at p in [1, inf], decided exactly;
-    a float is taken exactly."""
+    """(regime, e, lam) of the norm law at p in [1, inf], decided exactly
+    on the rational p stands for (_exact_exponent)."""
     if p == math.inf:
         inv = Fraction(0)
     elif p >= 1:
-        inv = 1 / Fraction(int(p) if isinstance(p, numbers.Integral) else p)
+        inv = 1 / _exact_exponent(p)
     else:
         raise DomainError(f"p must be in [1, inf], got {p}")
     quarter = Fraction(1, 4)
@@ -779,7 +895,8 @@ class NormEstimate:
 
 def norm_estimate(nu, p: float, k: int = 10, tol: float = 1e-8) -> NormEstimate:
     """Bundle the quadrature norm of phi_nu with its model value, both at
-    the float p the norm is computed at."""
+    the float p the norm is computed at; the model reads that float as the
+    laws do (_exact_exponent), so float(4/3) models with e(4/3) = 1/8."""
     p = float(p)
     entries = as_entries(nu)
     computed = lp_norm_phi(entries, p, tol)

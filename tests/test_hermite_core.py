@@ -244,9 +244,10 @@ def test_skipped_range_tests_keep_the_bits(x):
 
 def test_huge_points_have_zero_table_columns():
     # |phi_k(x)| is below the double range for every k <= nmax at these
-    # points, which never enter the loop; the other columns keep their bits
-    huge = np.array([1e20, -1e140, 1e150, 1e154, -1e200, 1e308])
-    x = np.array([0.5, 1e20, -1.0, -1e140, 1e150, 1e154, -1e200, 1e308, 60.0])
+    # points, which never enter the loop; the other columns keep their bits.
+    # phi_k(x) -> 0 as |x| -> inf, so +-inf give the zero column too
+    huge = np.array([1e20, -1e140, 1e150, 1e154, -1e200, 1e308, np.inf, -np.inf])
+    x = np.array([0.5, 1e20, -1.0, -1e140, 1e150, np.inf, 1e154, -1e200, 1e308, -np.inf, 60.0])
     keep = np.isin(x, huge, invert=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -254,6 +255,43 @@ def test_huge_points_have_zero_table_columns():
             T = phi_table(x, nmax)
             assert np.all(T[:, ~keep] == 0.0) and not np.signbit(T[:, ~keep]).any()
             assert np.array_equal(T[:, keep], phi_table(x[keep], nmax)), nmax
+
+
+@pytest.mark.parametrize("tails", [False, True])
+def test_one_degree_per_point_reads_each_at_its_own_step(tails):
+    # one run of the loop over points of mixed degrees, nonincreasing, with
+    # the passed degrees cut off the loop: each point gets the reference's
+    # values at its own degree, and the int call's bits wherever neither
+    # run rescales it (the far points are rescaled, see above)
+    rng = np.random.default_rng(5)
+    x = rng.permutation(np.linspace(-3.0, 70.0, 130))
+    x = np.abs(x) if tails else x
+    degree = np.sort(rng.choice([0, 1, 2, 3, 48, 49, 401, 1600], len(x)))[::-1]
+    degree[[0, -1]] = 1600, 0
+    with pytest.raises(ValueError):
+        (phi_tail if tails else phi_pair)(x, degree[::-1])
+    if tails:
+        want = list(reference_tail(x, 1600))
+        got, ls = phi_tail(x, degree)
+        lone = {n: phi_tail(x, n) for n in np.unique(degree).tolist()}
+        for i, n in enumerate(degree.tolist()):
+            assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][0][i:i + 1],
+                                      want[n][1][i:i + 1])
+            assert_exact_log_scales(x[i:i + 1], ls[i:i + 1], want[n][1][i:i + 1])
+            if x[i] < 20.0:
+                assert (got[i], ls[i]) == (lone[n][0][i], lone[n][1][i]), (x[i], n)
+        return
+    want = list(reference_recurrence(x, 1600))
+    prev, cur, ls = phi_pair(x, degree)
+    lone = {n: phi_pair(x, n) for n in np.unique(degree).tolist()}
+    for i, n in enumerate(degree.tolist()):
+        for got, j in ((prev, 0), (cur, 1)):
+            assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][j][i:i + 1],
+                                      want[n][2][i:i + 1])
+        assert_exact_log_scales(x[i:i + 1], ls[i:i + 1], want[n][2][i:i + 1])
+        if abs(x[i]) < 20.0:
+            assert (prev[i], cur[i], ls[i]) == tuple(a[i] for a in lone[n]), (x[i], n)
+    assert all(len(a) == 0 for a in phi_pair(np.array([]), np.array([], dtype=int)))
 
 
 def reference_table(x, nmax):

@@ -25,7 +25,7 @@ from hermult.nuclearity import (
     partition_cells,
     s_r_sum,
 )
-from hermult.quadrature import lp_norm_1d, norm_regime
+from hermult.quadrature import lp_norm_1d, norm_law, norm_regime
 from hermult.spectral_ops import (
     constant_symbol,
     heat_symbol,
@@ -157,6 +157,23 @@ class TestClassifyRegime:
         assert classify_regime(4 / 3, 2, 1).p1_branch == "eq43"
         assert classify_regime(1.2, 2, 1).p1 == Fraction(6, 5)
         assert classify_regime(2.0, 2, 1).p1 == 2
+
+    @pytest.mark.parametrize("p,reads_as", [
+        (4.0, Fraction(4)), (4.000000000000001, None), (math.nextafter(4.0, 3.0), None),
+        (4 / 3, Fraction(4, 3)), (math.nextafter(4 / 3, 2.0), None),
+        (math.nextafter(4 / 3, 1.0), None), (6 / 5, Fraction(6, 5)),
+        (math.nextafter(6 / 5, 2.0), None), (math.nextafter(6 / 5, 1.0), None),
+    ])
+    def test_float_exponents_have_one_reader(self, p, reads_as):
+        # a float reads as the small rational it rounds from, or else as its
+        # exact value, in the weight-law cases and in the norm laws alike
+        want = reads_as if reads_as is not None else Fraction(p)
+        case = classify_regime(p, p, 1)
+        assert case.p1 == case.p2 == want
+        assert case.p2_regime == norm_regime(p) == norm_regime(want)
+        assert norm_law(p) == norm_law(want)
+        assert case.p1_branch == {"sub4": "gt43", "eq4": "eq43", "super4": "lt43"}[
+            norm_regime(want / (want - 1))]
 
     def test_unsupported_p1(self):
         for bad in (1, 0.9, Fraction(1, 2)):

@@ -261,7 +261,7 @@ class TestGaussHermiteNodes:
         monkeypatch.setattr(quad, "phi_pair", recorded)
         for n in list(range(1, 120)) + [401, 1606, 5000]:
             runs.clear()
-            quad._sup_norm_1d(n)
+            quad._sup_norm_1d([n])
             ((grid, cur),) = runs
             i = np.flatnonzero(np.sign(cur[:-1]) != np.sign(cur[1:]))[-1]
             assert grid[i] <= quad.roots_hermite(n)[0][-1] <= grid[i + 1], n
@@ -380,7 +380,7 @@ class TestLpNorms:
             return out
 
         monkeypatch.setattr(quad, "phi_pair", recorded)
-        quad._sup_norm_1d(n)
+        quad._sup_norm_1d([n])
         ((grid, logs),) = runs
         with mpmath.workdps(50):
             for x, ls in zip(grid.tolist(), logs.tolist()):
@@ -533,7 +533,7 @@ class TestLpNorms:
     def test_zero_route_matches_bisection(self, degree):
         total, shift = quad._lp_integral_1d(degree, 1.0, 1e-11)
         assert shift == 0.0
-        assert quad._l1_norm_1d(degree) == pytest.approx(total, rel=2e-13)
+        assert quad._l1_norm_1d([degree])[0] == pytest.approx(total, rel=2e-13)
 
     @pytest.mark.parametrize("degree", [3000, 10000])
     def test_zero_route_within_its_bounds_at_large_degree(self, degree):
@@ -600,8 +600,42 @@ class TestNormSweep:
         assert np.max(np.abs(lp_norms_1d(3000, 2.0) - 1.0)) <= 3e-14
 
     def test_other_p_take_the_per_degree_norms(self):
-        for p in (1.0, 3.0, math.inf):
-            assert lp_norms_1d(12, p).tolist() == [lp_norm_1d(u, p) for u in range(13)]
+        # p = 1 and p = inf run one sweep; no point of it is rescaled up to
+        # N = 280, so it keeps each degree's bits there
+        cases = [(3.0, 12)] + [(p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
+        for p, N in cases:
+            assert lp_norms_1d(N, p).tolist() == [lp_norm_1d(u, p) for u in range(N + 1)], (p, N)
+
+    @pytest.mark.parametrize("N,p", [(483, 1.0), (692, math.inf)])
+    def test_sweeps_at_the_served_edges_match_per_degree_norms(self, N, p):
+        # past N = 280 a point may be rescaled at another step than in its
+        # own degree's run; the first bits moved at degree 285 (inf) and
+        # 295 (1), by at most 2.6e-14 relative
+        sweep = lp_norms_1d(N, p)
+        for u in sorted({*range(0, N + 1, 3), N - 1, N}):
+            assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=1e-13, abs=0), u
+
+    def test_rules_do_not_depend_on_a_sweep(self):
+        # the p = 1 sweep refines its zeros itself and leaves the rule cache alone
+        def rules():
+            return [tuple(a.tobytes() for a in quad.roots_hermite(u))
+                    for u in (1, 2, 7, 48, 49, 60, 283, 300)]
+
+        quad.roots_hermite.cache_clear()
+        alone = rules()
+        quad.roots_hermite.cache_clear()
+        quad._lp_norms_1d_cached.__wrapped__(300, 1.0, 1e-8)
+        assert quad.roots_hermite.cache_info().currsize == 0
+        assert rules() == alone
+
+    def test_batched_nodes_are_each_rules_nodes(self):
+        # a rescaling multiplies phi_M and phi_{M-1} by one power of two, so
+        # the Halley steps, and the nodes, keep their bits at every degree
+        rules = [700, 483, 300, 283, *range(120, 0, -1)]
+        nodes = quad._halley_nodes(*quad._rule_guesses(rules))[0]
+        parts = np.split(nodes, np.cumsum([u // 2 for u in rules])[:-1])
+        for u, part in zip(rules, parts):
+            assert np.array_equal(part, quad.roots_hermite(u)[0][u % 2:]), u
 
     def test_read_only_and_cached(self):
         a = lp_norms_1d(30, 4.0)
@@ -633,23 +667,29 @@ class TestNormSweep:
         assert quad.check_sweep_budget(400, math.inf) == "sup"
         assert quad.check_sweep_budget(692, math.inf) == "sup"
 
-    @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0)])
+    @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
+                                     (483, 1.0)])
     def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
         # recurrence point-steps as in the per-norm test, and each value of a
-        # weighted power sum as _POWER_POINTS of them
-        done = []
+        # weighted power sum as _POWER_POINTS of them.  A kernel call with
+        # one degree per point runs the loop to the largest one over all its
+        # points; its cuts only make the work smaller.
+        done, kernels = [], []
         pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
 
         def counted_pair(x, M):
-            done.append(quad._phi_row_work(len(x), max(M - 1, 0)))
+            kernels.append(np.ndim(M))
+            done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
             return pair(x, M)
 
         def counted_rows(x, n, lowest=0):
+            kernels.append(0)
             done.append(quad._phi_row_work(len(x), n))
             return rows(x, n, lowest)
 
         def counted_tail(x, n):
-            done.append(quad._phi_row_work(len(x), n))
+            kernels.append(np.ndim(n))
+            done.append(quad._phi_row_work(len(x), int(np.max(n))))
             return tail(x, n)
 
         def counted_power(vals, logs, weights, p):
@@ -664,6 +704,10 @@ class TestNormSweep:
             cache.cache_clear()
         quad._lp_norms_1d_cached.__wrapped__(N, p, 1e-8)
         assert sum(done) <= quad._sweep_route(N, p)[1]
+        if p in (1.0, math.inf):
+            # the sweep's own calls, one degree per point: the sup grids'
+            # one run, or at most two node passes and one tail run
+            assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_is_estimated_once_per_order_and_exponent(self, p):
@@ -740,7 +784,8 @@ class TestNormLaw:
         assert norm_law(Fraction(3, 2)) == (Fraction(1, 12), 0)
         assert norm_law(np.int64(6)) == norm_law(6)
         assert type(norm_law(np.int64(6))[0].numerator) is int
-        # a float is taken exactly, not snapped to a nearby rational
+        # a float that is not the double nearest a small rational is taken
+        # exactly, not snapped to one
         assert norm_law(0.1 + 3.9)[0] == Fraction(-1, 8)
         assert norm_law(4.000000000000001)[1] == 0
         for bad in (0.5, 0, -math.inf, math.nan):
