@@ -1,17 +1,17 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of four routes, chosen by p and the degree n:
+``lp_norm_1d`` takes one of four routes, chosen by p alone (``_norm_route``).
+None refines, so the tolerance is only validated.
 
-- Even p (2, 4, 6, ...): under x = y*sqrt(2/p), |phi_n(x)|^p is a
+- Even p up to 12: under x = y*sqrt(2/p), |phi_n(x)|^p is a
   polynomial of degree p*n in y times e^{-y^2}, so the Gauss-Hermite rule
-  with M = p*n/2 + 1 nodes integrates it exactly.  There is no
-  refinement, so the tolerance is only validated.
+  with M = p*n/2 + 1 nodes integrates it exactly.
 - p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
   J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
   |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
   its own recurrence, carried along the scaled one for phi at 0 and the
   n-node rule's zeros.  A zero's error enters only at second order,
-  since phi_n vanishes there; the tolerance is only validated.
+  since phi_n vanishes there.
 - p = inf: on x > 0, f = phi^2 + phi'^2/(lambda - x^2) with lambda = 2n + 1
   has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
@@ -22,10 +22,11 @@
   zero; its last sign change brackets that zero, and the best grid point
   to its right is polished by Newton's method on the Taylor series that
   phi'' = (x^2 - lambda) phi gives there.
-- Bisection, for every other p: |phi_n|^p is integrated over
-  [-R, R] with R = sqrt(2*lambda) + 12, split at the zeros of phi_n so
-  each panel sees a smooth lobe, and all panels are refined by bisection
-  until two successive global estimates agree to the tolerance.
+- Panels, for every other p: one pass of fixed 12-node rules on pieces
+  of the half-lobes and the tail of phi_n, cut at its zeros (the n-node
+  rule's nodes, as at p = 1); the piece at a zero a takes the
+  Gauss-Jacobi rule for the |x - a|^alpha kink of |phi_n|^p there, the
+  others Gauss-Legendre (``_panel_rule``).
 
 The Gauss-Hermite rules are built here, by ``roots_hermite``:
 
@@ -49,34 +50,31 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
 Half-rules (y >= 0) are cached per M.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
-summability sum needs them.  For even p one rule serves all degrees: the
-rule of M = p*N/2 + 1 nodes is exact to polynomial degree 2M - 1 = p*N + 1,
-and |phi_u(y sqrt(2/p))|^p is a polynomial of degree p*u <= p*N times
-e^{-y^2}.  One run of the recurrence at the scaled nodes then passes
-through every degree 0..N, and each row's weighted p-th power sum is one
-of the integrals, so all N + 1 norms cost little more than the top one.
-Rows are summed in blocks of at most 2^17 values, so memory stays bounded
-whatever N is.  A single even-p norm is the same sweep with the power
-sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
-``lp_norm_1d(N, p)`` bit for bit.  p = 1 and p = inf sweep as well: the
-zeros of every degree take their Halley passes together, and the grids
-of all the degrees (the zeros at p = 1, the sup grids at p = inf) share
-one run of the recurrence, which reads each degree's points at its own
-step (``_accel.phi_pair`` and ``phi_tail`` take a degree per point).  A
-single norm is the sweep of one degree.  No point of these sweeps is
-rescaled up to N = 280, so they keep the per-degree bits there, and a
+summability sum needs them.  For even p up to 12 one rule serves all
+degrees: the rule of M = p*N/2 + 1 nodes is exact to polynomial degree
+2M - 1 = p*N + 1, and |phi_u(y sqrt(2/p))|^p is a polynomial of degree
+p*u <= p*N times e^{-y^2}.  One run of the recurrence at the scaled nodes
+then passes through every degree 0..N, and each row's weighted p-th power
+sum is one of the integrals, so all N + 1 norms cost little more than the
+top one.  Rows are summed in blocks of at most 2^17 values, so memory
+stays bounded whatever N is.  A single even-p norm is the same sweep with
+the power sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
+``lp_norm_1d(N, p)`` bit for bit.  The other routes sweep as well: the
+zeros of every degree take their Halley passes together, and the grids of
+all the degrees (the zeros at p = 1, the sup grids at p = inf, the panel
+points in runs of at most _RUN_POINTS) share a run of the recurrence,
+which reads each degree's points at its own step (the kernels take a
+degree per point).  A single norm is the sweep of one degree.  No point
+of these sweeps is rescaled up to N = 280 (267 for the panels, whose
+tails reach further out), so they keep the per-degree bits there, and a
 point rescaled at another step than in its own degree's run moves the
-last bits only.  Bisection p take ``lp_norm_1d`` per degree.  Sweeps are
-cached per (N, p, tol), 16 of them; each depends on N alone,
-so no result depends on what was computed before.
+last bits only.  Norms are cached per (n, p) and sweeps per (N, p), 16 of
+them; each sweep depends on N alone, so no result depends on what was
+computed before.
 
-Each route estimates its recurrence work in point-steps.  p = 1 and even
-p take their exact route unless its estimate is over the work budget or
-above _BISECTION_WEIGHT times bisection's, as at even p so large that the
-rule's p*n/2 + 1 nodes cost more than the panels.  A norm whose
-recurrence work exceeds ``NORM_WORK_BUDGET`` is refused with
-``CapabilityError``: up front from its estimated work, and during
-bisection before the pass that would cross it.  A sweep is admitted by
+Each route estimates its recurrence work in point-steps, and a norm
+whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
+``CapabilityError`` before any recurrence work.  A sweep is admitted by
 the work of all its norms: the even-p sweep's rule, recurrence and N + 1
 row power sums, or the sum of the per-degree estimates.
 
@@ -106,9 +104,6 @@ from .errors import CapabilityError, ConvergenceError, DomainError
 from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
 
 _GH_MAX_NODES = 10_000
-_GL_ORDER = 16
-_MAX_REFINEMENTS = 12
-_RHO_TOL = 1e-10
 
 # Recurrence work of a norm is counted in point-steps: a phi_row call over
 # P points at degree n costs n * (P + _STEP_POINTS), because each step of
@@ -119,15 +114,19 @@ _RHO_TOL = 1e-10
 # routes and the largest degrees served stay where they were.
 _STEP_POINTS = 4096
 # Work above which a norm is refused; it was set when the recurrence took
-# 4-15 s for it on that machine, the most for the bisection route's wide
-# grids.  The exact routes' largest degrees (240,326 at p = inf, 27,790 at
-# p = 1, 16,323 at p = 4) now take 1.7-2.3 s.
+# 4-15 s for it on that machine.  The exact routes' largest degrees
+# (240,326 at p = inf, 27,790 at p = 1, 16,323 at p = 4) now take 1.7-2.3 s.
 NORM_WORK_BUDGET = 1e9
-# A point-step of bisection takes 2 to 4.6 times as long as one of an exact
-# route (measured at degrees 13 to 1600 and p = 2, 4, 6): its grids of 16
-# points per panel outgrow the cache, and it may make more passes than the
-# two its estimate counts.  Its estimate is weighed by this against theirs.
-_BISECTION_WEIGHT = 4.0
+# Nodes of the panel route's rule on each piece, the fewest that reach
+# rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
+_PANEL_NODES = 12
+# Points of a panel norm above which it is refused, whatever its work, for
+# its memory (180 MB at the peak); the budget would admit 6e7 at degree 0
+# and p = 1e12.  The served edges up to p = 1e5 stay below it.
+_MAX_PANEL_POINTS = 1 << 21
+# Points of a phi_row run of a panel sweep, so its arrays stay in cache:
+# lp_norms_1d(400, 3) took 0.65 s with these and 1.2 s with 2^18 (2 vCPUs).
+_RUN_POINTS = 1 << 14
 # A weighted power sum over a row costs about as much per value as four
 # recurrence point-steps (a log and an exp: 21 ns against 5-6 ns).
 _POWER_POINTS = 4
@@ -211,6 +210,7 @@ _AIRY_ZEROS = np.array([
     -10.040174341558086, -11.008524303733263, -11.936015563236263,
     -12.828776752865757,
 ])
+_AIRY_A1, _AIRY_A2 = _AIRY_ZEROS[:2].tolist()
 # Half-rules kept by roots_hermite; the M-node one holds about 8 M bytes.
 _RULE_CACHE_SIZE = 128
 # A node still missing the stop rule after this many passes is an error.
@@ -370,115 +370,108 @@ def roots_hermite(M: int):
 
 @functools.lru_cache(maxsize=32)
 def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def truncated_rule(radius: float, panels: int = 64, order: int = _GL_ORDER) -> QuadratureRule:
+def truncated_rule(radius: float, panels: int = 64, order: int = 16) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-radius, radius]."""
     radius = float(radius)
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius}")
     if panels < 1:
         raise DomainError("panels must be >= 1")
-    nodes, weights = _panel_nodes(np.linspace(-radius, radius, panels + 1), order)
-    return QuadratureRule(
-        nodes=nodes, weights=weights, kind="truncated_adaptive", truncation_radius=radius
-    )
-
-
-def _panel_nodes(edges: np.ndarray, order: int = _GL_ORDER):
-    """Nodes and weights of the order-point Gauss-Legendre rule on each panel."""
     x, w = _leggauss(order)
+    edges = np.linspace(-radius, radius, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _bisect(edges: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(2 * len(edges) - 1)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
-
-
-def _initial_edges(degree: int, R: float) -> np.ndarray:
-    """Panel edges on [0, R]: Hermite zeros plus a subdivided outer region."""
-    if degree == 0:
-        interior = np.array([])
-    else:
-        z = roots_hermite(degree)[0]
-        interior = z[z > 0.0]
-    z0 = interior[-1] if len(interior) else 0.0
-    tail_panels = 24
-    tail = np.linspace(z0, R, tail_panels + 1)[1:]
-    head = np.linspace(0.0, interior[0], 3)[1:-1] if len(interior) else np.linspace(0.0, R, 9)[1:-1]
-    edges = np.concatenate([[0.0], head, interior, tail])
-    return np.unique(edges)
-
-
-def _half_line_integral(degree: int, p: float, edges: np.ndarray):
-    nodes, weights = _panel_nodes(edges)
-    vals, logs = phi_row(nodes, degree)
-    return weighted_abs_power_sum(vals, logs, weights, p)
+    return QuadratureRule(
+        nodes=(mid[:, None] + half[:, None] * x[None, :]).ravel(),
+        weights=(half[:, None] * w[None, :]).ravel(),
+        kind="truncated_adaptive", truncation_radius=radius,
+    )
 
 
 def _phi_row_work(points: int, degree: int) -> float:
     return float(degree) * (points + _STEP_POINTS)
 
 
-def _panel_work(edges: np.ndarray, degree: int) -> float:
-    return _phi_row_work(_GL_ORDER * (len(edges) - 1), degree)
+def _pieces(p: float) -> int:
+    """Pieces of a half-lobe at exponent p: near a maximum |phi|^p falls off
+    like a Gaussian of width L / (pi sqrt(p)) on a lobe of width L, so each
+    piece spans about pi of those widths (sqrt(p) / 3 left 1.1e-11 at p = 8)."""
+    return math.ceil(math.sqrt(p) / 2.0)
 
 
-def _lp_integral_1d(degree: int, p: float, tol: float):
-    """Adaptive evaluation of the full-line integral of |phi_degree|^p.
+@functools.lru_cache(maxsize=32)
+def _kink_rule(alpha: float):
+    """The _PANEL_NODES-point Gauss rule for the weight t^alpha on [0, 1],
+    alpha >= 0, as read-only (nodes, log weights), by Golub and Welsch
+    (Math. Comp. 23 (1969)): the eigenvalues of the recurrence matrix of
+    P^(0, alpha)(2t - 1), and 1 / (alpha + 1) times the squared first
+    components of the unit eigenvectors."""
+    k = np.arange(1.0, _PANEL_NODES)
+    j = 2.0 * k + alpha
+    # recurrence coefficients on [-1, 1], mapped to [0, 1] by t = (1 + x) / 2
+    diag = np.concatenate([[alpha / (alpha + 2.0)], alpha * alpha / (j * (j + 2.0))])
+    off = k * (k + alpha) / (j * np.sqrt((j + 1.0) * (j - 1.0)))
+    t, v = np.linalg.eigh(np.diag(0.5 + 0.5 * diag) + np.diag(off, 1) + np.diag(off, -1))
+    logw = 2.0 * np.log(np.abs(v[0])) - math.log1p(alpha)
+    t.flags.writeable = False
+    logw.flags.writeable = False
+    return t, logw
 
-    Returns (total, shift), the integral being total * e^shift.  All
-    estimates are kept on the largest shift seen, so they compare directly
-    and no rescaling overflows.
+
+def _tail_pieces(degree: int, s: int) -> int:
+    """Pieces of the tail [z, R] past the largest zero z of phi_degree,
+    ceil(s (R - z) / w), w the last lobe's width, at the leading order of
+    the zeros near the turning point, sqrt(nu) + a_j (2 sqrt(nu))^(-1/3)
+    with nu = 2 degree + 1 and a_j those of Ai: the estimate needs no zeros."""
+    root = math.sqrt(2.0 * degree + 1.0)
+    scale = (2.0 * root) ** (-1.0 / 3.0)
+    top = root + _AIRY_A1 * scale
+    return math.ceil(s * (math.sqrt(2.0) * root + 12.0 - top) / ((_AIRY_A1 - _AIRY_A2) * scale))
+
+
+def _panel_rule(degree: int, zeros: np.ndarray, p: float):
+    """(points, log weights) of the panel rule for the integral of
+    |phi_degree|^p over [0, sqrt(2 (2 degree + 1)) + 12], from the positive
+    zeros of phi_degree.  Runs of pieces start at a zero: each half-lobe,
+    to the middle of its lobe or to 0, in _pieces(p), and the tail in
+    _tail_pieces.  Across a zero a, |phi|^p = |x - a|^alpha g(x), g smooth,
+    alpha = p - 2 floor(p / 2), so the piece at a zero takes the kink rule,
+    its log weights taking in |x - a|^-alpha, and the others Gauss-Legendre.
     """
-    lam = 2.0 * degree + 1.0
-    R = math.sqrt(2.0 * lam) + 12.0
-    edges = _initial_edges(degree, R)
-    total, shift = _half_line_integral(degree, p, edges)
-    history = [total]
-    spent = _panel_work(edges, degree)
-    for _ in range(_MAX_REFINEMENTS):
-        edges = _bisect(edges)
-        spent += _panel_work(edges, degree)
-        if spent > NORM_WORK_BUDGET:
-            raise CapabilityError(
-                f"L^{p} integral for degree {degree} needs more than {NORM_WORK_BUDGET:.0e} "
-                f"point-steps of recurrence work to reach {tol}; half-line estimates so far "
-                f"(times e^{shift!r}): {history}"
-            )
-        total, pass_shift = _half_line_integral(degree, p, edges)
-        if pass_shift > shift:
-            history = [h * math.exp(shift - pass_shift) for h in history]
-            shift = pass_shift
-        history.append(total * math.exp(pass_shift - shift))
-        if abs(history[-1] - history[-2]) <= tol * abs(history[-1]):
-            return 2.0 * history[-1], shift
-    raise ConvergenceError(
-        f"L^{p} integral for degree {degree} did not converge to {tol} "
-        f"(estimates times e^{shift!r})",
-        last_two=(2.0 * history[-2], 2.0 * history[-1]),
-    )
+    s = _pieces(p)
+    alpha = p - 2.0 * math.floor(0.5 * p)
+    x, w = _leggauss(_PANEL_NODES)
+    t, logw = _kink_rule(alpha)
+    # the zeros on [0, R], 0 among them for odd degrees; phi_0's tail starts at 0
+    at = np.concatenate([[0.0], zeros]) if degree % 2 else np.asarray(zeros)
+    mids = 0.5 * (at[:-1] + at[1:])
+    a = np.concatenate([at[:-1], at[1:], at[:1] if degree % 2 == 0 else [],
+                        at[-1:] if degree else [0.0]])
+    far = np.concatenate([mids, mids, np.zeros(len(a) - 2 * len(mids) - 1),
+                          [math.sqrt(2.0 * (2.0 * degree + 1.0)) + 12.0]])
+    counts = np.append(np.full(len(a) - 1, s), _tail_pieces(degree, s))
+    h = np.repeat((far - a) / counts, counts)
+    # piece i of a run starts at a + i h, signed: half-lobes may run down
+    i = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
+    kink = (i == 0)[:, None] & (degree > 0)
+    nodes = np.where(kink, t, 0.5 * (x + 1.0))
+    log_weights = np.where(kink, logw - alpha * np.log(t), np.log(0.5 * w))
+    points = np.repeat(a, counts)[:, None] + h[:, None] * (i[:, None] + nodes)
+    return points.ravel(), (np.log(np.abs(h))[:, None] + log_weights).ravel()
 
 
 def _even_rule_nodes(degree: int, p: float) -> int:
     return int(p) // 2 * degree + 1
 
 
-def _even_p_integrals(degree: int, p: float, lowest: int):
-    """Exact integrals of |phi_u|^p for u = lowest..degree and even p, by the
-    Gauss-Hermite rule that is exact for the top degree, as (totals, shifts)
-    arrays with the integrals totals * e^shifts."""
-    M = _even_rule_nodes(degree, p)
+def _even_norm_1d(degrees, p: float) -> list[float]:
+    """||phi_u||_p for each u in degrees, nonincreasing, and even p, from the
+    rows u = smallest..largest on the Gauss-Hermite rule exact for the top."""
+    top, low = degrees[0], degrees[-1]
+    M = _even_rule_nodes(top, p)
     y, w = roots_hermite(M)
     # doubled for the mirrored node -y_i except at y_i = 0
     weights = 2.0 * w
@@ -486,16 +479,10 @@ def _even_p_integrals(degree: int, p: float, lowest: int):
         weights[0] *= 0.5
     scale = math.sqrt(2.0 / p)
     sums = [weighted_abs_power_sum(vals, logs, weights, p)
-            for vals, logs in phi_rows(scale * y, degree, lowest)]
-    totals = np.concatenate([total for total, _ in sums])
-    return scale * totals, np.concatenate([shift for _, shift in sums])
-
-
-def _even_p_integral_1d(degree: int, p: float):
-    """Exact integral of |phi_degree|^p for even p, as (total, shift) with the
-    integral total * e^shift: the top row of the sweep, alone."""
-    totals, shifts = _even_p_integrals(degree, p, degree)
-    return float(totals[0]), float(shifts[0])
+            for vals, logs in phi_rows(scale * y, top, low)]
+    totals = (scale * np.concatenate([total for total, _ in sums])).tolist()
+    shifts = np.concatenate([shift for _, shift in sums]).tolist()
+    return [_root(totals[u - low], shifts[u - low], p) for u in degrees]
 
 
 def _one_block(degrees, sizes):
@@ -506,37 +493,67 @@ def _one_block(degrees, sizes):
     return np.repeat(np.asarray(degrees, dtype=np.int64), sizes)
 
 
+def _positive_zeros(degrees) -> np.ndarray:
+    """The u // 2 positive zeros of phi_u, increasing, for each u in degrees,
+    as one array: one degree's from its cached rule (roots_hermite), those of
+    several, nonincreasing, from one set of Halley passes over all their
+    rules, which gives each rule's nodes bit for bit."""
+    if len(degrees) > 1:
+        return _halley_nodes(*_rule_guesses(degrees))[0]
+    u = degrees[0]
+    return roots_hermite(u)[0][u % 2:] if u else np.zeros(0)
+
+
 def _l1_norm_1d(degrees) -> list[float]:
     """||phi_u||_1 for each u in degrees, from the tail integrals
     J(a) = int_a^inf phi_u at 0 and the positive zeros: phi keeps its sign
     between consecutive points, so the half-line integral of |phi| is the
     sum of |J(a_j) - J(a_{j+1})| and of |J| at the largest zero.
 
-    One degree takes its zeros from its cached rule (roots_hermite);
-    several, in nonincreasing order, take theirs from one set of Halley
-    passes over all their rules, which gives each rule's nodes bit for
-    bit.  The tails come from one phi_tail run over all the points, a
-    block of u // 2 + 1 per degree.
+    The zeros come from _positive_zeros and the tails from one phi_tail
+    run over all the points, a block of u // 2 + 1 per degree.
     """
     degrees = [int(u) for u in degrees]
-    if len(degrees) > 1:
-        y, M = _rule_guesses(degrees)
-        y = _halley_nodes(y, M)[0]
-    else:
-        y = roots_hermite(degrees[0])[0][degrees[0] % 2:] if degrees[0] else np.zeros(0)
     sizes = [u // 2 + 1 for u in degrees]
     ends = np.cumsum(sizes)
     points = np.zeros(int(ends[-1]))
     # 0 leads each block
     zeros = np.zeros(len(points), dtype=bool)
     zeros[ends - sizes] = True
-    points[~zeros] = y
+    points[~zeros] = _positive_zeros(degrees)
     mantissa, logs = phi_tail(points, _one_block(degrees, sizes))
     tails = mantissa * np.exp(logs)
     after = np.append(tails[1:], 0.0)
     after[ends - 1] = 0.0
     gaps = np.abs(tails - after).tolist()
     return [2.0 * math.fsum(gaps[end - size:end]) for size, end in zip(sizes, ends.tolist())]
+
+
+def _panel_norm_1d(degrees, p: float) -> list[float]:
+    """||phi_u||_p for each u in degrees, nonincreasing, by _panel_rule.
+
+    Consecutive degrees share a phi_row run of up to _RUN_POINTS points
+    (one degree may exceed it).  Each degree's block is summed on its own
+    shift, with the log weights folded into its log scale, so underflowing
+    powers keep their shift."""
+    degrees = [int(u) for u in degrees]
+    zeros = np.split(_positive_zeros(degrees), np.cumsum([u // 2 for u in degrees])[:-1])
+    norms, run, size = [], [], 0
+    for i, (u, z) in enumerate(zip(degrees, zeros)):
+        run.append((u, *_panel_rule(u, z, p)))
+        size += len(run[-1][1])
+        if size < _RUN_POINTS and i + 1 < len(degrees):
+            continue
+        sizes = [len(x) for _, x, _ in run]
+        vals, logs = phi_row(np.concatenate([x for _, x, _ in run]),
+                             _one_block([v for v, _, _ in run], sizes))
+        logs = logs + np.concatenate([w for _, _, w in run]) / p
+        ends = np.cumsum(sizes).tolist()
+        for lo, hi in zip([0, *ends], ends):
+            total, shift = weighted_abs_power_sum(vals[lo:hi], logs[lo:hi], 1.0, p)
+            norms.append(_root(2.0 * total, shift, p))
+        run, size = [], 0
+    return norms
 
 
 def _sup_norm_1d(degrees) -> list[float]:
@@ -636,35 +653,29 @@ def _node_work(M: int, points: int) -> float:
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
-    The exact routes count the recurrence runs they make: the sup norm's
-    one grid, the rule of the even-p route and the degree's own rule for
-    the zero route.  The bisection estimate counts its first two passes,
-    the fewest it makes; the loop itself stops before a pass that would
-    cross the budget.  Its panel edges need the n-node rule too, whose one
-    pass is left out: it adds n (n/2 + 4096) point-steps, 4.5% at degree
-    6255 and under 2% of the time, and counting it would refuse degrees
-    the route has always served.
-
-    p = 1 and even p take their exact route unless it is over the budget
-    or dearer than bisection's estimate weighed by _BISECTION_WEIGHT.
+    The route depends on p alone: sup at p = inf, zeros at p = 1, the
+    exact rule at even p whose leading cost, p^2/8 + p/4 point-steps per
+    n^2 for its node pass and run, is at most the panels' 12 s + 1/2 (so
+    p <= 12), and the panels otherwise.  The estimate counts the runs the
+    route makes: the sup grid; the rule's node pass and run; or the n-node
+    rule's pass and the run over its zeros or the panel points.
     """
     if math.isinf(p):
         return "sup", _phi_row_work(_SUP_POINTS, degree)
-    panels = degree // 2 + 32
-    bisection = sum(_phi_row_work(k * _GL_ORDER * panels, degree) for k in (1, 2))
-    if p == 1.0:
-        route = "zeros"
-        work = _node_work(degree, degree - degree // 2) + _phi_row_work(degree // 2 + 1, degree)
-    elif p.is_integer() and int(p) % 2 == 0:
+    s = _pieces(p)
+    if p % 2.0 == 0.0 and p * p / 8.0 + p / 4.0 <= _PANEL_NODES * s + 0.5:
         M = _even_rule_nodes(degree, p)
         half = M - M // 2
-        route = "even"
-        work = _node_work(M, half) + _phi_row_work(half, degree)
-    else:
-        return "bisection", bisection
-    if work <= NORM_WORK_BUDGET and work <= _BISECTION_WEIGHT * bisection:
-        return route, work
-    return "bisection", bisection
+        return "even", _node_work(M, half) + _phi_row_work(half, degree)
+    nodes = _node_work(degree, degree - degree // 2)
+    if p == 1.0:
+        return "zeros", nodes + _phi_row_work(degree // 2 + 1, degree)
+    # degree - 1 half-lobes of s pieces, and the tail
+    points = _PANEL_NODES * (s * max(degree - 1, 0) + _tail_pieces(degree, s))
+    if points > _MAX_PANEL_POINTS:
+        # over any budget, for its memory
+        return "panels", math.inf
+    return "panels", nodes + _phi_row_work(points, degree)
 
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
@@ -719,36 +730,20 @@ def _root(total: float, shift: float, p: float) -> float:
     return total ** (1.0 / p) * math.exp(shift / p)
 
 
+# The norms of each route, for a list of degrees in nonincreasing order.
+_ROUTES = {"sup": lambda degrees, p: _sup_norm_1d(degrees),
+           "zeros": lambda degrees, p: _l1_norm_1d(degrees),
+           "even": _even_norm_1d, "panels": _panel_norm_1d}
+
+
 @functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
-def _lp_norm_1d_cached(degree: int, p: float, tol: float) -> float:
-    route = check_norm_budget(degree, p)
-    if route == "sup":
-        return _sup_norm_1d([degree])[0]
-    if route == "zeros":
-        return _l1_norm_1d([degree])[0]
-    if route == "even":
-        total, shift = _even_p_integral_1d(degree, p)
-    else:
-        total, shift = _lp_integral_1d(degree, p, tol)
-    return _root(total, shift, p)
-
-
-# The routes whose norms take a list of degrees, nonincreasing.
-_SWEEPS = {"sup": _sup_norm_1d, "zeros": _l1_norm_1d}
+def _lp_norm_1d_cached(degree: int, p: float) -> float:
+    return _ROUTES[check_norm_budget(degree, p)]([degree], p)[0]
 
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
-def _lp_norms_1d_cached(degree: int, p: float, tol: float) -> np.ndarray:
-    route = check_sweep_budget(degree, p)
-    if route == "even":
-        totals, shifts = _even_p_integrals(degree, p, 0)
-        norms = np.array([_root(t, s, p) for t, s in zip(totals.tolist(), shifts.tolist())])
-    elif route in _SWEEPS:
-        # every degree below takes the top one's route: its estimate is no
-        # larger.  The kernels take the points in nonincreasing degree.
-        norms = np.array(_SWEEPS[route](range(degree, -1, -1))[::-1])
-    else:
-        norms = np.array([lp_norm_1d(u, p, tol) for u in range(degree + 1)])
+def _lp_norms_1d_cached(degree: int, p: float) -> np.ndarray:
+    norms = np.array(_ROUTES[check_sweep_budget(degree, p)](range(degree, -1, -1), p)[::-1])
     norms.flags.writeable = False
     return norms
 
@@ -763,21 +758,19 @@ def _norm_args(degree, p, tol):
         raise DomainError(f"p must be in [1, inf], got {p}")
     if not 1e-14 < tol < 1e-2:
         raise DomainError(f"tol must be in (1e-14, 1e-2), got {tol}")
-    return int(degree), p, float(tol)
+    return int(degree), p
 
 
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     """One-dimensional norm ||phi_degree||_p.
 
-    Even p uses the exact Gauss-Hermite rule with p*degree/2 + 1 nodes and
-    p = 1 the tail integrals of phi_degree at its zeros, so ``tol`` is
-    only validated; p = inf searches the last lobe, where Sonin's argument
-    places the maximum; other p, and even p whose rule costs more than
-    bisection, refine panels split at the zeros by bisection until two
-    estimates agree to ``tol``.  Raises CapabilityError, before any
-    recurrence work, when the estimated work exceeds NORM_WORK_BUDGET
-    point-steps (for example degree 10**6 at p = 4, or degree 10**5 at
-    p = 1), and during bisection before a pass that would cross it.
+    The route depends on p alone: the last lobe's maximum at p = inf, the
+    tail integrals at the zeros at p = 1, the exact Gauss-Hermite rule at
+    even p up to 12, and one pass of fixed rules on panels cut at the
+    zeros otherwise; none refines, so ``tol`` is only validated.  Raises
+    CapabilityError, before any recurrence work, when the estimated work
+    exceeds NORM_WORK_BUDGET point-steps (for example degree 10**6 at
+    p = 4, degree 10**5 at p = 1, or degree 10**4 at p = 5/2).
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -785,16 +778,15 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    When ||phi_N||_p takes the exact rule (even p), all N + 1 norms come
-    from that one rule and one recurrence over the degrees, and entry N is
-    lp_norm_1d(N, p) bit for bit.  At p = 1 and p = inf one set of Halley
-    passes and one recurrence run over the grids of all degrees give the
-    N + 1 norms, bit for bit lp_norm_1d's up to N = 280 and within 1e-13
-    relative above.  Other p take lp_norm_1d per degree.  Raises
-    CapabilityError, before any recurrence work, when the estimated work
-    of all N + 1 norms exceeds NORM_WORK_BUDGET: the rule's, the
-    recurrence's and the N + 1 row power sums for the even-p sweep, the
-    sum of the per-degree estimates otherwise.
+    For even p up to 12 all N + 1 norms come from the exact rule of
+    degree N and one recurrence over the degrees, and entry N is
+    lp_norm_1d(N, p) bit for bit.  The other routes share recurrence runs
+    over the grids of all degrees, and give lp_norm_1d's norms bit for bit
+    up to N = 280 (267 for the panels) and within 1e-13 relative above.
+    Raises CapabilityError, before any recurrence work,
+    when the estimated work of all N + 1 norms exceeds NORM_WORK_BUDGET:
+    the rule's, the recurrence's and the N + 1 row power sums for the
+    even-p sweep, the sum of the per-degree estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 
@@ -872,7 +864,7 @@ def norm_model(nu_1d, p: float, k: int = 10) -> float:
         raise DomainError(f"cutoff k must be an int >= 2, got {k!r}")
     e, lam = norm_law(p)
     if nu <= k:
-        return _lp_norm_1d_cached(int(k), float(p), _RHO_TOL)
+        return _lp_norm_1d_cached(int(k), float(p))
     return nu ** float(e) * math.log(nu) ** float(lam)
 
 

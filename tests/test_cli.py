@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,14 @@ class TestNorms:
         assert by_key[(100, "2")]["computed"] == pytest.approx(1.0, rel=1e-10)
         assert by_key[(100, "2")]["ratio"] == pytest.approx(1.0, rel=1e-10)
         assert by_key[(100, "inf")]["computed"] < 1.0
+
+    def test_fractional_p_served_in_one_pass(self):
+        # the panel route at p = 4/3 and 5/2, degree 1600, process start included
+        start = time.perf_counter()
+        obj = stdout_json(run_cli("norms", "--degrees", "1600", "--p", "4/3,5/2"))
+        assert time.perf_counter() - start < 2.0
+        assert [row["p"] for row in obj["rows"]] == ["1.33333", "2.5"]
+        assert all(row["computed"] > 0 for row in obj["rows"])
 
     def test_csv_header(self):
         proc = run_cli("norms", "--degrees", "5", "--p", "2", "--format", "csv")

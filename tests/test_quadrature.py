@@ -1,7 +1,8 @@
 """Quadrature rules, Lp norms, and the norm-model estimators.
 
-Norm oracles for small degrees come from mpmath.quad applied to the
-definition of phi_k, fully independent of the package quadrature.
+Norm oracles for small degrees and p come from mpmath.quad applied to the
+definition of phi_k, fully independent of the package quadrature; large
+p take a dense composite Gauss-Legendre sum instead.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import hermult.quadrature as quad
-from hermult import CapabilityError, ConvergenceError, DomainError, _accel
+from hermult import CapabilityError, DomainError, _accel
 from hermult._accel import phi_row, phi_table
 from hermult.quadrature import (
     NormEstimate,
@@ -42,7 +43,9 @@ def norm_oracle(k, p):
     """(integral of |phi_k|^p)^(1/p) straight from the definition.
 
     Splits the range at the zeros of H_k so the absolute-value kinks sit
-    on subinterval endpoints where mpmath.quad handles them.
+    on subinterval endpoints where mpmath.quad handles them.  Used up to
+    p = 8: at p = 600, k = 3 it is off by 0.138, where |phi|^p is too
+    peaked for mpmath.quad, so larger p take dense_norm.
     """
     from scipy.special import roots_hermite
 
@@ -55,6 +58,20 @@ def norm_oracle(k, p):
     pts = [-lim] + (sorted(roots_hermite(k)[0].tolist()) if k else []) + [lim]
     val = mpmath.quad(integrand, pts)
     return float(val ** (mpmath.mpf(1) / p))
+
+
+def dense_norm(k, p, panels=40_000):
+    """||phi_k||_p from composite 16-point Gauss-Legendre on `panels` equal
+    panels of [-L, L], L = sqrt(2 (2k + 1)) + 14, not aligned to the zeros.
+
+    For p >= 8 the integrand has at least seven continuous derivatives at
+    the zeros of phi_k, and up to k = 300 a panel is under 1/50 of a lobe,
+    pi / sqrt(2k + 1) wide, so the sum is converged for p up to 1e4.
+    """
+    rule = truncated_rule(math.sqrt(2 * (2 * k + 1)) + 14, panels=panels)
+    vals, logs = phi_row(rule.nodes, k)
+    total, shift = _accel.weighted_abs_power_sum(vals, logs, rule.weights, p)
+    return total ** (1 / p) * math.exp(shift / p)
 
 
 def sup_oracle(k):
@@ -297,17 +314,30 @@ class TestLpNorms:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
     def test_against_mpmath_oracle(self, k, p):
         # even p runs the exact Gauss-Hermite rule, p = 1 the tail integrals
-        # at the zeros, p = 3 bisection to 1e-10
-        rel = {1.0: 1e-13, 3.0: 1e-8}.get(p, 1e-12)
+        # at the zeros, p = 3 the panels
+        rel = {1.0: 1e-13, 3.0: 1e-14}.get(p, 1e-12)
         assert lp_norm_1d(k, p, 1e-10) == pytest.approx(norm_oracle(k, p), rel=rel)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 12, 25])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 4 / 3, 1.5, 2.5, 3.0, 5.0])
+    def test_panels_against_mpmath_oracle(self, k, p):
+        # the kink rule takes the |x - a|^alpha factor at each zero
+        # (9e-16 at most here when written)
+        assert quad._panel_norm_1d([k], p)[0] == pytest.approx(norm_oracle(k, p), rel=1e-14)
+
+    @pytest.mark.parametrize("k", [3, 10, 300])
+    @pytest.mark.parametrize("p", [8.0, 37.5, 100.0, 600.0, 1000.0, 1e4])
+    def test_panels_against_dense_sum(self, k, p):
+        # ceil(sqrt(p) / 2) pieces a half-lobe resolve the peaks of |phi|^p
+        # (1.9e-15 at most here when written)
+        assert quad._panel_norm_1d([k], p)[0] == pytest.approx(dense_norm(k, p), rel=1e-14)
 
     @pytest.mark.parametrize("k", [200, 1000])
     @pytest.mark.parametrize("p", [4.0, 6.0])
     def test_exact_rule_matches_bisection(self, k, p):
-        exact, exact_shift = quad._even_p_integral_1d(k, p)
-        adaptive, adaptive_shift = quad._lp_integral_1d(k, p, 1e-12)
-        assert exact_shift == adaptive_shift == 0.0
-        assert exact == pytest.approx(adaptive, rel=1e-11)
+        # against the panel route, an independent quadrature
+        exact = quad._even_norm_1d([k], p)[0]
+        assert quad._panel_norm_1d([k], p)[0] == pytest.approx(exact, rel=5e-14)
 
     def test_l2_normalization_many_degrees(self):
         for k in [0, 5, 40, 137, 600]:
@@ -364,7 +394,7 @@ class TestLpNorms:
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
         for n in list(range(1, 60)) + [401, 1606]:
             runs.clear()
-            quad._lp_norm_1d_cached.__wrapped__(n, math.inf, 1e-8)
+            quad._lp_norm_1d_cached.__wrapped__(n, math.inf)
             assert runs == [n], n
 
     @pytest.mark.parametrize("n", [977, 34332, 240326])
@@ -416,24 +446,19 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("degree,p", [
         (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**5, 1.0), (10**6, 2.5),
+        (0, 1e12), (1, 1e300),
     ])
     def test_refused_before_any_work(self, degree, p):
+        # degrees 0 and 1 cost no recurrence steps, but the pieces of so
+        # large a p would hold 6e7 points and more
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
             lp_norm_1d(degree, p)
         assert time.perf_counter() - start < 1.0
 
-    def test_bisection_refused_before_crossing_budget(self, monkeypatch):
-        # degree 40 at p = 4/3 needs more passes than a 1e6 point-step budget allows
-        monkeypatch.setattr(quad, "NORM_WORK_BUDGET", 1e6)
-        route, work = quad._norm_route(40, 4 / 3)
-        assert route == "bisection" and work < quad.NORM_WORK_BUDGET
-        with pytest.raises(CapabilityError):
-            quad._lp_integral_1d(40, 4 / 3, 1e-8)
-
     @pytest.mark.parametrize("degree,p,route", [
         (34332, math.inf, "sup"), (16323, 4.0, "even"), (11616, 6.0, "even"),
-        (27790, 2.0, "even"), (6255, 1.0, "zeros"), (6255, 2.5, "bisection"),
+        (27790, 2.0, "even"), (6255, 1.0, "zeros"),
     ])
     def test_largest_degrees_served_before_are_served(self, degree, p, route):
         # the largest degrees within the budget when scipy supplied the nodes
@@ -447,6 +472,19 @@ class TestLpNorms:
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
             lp_norm_1d(240327, math.inf)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("degree,p", [(8511, 2.5), (2201, 1000.0)])
+    def test_panel_served_degree_edge(self, degree, p):
+        # the n-node rule's pass and one run over 12 (s (n - 1) + tail)
+        # points, s = 1 at p = 5/2 and 16 at p = 1000; the largest degree
+        # served returns, within Hoelder's ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
+        route, work = quad._norm_route(degree, p)
+        assert route == "panels" and work <= quad.NORM_WORK_BUDGET
+        assert 0.0 < lp_norm_1d(degree, p) <= lp_norm_1d(degree, math.inf) ** (1 - 2 / p)
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norm_1d(degree + 1, p)
         assert time.perf_counter() - start < 1.0
 
     def test_l1_served_degree_edge(self):
@@ -470,7 +508,7 @@ class TestLpNorms:
         want = scipy_roots(M)[0][M // 2:]
         assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
 
-    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0, 2.5])
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
         # point-steps as the estimate counts them: a phi_row, phi_rows or
         # phi_tail call at degree n n (P + 4096), a node pass at M nodes
@@ -501,27 +539,33 @@ class TestLpNorms:
         for degree in list(range(0, 130)) + [401, 1606, 5000]:
             done.clear()
             quad.roots_hermite.cache_clear()
-            quad._lp_norm_1d_cached.__wrapped__(degree, p, 1e-8)
+            quad._lp_norm_1d_cached.__wrapped__(degree, p)
             assert sum(done) <= quad._norm_route(degree, p)[1], degree
 
-    def test_large_even_p_takes_bisection(self):
-        # the exact rule's p * n / 2 + 1 = 90001 nodes would exceed the
-        # budget; its 15001 nodes at p = 100 would cost 35 times bisection
-        assert quad._norm_route(300, 600.0)[0] == "bisection"
-        assert quad._norm_route(300, 100.0)[0] == "bisection"
-        assert quad._norm_route(300, 8.0)[0] == "even"
+    def test_large_even_p_takes_panels(self):
+        # even p above 12, whose rule costs p^2/8 + p/4 point-steps per n^2
+        # against the panels' 12 ceil(sqrt(p) / 2) + 1/2, at every degree
+        for degree in (0, 1, 300, 5000):
+            assert quad._norm_route(degree, 600.0)[0] == "panels"
+            assert quad._norm_route(degree, 14.0)[0] == "panels"
+            assert quad._norm_route(degree, 12.0)[0] == "even"
         sup = lp_norm_1d(300, math.inf)
         # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
         assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
 
     def test_route_by_cost(self):
-        # the exact rule needs 30001 nodes, bisection two passes at degree 100
-        assert quad._norm_route(100, 600.0)[0] == "bisection"
+        # the exact rule would need 30001 nodes at degree 100
+        assert quad._norm_route(100, 600.0)[0] == "panels"
         start = time.perf_counter()
         got = lp_norm_1d(100, 600.0)
         assert time.perf_counter() - start < 0.5
-        exact = quad._root(*quad._even_p_integral_1d(100, 600.0), 600.0)
-        assert got == pytest.approx(exact, rel=1e-10)
+        exact = quad._even_norm_1d([100], 600.0)[0]
+        assert got == pytest.approx(exact, rel=5e-14)
+
+    @pytest.mark.parametrize("degree,p", [(8, 14.0), (300, 14.0), (1000, 20.0), (200, 26.0)])
+    def test_even_p_moved_to_panels_keep_their_value(self, degree, p):
+        exact = quad._even_norm_1d([degree], p)[0]
+        assert lp_norm_1d(degree, p) == pytest.approx(exact, rel=5e-14)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
     def test_common_even_p_keep_the_exact_rule(self, p):
@@ -531,9 +575,9 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 400, 1600])
     def test_zero_route_matches_bisection(self, degree):
-        total, shift = quad._lp_integral_1d(degree, 1.0, 1e-11)
-        assert shift == 0.0
-        assert quad._l1_norm_1d([degree])[0] == pytest.approx(total, rel=2e-13)
+        # against the panel route, an independent quadrature
+        assert quad._l1_norm_1d([degree])[0] == pytest.approx(
+            quad._panel_norm_1d([degree], 1.0)[0], rel=2e-14)
 
     @pytest.mark.parametrize("degree", [3000, 10000])
     def test_zero_route_within_its_bounds_at_large_degree(self, degree):
@@ -552,23 +596,30 @@ class TestLpNorms:
         assert lp_norm_1d(degree, 4.0) ** (1.0 / theta) <= norm
         assert norm <= lp_norm_1d(degree, math.inf) ** (1.0 - 2.0 / p)
 
-    def test_bisection_moves_estimates_to_the_largest_shift(self, monkeypatch):
-        # the second pass's largest exponent rises above -700, so it has no
-        # shift; the first estimate moves to its scale, e^(-712) stays finite
-        passes = iter([(1.0, -712.0), (math.exp(-699.0), 0.0), (math.exp(-699.0), 0.0)])
-        monkeypatch.setattr(quad, "_half_line_integral", lambda *args: next(passes))
-        assert quad._lp_integral_1d(40, 3.0, 1e-8) == (2.0 * math.exp(-699.0), 0.0)
-
     def test_norm_cache_is_bounded(self):
         # bounded, and large enough for the ~400 norms of an s_r_sum at N = 200
         assert 400 <= quad._lp_norm_1d_cached.cache_info().maxsize < 10**5
 
-    def test_convergence_error_carries_last_two(self, monkeypatch):
-        monkeypatch.setattr(quad, "_MAX_REFINEMENTS", 1)
-        with pytest.raises(ConvergenceError) as exc:
-            quad._lp_integral_1d(5, 1.37, 1e-13)
-        a, b = exc.value.last_two
-        assert a > 0 and b > 0 and a != b
+    @pytest.mark.parametrize("p", [2.5, 4.0])
+    def test_norm_is_computed_once_whatever_the_tolerance(self, p):
+        # no route reads tol, so the norm model's rho_k and lp_norm_1d share
+        # one entry
+        quad._lp_norm_1d_cached.cache_clear()
+        first = lp_norm_1d(10, p, 1e-8)
+        assert lp_norm_1d(10, p, 1e-12) == first
+        assert norm_model(3, p, 10) == first
+        assert quad._lp_norm_1d_cached.cache_info().misses == 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1 / 3, 0.5, 1.0, 1.5, 1.9])
+    def test_kink_rule_matches_scipy(self, alpha):
+        # scipy's rule for (1 + x)^alpha on [-1, 1], mapped to t = (1 + x) / 2
+        from scipy.special import roots_jacobi
+
+        x, w = roots_jacobi(quad._PANEL_NODES, 0.0, alpha)
+        t, logw = quad._kink_rule(alpha)
+        assert np.max(np.abs(t - 0.5 * (1.0 + x))) <= 1e-15
+        want = w * 2.0 ** -(alpha + 1.0)
+        assert np.max(np.abs(np.exp(logw) - want)) <= 2e-13 * want.sum()
 
 
 class TestNormSweep:
@@ -588,7 +639,7 @@ class TestNormSweep:
     @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 200, 1000])
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
     def test_top_row_is_the_single_norm(self, p, N):
-        assert lp_norms_1d(N, p)[N] == quad._lp_norm_1d_cached.__wrapped__(N, p, 1e-8)
+        assert lp_norms_1d(N, p)[N] == quad._lp_norm_1d_cached.__wrapped__(N, p)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
     def test_low_degrees_of_a_large_sweep_against_mpmath(self, p):
@@ -600,17 +651,21 @@ class TestNormSweep:
         assert np.max(np.abs(lp_norms_1d(3000, 2.0) - 1.0)) <= 3e-14
 
     def test_other_p_take_the_per_degree_norms(self):
-        # p = 1 and p = inf run one sweep; no point of it is rescaled up to
-        # N = 280, so it keeps each degree's bits there
-        cases = [(3.0, 12)] + [(p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
+        # p = 1, p = inf and the panels sweep; no point of a sweep is
+        # rescaled up to N = 280 at p = 1 and p = inf and N = 267 for the
+        # panels, whose tail reaches further out, so it keeps each degree's
+        # bits there
+        cases = [(3.0, 12), (4 / 3, 267), (1000.0, 60)] + [
+            (p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
         for p, N in cases:
             assert lp_norms_1d(N, p).tolist() == [lp_norm_1d(u, p) for u in range(N + 1)], (p, N)
 
-    @pytest.mark.parametrize("N,p", [(483, 1.0), (692, math.inf)])
+    @pytest.mark.parametrize("N,p", [(483, 1.0), (692, math.inf), (405, 4 / 3), (313, 37.5)])
     def test_sweeps_at_the_served_edges_match_per_degree_norms(self, N, p):
-        # past N = 280 a point may be rescaled at another step than in its
-        # own degree's run; the first bits moved at degree 285 (inf) and
-        # 295 (1), by at most 2.6e-14 relative
+        # past N = 280 (267 for the panels) a point may be rescaled at
+        # another step than in its own degree's run; the first bits moved at
+        # degree 285 (inf), 295 (1), 268 (4/3) and 281 (37.5), by at most
+        # 2.6e-14 relative
         sweep = lp_norms_1d(N, p)
         for u in sorted({*range(0, N + 1, 3), N - 1, N}):
             assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=1e-13, abs=0), u
@@ -624,7 +679,7 @@ class TestNormSweep:
         quad.roots_hermite.cache_clear()
         alone = rules()
         quad.roots_hermite.cache_clear()
-        quad._lp_norms_1d_cached.__wrapped__(300, 1.0, 1e-8)
+        quad._lp_norms_1d_cached.__wrapped__(300, 1.0)
         assert quad.roots_hermite.cache_info().currsize == 0
         assert rules() == alone
 
@@ -668,7 +723,7 @@ class TestNormSweep:
         assert quad.check_sweep_budget(692, math.inf) == "sup"
 
     @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
-                                     (483, 1.0)])
+                                     (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0)])
     def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
         # recurrence point-steps as in the per-norm test, and each value of a
         # weighted power sum as _POWER_POINTS of them.  A kernel call with
@@ -676,6 +731,12 @@ class TestNormSweep:
         # points; its cuts only make the work smaller.
         done, kernels = [], []
         pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+        row = quad.phi_row
+
+        def counted_row(x, n):
+            kernels.append(np.ndim(n))
+            done.append(quad._phi_row_work(len(x), int(np.max(n))))
+            return row(x, n)
 
         def counted_pair(x, M):
             kernels.append(np.ndim(M))
@@ -697,12 +758,13 @@ class TestNormSweep:
             return power(vals, logs, weights, p)
 
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_rows", counted_rows)
         monkeypatch.setattr(quad, "phi_tail", counted_tail)
         monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
         for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
             cache.cache_clear()
-        quad._lp_norms_1d_cached.__wrapped__(N, p, 1e-8)
+        quad._lp_norms_1d_cached.__wrapped__(N, p)
         assert sum(done) <= quad._sweep_route(N, p)[1]
         if p in (1.0, math.inf):
             # the sweep's own calls, one degree per point: the sup grids'
@@ -739,7 +801,7 @@ class TestNormSweep:
         # the whole (N + 1) x (M / 2) table would take about 256 MB
         tracemalloc.start()
         try:
-            quad._lp_norms_1d_cached.__wrapped__(4000, 4.0, 1e-8)
+            quad._lp_norms_1d_cached.__wrapped__(4000, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
