@@ -382,9 +382,10 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     sum over nu of |m(nu)|^r (norm_{p2}(phi_nu) norm_{p1'}(phi_nu))^r.
 
     The norms of all degrees up to a truncation order come from
-    ``lp_norms_1d``: for even p up to 12 from one Gauss-Hermite rule per
-    (order, p), for other p from recurrence runs shared by the grids of
-    every degree (one at p = 1 and p = inf).  A finite table's
+    ``lp_norms_1d``: for even p from one Gauss-Hermite rule per (order, p)
+    (above p = 12 while it is within the work budget), for other p from
+    recurrence runs shared by the grids of every degree (one at p = 1 and
+    p = inf).  A finite table's
     sum stops at its largest order, and so do its norms.  Each order is
     refused with CapabilityError before any of its norms is computed when
     the estimated work of either exponent's norms up to it exceeds the

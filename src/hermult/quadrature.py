@@ -50,27 +50,27 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
 Half-rules (y >= 0) are cached per M.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
-summability sum needs them.  For even p up to 12 one rule serves all
-degrees: the rule of M = p*N/2 + 1 nodes is exact to polynomial degree
-2M - 1 = p*N + 1, and |phi_u(y sqrt(2/p))|^p is a polynomial of degree
-p*u <= p*N times e^{-y^2}.  One run of the recurrence at the scaled nodes
-then passes through every degree 0..N, and each row's weighted p-th power
-sum is one of the integrals, so all N + 1 norms cost little more than the
-top one.  Rows are summed in blocks of at most 2^17 values, so memory
-stays bounded whatever N is.  A single even-p norm is the same sweep with
-the power sums of the lower rows left out, so ``lp_norms_1d(N, p)[N]`` is
-``lp_norm_1d(N, p)`` bit for bit.  The other routes sweep as well: the
-zeros of every degree take their Halley passes together, and the grids of
-all the degrees (the zeros at p = 1, the sup grids at p = inf, the panel
-points in runs of at most _RUN_POINTS) share a run of the recurrence,
-which reads each degree's points at its own step (the kernels take a
-degree per point).  A single norm is the sweep of one degree.  No point
-of these sweeps is rescaled up to N = 280 (267 for the panels, whose
-tails reach further out), so they keep the per-degree bits there, and a
-point rescaled at another step than in its own degree's run moves the
-last bits only.  Norms are cached per (n, p) and sweeps per (N, p), 16 of
-them; each sweep depends on N alone, so no result depends on what was
-computed before.
+summability sum needs them.  For even p one rule serves all degrees: the
+rule of M = p*N/2 + 1 nodes is exact to polynomial degree p*N + 1, and
+|phi_u(y sqrt(2/p))|^p is a polynomial of degree p*u <= p*N times
+e^{-y^2}.  One run of the recurrence at the scaled nodes passes through
+every degree 0..N, and each row's weighted p-th power sum is one of the
+integrals, so all N + 1 norms cost little more than the top one; rows are
+summed in blocks of at most 2^17 values, so memory stays bounded whatever
+N is.  The sweep takes even p above 12 too, while that rule is within the
+budget.  Up to 12 a single even-p norm is the same sweep without the lower
+rows, so ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)`` bit for bit.
+The other routes sweep as well: the zeros of every degree take their
+Halley passes together, and the grids of all the degrees (the zeros at
+p = 1, the sup grids at p = inf, the panel points in runs of at most
+_RUN_POINTS) share a run of the recurrence, which reads each degree's
+points at its own step (the kernels take a degree per point).  A single
+norm is the sweep of one degree.  No point of these sweeps is rescaled up
+to N = 280 (267 for the panels, whose tails reach further out), so they
+keep the per-degree bits there; above, a point rescaled at another step
+than in its own degree's run moves the last bits only.  Norms are cached
+per (n, p) and sweeps per (N, p), 16 of them; each sweep depends on N
+alone, so no result depends on what was computed before.
 
 Each route estimates its recurrence work in point-steps, and a norm
 whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
@@ -120,6 +120,10 @@ NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
 _PANEL_NODES = 12
+# Largest even p of a norm by the exact rule: its leading cost per n^2,
+# p^2/8 + p/4, is at most the panels' 12 ceil(sqrt(p)/2) + 1/2 up to
+# p = 12 (21 <= 24.5) and above it from 14 on (28 > 24.5, growing faster).
+_EXACT_MAX_P = 12
 # Points of a panel norm above which it is refused, whatever its work, for
 # its memory (180 MB at the peak); the budget would admit 6e7 at degree 0
 # and p = 1e12.  The served edges up to p = 1e5 stay below it.
@@ -467,6 +471,14 @@ def _even_rule_nodes(degree: int, p: float) -> int:
     return int(p) // 2 * degree + 1
 
 
+def _even_work(degree: int, p: float, rows: int = 0) -> float:
+    """Point-steps of the exact rule for ||phi_degree||_p: its node pass
+    and run, and the weighted power sums of `rows` rows."""
+    M = _even_rule_nodes(degree, p)
+    half = M - M // 2
+    return _node_work(M, half) + _phi_row_work(half, degree) + _POWER_POINTS * rows * half
+
+
 def _even_norm_1d(degrees, p: float) -> list[float]:
     """||phi_u||_p for each u in degrees, nonincreasing, and even p, from the
     rows u = smallest..largest on the Gauss-Hermite rule exact for the top."""
@@ -654,22 +666,19 @@ def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
     The route depends on p alone: sup at p = inf, zeros at p = 1, the
-    exact rule at even p whose leading cost, p^2/8 + p/4 point-steps per
-    n^2 for its node pass and run, is at most the panels' 12 s + 1/2 (so
-    p <= 12), and the panels otherwise.  The estimate counts the runs the
-    route makes: the sup grid; the rule's node pass and run; or the n-node
-    rule's pass and the run over its zeros or the panel points.
+    exact rule at even p up to _EXACT_MAX_P, and the panels otherwise.
+    The estimate counts the runs the route makes: the sup grid; the rule's
+    node pass and run; or the n-node rule's pass and the run over its
+    zeros or the panel points.
     """
     if math.isinf(p):
         return "sup", _phi_row_work(_SUP_POINTS, degree)
-    s = _pieces(p)
-    if p % 2.0 == 0.0 and p * p / 8.0 + p / 4.0 <= _PANEL_NODES * s + 0.5:
-        M = _even_rule_nodes(degree, p)
-        half = M - M // 2
-        return "even", _node_work(M, half) + _phi_row_work(half, degree)
+    if p % 2.0 == 0.0 and p <= _EXACT_MAX_P:
+        return "even", _even_work(degree, p)
     nodes = _node_work(degree, degree - degree // 2)
     if p == 1.0:
         return "zeros", nodes + _phi_row_work(degree // 2 + 1, degree)
+    s = _pieces(p)
     # degree - 1 half-lobes of s pieces, and the tail
     points = _PANEL_NODES * (s * max(degree - 1, 0) + _tail_pieces(degree, s))
     if points > _MAX_PANEL_POINTS:
@@ -680,18 +689,19 @@ def _norm_route(degree: int, p: float):
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _sweep_route(N: int, p: float):
-    """(route of ||phi_N||_p, estimated point-steps of lp_norms_1d(N, p)).
+    """(route, estimated point-steps) of lp_norms_1d(N, p).
 
-    The even-p sweep adds the weighted power sums of its N + 1 rows to the
-    top norm's estimate; the others sum the estimates of their N + 1 norms,
-    stopping once the sum is over the budget.  Cached, so that the check of
-    a caller that admits a sweep before asking for it (s_r_sum admits both
-    exponents first) and the check in lp_norms_1d cost one estimate.
+    One exact rule serves every degree of an even-p sweep, so it takes
+    even p past _EXACT_MAX_P too while it is within the budget and its
+    node count within the point cap (so that it converts to a float).
+    Other sweeps sum their N + 1 norms' estimates until over the budget.
+    Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
     """
-    route, work = _norm_route(N, p)
-    if route == "even":
-        M = _even_rule_nodes(N, p)
-        return route, work + _POWER_POINTS * (N + 1) * (M - M // 2)
+    if p % 2.0 == 0.0 and (p <= _EXACT_MAX_P or _even_rule_nodes(N, p) <= _MAX_PANEL_POINTS):
+        work = _even_work(N, p, N + 1)
+        if p <= _EXACT_MAX_P or work <= NORM_WORK_BUDGET:
+            return "even", work
+    route = _norm_route(N, p)[0]
     total = 0.0
     for u in range(N + 1):
         total += _norm_route(u, p)[1]
@@ -713,9 +723,8 @@ def check_norm_budget(degree: int, p: float) -> str:
 
 
 def check_sweep_budget(N: int, p: float) -> str:
-    """The route of ||phi_N||_p; raises CapabilityError when the estimated
-    recurrence work of lp_norms_1d(N, p), all N + 1 norms, exceeds
-    NORM_WORK_BUDGET."""
+    """The route of lp_norms_1d(N, p); raises CapabilityError when its
+    estimated recurrence work, all N + 1 norms, exceeds NORM_WORK_BUDGET."""
     route, work = _sweep_route(N, p)
     if work > NORM_WORK_BUDGET:
         raise CapabilityError(
@@ -778,15 +787,16 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    For even p up to 12 all N + 1 norms come from the exact rule of
-    degree N and one recurrence over the degrees, and entry N is
-    lp_norm_1d(N, p) bit for bit.  The other routes share recurrence runs
-    over the grids of all degrees, and give lp_norm_1d's norms bit for bit
-    up to N = 280 (267 for the panels) and within 1e-13 relative above.
-    Raises CapabilityError, before any recurrence work,
-    when the estimated work of all N + 1 norms exceeds NORM_WORK_BUDGET:
-    the rule's, the recurrence's and the N + 1 row power sums for the
-    even-p sweep, the sum of the per-degree estimates otherwise.
+    For even p all N + 1 norms come from the exact rule of degree N and
+    one recurrence over the degrees (above p = 12 while that is within the
+    budget; the panels otherwise); up to p = 12 entry N is lp_norm_1d(N, p)
+    bit for bit, above it the panels' norms within 1e-13 relative.  The
+    other routes share recurrence runs over the grids of all degrees, and
+    give lp_norm_1d's norms bit for bit up to N = 280 (267 for the panels)
+    and within 1e-13 relative above.  Raises CapabilityError, before any
+    recurrence work, when the estimated work of all N + 1 norms exceeds
+    NORM_WORK_BUDGET: the rule's, the recurrence's and the N + 1 row power
+    sums for the even-p sweep, the sum of the per-degree estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 
@@ -901,11 +911,6 @@ def norm_estimate(nu, p: float, k: int = 10, tol: float = 1e-8) -> NormEstimate:
     )
 
 
-def _fit_degrees(lo: int, hi: int, samples: int) -> np.ndarray:
-    degrees = np.unique(np.rint(np.geomspace(lo, hi, samples)).astype(int))
-    return degrees
-
-
 def fit_norm_exponent(p: float, degree_range, samples: int = 10, tol: float = 1e-8) -> float:
     """Least-squares slope of log ||phi_nu||_p against log nu.
 
@@ -928,7 +933,7 @@ def _fit(p, degree_range, samples, tol, with_log_term):
         raise DomainError(f"degree range must satisfy 10 <= lo < hi, got [{lo}, {hi}]")
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
-    degrees = _fit_degrees(lo, hi, samples)
+    degrees = np.unique(np.rint(np.geomspace(lo, hi, samples)).astype(int))
     if len(degrees) < 2:
         raise DomainError("fewer than 2 distinct degrees in the fit range")
     logs = np.log(degrees.astype(float))

@@ -465,6 +465,14 @@ class TestSrSum:
         one = s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=400).partial_sum
         assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("p1,p2", [(2, 14), (Fraction(14, 13), 2)])
+    def test_even_p_above_12_served_at_the_default_order_in_dimension_two(self, p1, p2):
+        # one exact rule per order serves the p = 14 norms up to 400
+        rep = s_r_sum(heat_symbol(1.0, n=2), p1, p2, 1)
+        assert rep.truncation_order == 400 and rep.verdict == "finite"
+        one = s_r_sum(heat_symbol(1.0), p1, p2, 1, N=400).partial_sum
+        assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
+
     def test_regime_tags_attached_when_classifiable(self):
         rep = s_r_sum(heat_symbol(1.0), 2, 4, 1, N=20)
         assert rep.p2_regime == "eq4"

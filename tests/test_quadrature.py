@@ -655,7 +655,7 @@ class TestNormSweep:
         # rescaled up to N = 280 at p = 1 and p = inf and N = 267 for the
         # panels, whose tail reaches further out, so it keeps each degree's
         # bits there
-        cases = [(3.0, 12), (4 / 3, 267), (1000.0, 60)] + [
+        cases = [(3.0, 12), (4 / 3, 267), (999.5, 60)] + [
             (p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
         for p, N in cases:
             assert lp_norms_1d(N, p).tolist() == [lp_norm_1d(u, p) for u in range(N + 1)], (p, N)
@@ -716,6 +716,26 @@ class TestNormSweep:
             lp_norms_1d(N, p)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("N,p", [(4504, 14.0), (4044, 16.0), (2880, 24.0), (780, 100.0)])
+    def test_even_p_above_12_sweep_by_the_exact_rule(self, N, p):
+        # one rule serves every degree, so the sweep is admitted by its own
+        # estimate, where the panels' per-degree sum stops at N = 296 to 362
+        assert quad._norm_route(N, p)[0] == "panels"
+        assert quad.check_sweep_budget(N, p) == "even"
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norms_1d(N + 1, p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_even_p_above_12_sweep_matches_the_panel_norms(self):
+        sweep = lp_norms_1d(3000, 14.0)
+        for u in [*range(0, 3000, 500), 2999, 3000]:
+            assert sweep[u] == pytest.approx(lp_norm_1d(u, 14.0), rel=1e-13, abs=0), u
+
+    def test_even_p_sweep_past_the_budget_takes_the_panels(self):
+        # the 60,001-node rule of N = 200 is over the budget at p = 600
+        assert quad.check_sweep_budget(200, 600.0) == "panels"
+
     def test_sup_sweep_served_past_400(self):
         # the sum of n (65 + 4096) point-steps over n <= N is within the
         # budget up to N = 692; 693 is refused above
@@ -723,7 +743,8 @@ class TestNormSweep:
         assert quad.check_sweep_budget(692, math.inf) == "sup"
 
     @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
-                                     (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0)])
+                                     (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0),
+                                     (100, 599.5)])
     def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
         # recurrence point-steps as in the per-norm test, and each value of a
         # weighted power sum as _POWER_POINTS of them.  A kernel call with
