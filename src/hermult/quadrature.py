@@ -3,9 +3,22 @@
 ``lp_norm_1d`` takes one of four routes, chosen by p alone (``_norm_route``).
 None refines, so the tolerance is only validated.
 
-- Even p up to 12: under x = y*sqrt(2/p), |phi_n(x)|^p is a
-  polynomial of degree p*n in y times e^{-y^2}, so the Gauss-Hermite rule
-  with M = p*n/2 + 1 nodes integrates it exactly.
+- Even p up to 12: f = |phi_n|^p = phi_n^p is entire and even, with a
+  Gaussian tail, so the trapezoidal rule on the grid x_j = j h converges
+  faster than geometrically (Trefethen and Weideman, SIAM Rev. 56
+  (2014), section 5); f being even, the sum runs over j >= 0 with weight
+  h at x_0 and 2h elsewhere.  By Poisson summation the rule on the whole
+  line is the sum of F(2 pi k / h) over all integers k, F the Fourier
+  transform of f, so its error is 2 sum_{k >= 1} F(2 pi k / h) plus the
+  integral past the grid's end R.  The transform of phi_n is
+  (-i)^n sqrt(2 pi) phi_n, which decays like an Airy function past the
+  turning point sqrt(2n + 1); F, a p-fold convolution of it, is
+  negligible past p sqrt(2n + 1).  So h = 2 pi / (p sqrt(2n + 1) + 20)
+  puts the first alias 20 past that, and R = sqrt(2n + 1) + 6 reaches 6
+  past the turning point, where |phi_n| is below e^-24 of its maximum
+  (n = 0 is the widest), so f below e^-48 of its own.  The grid has about
+  p (2n + 1) / (2 pi) points and needs no nodes: one run of the
+  recurrence over it is the whole norm.
 - p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
   J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
   |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
@@ -50,14 +63,13 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
 Half-rules (y >= 0) are cached per M.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
-summability sum needs them.  For even p one rule serves all degrees: the
-rule of M = p*N/2 + 1 nodes is exact to polynomial degree p*N + 1, and
-|phi_u(y sqrt(2/p))|^p is a polynomial of degree p*u <= p*N times
-e^{-y^2}.  One run of the recurrence at the scaled nodes passes through
-every degree 0..N, and each row's weighted p-th power sum is one of the
-integrals, so all N + 1 norms cost little more than the top one; rows are
-summed in blocks of at most 2^17 values, so memory stays bounded whatever
-N is.  The sweep takes even p above 12 too, while that rule is within the
+summability sum needs them.  For even p one grid serves all degrees: that
+of degree N has a finer step and a longer reach than that of any u <= N.
+One run of the recurrence at its points passes through every degree
+0..N, and each row's weighted p-th power sum is one of the integrals, so
+all N + 1 norms cost one run and N + 1 power sums; rows are summed in
+blocks of at most 2^17 values, so memory stays bounded whatever N is.
+The sweep takes even p above 12 too, while that grid is within the
 budget.  Up to 12 a single even-p norm is the same sweep without the lower
 rows, so ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)`` bit for bit.
 The other routes sweep as well: the zeros of every degree take their
@@ -75,8 +87,8 @@ alone, so no result depends on what was computed before.
 Each route estimates its recurrence work in point-steps, and a norm
 whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
 ``CapabilityError`` before any recurrence work.  A sweep is admitted by
-the work of all its norms: the even-p sweep's rule, recurrence and N + 1
-row power sums, or the sum of the per-degree estimates.
+the work of all its norms: the even-p sweep's run and N + 1 row power
+sums, or the sum of the per-degree estimates.
 
 The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 (Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
@@ -115,15 +127,23 @@ _GH_MAX_NODES = 10_000
 _STEP_POINTS = 4096
 # Work above which a norm is refused; it was set when the recurrence took
 # 4-15 s for it on that machine.  The exact routes' largest degrees
-# (240,326 at p = inf, 27,790 at p = 1, 16,323 at p = 4) now take 1.7-2.3 s.
+# (240,326 at p = inf, 27,790 at p = 1, 25,872 at p = 4) now take 1.3-2.3 s.
 NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
 _PANEL_NODES = 12
-# Largest even p of a norm by the exact rule: its leading cost per n^2,
-# p^2/8 + p/4, is at most the panels' 12 ceil(sqrt(p)/2) + 1/2 up to
-# p = 12 (21 <= 24.5) and above it from 14 on (28 > 24.5, growing faster).
+# Largest even p of a norm by the trapezoid grid.  The grid's leading cost
+# per n^2 is about p / pi, against the panels' 12 ceil(sqrt(p)/2) + 1/2
+# (3.8 against 24.5 at p = 12), so it stays the cheaper up to p = 378.
+# 12 is where the Gauss-Hermite rule the grid replaced, at p^2/8 + p/4,
+# crossed the panels (21 <= 24.5; 28 > 24.5 at p = 14); it is kept so that
+# no single-norm route moved with the grid.
 _EXACT_MAX_P = 12
+# The even route's trapezoid grid (_even_grid): its first alias lies
+# _ALIAS_MARGIN past p sqrt(2n + 1), and it reaches _TAIL_MARGIN past the
+# turning point sqrt(2n + 1).
+_ALIAS_MARGIN = 20.0
+_TAIL_MARGIN = 6.0
 # Points of a panel norm above which it is refused, whatever its work, for
 # its memory (180 MB at the peak); the budget would admit 6e7 at degree 0
 # and p = 1e12.  The served edges up to p = 1e5 stay below it.
@@ -467,32 +487,34 @@ def _panel_rule(degree: int, zeros: np.ndarray, p: float):
     return points.ravel(), (np.log(np.abs(h))[:, None] + log_weights).ravel()
 
 
-def _even_rule_nodes(degree: int, p: float) -> int:
-    return int(p) // 2 * degree + 1
+def _even_grid(degree: int, p: float):
+    """(h, J + 1) of the even route's grid j h, j = 0..J, for |phi_degree|^p:
+    h = 2 pi / (p sqrt(2 degree + 1) + _ALIAS_MARGIN) and the least J with
+    J h >= sqrt(2 degree + 1) + _TAIL_MARGIN."""
+    root = math.sqrt(2.0 * degree + 1.0)
+    h = 2.0 * math.pi / (p * root + _ALIAS_MARGIN)
+    return h, math.ceil((root + _TAIL_MARGIN) / h) + 1
 
 
 def _even_work(degree: int, p: float, rows: int = 0) -> float:
-    """Point-steps of the exact rule for ||phi_degree||_p: its node pass
-    and run, and the weighted power sums of `rows` rows."""
-    M = _even_rule_nodes(degree, p)
-    half = M - M // 2
-    return _node_work(M, half) + _phi_row_work(half, degree) + _POWER_POINTS * rows * half
+    """Point-steps of the even route at degree: its run over the grid, and
+    the weighted power sums of `rows` rows."""
+    points = _even_grid(degree, p)[1]
+    return _phi_row_work(points, degree) + _POWER_POINTS * rows * points
 
 
 def _even_norm_1d(degrees, p: float) -> list[float]:
-    """||phi_u||_p for each u in degrees, nonincreasing, and even p, from the
-    rows u = smallest..largest on the Gauss-Hermite rule exact for the top."""
+    """||phi_u||_p for each u in degrees, nonincreasing, and even p, by the
+    trapezoidal rule on the top degree's grid, from the rows
+    u = smallest..largest of one run over it."""
     top, low = degrees[0], degrees[-1]
-    M = _even_rule_nodes(top, p)
-    y, w = roots_hermite(M)
-    # doubled for the mirrored node -y_i except at y_i = 0
-    weights = 2.0 * w
-    if M % 2:
-        weights[0] *= 0.5
-    scale = math.sqrt(2.0 / p)
+    h, points = _even_grid(top, p)
+    # doubled for the mirrored point -x_j except at x_0 = 0
+    weights = np.full(points, 2.0 * h)
+    weights[0] = h
     sums = [weighted_abs_power_sum(vals, logs, weights, p)
-            for vals, logs in phi_rows(scale * y, top, low)]
-    totals = (scale * np.concatenate([total for total, _ in sums])).tolist()
+            for vals, logs in phi_rows(h * np.arange(points), top, low)]
+    totals = np.concatenate([total for total, _ in sums]).tolist()
     shifts = np.concatenate([shift for _, shift in sums]).tolist()
     return [_root(totals[u - low], shifts[u - low], p) for u in degrees]
 
@@ -666,9 +688,9 @@ def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm.
 
     The route depends on p alone: sup at p = inf, zeros at p = 1, the
-    exact rule at even p up to _EXACT_MAX_P, and the panels otherwise.
-    The estimate counts the runs the route makes: the sup grid; the rule's
-    node pass and run; or the n-node rule's pass and the run over its
+    trapezoid grid at even p up to _EXACT_MAX_P, and the panels otherwise.
+    The estimate counts the runs the route makes: the sup grid; the run
+    over the even grid; or the n-node rule's pass and the run over its
     zeros or the panel points.
     """
     if math.isinf(p):
@@ -691,13 +713,15 @@ def _norm_route(degree: int, p: float):
 def _sweep_route(N: int, p: float):
     """(route, estimated point-steps) of lp_norms_1d(N, p).
 
-    One exact rule serves every degree of an even-p sweep, so it takes
-    even p past _EXACT_MAX_P too while it is within the budget and its
-    node count within the point cap (so that it converts to a float).
+    One grid serves every degree of an even-p sweep, so it takes even p
+    past _EXACT_MAX_P too while it is within the budget and its size
+    within the point cap; p is held to the cap first, so that the grid's
+    step and size stay in the float range (p near 1e308 would overflow).
     Other sweeps sum their N + 1 norms' estimates until over the budget.
     Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
     """
-    if p % 2.0 == 0.0 and (p <= _EXACT_MAX_P or _even_rule_nodes(N, p) <= _MAX_PANEL_POINTS):
+    if p % 2.0 == 0.0 and (p <= _EXACT_MAX_P or (
+            p <= _MAX_PANEL_POINTS and _even_grid(N, p)[1] <= _MAX_PANEL_POINTS)):
         work = _even_work(N, p, N + 1)
         if p <= _EXACT_MAX_P or work <= NORM_WORK_BUDGET:
             return "even", work
@@ -774,12 +798,13 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     """One-dimensional norm ||phi_degree||_p.
 
     The route depends on p alone: the last lobe's maximum at p = inf, the
-    tail integrals at the zeros at p = 1, the exact Gauss-Hermite rule at
-    even p up to 12, and one pass of fixed rules on panels cut at the
-    zeros otherwise; none refines, so ``tol`` is only validated.  Raises
-    CapabilityError, before any recurrence work, when the estimated work
-    exceeds NORM_WORK_BUDGET point-steps (for example degree 10**6 at
-    p = 4, degree 10**5 at p = 1, or degree 10**4 at p = 5/2).
+    tail integrals at the zeros at p = 1, the trapezoidal rule on a
+    uniform grid at even p up to 12, and one pass of fixed rules on panels
+    cut at the zeros otherwise; none refines, so ``tol`` is only
+    validated.  Raises CapabilityError, before any recurrence work, when
+    the estimated work exceeds NORM_WORK_BUDGET point-steps (for example
+    degree 10**6 at p = 4, degree 10**5 at p = 1, or degree 10**4 at
+    p = 5/2).
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -787,16 +812,17 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    For even p all N + 1 norms come from the exact rule of degree N and
-    one recurrence over the degrees (above p = 12 while that is within the
-    budget; the panels otherwise); up to p = 12 entry N is lp_norm_1d(N, p)
-    bit for bit, above it the panels' norms within 1e-13 relative.  The
-    other routes share recurrence runs over the grids of all degrees, and
-    give lp_norm_1d's norms bit for bit up to N = 280 (267 for the panels)
-    and within 1e-13 relative above.  Raises CapabilityError, before any
-    recurrence work, when the estimated work of all N + 1 norms exceeds
-    NORM_WORK_BUDGET: the rule's, the recurrence's and the N + 1 row power
-    sums for the even-p sweep, the sum of the per-degree estimates otherwise.
+    For even p all N + 1 norms come from the trapezoid grid of degree N
+    and one recurrence over the degrees (above p = 12 while that is within
+    the budget; the panels otherwise); up to p = 12 entry N is
+    lp_norm_1d(N, p) bit for bit, above it the panels' norms within 1e-13
+    relative.  The other routes share recurrence runs over the grids of all
+    degrees, and give lp_norm_1d's norms bit for bit up to N = 280 (267
+    for the panels) and within 1e-13 relative above.  Raises
+    CapabilityError, before any recurrence work, when the estimated work
+    of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the N + 1
+    row power sums' for the even-p sweep, the sum of the per-degree
+    estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 

@@ -66,7 +66,7 @@ GOLDEN = {
         "      \"ratio\": 0.8863962619987652\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 0.6659347710919418,\n"
+        "      \"computed\": 0.6659347710919417,\n"
         "      \"model\": 0.6291501344548556,\n"
         "      \"nu\": 5,\n"
         "      \"p\": \"4\",\n"

@@ -74,6 +74,23 @@ def dense_norm(k, p, panels=40_000):
     return total ** (1 / p) * math.exp(shift / p)
 
 
+def gauss_hermite_norm(k, p):
+    """||phi_k||_p at even p from the Gauss-Hermite rule of M = p k / 2 + 1
+    nodes (roots_hermite), the route the even-p norms took before the
+    trapezoid grid: under x = y sqrt(2/p), |phi_k(x)|^p is a polynomial of
+    degree p k in y times e^{-y^2}, which the rule integrates exactly."""
+    M = int(p) // 2 * k + 1
+    y, w = quad.roots_hermite(M)
+    # doubled for the mirrored node -y except at y = 0
+    weights = 2.0 * w
+    if M % 2:
+        weights[0] = w[0]
+    scale = math.sqrt(2.0 / p)
+    vals, logs = phi_row(scale * y, k)
+    total, shift = _accel.weighted_abs_power_sum(vals, logs, weights, p)
+    return (scale * total) ** (1 / p) * math.exp(shift / p)
+
+
 def sup_oracle(k):
     """max |phi_k| over the real zeros of phi_k' = (2k H_{k-1} - x H_k) e^{-x^2/2} / c_k.
 
@@ -311,12 +328,41 @@ class TestLpNorms:
         assert lp_norm_phi((0,), 4.0) == pytest.approx((2 * math.pi) ** -0.125, rel=1e-9)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 12])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
     def test_against_mpmath_oracle(self, k, p):
-        # even p runs the exact Gauss-Hermite rule, p = 1 the tail integrals
-        # at the zeros, p = 3 the panels
-        rel = {1.0: 1e-13, 3.0: 1e-14}.get(p, 1e-12)
+        # even p runs the trapezoid grid, p = 1 the tail integrals at the
+        # zeros, p = 3 the panels
+        rel = 1e-13 if p == 1.0 else 1e-14
         assert lp_norm_1d(k, p, 1e-10) == pytest.approx(norm_oracle(k, p), rel=rel)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 50, 101, 200, 401, 800, 1608])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    def test_even_grid_matches_the_gauss_hermite_rule(self, k, p):
+        # the gap is the rule's rounding as much as the grid's: against a
+        # 32-digit trapezoid sum at (200, 6) the rule is 1.9e-14 off and the
+        # grid 7.6e-16
+        assert lp_norm_1d(k, p) == pytest.approx(gauss_hermite_norm(k, p), rel=2e-14)
+
+    def test_even_route_builds_no_rule(self, monkeypatch):
+        # the even route runs the recurrence once over its grid: no node
+        # pass, so neither roots_hermite nor phi_pair is called
+        calls = []
+        rule, pair = quad.roots_hermite, quad.phi_pair
+
+        def counted_rule(M):
+            calls.append(("roots_hermite", M))
+            return rule(M)
+
+        def counted_pair(x, M):
+            calls.append(("phi_pair", M))
+            return pair(x, M)
+
+        monkeypatch.setattr(quad, "roots_hermite", counted_rule)
+        monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        quad._lp_norm_1d_cached.__wrapped__(401, 4.0)
+        quad._lp_norms_1d_cached.__wrapped__(401, 6.0)
+        quad._lp_norms_1d_cached.__wrapped__(60, 100.0)
+        assert calls == []
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 12, 25])
     @pytest.mark.parametrize("p", [1.0, 1.25, 4 / 3, 1.5, 2.5, 3.0, 5.0])
@@ -465,6 +511,17 @@ class TestLpNorms:
         got, work = quad._norm_route(degree, float(p))
         assert got == route and work <= quad.NORM_WORK_BUDGET
 
+    @pytest.mark.parametrize("degree,p", [(35565, 2.0), (25872, 4.0), (15329, 12.0)])
+    def test_even_served_degree_edge(self, degree, p):
+        # one run over the grid's ceil((sqrt(2n + 1) + 6) / h) + 1 points,
+        # h = 2 pi / (p sqrt(2n + 1) + 20)
+        route, work = quad._norm_route(degree, p)
+        assert route == "even" and work <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            lp_norm_1d(degree + 1, p)
+        assert time.perf_counter() - start < 1.0
+
     def test_sup_served_degree_edge(self):
         # one 65-point run, n (65 + 4096) point-steps
         route, work = quad._norm_route(240326, math.inf)
@@ -496,13 +553,13 @@ class TestLpNorms:
             lp_norm_1d(27791, 1.0)
         assert time.perf_counter() - start < 1.0
 
-    def test_rule_at_the_p4_edge_takes_one_pass(self, monkeypatch):
-        # degree 16323 at p = 4 needs the 32647-node rule; the route's
-        # estimate counts one pass of it
+    def test_rule_at_the_p1_edge_takes_one_pass(self, monkeypatch):
+        # degree 27790 at p = 1 needs the 27790-node rule, the largest a
+        # route builds; the route's estimate counts one pass of it
         from scipy.special import roots_hermite as scipy_roots
 
         calls = _count_passes(monkeypatch)
-        M = quad._even_rule_nodes(16323, 4.0)
+        M = 27790
         y = quad.roots_hermite.__wrapped__(M)[0]
         assert calls == [M - M // 2]
         want = scipy_roots(M)[0][M // 2:]
@@ -543,8 +600,8 @@ class TestLpNorms:
             assert sum(done) <= quad._norm_route(degree, p)[1], degree
 
     def test_large_even_p_takes_panels(self):
-        # even p above 12, whose rule costs p^2/8 + p/4 point-steps per n^2
-        # against the panels' 12 ceil(sqrt(p) / 2) + 1/2, at every degree
+        # single norms at even p above _EXACT_MAX_P = 12 take the panels at
+        # every degree
         for degree in (0, 1, 300, 5000):
             assert quad._norm_route(degree, 600.0)[0] == "panels"
             assert quad._norm_route(degree, 14.0)[0] == "panels"
@@ -554,7 +611,7 @@ class TestLpNorms:
         assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
 
     def test_route_by_cost(self):
-        # the exact rule would need 30001 nodes at degree 100
+        # the even grid would hold 27,383 points at degree 100
         assert quad._norm_route(100, 600.0)[0] == "panels"
         start = time.perf_counter()
         got = lp_norm_1d(100, 600.0)
@@ -623,7 +680,7 @@ class TestLpNorms:
 
 
 class TestNormSweep:
-    """lp_norms_1d: every even-p norm up to N from the rule of degree N."""
+    """lp_norms_1d: every even-p norm up to N from the grid of degree N."""
 
     @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 200, 1000])
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
@@ -703,6 +760,9 @@ class TestNormSweep:
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
             lp_norms_1d(10**5, 4.0)
+        # an even p whose grid step would be 0: refused by the point caps
+        with pytest.raises(CapabilityError):
+            lp_norms_1d(300, 1e308)
         with pytest.raises(DomainError):
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
@@ -716,9 +776,9 @@ class TestNormSweep:
             lp_norms_1d(N, p)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(4504, 14.0), (4044, 16.0), (2880, 24.0), (780, 100.0)])
+    @pytest.mark.parametrize("N,p", [(6401, 14.0), (5991, 16.0), (4896, 24.0), (2388, 100.0)])
     def test_even_p_above_12_sweep_by_the_exact_rule(self, N, p):
-        # one rule serves every degree, so the sweep is admitted by its own
+        # one grid serves every degree, so the sweep is admitted by its own
         # estimate, where the panels' per-degree sum stops at N = 296 to 362
         assert quad._norm_route(N, p)[0] == "panels"
         assert quad.check_sweep_budget(N, p) == "even"
@@ -733,8 +793,10 @@ class TestNormSweep:
             assert sweep[u] == pytest.approx(lp_norm_1d(u, 14.0), rel=1e-13, abs=0), u
 
     def test_even_p_sweep_past_the_budget_takes_the_panels(self):
-        # the 60,001-node rule of N = 200 is over the budget at p = 600
-        assert quad.check_sweep_budget(200, 600.0) == "panels"
+        # the grid of N = 100 at p = 10^5, 4.55 million points, is past the
+        # point cap and the budget; the panels' per-degree sum is within it
+        assert quad._even_work(100, 1e5, 101) > quad.NORM_WORK_BUDGET
+        assert quad.check_sweep_budget(100, 1e5) == "panels"
 
     def test_sup_sweep_served_past_400(self):
         # the sum of n (65 + 4096) point-steps over n <= N is within the
@@ -819,7 +881,7 @@ class TestNormSweep:
         assert after.tail_bound == alone.tail_bound
 
     def test_memory_is_bounded(self):
-        # the whole (N + 1) x (M / 2) table would take about 256 MB
+        # the whole (N + 1) x 5741 table of the grid would take about 175 MB
         tracemalloc.start()
         try:
             quad._lp_norms_1d_cached.__wrapped__(4000, 4.0)
