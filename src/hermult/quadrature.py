@@ -1,9 +1,9 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of four routes, chosen by p alone (``_norm_route``).
-None refines, so the tolerance is only validated.
+``lp_norm_1d`` takes one of four routes (``_norm_route``), at even p by
+the route rule below.  None refines, so the tolerance is only validated.
 
-- Even p up to 12: f = |phi_n|^p = phi_n^p is entire and even, with a
+- The grid, at even p: f = |phi_n|^p = phi_n^p is entire and even, with a
   Gaussian tail, so the trapezoidal rule on the grid x_j = j h converges
   faster than geometrically (Trefethen and Weideman, SIAM Rev. 56
   (2014), section 5); f being even, the sum runs over j >= 0 with weight
@@ -35,7 +35,7 @@ None refines, so the tolerance is only validated.
   zero; its last sign change brackets that zero, and the best grid point
   to its right is polished by Newton's method on the Taylor series that
   phi'' = (x^2 - lambda) phi gives there.
-- Panels, for every other p: one pass of fixed 12-node rules on pieces
+- Panels, at every p but 1 and inf: one pass of fixed 12-node rules on pieces
   of the half-lobes and the tail of phi_n, cut at its zeros (the n-node
   rule's nodes, as at p = 1); the piece at a zero a takes the
   Gauss-Jacobi rule for the |x - a|^alpha kink of |phi_n|^p there, the
@@ -69,9 +69,9 @@ One run of the recurrence at its points passes through every degree
 0..N, and each row's weighted p-th power sum is one of the integrals, so
 all N + 1 norms cost one run and N + 1 power sums; rows are summed in
 blocks of at most 2^17 values, so memory stays bounded whatever N is.
-The sweep takes even p above 12 too, while that grid is within the
-budget.  Up to 12 a single even-p norm is the same sweep without the lower
-rows, so ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)`` bit for bit.
+A single norm on the grid is the same sweep without the lower rows, so
+where both take the grid ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)``
+bit for bit.
 The other routes sweep as well: the zeros of every degree take their
 Halley passes together, and the grids of all the degrees (the zeros at
 p = 1, the sup grids at p = inf, the panel points in runs of at most
@@ -88,7 +88,10 @@ Each route estimates its recurrence work in point-steps, and a norm
 whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
 ``CapabilityError`` before any recurrence work.  A sweep is admitted by
 the work of all its norms: the even-p sweep's run and N + 1 row power
-sums, or the sum of the per-degree estimates.
+sums, or the sum of the per-degree estimates.  The route rule: at even p
+a norm or a sweep takes the grid when its estimate is within the budget
+and, with each route's row power sums counted (N + 1 rows, one for a
+norm), no larger than the panels'; ties go to the grid.
 
 The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 (Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
@@ -132,22 +135,15 @@ NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
 _PANEL_NODES = 12
-# Largest even p of a norm by the trapezoid grid.  The grid's leading cost
-# per n^2 is about p / pi, against the panels' 12 ceil(sqrt(p)/2) + 1/2
-# (3.8 against 24.5 at p = 12), so it stays the cheaper up to p = 378.
-# 12 is where the Gauss-Hermite rule the grid replaced, at p^2/8 + p/4,
-# crossed the panels (21 <= 24.5; 28 > 24.5 at p = 14); it is kept so that
-# no single-norm route moved with the grid.
-_EXACT_MAX_P = 12
 # The even route's trapezoid grid (_even_grid): its first alias lies
 # _ALIAS_MARGIN past p sqrt(2n + 1), and it reaches _TAIL_MARGIN past the
 # turning point sqrt(2n + 1).
 _ALIAS_MARGIN = 20.0
 _TAIL_MARGIN = 6.0
-# Points of a panel norm above which it is refused, whatever its work, for
-# its memory (180 MB at the peak); the budget would admit 6e7 at degree 0
-# and p = 1e12.  The served edges up to p = 1e5 stay below it.
-_MAX_PANEL_POINTS = 1 << 21
+# Points of a panel rule or even grid above which a route is refused, for
+# its memory (180 MB at the peak), whatever its work: the budget would admit
+# 6e7 panel points at degree 0 and p = 1e12.  Served edges stay below it.
+_MAX_POINTS = 1 << 21
 # Points of a phi_row run of a panel sweep, so its arrays stay in cache:
 # lp_norms_1d(400, 3) took 0.65 s with these and 1.2 s with 2^18 (2 vCPUs).
 _RUN_POINTS = 1 << 14
@@ -392,6 +388,13 @@ def roots_hermite(M: int):
     return y, w
 
 
+# Caps of truncated_rule: numpy's leggauss grows with the cube of the
+# order (0.012 s at 256, 0.13 s at 1000), and a rule of 2^20 nodes takes
+# 0.02 s and 8 MB an array (2-vCPU host).
+_TRUNCATED_MAX_ORDER = 256
+_TRUNCATED_MAX_NODES = 1 << 20
+
+
 @functools.lru_cache(maxsize=32)
 def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -402,9 +405,15 @@ def truncated_rule(radius: float, panels: int = 64, order: int = 16) -> Quadratu
     radius = float(radius)
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    if panels < 1:
-        raise DomainError("panels must be >= 1")
-    x, w = _leggauss(order)
+    for name, value in (("panels", panels), ("order", order)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise DomainError(f"{name} must be an int >= 1, got {value!r}")
+    if order > _TRUNCATED_MAX_ORDER or panels * order > _TRUNCATED_MAX_NODES:
+        raise CapabilityError(
+            f"a rule of {panels} panels of order {order} exceeds order {_TRUNCATED_MAX_ORDER} "
+            f"or {_TRUNCATED_MAX_NODES} nodes"
+        )
+    x, w = _leggauss(int(order))
     edges = np.linspace(-radius, radius, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -498,8 +507,10 @@ def _even_grid(degree: int, p: float):
 
 def _even_work(degree: int, p: float, rows: int = 0) -> float:
     """Point-steps of the even route at degree: its run over the grid, and
-    the weighted power sums of `rows` rows."""
-    points = _even_grid(degree, p)[1]
+    the weighted power sums of `rows` rows; inf past _MAX_POINTS, which
+    holds p first, as p near 1e308 would overflow the grid's step."""
+    if p > _MAX_POINTS or (points := _even_grid(degree, p)[1]) > _MAX_POINTS:
+        return math.inf
     return _phi_row_work(points, degree) + _POWER_POINTS * rows * points
 
 
@@ -684,54 +695,59 @@ def _node_work(M: int, points: int) -> float:
     return passes * _phi_row_work(points, max(M - 1, 0))
 
 
-def _norm_route(degree: int, p: float):
-    """(route, estimated point-steps of recurrence work) of one norm.
-
-    The route depends on p alone: sup at p = inf, zeros at p = 1, the
-    trapezoid grid at even p up to _EXACT_MAX_P, and the panels otherwise.
-    The estimate counts the runs the route makes: the sup grid; the run
-    over the even grid; or the n-node rule's pass and the run over its
-    zeros or the panel points.
-    """
-    if math.isinf(p):
-        return "sup", _phi_row_work(_SUP_POINTS, degree)
-    if p % 2.0 == 0.0 and p <= _EXACT_MAX_P:
-        return "even", _even_work(degree, p)
-    nodes = _node_work(degree, degree - degree // 2)
-    if p == 1.0:
-        return "zeros", nodes + _phi_row_work(degree // 2 + 1, degree)
+def _panel_work(degree: int, p: float, rows: int = 0) -> float:
+    """Point-steps of the panel route at degree: the n-node rule's pass, the
+    run over its points and `rows` row power sums; inf past _MAX_POINTS."""
     s = _pieces(p)
     # degree - 1 half-lobes of s pieces, and the tail
     points = _PANEL_NODES * (s * max(degree - 1, 0) + _tail_pieces(degree, s))
-    if points > _MAX_PANEL_POINTS:
-        # over any budget, for its memory
-        return "panels", math.inf
-    return "panels", nodes + _phi_row_work(points, degree)
+    if points > _MAX_POINTS:
+        return math.inf
+    return (_node_work(degree, degree - degree // 2) + _phi_row_work(points, degree)
+            + _POWER_POINTS * rows * points)
+
+
+def _norm_route(degree: int, p: float):
+    """(route, estimated point-steps of recurrence work) of one norm, by
+    the route rule of the module docstring.  The estimate counts the runs
+    the route makes: the sup grid; the run over the even grid; or the
+    n-node rule's pass and the run over its zeros or the panel points.
+    """
+    if math.isinf(p):
+        return "sup", _phi_row_work(_SUP_POINTS, degree)
+    if p == 1.0:
+        return "zeros", (_node_work(degree, degree - degree // 2)
+                         + _phi_row_work(degree // 2 + 1, degree))
+    if p % 2.0 == 0.0 and (grid := _even_work(degree, p)) <= NORM_WORK_BUDGET and (
+            _even_work(degree, p, 1) <= _panel_work(degree, p, 1)):
+        return "even", grid
+    return "panels", _panel_work(degree, p)
 
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _sweep_route(N: int, p: float):
     """(route, estimated point-steps) of lp_norms_1d(N, p).
 
-    One grid serves every degree of an even-p sweep, so it takes even p
-    past _EXACT_MAX_P too while it is within the budget and its size
-    within the point cap; p is held to the cap first, so that the grid's
-    step and size stay in the float range (p near 1e308 would overflow).
-    Other sweeps sum their N + 1 norms' estimates until over the budget.
-    Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
+    At even p the route rule weighs the grid of degree N against the
+    per-degree panel estimates; a panel sweep, and every other one, is
+    admitted by the sum of its N + 1 norms' estimates.  The sums run from
+    degree N down, largest first, and stop once past their limit; their
+    terms are whole numbers below 2^53, so each total is exact in any
+    order.  Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
     """
-    if p % 2.0 == 0.0 and (p <= _EXACT_MAX_P or (
-            p <= _MAX_PANEL_POINTS and _even_grid(N, p)[1] <= _MAX_PANEL_POINTS)):
-        work = _even_work(N, p, N + 1)
-        if p <= _EXACT_MAX_P or work <= NORM_WORK_BUDGET:
-            return "even", work
-    route = _norm_route(N, p)[0]
+    even = p % 2.0 == 0.0
+    grid = _even_work(N, p, N + 1) if even else math.inf
+    # a grid over the budget leaves the sweep to the panels' own estimate
+    rows = int(grid <= NORM_WORK_BUDGET)
+    limit = min(grid, NORM_WORK_BUDGET)
     total = 0.0
-    for u in range(N + 1):
-        total += _norm_route(u, p)[1]
-        if total > NORM_WORK_BUDGET:
+    for u in range(N, -1, -1):
+        total += _panel_work(u, p, rows) if even else _norm_route(u, p)[1]
+        if total > limit:
             break
-    return route, total
+    if even and grid <= total:
+        return "even", grid
+    return ("panels" if even else _norm_route(N, p)[0]), total
 
 
 def check_norm_budget(degree: int, p: float) -> str:
@@ -786,6 +802,8 @@ def _norm_args(degree, p, tol):
         raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
     if degree > MAX_DEGREE_DEFAULT:
         raise CapabilityError(f"degree {degree} exceeds {MAX_DEGREE_DEFAULT}")
+    if not isinstance(p, numbers.Real) or isinstance(p, bool):
+        raise DomainError(f"p must be a real number, got {p!r}")
     p = float(p)
     if not (p >= 1.0):
         raise DomainError(f"p must be in [1, inf], got {p}")
@@ -797,14 +815,11 @@ def _norm_args(degree, p, tol):
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     """One-dimensional norm ||phi_degree||_p.
 
-    The route depends on p alone: the last lobe's maximum at p = inf, the
-    tail integrals at the zeros at p = 1, the trapezoidal rule on a
-    uniform grid at even p up to 12, and one pass of fixed rules on panels
-    cut at the zeros otherwise; none refines, so ``tol`` is only
-    validated.  Raises CapabilityError, before any recurrence work, when
-    the estimated work exceeds NORM_WORK_BUDGET point-steps (for example
-    degree 10**6 at p = 4, degree 10**5 at p = 1, or degree 10**4 at
-    p = 5/2).
+    By the routes and the route rule of the module docstring; none
+    refines, so ``tol`` is only validated.  Raises CapabilityError, before
+    any recurrence work, when the estimated work exceeds NORM_WORK_BUDGET
+    point-steps (for example degree 10**6 at p = 4, degree 10**5 at p = 1,
+    or degree 10**4 at p = 5/2).
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -812,13 +827,12 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    For even p all N + 1 norms come from the trapezoid grid of degree N
-    and one recurrence over the degrees (above p = 12 while that is within
-    the budget; the panels otherwise); up to p = 12 entry N is
-    lp_norm_1d(N, p) bit for bit, above it the panels' norms within 1e-13
-    relative.  The other routes share recurrence runs over the grids of all
-    degrees, and give lp_norm_1d's norms bit for bit up to N = 280 (267
-    for the panels) and within 1e-13 relative above.  Raises
+    At even p, by the route rule, one recurrence run over the grid of
+    degree N (entry N is lp_norm_1d(N, p) bit for bit where that takes
+    the grid too) or the panels.  The other routes share recurrence runs
+    over the grids of all degrees, and give lp_norm_1d's norms bit for bit
+    up to N = 280 (267 for the panels) and within 1e-13 relative above.
+    Raises
     CapabilityError, before any recurrence work, when the estimated work
     of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the N + 1
     row power sums' for the even-p sweep, the sum of the per-degree

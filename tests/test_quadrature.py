@@ -320,6 +320,32 @@ class TestRuleValidation:
         with pytest.raises(DomainError):
             QuadratureRule(np.array([0.0]), np.array([1.0]), "truncated_adaptive")
 
+    @pytest.mark.parametrize("panels,order", [
+        (0, 16), (64, 0), (2.5, 16), (64, 2.5), (True, 16), (64, True), ("8", 16), (-3, 16)])
+    def test_truncated_rule_takes_ints_from_one(self, panels, order):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            truncated_rule(3.0, panels=panels, order=order)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("panels,order", [
+        (1, quad._TRUNCATED_MAX_ORDER + 1), (1, 10**6),
+        (quad._TRUNCATED_MAX_NODES // 16 + 1, 16), (10**9, 1)])
+    def test_truncated_rule_over_the_caps_is_refused_up_front(self, panels, order):
+        # leggauss grows with the cube of the order, and the rule's arrays
+        # with the node count: nothing is built before the refusal
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            truncated_rule(3.0, panels=panels, order=order)
+        assert time.perf_counter() - start < 1.0
+
+    def test_truncated_rule_at_the_caps(self):
+        rule = truncated_rule(3.0, panels=np.int64(1), order=quad._TRUNCATED_MAX_ORDER)
+        assert float(np.sum(rule.weights * np.cos(rule.nodes))) == pytest.approx(
+            2 * math.sin(3.0), rel=1e-13)
+        assert len(truncated_rule(3.0, panels=quad._TRUNCATED_MAX_NODES // 16)) == (
+            quad._TRUNCATED_MAX_NODES)
+
 
 class TestLpNorms:
     def test_frozen_closed_forms(self):
@@ -490,6 +516,19 @@ class TestLpNorms:
         with pytest.raises(DomainError):
             lp_norm_1d(-2, 2.0)
 
+    @pytest.mark.parametrize("p", [True, False, np.bool_(True), "2", "inf", None, 2 + 0j])
+    def test_p_must_be_a_real_number(self, p):
+        # float(True) is 1.0 and float("2") is 2.0: neither is taken for p
+        for norms in (lp_norm_1d, lp_norms_1d):
+            with pytest.raises(DomainError):
+                norms(3, p)
+
+    def test_real_p_of_every_kind_is_taken(self):
+        want = lp_norm_1d(3, 4.0)
+        for p in (4, np.int64(4), np.float64(4.0), Fraction(4)):
+            assert lp_norm_1d(3, p) == want
+        assert lp_norm_1d(3, Fraction(4, 3)) == lp_norm_1d(3, 4 / 3)
+
     @pytest.mark.parametrize("degree,p", [
         (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**5, 1.0), (10**6, 2.5),
         (0, 1e12), (1, 1e300),
@@ -511,10 +550,12 @@ class TestLpNorms:
         got, work = quad._norm_route(degree, float(p))
         assert got == route and work <= quad.NORM_WORK_BUDGET
 
-    @pytest.mark.parametrize("degree,p", [(35565, 2.0), (25872, 4.0), (15329, 12.0)])
+    @pytest.mark.parametrize("degree,p", [(35565, 2.0), (25872, 4.0), (15329, 12.0),
+                                          (14224, 14.0), (10930, 24.0), (5383, 100.0)])
     def test_even_served_degree_edge(self, degree, p):
         # one run over the grid's ceil((sqrt(2n + 1) + 6) / h) + 1 points,
-        # h = 2 pi / (p sqrt(2n + 1) + 20)
+        # h = 2 pi / (p sqrt(2n + 1) + 20); past it the panels' estimate is
+        # over the budget too
         route, work = quad._norm_route(degree, p)
         assert route == "even" and work <= quad.NORM_WORK_BUDGET
         start = time.perf_counter()
@@ -565,7 +606,7 @@ class TestLpNorms:
         want = scipy_roots(M)[0][M // 2:]
         assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
 
-    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0, 2.5])
+    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0, 2.5, 14.0, 100.0])
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
         # point-steps as the estimate counts them: a phi_row, phi_rows or
         # phi_tail call at degree n n (P + 4096), a node pass at M nodes
@@ -600,11 +641,15 @@ class TestLpNorms:
             assert sum(done) <= quad._norm_route(degree, p)[1], degree
 
     def test_large_even_p_takes_panels(self):
-        # single norms at even p above _EXACT_MAX_P = 12 take the panels at
-        # every degree
-        for degree in (0, 1, 300, 5000):
+        # the grid's cost per n^2, about p / pi, passes the panels',
+        # 12 ceil(sqrt(p) / 2) + 1/2, at p = 378: at p = 600 the grid is
+        # cheaper only up to degree 50, where the step cost dominates
+        for degree in (0, 1, 50):
+            assert quad._norm_route(degree, 600.0)[0] == "even"
+        for degree in (51, 300, 2442):
             assert quad._norm_route(degree, 600.0)[0] == "panels"
-            assert quad._norm_route(degree, 14.0)[0] == "panels"
+        for degree in (0, 1, 300, 5000, 14224):
+            assert quad._norm_route(degree, 14.0)[0] == "even"
             assert quad._norm_route(degree, 12.0)[0] == "even"
         sup = lp_norm_1d(300, math.inf)
         # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
@@ -619,16 +664,23 @@ class TestLpNorms:
         exact = quad._even_norm_1d([100], 600.0)[0]
         assert got == pytest.approx(exact, rel=5e-14)
 
-    @pytest.mark.parametrize("degree,p", [(8, 14.0), (300, 14.0), (1000, 20.0), (200, 26.0)])
-    def test_even_p_moved_to_panels_keep_their_value(self, degree, p):
-        exact = quad._even_norm_1d([degree], p)[0]
-        assert lp_norm_1d(degree, p) == pytest.approx(exact, rel=5e-14)
+    @pytest.mark.parametrize("degree,p", [
+        (0, 14.0), (8, 14.0), (300, 14.0), (1000, 14.0), (3000, 14.0), (1000, 20.0),
+        (200, 26.0), (1000, 100.0), (50, 600.0)])
+    def test_even_p_moved_to_the_grid_keep_their_value(self, degree, p):
+        # single even-p norms the route rule gives the grid, against the panels
+        assert quad._norm_route(degree, p)[0] == "even"
+        panels = quad._panel_norm_1d([degree], p)[0]
+        assert lp_norm_1d(degree, p) == pytest.approx(panels, rel=2e-14)
 
-    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
     def test_common_even_p_keep_the_exact_rule(self, p):
-        # every degree of the benchmark's norm table and the CLI's defaults
-        for degree in range(0, 1617):
+        # every degree served, degree 0 among them, where both runs cost 0
+        # point-steps and the grid's fewer points win
+        edge = {2.0: 35565, 4.0: 25872, 6.0: 21374, 8.0: 18635, 10.0: 16740, 12.0: 15329}[p]
+        for degree in range(0, edge + 1):
             assert quad._norm_route(degree, p)[0] == "even", degree
+        assert quad._norm_route(edge + 1, p)[1] > quad.NORM_WORK_BUDGET
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 400, 1600])
     def test_zero_route_matches_bisection(self, degree):
@@ -694,7 +746,7 @@ class TestNormSweep:
             assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=rel), u
 
     @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 200, 1000])
-    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 14.0, 24.0, 100.0])
     def test_top_row_is_the_single_norm(self, p, N):
         assert lp_norms_1d(N, p)[N] == quad._lp_norm_1d_cached.__wrapped__(N, p)
 
@@ -779,8 +831,9 @@ class TestNormSweep:
     @pytest.mark.parametrize("N,p", [(6401, 14.0), (5991, 16.0), (4896, 24.0), (2388, 100.0)])
     def test_even_p_above_12_sweep_by_the_exact_rule(self, N, p):
         # one grid serves every degree, so the sweep is admitted by its own
-        # estimate, where the panels' per-degree sum stops at N = 296 to 362
-        assert quad._norm_route(N, p)[0] == "panels"
+        # estimate, where the panels' per-degree sum stops at N = 296 to 362;
+        # the single norm at N takes the grid too
+        assert quad._norm_route(N, p)[0] == "even"
         assert quad.check_sweep_budget(N, p) == "even"
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
@@ -790,7 +843,23 @@ class TestNormSweep:
     def test_even_p_above_12_sweep_matches_the_panel_norms(self):
         sweep = lp_norms_1d(3000, 14.0)
         for u in [*range(0, 3000, 500), 2999, 3000]:
-            assert sweep[u] == pytest.approx(lp_norm_1d(u, 14.0), rel=1e-13, abs=0), u
+            panels = quad._panel_norm_1d([u], 14.0)[0]
+            assert sweep[u] == pytest.approx(panels, rel=1e-13, abs=0), u
+
+    @pytest.mark.parametrize("N,p,route", [
+        (0, 1e4, "panels"), (53, 1e4, "panels"), (54, 1e4, "even"), (220, 1e4, "even"),
+        (100, 4e4, "panels"), (38, 1e5, "panels"), (0, 14.0, "even"), (1, 600.0, "even")])
+    def test_even_sweep_takes_the_cheaper_route(self, N, p, route):
+        # each route counted with its N + 1 row power sums: at p = 10^4 the
+        # grid's run costs p / pi per n^2 of the top degree, the panels a
+        # cubic sum over the degrees
+        assert quad.check_sweep_budget(N, p) == route
+
+    def test_sweep_to_degree_zero_takes_the_single_norms_route(self):
+        # with one row power sum each, the sweep's rule is the norm's
+        for p in (2.0, 14.0, 600.0, 3000.0, 1e4, 1e5):
+            assert quad._sweep_route(0, p)[0] == quad._norm_route(0, p)[0], p
+            assert lp_norms_1d(0, p)[0] == lp_norm_1d(0, p), p
 
     def test_even_p_sweep_past_the_budget_takes_the_panels(self):
         # the grid of N = 100 at p = 10^5, 4.55 million points, is past the
@@ -806,7 +875,7 @@ class TestNormSweep:
 
     @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
                                      (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0),
-                                     (100, 599.5)])
+                                     (100, 599.5), (60, 1e4), (50, 1e4)])
     def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
         # recurrence point-steps as in the per-norm test, and each value of a
         # weighted power sum as _POWER_POINTS of them.  A kernel call with
