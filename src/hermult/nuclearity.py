@@ -11,13 +11,30 @@ changes form at 4, so the cases are where p2 and p1' fall relative to 4
 over the entries of nu, with entries <= k contributing a constant
 k-factor and entries > k contributing u^alpha (ln u)^lambda.
 
-Verdicts are three-valued: "finite" requires a tail bound below the
-tolerance, "divergent" requires a certified lower bound with a
-divergent comparison series, anything else is "inconclusive".
+Verdicts are three-valued: "finite" requires a certified or exact tail
+bound below the tolerance, "divergent" requires a certified lower bound
+with a divergent comparison series, anything else is "inconclusive".
+
+With no truncation order given, the order comes from the tail bounds
+alone, before any factor or norm is built (``_default_order``): the least
+one, at or above the criterion's floor, whose tail is below the tolerance
+and below the sum's last bit, 2^-53 times the sum's first term (the terms
+are nonnegative).  So the partial sum is within one ulp of that at any
+larger order.  It is never past the first of the doubled orders 200 n,
+400 n, ... whose tail is below the tolerance, and where no order below
+that one qualifies, that doubling stands.
+
+The direct sum's tail is certified from per-entry norm bounds that hold
+for every degree u (``_norm_bound``): Indritz's sup bound
+|phi_u| <= pi^(-1/4) (Proc. AMS 12 (1961)), ||phi_u||_1 <= sqrt(pi (u + 3/2))
+(Cauchy-Schwarz against the weight 1 + x^2, with the integral of
+x^2 phi_u^2 equal to u + 1/2) and ||phi_u||_2 = 1, interpolated by the
+convexity of 1/p -> ln ||phi_u||_p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -28,11 +45,13 @@ import numpy as np
 from .errors import DomainError, UnsupportedRegimeError
 from .hermite_core import as_entries
 from .quadrature import (
-    _exact_exponent, _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d, norm_law,
+    _exact_exponent, _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d,
 )
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
 _MAX_DOUBLINGS = 6
+# the unit roundoff of a double: a tail below this share of a sum is below its last bit
+_UNIT_ROUNDOFF = 2.0 ** -53
 _P1_HYPOTHESIS = "1 < p1 < infinity"
 # p1' against 4 is p1 against 4/3, the other way round
 _P1_BRANCH = {"sub4": "gt43", "eq4": "eq43", "super4": "lt43"}
@@ -90,9 +109,14 @@ def _p2_and_r(p2, r):
     return p2f, rf
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def classify_regime(p1, p2, r, k: int = 10) -> RegimeCase:
     """Resolve (p1, p2, r) to its weight-law case with exact arithmetic:
-    the sum of the norm laws at p2 and at the conjugate p1'."""
+    the sum of the norm laws at p2 and at the conjugate p1'.
+
+    Cached per argument types as well as values: a float and the Fraction
+    equal to its binary value can stand for different rationals
+    (``quadrature._exact_exponent``)."""
     if p1 == math.inf:
         raise UnsupportedRegimeError(
             "p1 = infinity is outside the supported range",
@@ -233,6 +257,9 @@ class CriterionReport(_Report):
         if self.verdict == "finite":
             if self.tail_bound is None or not self.tail_bound < self.tolerance:
                 raise DomainError("finite verdict requires a tail bound below tolerance")
+            if self.tail_kind not in ("certified", "exact"):
+                raise DomainError("finite verdict requires a certified or exact tail, "
+                                  f"got {self.tail_kind!r}")
         if self.partial_sum < 0:
             raise DomainError("partial sum must be nonnegative")
 
@@ -255,7 +282,7 @@ def _check_order(N, floor: int = 0) -> int:
     return int(N)
 
 
-def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail, column):
+def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail):
     """(tail_bound, kind) beyond order N, or (None, None) when there is none.
 
     A table's tail is its exact weighted sum; a finite envelope's is zero
@@ -277,41 +304,102 @@ def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail, column):
         return 0.0, "certified"
     if env.kind != "exponential":
         return None, None
-    return exp_tail(N, column)
+    return exp_tail(N)
 
 
-def _criterion(criterion: str, m: Symbol, N: int | None, start: int, tol: float,
+def _memo(f):
+    """f keeping its values, for the few orders one call evaluates twice."""
+    seen = {}
+
+    def g(order):
+        if order not in seen:
+            seen[order] = f(order)
+        return seen[order]
+    return g
+
+
+def _default_order(env, tail, orders, floor: int, tol: float, lower, r: float = 1.0) -> int:
+    """The truncation order of a sum given no order, from its tail bounds alone.
+
+    The least N >= floor with tail(N) below tol and at most _UNIT_ROUNDOFF
+    times ``lower()``, a lower bound on the sum, so that what any larger
+    order adds is below the sum's last bit.  ``orders`` are the doubled
+    orders: the result is never past the first of them whose tail is below
+    tol or None, nor past the last, and where no smaller order qualifies,
+    that doubling stands.
+
+    Under an exponential envelope the terms of the tail bound (C^r e^{-r rate K}
+    times level counts and factor bounds that do not decrease in K) shrink
+    by at most e^{-r rate} a level, so the bound does too: from a bound t
+    above the target, the next ln(t / target) / (r rate) orders are all
+    above it, and the search jumps past them.  A finite
+    envelope's tail vanishes from its support order on, where the sum is
+    that of every larger order bit for bit.
+    """
+    best = None
+    if env is not None and env.kind == "finite":
+        best = max(floor, env.support_order)
+    elif env is not None and env.kind == "exponential":
+        bound = _UNIT_ROUNDOFF * lower()
+        target = min(tol, bound)
+        N = floor
+        while N <= orders[-1]:
+            t = tail(N)
+            if t < tol and t <= bound:
+                best = N
+                break
+            if not (target > 0.0 and t < math.inf):
+                break
+            # less 1e-6: the bound may exceed the true tail by a relative 1e-9
+            N += max(1, math.ceil((math.log(t / target) - 1e-6) / (r * env.rate)))
+    for order in orders:
+        if best is not None and order >= best:
+            return best
+        t = tail(order)
+        if t is None or t < tol:
+            return order
+    return orders[-1]
+
+
+def _criterion(criterion: str, m: Symbol, N: int | None, floor: int, tol: float,
                exponents, case: RegimeCase | None, column, weight, exp_tail,
-               divergent: bool = False) -> CriterionReport:
-    """The truncation-order loop, verdict and report both criteria share.
+               first: float, divergent: bool = False) -> CriterionReport:
+    """The truncation order, sum, verdict and report both criteria share.
 
-    Orders are N alone, or ``start`` doubled up to _MAX_DOUBLINGS times; the
-    loop stops at the first order whose tail is below tol or has no bound,
-    and at once when divergence is certified.  Per order, ``column(top)``
-    gives the factors of entries 0..top; ``weight`` and ``exp_tail`` are
-    the criterion's table weight and exponential tail (``_criterion_tail``).
-    ``exponents`` is (p1, p2, r); ``case`` the weight-law case, or None.
+    The order is N (an integer >= floor), or else max(200 n, floor) when
+    divergence is certified, or else ``_default_order`` over that order
+    doubled up to _MAX_DOUBLINGS times, from ``floor`` up, with the sum's
+    first term |m(0)|^r first^n as its lower bound.  ``column(top)`` gives
+    the factors of entries 0..top, built once; ``weight`` and ``exp_tail``
+    are the criterion's table weight and exponential tail
+    (``_criterion_tail``).  ``exponents`` is (p1, p2, r); ``case`` the
+    weight-law case, or None.
     """
     _check_tol(tol)
-    orders = [N] if N is not None else [start * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
     p1, p2, r = exponents
     rfl = float(r)
-    for N_used in orders:
-        # a table's terms stop at its largest order, and so do the factors they use
-        top = N_used if m.table is None else min(N_used, max(map(sum, m.table), default=0))
-        col = column(top)
-        tail, kind = _criterion_tail(m, N_used, rfl, weight, exp_tail, col)
-        if divergent or tail is None or tail < tol:
-            break
+    if N is not None:
+        N = _check_order(N, floor)
+    tail = _memo(lambda order: _criterion_tail(m, order, rfl, weight, exp_tail))
+    if N is None:
+        n = m.dimension
+        orders = [max(200 * n, floor) * 2 ** i for i in range(_MAX_DOUBLINGS + 1)]
+        N = orders[0] if divergent else _default_order(
+            m.envelope, lambda order: tail(order)[0], orders, floor, tol,
+            lambda: abs(m((0,) * n)) ** rfl * first ** n, rfl)
+    # a table's terms stop at its largest order, and so do the factors they use
+    top = N if m.table is None else min(N, max(map(sum, m.table), default=0))
+    col = column(top)
+    bound, kind = tail(N)
     partial = lattice_sum(m, top, term=lambda v: abs(v) ** rfl, factors=col)
-    finite = tail is not None and tail < tol
+    finite = bound is not None and bound < tol
     verdict = "divergent" if divergent else "finite" if finite else "inconclusive"
     return CriterionReport(
         criterion=criterion,
         partial_sum=partial,
-        tail_bound=tail,
+        tail_bound=bound,
         tail_kind=kind,
-        truncation_order=N_used,
+        truncation_order=N,
         verdict=verdict,
         p1=str(p1),
         p2=_exponent_str(p2),
@@ -329,14 +417,12 @@ def _criterion(criterion: str, m: Symbol, N: int | None, start: int, tol: float,
 def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
               tol: float = 1e-8) -> CriterionReport:
     """Weighted partial sum of |m|^r with the case's weight law, plus verdict."""
-    n = m.dimension
-    if N is not None:
-        N = _check_order(N, case.k * n)
     return _criterion(
-        "kappa", m, N, max(200 * n, case.k * n), tol, (case.p1, case.p2, case.r), case,
+        "kappa", m, N, case.k * m.dimension, tol, (case.p1, case.p2, case.r), case,
         column=lambda top: case.entry_factors(range(top + 1)),
         weight=lambda entries: kappa_weight(case, entries),
-        exp_tail=lambda N_used, _: _kappa_tail(m, case, N_used),
+        exp_tail=lambda N_used: _kappa_tail(m, case, N_used),
+        first=case.entry_factors((0,))[0],
         divergent=_divergence_certified(m, case),
     )
 
@@ -356,24 +442,42 @@ def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
     return np.array([(x * y) ** r for x, y in zip(a, b)])
 
 
-def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int, gvec):
-    """Tail for the direct sum under an exponential envelope; growth
-    exponents come from the norm laws and the constant is fitted on the
-    computed range, so the bound is labeled empirical rather than certified."""
+def _norm_bound(p) -> tuple[float, Fraction]:
+    """(c, g) with ||phi_u||_p <= c (u + 3/2)^g at every degree u.
+
+    For p >= 2, from ||phi_u||_2 = 1 and |phi_u| <= pi^(-1/4):
+    c = pi^(-(1 - 2/p)/4), g = 0.  For 1 <= p <= 2, from ||phi_u||_2 = 1
+    and ||phi_u||_1 <= sqrt(pi (u + 3/2)): c = pi^g, g = 1/p - 1/2.
+    """
+    inv = Fraction(0) if p == math.inf else 1 / Fraction(p)
+    g = inv - Fraction(1, 2)
+    if g <= 0:
+        return math.pi ** float(g / 2), Fraction(0)
+    return math.pi ** float(g), g
+
+
+def _phi0_norm(p: float) -> float:
+    """||phi_0||_p = pi^(-1/4) (2 pi / p)^(1/(2p)), pi^(-1/4) at p = inf."""
+    if p == math.inf:
+        return math.pi ** -0.25
+    return math.pi ** -0.25 * (2.0 * math.pi / p) ** (0.5 / p)
+
+
+def _sr_tail(m: Symbol, p2, p1_conj, r: float, N: int):
+    """Certified tail of the direct sum under an exponential envelope,
+    known before any norm is computed.
+
+    By ``_norm_bound`` the factor of nu is at most
+    (c(p2) c(p1'))^(r n) prod_j (nu_j + 3/2)^gamma with
+    gamma = r (g(p2) + g(p1')), and by AM-GM, on level K,
+    prod_j (nu_j + 3/2) <= (K/n + 3/2)^n <= (3/2)^n (1 + K)^n.
+    """
     env = m.envelope
     n = m.dimension
-    (e2, lam2), (e1, lam1) = norm_law(p2), norm_law(p1_conj)
-    gamma = r * (max(0.0, float(e2)) + max(0.0, float(e1)))
-    lam = r * float(lam2 + lam1)
-    probe = min(N, 300)
-    # gvec is a numpy array: a plain float keeps numpy scalars out of the report
-    A = 1.05 * float(max(
-        gvec[u] / ((1.0 + u) ** gamma * math.log(2.0 + u) ** lam)
-        for u in range(probe + 1)
-    ))
-    coeff = (max(1.0, A)) ** n * env.C ** r
-    crate = r * env.rate
-    return _exp_polylog_tail(coeff, crate, n, n * gamma, n * lam, N), "empirical"
+    (c2, g2), (c1, g1) = _norm_bound(p2), _norm_bound(p1_conj)
+    gamma = r * float(g2 + g1)
+    coeff = env.C ** r * ((c2 * c1) ** r * 1.5 ** gamma) ** n
+    return _exp_polylog_tail(coeff, r * env.rate, n, n * gamma, 0.0, N), "certified"
 
 
 def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
@@ -386,7 +490,8 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     sum stops at its largest order, and so do its norms.  Each order is
     refused with CapabilityError before any of its norms is computed when
     the estimated work of either exponent's norms up to it exceeds the
-    work budget.
+    work budget.  With no N, the order comes from the certified tail
+    (``_sr_tail``) before any norm is computed, and the norms are swept once.
     """
     if p1 == math.inf:
         raise DomainError("p1 must be finite")
@@ -397,20 +502,19 @@ def s_r_sum(m: Symbol, p1, p2, r, N: int | None = None,
     p1_conj = math.inf if p1f == 1 else p1f / (p1f - 1)
     rfl = float(rf)
     p2x, p1x = _float_exponent(p2f), _float_exponent(p1_conj)
-    if N is not None:
-        N = _check_order(N)
     try:
         regime = classify_regime(p1f, p2f, rf)
     except (UnsupportedRegimeError, DomainError):
         regime = None
     return _criterion(
-        "s_r", m, N, 200 * m.dimension, tol, (p1f, p2f, rf), regime,
+        "s_r", m, N, 0, tol, (p1f, p2f, rf), regime,
         column=lambda top: _sr_factors(p2f, p1_conj, rfl, top),
         # a table's tail takes each degree's own norms: the sweep's column
         # can differ from them in the last bits
         weight=lambda entries: math.prod(
             (lp_norm_1d(u, p2x) * lp_norm_1d(u, p1x)) ** rfl for u in entries),
-        exp_tail=lambda N_used, gvec: _sr_tail(m, p2f, p1_conj, rfl, N_used, gvec),
+        exp_tail=lambda N_used: _sr_tail(m, p2f, p1_conj, rfl, N_used),
+        first=(_phi0_norm(p2x) * _phi0_norm(p1x)) ** rfl,
     )
 
 

@@ -98,8 +98,8 @@ The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 Hermite and Laguerre expansions, 1993), exactly in Fractions:
 e(p) = 1/(2p) - 1/4 for p < 4, e(4) = -1/8 and e(p) = -1/(6p) - 1/12 for
 p > 4 (-1/12 at p = inf); lam(4) = 1 and lam(p) = 0 elsewhere.  The norm
-models, the weight laws of ``nuclearity`` and the s_r tail all derive
-from it, and all read an exponent through ``_exact_exponent``: a float is
+models and the weight laws of ``nuclearity`` derive from it, and all
+read an exponent through ``_exact_exponent``: a float is
 the small rational it rounds from, or else its exact value.
 """
 
@@ -866,9 +866,12 @@ def _exact_exponent(p) -> Fraction:
     return near if float(near) == p else exact
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def _norm_case(p) -> tuple[str, Fraction, Fraction]:
     """(regime, e, lam) of the norm law at p in [1, inf], decided exactly
-    on the rational p stands for (_exact_exponent)."""
+    on the rational p stands for (_exact_exponent); cached per type of p,
+    since a float and the Fraction of its binary value can stand for
+    different rationals."""
     if p == math.inf:
         inv = Fraction(0)
     elif p >= 1:

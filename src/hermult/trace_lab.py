@@ -31,7 +31,9 @@ from .nuclearity import (
     _as_fraction,
     _check_order,
     _check_tol,
+    _default_order,
     _exponent_str,
+    _memo,
     _Report,
     classify_regime,
     gl_condition,
@@ -65,13 +67,15 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
                      N: int | None = None) -> TraceValue:
     """Lattice sum of the symbol with a certified tail below tol.
 
-    Without an explicit truncation order the order is doubled from 200 n
-    until the tail bound drops below tol.  The bound never looks at a
-    partial sum, so the order comes from it alone and the lattice is summed
-    once, at that order; only when the doublings run out are the sums at
-    the last two orders formed, for the error.  Symbols with no envelope
-    and infinite support cannot be certified and raise an inconclusive
-    error.
+    Without an explicit truncation order the order comes from the tail
+    bound alone (``nuclearity._default_order``): the least whose tail is
+    below tol and below the sum's last bit, where the symbol's values are
+    nonnegative (heat and power symbols, whose sum is at least m(0)), or
+    where the tail vanishes, and never past the first of the orders 200 n,
+    400 n, ... whose tail is below tol.  The lattice is summed once, at
+    that order; only when the doublings run out are the sums at the last
+    two orders formed, for the error.  Symbols with no envelope and
+    infinite support cannot be certified and raise an inconclusive error.
     """
     n = _check_dimension(m, n)
     if N is not None:
@@ -88,13 +92,16 @@ def trace_symbol_sum(m: Symbol, n: int | None = None, tol: float = 1e-10,
                           truncation_order=N)
     _check_tol(tol)
     orders = [200 * n * 2 ** i for i in range(_TRACE_MAX_DOUBLINGS + 1)]
-    for order in orders:
-        tail = level_tail_bound(m, order)
-        if tail is None:
-            raise InconclusiveError("no certified tail bound is available for this symbol")
-        if tail < tol:
-            return TraceValue(value=lattice_sum(m, order), tail_bound=tail,
-                              truncation_order=order)
+    tail_at = _memo(lambda order: level_tail_bound(m, order))
+    order = _default_order(
+        m.envelope, tail_at, orders, 0, tol,
+        lambda: m((0,) * n) if m.kind in ("heat", "power") else 0.0)
+    tail = tail_at(order)
+    if tail is None:
+        raise InconclusiveError("no certified tail bound is available for this symbol")
+    if tail < tol:
+        return TraceValue(value=lattice_sum(m, order), tail_bound=tail,
+                          truncation_order=order)
     raise ConvergenceError(
         f"trace tail bound did not reach {tol:g} after {_TRACE_MAX_DOUBLINGS} doublings",
         last_two=tuple(lattice_sum(m, order) for order in orders[-2:]),

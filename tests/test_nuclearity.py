@@ -138,6 +138,28 @@ class TestClassifyRegime:
         c = classify_regime(1.2, 6, Fraction(2, 3))
         assert (c.p2_regime, c.p1_branch) == ("super4", "lt43")
 
+    def test_cached_results_are_the_fresh_ones(self):
+        # a float and the Fraction of its binary value are equal and hash
+        # alike, but read as different rationals: the cache keeps them apart
+        fresh = classify_regime.__wrapped__
+        calls = [
+            (Fraction(4 / 3), 4, 1), (4 / 3, 4, 1), (Fraction(4, 3), 4, 1),
+            (2, Fraction(4.000000000000001), 1), (2, 4.000000000000001, 1), (2, 4, 1),
+            (2, 2, Fraction(0.1)), (2, 2, 0.1), (2, 2, Fraction(1, 10)),
+        ]
+        for _ in range(2):
+            for args in calls:
+                assert classify_regime(*args) == fresh(*args)
+        assert classify_regime(4 / 3, 4, 1) == classify_regime(Fraction(4, 3), 4, 1)
+        assert classify_regime(4 / 3, 4, 1).p1_branch == "eq43"
+        assert classify_regime(Fraction(4 / 3), 4, 1).p1_branch != "eq43"
+        assert classify_regime(2, 4.000000000000001, 1).p2_regime == "super4"
+        assert classify_regime(2, 2, 0.1).r == Fraction(1, 10) != Fraction(0.1)
+        for p in (4, 4.0, Fraction(4), 4.000000000000001, Fraction(4.000000000000001),
+                  4 / 3, Fraction(4 / 3), math.inf):
+            assert quad._norm_case(p) == quad._norm_case.__wrapped__(p)
+        assert quad._norm_case(4.000000000000001)[0] == "super4"
+
     def test_p2_infinite(self):
         case = classify_regime(2, math.inf, 1)
         assert case.p2_regime == "super4"
@@ -363,7 +385,8 @@ class TestKappaSum:
         rep = kappa_sum(m, case)
         full = lattice_sum(m, rep.truncation_order, term=abs,
                            factors=case.entry_factors(range(rep.truncation_order + 1)))
-        assert rep.truncation_order == 200 * n
+        # the default order: the floor k n, past the table's largest order 12
+        assert rep.truncation_order == 10 * n
         assert rep.partial_sum == full
 
     def test_deterministic(self):
@@ -415,7 +438,7 @@ class TestSrSum:
 
     @pytest.mark.parametrize("p1,p2", [(2, 2), (Fraction(4, 3), 4), (Fraction(3, 2), 3)])
     def test_table_uses_norms_up_to_its_largest_order(self, monkeypatch, p1, p2):
-        # six norms up to degree 5, not the 402 up to N = 200 the sum runs to
+        # six norms up to degree 5, the table's largest order and the sum's default order
         table = {(0,): 1.0, (3,): -0.5, (5,): 0.25}
         asked = []
         sweep = nuc.lp_norms_1d
@@ -429,7 +452,7 @@ class TestSrSum:
         p1_conj = float(p1) / (float(p1) - 1.0)
         want = math.fsum(abs(v) * lp_norm_1d(u, float(p2)) * lp_norm_1d(u, p1_conj)
                          for (u,), v in table.items())
-        assert rep.truncation_order == 200 and asked == [5, 5]
+        assert rep.truncation_order == 5 and asked == [5, 5]
         assert rep.partial_sum == pytest.approx(want, rel=1e-13)
 
     def test_refused_before_any_norm(self, monkeypatch):
@@ -458,18 +481,19 @@ class TestSrSum:
         assert time.perf_counter() - start < 1.0
 
     def test_p1_equal_one_served_at_the_default_order_in_dimension_two(self):
-        # the 401 sup norms and L^1 norms up to the default order 400 are
-        # within the work budget; the heat symbol's sum factorizes
+        # the default order is 32, where the certified tail is below the
+        # sum's last bit; the heat symbol's sum factorizes
         rep = s_r_sum(heat_symbol(1.0, n=2), 1, 1, Fraction(2, 3))
-        assert rep.truncation_order == 400 and rep.verdict == "finite"
+        assert rep.truncation_order == 32 and rep.verdict == "finite"
         one = s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=400).partial_sum
         assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("p1,p2", [(2, 14), (Fraction(14, 13), 2)])
     def test_even_p_above_12_served_at_the_default_order_in_dimension_two(self, p1, p2):
-        # one exact rule per order serves the p = 14 norms up to 400
+        # one exact rule per order serves the p = 14 norms up to 400; the
+        # default order is 20
         rep = s_r_sum(heat_symbol(1.0, n=2), p1, p2, 1)
-        assert rep.truncation_order == 400 and rep.verdict == "finite"
+        assert rep.truncation_order == 20 and rep.verdict == "finite"
         one = s_r_sum(heat_symbol(1.0), p1, p2, 1, N=400).partial_sum
         assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
 
@@ -479,6 +503,151 @@ class TestSrSum:
         assert rep.p1_branch == "gt43"
         rep1 = s_r_sum(heat_symbol(1.0), 1, 2, 1, N=20)
         assert rep1.p2_regime is None
+
+
+# one exponent on each side of 2, and both ends
+BOUND_PS = [1, Fraction(6, 5), Fraction(4, 3), Fraction(3, 2), 2, 3, 4, 6, math.inf]
+
+
+class TestNormBounds:
+    """The per-entry bounds behind the certified s_r tail."""
+
+    @pytest.mark.parametrize("p", BOUND_PS, ids=str)
+    def test_bound_above_every_norm_on_a_degree_ladder(self, p):
+        c, g = nuc._norm_bound(p)
+        for u in (0, 1, 2, 3, 5, 8, 13, 30, 70, 150, 300, 700, 1500, 3000, 5000):
+            norm = lp_norm_1d(u, float(p))
+            bound = c * (u + 1.5) ** float(g)
+            if p == 2 or (p == math.inf and u == 0):
+                # equality: ||phi_u||_2 = 1, and |phi_0| peaks at pi^(-1/4)
+                assert norm == pytest.approx(bound, rel=1e-14)
+            else:
+                assert norm < bound
+
+    @pytest.mark.parametrize("p", BOUND_PS, ids=str)
+    def test_phi0_norm_closed_form(self, p):
+        assert nuc._phi0_norm(float(p)) == pytest.approx(lp_norm_1d(0, float(p)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p1,p2", sorted(NINE_CASES) + [(1, 1), (1, 2)], ids=str)
+    def test_sr_tail_bounds_the_remainder_to_twice_the_order(self, n, p1, p2):
+        for t in (0.5, 1.0):
+            m = heat_symbol(t, n)
+            for N in (2, 6, 12):
+                small = s_r_sum(m, p1, p2, Fraction(2, 3), N=N)
+                big = s_r_sum(m, p1, p2, Fraction(2, 3), N=2 * N)
+                assert small.tail_kind == "certified"
+                slack = 8 * math.ulp(big.partial_sum)
+                assert big.partial_sum - small.partial_sum <= small.tail_bound + slack
+
+    def test_sr_tail_certified_at_p1_one(self):
+        rep = s_r_sum(heat_symbol(1.0, 3), 1, 1, Fraction(2, 3))
+        assert rep.tail_kind == "certified" and rep.verdict == "finite"
+        assert rep.truncation_order == 35
+        assert s_r_sum(heat_symbol(1.0), 2, 2, 1).tail_kind == "certified"
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(b)
+
+
+def _seeded_table(n):
+    keys = [(0,) * n, (1,) + (0,) * (n - 1), (2,) * n, (0,) * (n - 1) + (7,), (3, 9, 0)[:n]]
+    return table_symbol({k: 0.3 * (i + 1) - 1.0 for i, k in enumerate(keys)}, n=n)
+
+
+DEFAULT_ORDER_SYMBOLS = [
+    heat_symbol(t, n) for n in (1, 2, 3) for t in (0.5, 1.0, 1.5)
+] + [_seeded_table(n) for n in (1, 2, 3)]
+
+
+class TestDefaultOrder:
+    """With no N, the order comes from the tail bound alone and the sum is
+    within one ulp of that at the old default order 200 n."""
+
+    @pytest.mark.parametrize("m", DEFAULT_ORDER_SYMBOLS, ids=lambda m: f"{m.label}-n{m.dimension}")
+    @pytest.mark.parametrize("p1,p2", sorted(NINE_CASES), ids=str)
+    def test_kappa_within_one_ulp_of_the_old_order(self, m, p1, p2):
+        n = m.dimension
+        for r in (Fraction(1), Fraction(2, 3)):
+            case = classify_regime(p1, p2, r)
+            new = kappa_sum(m, case)
+            old = kappa_sum(m, case, N=200 * n)
+            assert new.verdict == old.verdict
+            assert new.tail_kind in ("certified", "exact")
+            assert case.k * n <= new.truncation_order <= 200 * n
+            assert _ulps(new.partial_sum, old.partial_sum) <= 1
+
+    @pytest.mark.parametrize("m", DEFAULT_ORDER_SYMBOLS, ids=lambda m: f"{m.label}-n{m.dimension}")
+    @pytest.mark.parametrize("p1,p2", sorted(NINE_CASES), ids=str)
+    def test_sr_within_one_ulp_of_the_old_order(self, m, p1, p2):
+        # the norm sweep to 200 n takes other points than the sweep to the
+        # new order (the even-p grid follows its order), so its norms can
+        # differ in the last bits; so does the sum, by up to n times that
+        # relative difference on top of the one ulp
+        n = m.dimension
+        for r in (Fraction(1), Fraction(2, 3)):
+            new = s_r_sum(m, p1, p2, r)
+            old = s_r_sum(m, p1, p2, r, N=200 * n)
+            assert new.verdict == old.verdict
+            assert new.tail_kind in ("certified", "exact")
+            assert new.truncation_order <= 200 * n
+            top = new.truncation_order
+            if m.table is not None:
+                top = min(top, max(map(sum, m.table)))
+            p1_conj = p1 / (p1 - 1)
+            a = nuc._sr_factors(p2, p1_conj, float(r), top)
+            b = nuc._sr_factors(p2, p1_conj, float(r), 200 * n)[: top + 1]
+            drift = float(np.max(np.abs(a / b - 1.0)))
+            assert abs(new.partial_sum - old.partial_sum) <= (
+                math.ulp(old.partial_sum) + 1.01 * n * drift * old.partial_sum)
+
+    def test_kappa_orders(self):
+        case = classify_regime(2, 2, 1)
+        orders = [kappa_sum(heat_symbol(1.0, n), case).truncation_order for n in (1, 2, 3)]
+        assert orders == [18, 20, 30]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_few_tail_evaluations(self, n, monkeypatch):
+        calls = []
+        tail = nuc._exp_polylog_tail
+
+        def counted(*args):
+            calls.append(args[-1])
+            return tail(*args)
+
+        monkeypatch.setattr(nuc, "_exp_polylog_tail", counted)
+        for p1, p2 in NINE_CASES:
+            for t in (0.5, 1.0, 1.5):
+                calls.clear()
+                rep = s_r_sum(heat_symbol(t, n), p1, p2, Fraction(2, 3))
+                assert len(calls) <= 5 and calls[-1] == rep.truncation_order
+
+    def test_sr_norms_swept_once_at_the_order(self, monkeypatch):
+        asked = []
+        sweep = nuc.lp_norms_1d
+
+        def counted(N, p, tol=1e-8):
+            asked.append(N)
+            return sweep(N, p, tol)
+
+        monkeypatch.setattr(nuc, "lp_norms_1d", counted)
+        rep = s_r_sum(heat_symbol(1.0, 2), Fraction(4, 3), 4, 1)
+        assert asked == [rep.truncation_order] * 2
+
+    def test_never_past_the_doubled_order(self):
+        # at t = 0.05 the tail reaches 1e-8 by order 400 but the sum's last
+        # bit only later: the doubled order stands
+        case = classify_regime(Fraction(4, 3), 4, 1)
+        rep = kappa_sum(heat_symbol(0.05, 2), case)
+        assert rep.truncation_order == 400 and rep.verdict == "finite"
+        assert rep.partial_sum == kappa_sum(heat_symbol(0.05, 2), case, N=400).partial_sum
+        # below the doubled order the search stops at the first that qualifies
+        case = classify_regime(Fraction(6, 5), 6, Fraction(2, 3))
+        rep = kappa_sum(heat_symbol(0.05, 2), case)
+        assert 400 < rep.truncation_order < 800
+        old = kappa_sum(heat_symbol(0.05, 2), case, N=800)
+        assert _ulps(rep.partial_sum, old.partial_sum) <= 1
 
 
 class TestTruncationOrder:
@@ -618,6 +787,15 @@ class TestCriterionReport:
                 k=10, p2_regime="sub4", p1_branch="gt43", alpha=0.0, log_power=0.0,
                 symbol="test", tolerance=1e-8,
             )
+
+    @pytest.mark.parametrize("kind", ["empirical", None])
+    def test_finite_verdict_requires_a_certified_or_exact_tail(self, kind):
+        obj = kappa_sum(heat_symbol(1.0), classify_regime(2, 2, 1), N=40).to_json_obj()
+        assert obj["verdict"] == "finite" and obj["tail_bound"] < 1e-30
+        CriterionReport.from_json_obj(obj)
+        obj["tail_kind"] = kind
+        with pytest.raises(DomainError, match="certified or exact"):
+            CriterionReport.from_json_obj(obj)
 
     def test_negative_partial_rejected(self):
         with pytest.raises(DomainError):

@@ -55,7 +55,7 @@ class TestSymbolSum:
         tv = trace_symbol_sum(heat_symbol(1.0))
         assert math.isclose(tv.value, GEOM_T1, rel_tol=1e-14)
         assert 0.0 <= tv.tail_bound < 1e-10
-        assert tv.truncation_order >= 200
+        assert tv.truncation_order == 18
 
     def test_heat_two_dimensions_factorizes(self):
         tv = trace_symbol_sum(heat_symbol(1.0, n=2))
@@ -123,8 +123,8 @@ class TestSymbolSum:
 
     @pytest.mark.parametrize("m,order", [
         (power_symbol(3.0), 25_600),
-        (heat_symbol(1.0), 200),
-        (heat_symbol(0.3, n=2), 400),
+        (heat_symbol(1.0), 18),
+        (heat_symbol(0.3, n=2), 69),
         (power_symbol(5.0, n=3), 9_600),
     ], ids=["power:3", "heat:1", "heat:0.3-n2", "power:5-n3"])
     def test_one_lattice_sum_at_the_bound_order(self, m, order, monkeypatch):
@@ -144,6 +144,20 @@ class TestSymbolSum:
             m.level_value(K) * math.comb(K + n - 1, n - 1) for K in range(order + 1)
         )
         assert got.value == want
+
+    @pytest.mark.parametrize("m", [heat_symbol(t, n) for n in (1, 2, 3) for t in (0.5, 1.0, 1.5)]
+                             + [table_symbol({(0,) * n: 0.5, (2,) * n: -1.0, (1,) + (0,) * (n - 1):
+                                              0.25}, n) for n in (1, 2, 3)],
+                             ids=lambda m: f"{m.label}-n{m.dimension}")
+    def test_default_order_within_one_ulp_of_the_old_order(self, m):
+        n = m.dimension
+        new = trace_symbol_sum(m)
+        old = trace_symbol_sum(m, N=200 * n)
+        assert new.tail_bound < 1e-10 and new.truncation_order <= 200 * n
+        assert abs(new.value - old.value) <= math.ulp(old.value)
+        if m.table is not None:
+            # a table stops where its exact tail vanishes: its largest order
+            assert new.truncation_order == 2 * n and new.value == old.value
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -375,7 +389,7 @@ class TestSpectralTraceCheck:
         rep = spectral_trace_check(heat_symbol(1.0), 1, truncation=40)
         assert rep.criterion.verdict == "finite"
         assert rep.r_used == "2/3"
-        assert rep.criterion.tail_kind == "empirical"
+        assert rep.criterion.tail_kind == "certified"
         assert rep.discrepancy < 1e-10
 
     def test_conjugate_orders_share_r(self):
