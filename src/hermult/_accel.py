@@ -10,8 +10,9 @@ outside the range of plain doubles.  The kernels run on the one loop of
 ``_recurrence``, vectorized with numpy over the grid points:
 ``phi_tail`` carries the tail integrals int_x^inf phi_k along it on the
 same scale, ``phi_pair`` and ``phi_tail`` read each point at its own
-degree (``_at_degrees``), and ``phi_table`` turns its rows into plain
-floats.  On grids
+degree (``_at_degrees``), and ``phi_table`` and ``phi_rows`` turn its rows
+into plain floats: ``phi_table`` by e^(-x^2/2) 2^(400 j) from
+exp(-0.5 x x), ``phi_rows`` from the exact log scale below.  On grids
 of fewer than _COLUMN_POINTS points, where numpy's fixed cost per call
 outweighs its per-point speed, ``phi_table`` runs the same steps point by
 point in Python floats instead (``_column_mantissas``), with the same
@@ -149,21 +150,27 @@ def _half_square(x):
 
 
 def _log_scale(x, count):
-    """-x^2/2 + 400 count ln 2, rounded once, from -x^2/2 = hi + lo (_half_square).
+    """-x^2/2 + 400 count ln 2 as (ls, rest): ls the sum rounded once, from
+    -x^2/2 = hi + lo (_half_square), and rest that rounding's residual.
 
     400 count _LN2_HI is exact, and Knuth's two-sum carries the rounding
-    of its sum with hi into the low parts.  A point with count 0 keeps hi;
-    a non-finite one keeps hi + 400 count _LN2_HI.
+    of its sum with hi into the low parts, so ls + rest is the sum to about
+    400 |count| 2^-82.  A point with count 0 keeps hi, and rest = lo; a
+    non-finite one keeps hi + 400 count _LN2_HI, and rest = 0.
     """
     hi, lo = _half_square(x)
+    if not count.any():
+        return hi, lo
     n = _RESCALE_BITS * count
     a = n * _LN2_HI
     with np.errstate(invalid="ignore"):
         s = hi + a
         b = s - hi
-        e = (hi - (s - b)) + (a - b)
-        ls = s + (e + (lo + n * _LN2_LO))
-    return np.where(count == 0, hi, np.where(np.isfinite(s), ls, s))
+        low = ((hi - (s - b)) + (a - b)) + (lo + n * _LN2_LO)
+        finite = np.isfinite(s)
+        ls = np.where(count == 0, hi, np.where(finite, s + low, s))
+        rest = np.where(finite, (s - ls) + low, 0.0)
+    return ls, rest
 
 
 def _coefficients(start, stop):
@@ -295,7 +302,7 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
                     before = count
                     count, top, bottom = _range_test(v0, v1, count, t0, t1, m, buf)
                     if count is not before:
-                        ls = _log_scale(x, count)
+                        ls = _log_scale(x, count)[0]
                     test_at = k + 1
                     if bounded and bottom > 0.0:
                         # log2 bounds at chunk step s: high + grow[s] on the
@@ -383,26 +390,75 @@ def phi_tail(x, degree):
     return tail, ls
 
 
-def phi_rows(x, degree, lowest=0):
-    """Rows phi_lowest, ..., phi_degree on the grid x, in blocks.
+def _row_factor(x, count):
+    """e^(-x^2/2 + 400 count ln 2) from the exact log scale (_log_scale),
+    as (scale, cols, shift): the factor of a point is scale * 2^shift.
 
-    Yields (mantissas, log_scales) arrays of shape (rows, len(x)), one row
-    per degree in increasing order, with at most _BLOCK_POINTS values per
-    block (one row when a row is longer), so memory stays bounded whatever
-    the degree.  The block arrays are reused: consume each before asking
-    for the next.
+    The factor is exp(ls) (1 + rest), (ls, rest) the log scale and its
+    rounding's residual, with one rounding after the exp, and shift 0.
+    At the points where that is not a normal double (deep), it is
+    frac * 2^expo, frac = e^r (1 + rest) in [1, 2) with r = ls - expo ln 2
+    formed from the split ln 2.  shift, 0 at the other points, is kept
+    over the slice cols from the first deep point to the last, so _scale
+    works on the rows in place (both None where no point is deep).
+    """
+    ls, rest = _log_scale(x, count)
+    with np.errstate(under="ignore", invalid="ignore"):
+        scale = np.exp(ls)
+        scale += scale * rest
+    # |phi| <= 1 and the loop keeps a pair maximum above 2^-800, so ls
+    # stays below 555 and the factor finite
+    deep = np.flatnonzero((scale < _TINY) & np.isfinite(ls))
+    if not len(deep):
+        return scale, None, None
+    expo = np.floor(ls[deep] / math.log(2.0))
+    frac = np.exp((ls[deep] - expo * _LN2_HI) - expo * _LN2_LO)
+    scale[deep] = frac + frac * rest[deep]
+    cols = slice(int(deep[0]), int(deep[-1]) + 1)
+    shift = np.zeros(cols.stop - cols.start, dtype=np.int64)
+    shift[deep - cols.start] = expo
+    return scale, cols, shift
+
+
+def _scale(rows, factor):
+    """Turn rows of mantissas into plain floats in place, by their factor
+    (_row_factor): times scale first, then times 2^shift, so each value
+    is rounded to the double range once."""
+    scale, cols, shift = factor
+    rows *= scale
+    if cols is not None:
+        part = rows[:, cols]
+        np.ldexp(part, shift, out=part)
+
+
+def phi_rows(x, degree, lowest=0):
+    """Rows phi_lowest, ..., phi_degree on the grid x as plain floats, in blocks.
+
+    Yields arrays of shape (rows, len(x)), one row per degree in increasing
+    order, with at most _BLOCK_POINTS values per block (one row when a row
+    is longer), so memory stays bounded whatever the degree.  The loop's
+    mantissas are scaled by e^(log scale), a factor built from the exact
+    log scale (_row_factor) only when the loop's rescale count changes and
+    applied to each run of rows that shares it (_scale); values below the
+    double range are exact zeros.  The block array is reused, and its
+    consumer may overwrite it: consume each block before asking for the
+    next.
     """
     rows = min(max(1, _BLOCK_POINTS // max(len(x), 1)), degree - lowest + 1)
     vals = np.empty((rows, len(x)))
-    logs = np.empty((rows, len(x)))
-    i = 0
-    for u, (_, v, ls, _, _) in enumerate(_recurrence(x, degree, lowest), lowest):
+    i = start = 0
+    count = factor = None
+    for u, (_, v, _, c, _) in enumerate(_recurrence(x, degree, lowest), lowest):
+        if c is not count:
+            if factor is not None:
+                _scale(vals[start:i], factor)
+            count, factor, start = c, _row_factor(x, c), i
         vals[i] = v
-        logs[i] = ls
         i += 1
         if i == rows or u == degree:
-            yield vals[:i], logs[:i]
-            i = 0
+            _scale(vals[start:i], factor)
+            yield vals[:i]
+            i = start = 0
 
 
 def phi_row(x, degree):
@@ -574,29 +630,24 @@ def phi_table(x, nmax):
 
 
 def weighted_abs_power_sum(vals, logs, weights, p):
-    """Sums of weights[i] * |vals[..., i] * exp(logs[..., i])|^p as (total, shift).
+    """The sum of weights[i] * |vals[i] * exp(logs[i])|^p as (total, shift).
 
-    The sums run over the last axis; a 1-d input gives floats, a block of
-    rows (one per degree) arrays with one entry per row.  A sum is
-    total * exp(shift).  shift is 0.0 unless the row's largest exponent
-    p * ln|value| is below -700, where every term would underflow; then
-    that exponent is factored out of the row's terms, so a p-th root taken
-    as total^(1/p) * exp(shift/p) stays in range.  Terms more than 745
-    below the shift are dropped.
+    The sum is total * exp(shift).  shift is 0.0 unless the largest
+    exponent p * ln|value| is below -700, where every term would
+    underflow; then that exponent is factored out of the terms, so a p-th
+    root taken as total^(1/p) * exp(shift/p) stays in range.  Terms more
+    than 745 below the shift are dropped.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.log(np.abs(vals))
         t += logs
         t *= p
-    top = np.max(t, axis=-1, keepdims=True)
-    shift = np.where((top > -math.inf) & (top < _SHIFT_BELOW), top, 0.0)
-    if shift.any():
+    top = float(np.max(t))
+    shift = top if -math.inf < top < _SHIFT_BELOW else 0.0
+    if shift:
         t -= shift
     # e^-inf = 0 drops a term exactly; zeros of vals are at -inf already
     np.copyto(t, -math.inf, where=~(t >= -745.0))
     np.exp(t, out=t)
     t *= weights
-    total = np.sum(t, axis=-1)
-    if t.ndim == 1:
-        return float(total), float(shift[0])
-    return total, shift[:, 0]
+    return float(np.sum(t)), shift

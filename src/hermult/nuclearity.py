@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -89,11 +89,19 @@ class RegimeCase:
     alpha: Fraction
     log_power: Fraction
     p1_conj: Fraction
+    # float views of alpha, log_power and r, formed once per case
+    alpha_float: float = field(init=False, repr=False, compare=False)
+    log_power_float: float = field(init=False, repr=False, compare=False)
+    r_float: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("alpha", "log_power", "r"):
+            object.__setattr__(self, f"{name}_float", float(getattr(self, name)))
 
     def entry_factors(self, us) -> list[float]:
         """Per-entry weight factors: constant below the cutoff, u^a (ln u)^l above."""
-        a = float(self.alpha)
-        lam = float(self.log_power)
+        a = self.alpha_float
+        lam = self.log_power_float
         k = self.k
         return [v ** a * math.log(v) ** lam for v in (u if u > k else k for u in us)]
 
@@ -179,9 +187,9 @@ def _kappa_tail(m: Symbol, case: RegimeCase, N: int):
     """(tail_bound, "certified") under an exponential envelope."""
     env = m.envelope
     n = m.dimension
-    r = float(case.r)
-    alpha = float(case.alpha)
-    lam = float(case.log_power)
+    r = case.r_float
+    alpha = case.alpha_float
+    lam = case.log_power_float
     k = case.k
     crate = r * env.rate
     coeff = env.C ** r
@@ -209,7 +217,7 @@ def _divergence_certified(m: Symbol, case: RegimeCase) -> bool:
     low = m.lower_envelope
     if low is None:
         return False
-    q = m.dimension * float(case.alpha) - float(low.beta) * float(case.r)
+    q = m.dimension * case.alpha_float - float(low.beta) * case.r_float
     return q >= -1.0
 
 
@@ -377,7 +385,7 @@ def _criterion(criterion: str, m: Symbol, N: int | None, floor: int, tol: float,
     """
     _check_tol(tol)
     p1, p2, r = exponents
-    rfl = float(r)
+    rfl = case.r_float if case else float(r)
     if N is not None:
         N = _check_order(N, floor)
     tail = _memo(lambda order: _criterion_tail(m, order, rfl, weight, exp_tail))
@@ -407,8 +415,8 @@ def _criterion(criterion: str, m: Symbol, N: int | None, floor: int, tol: float,
         k=case.k if case else None,
         p2_regime=case.p2_regime if case else None,
         p1_branch=case.p1_branch if case else None,
-        alpha=float(case.alpha) if case else None,
-        log_power=float(case.log_power) if case else None,
+        alpha=case.alpha_float if case else None,
+        log_power=case.log_power_float if case else None,
         symbol=m.label,
         tolerance=tol,
     )

@@ -1,8 +1,10 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of four routes (``_norm_route``), at even p by
+``lp_norm_1d`` takes one of five routes (``_norm_route``), at even p by
 the route rule below.  None refines, so the tolerance is only validated.
 
+- p = 2: the Hermite functions are orthonormal, so ||phi_n||_2 = 1 at
+  every degree, with no work.
 - The grid, at even p: f = |phi_n|^p = phi_n^p is entire and even, with a
   Gaussian tail, so the trapezoidal rule on the grid x_j = j h converges
   faster than geometrically (Trefethen and Weideman, SIAM Rev. 56
@@ -18,7 +20,10 @@ the route rule below.  None refines, so the tolerance is only validated.
   past the turning point, where |phi_n| is below e^-24 of its maximum
   (n = 0 is the widest), so f below e^-48 of its own.  The grid has about
   p (2n + 1) / (2 pi) points and needs no nodes: one run of the
-  recurrence over it is the whole norm.
+  recurrence over it is the whole norm.  The run gives the row of phi_n
+  in plain floats (``phi_rows``); the row is divided by its largest
+  value, so no power overflows or underflows, and raised to p by
+  repeated squaring (``_even_power_norms``).
 - p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
   J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
   |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
@@ -67,8 +72,10 @@ summability sum needs them.  For even p one grid serves all degrees: that
 of degree N has a finer step and a longer reach than that of any u <= N.
 One run of the recurrence at its points passes through every degree
 0..N, and each row's weighted p-th power sum is one of the integrals, so
-all N + 1 norms cost one run and N + 1 power sums; rows are summed in
-blocks of at most 2^17 values, so memory stays bounded whatever N is.
+all N + 1 norms cost one run and N + 1 row power sums, each a few
+multiplications a value; rows come in plain-float blocks of at most 2^17
+values, so memory stays bounded whatever N is, and each row is summed on
+its own, whatever its block.
 A single norm on the grid is the same sweep without the lower rows, so
 where both take the grid ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)``
 bit for bit.
@@ -88,10 +95,11 @@ Each route estimates its recurrence work in point-steps, and a norm
 whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
 ``CapabilityError`` before any recurrence work.  A sweep is admitted by
 the work of all its norms: the even-p sweep's run and N + 1 row power
-sums, or the sum of the per-degree estimates.  The route rule: at even p
-a norm or a sweep takes the grid when its estimate is within the budget
-and, with each route's row power sums counted (N + 1 rows, one for a
-norm), no larger than the panels'; ties go to the grid.
+sums, or the sum of the per-degree estimates.  The route rule: p = 2
+takes its exact route, at every degree up to MAX_DEGREE_DEFAULT; at
+other even p a norm or a sweep takes the grid when its estimate is
+within the budget and, with each route's row power sums counted (N + 1
+rows, one for a norm), no larger than the panels'; ties go to the grid.
 
 The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 (Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
@@ -147,8 +155,10 @@ _MAX_POINTS = 1 << 21
 # Points of a phi_row run of a panel sweep, so its arrays stay in cache:
 # lp_norms_1d(400, 3) took 0.65 s with these and 1.2 s with 2^18 (2 vCPUs).
 _RUN_POINTS = 1 << 14
-# A weighted power sum over a row costs about as much per value as four
-# recurrence point-steps (a log and an exp: 21 ns against 5-6 ns).
+# A weighted power sum over a row is charged four recurrence point-steps
+# a value.  The panels' log-and-exp sum cost about that when this was set
+# (21 ns against 5-6 ns); the even grid's repeated squaring costs 4 to 16
+# point-steps a value, the most on small sweeps (ROADMAP item 4).
 _POWER_POINTS = 4
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
@@ -514,6 +524,30 @@ def _even_work(degree: int, p: float, rows: int = 0) -> float:
     return _phi_row_work(points, degree) + _POWER_POINTS * rows * points
 
 
+def _even_power_norms(rows, weights, p: float) -> list[float]:
+    """||row||_p by the grid's weights for each row of a block of plain
+    floats, even p; overwrites the block.
+
+    Each row is squared and divided by its largest square T, so every
+    value lies in [0, 1] and nothing overflows; it is raised to p / 2 by
+    repeated squaring, weighted and summed to S, and the norm is
+    sqrt(T) S^(1/p).  Each row is summed on its own, so its sum does not
+    depend on the other rows of its block.
+    """
+    np.square(rows, out=rows)
+    top = rows.max(axis=1, keepdims=True)
+    rows *= 1.0 / top
+    acc = rows.copy()
+    # left to right over the bits of p / 2 after the leading one
+    for bit in bin(int(p) // 2)[3:]:
+        np.square(acc, out=acc)
+        if bit == "1":
+            acc *= rows
+    acc *= weights
+    sums = acc.sum(axis=1).tolist()
+    return [math.sqrt(t) * s ** (1.0 / p) for t, s in zip(top[:, 0].tolist(), sums)]
+
+
 def _even_norm_1d(degrees, p: float) -> list[float]:
     """||phi_u||_p for each u in degrees, nonincreasing, and even p, by the
     trapezoidal rule on the top degree's grid, from the rows
@@ -523,11 +557,10 @@ def _even_norm_1d(degrees, p: float) -> list[float]:
     # doubled for the mirrored point -x_j except at x_0 = 0
     weights = np.full(points, 2.0 * h)
     weights[0] = h
-    sums = [weighted_abs_power_sum(vals, logs, weights, p)
-            for vals, logs in phi_rows(h * np.arange(points), top, low)]
-    totals = np.concatenate([total for total, _ in sums]).tolist()
-    shifts = np.concatenate([shift for _, shift in sums]).tolist()
-    return [_root(totals[u - low], shifts[u - low], p) for u in degrees]
+    norms = []
+    for rows in phi_rows(h * np.arange(points), top, low):
+        norms += _even_power_norms(rows, weights, p)
+    return [norms[u - low] for u in degrees]
 
 
 def _one_block(degrees, sizes):
@@ -710,9 +743,12 @@ def _panel_work(degree: int, p: float, rows: int = 0) -> float:
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm, by
     the route rule of the module docstring.  The estimate counts the runs
-    the route makes: the sup grid; the run over the even grid; or the
-    n-node rule's pass and the run over its zeros or the panel points.
+    the route makes: none at p = 2; the sup grid; the run over the even
+    grid; or the n-node rule's pass and the run over its zeros or the
+    panel points.
     """
+    if p == 2.0:
+        return "unit", 0.0
     if math.isinf(p):
         return "sup", _phi_row_work(_SUP_POINTS, degree)
     if p == 1.0:
@@ -728,13 +764,16 @@ def _norm_route(degree: int, p: float):
 def _sweep_route(N: int, p: float):
     """(route, estimated point-steps) of lp_norms_1d(N, p).
 
-    At even p the route rule weighs the grid of degree N against the
-    per-degree panel estimates; a panel sweep, and every other one, is
-    admitted by the sum of its N + 1 norms' estimates.  The sums run from
+    p = 2 takes its exact route.  At other even p the route rule weighs
+    the grid of degree N against the per-degree panel estimates; a panel
+    sweep, and every other one, is admitted by the sum of its N + 1
+    norms' estimates.  The sums run from
     degree N down, largest first, and stop once past their limit; their
     terms are whole numbers below 2^53, so each total is exact in any
     order.  Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
     """
+    if p == 2.0:
+        return "unit", 0.0
     even = p % 2.0 == 0.0
     grid = _even_work(N, p, N + 1) if even else math.inf
     # a grid over the budget leaves the sweep to the panels' own estimate
@@ -780,7 +819,8 @@ def _root(total: float, shift: float, p: float) -> float:
 
 
 # The norms of each route, for a list of degrees in nonincreasing order.
-_ROUTES = {"sup": lambda degrees, p: _sup_norm_1d(degrees),
+_ROUTES = {"unit": lambda degrees, p: [1.0] * len(degrees),
+           "sup": lambda degrees, p: _sup_norm_1d(degrees),
            "zeros": lambda degrees, p: _l1_norm_1d(degrees),
            "even": _even_norm_1d, "panels": _panel_norm_1d}
 
@@ -827,16 +867,15 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    At even p, by the route rule, one recurrence run over the grid of
-    degree N (entry N is lp_norm_1d(N, p) bit for bit where that takes
-    the grid too) or the panels.  The other routes share recurrence runs
-    over the grids of all degrees, and give lp_norm_1d's norms bit for bit
-    up to N = 280 (267 for the panels) and within 1e-13 relative above.
-    Raises
-    CapabilityError, before any recurrence work, when the estimated work
-    of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the N + 1
-    row power sums' for the even-p sweep, the sum of the per-degree
-    estimates otherwise.
+    All ones at p = 2.  At other even p, by the route rule, one
+    recurrence run over the grid of degree N (entry N is lp_norm_1d(N, p)
+    bit for bit where that takes the grid too) or the panels.  The other
+    routes share recurrence runs over the grids of all degrees, and give
+    lp_norm_1d's norms bit for bit up to N = 280 (267 for the panels) and
+    within 1e-13 relative above.  Raises CapabilityError, before any
+    recurrence work, when the estimated work of all N + 1 norms exceeds
+    NORM_WORK_BUDGET: the run's and the N + 1 row power sums' for the
+    even-p sweep, the sum of the per-degree estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 

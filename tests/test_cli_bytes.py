@@ -67,10 +67,10 @@ GOLDEN = {
         "    },\n"
         "    {\n"
         "      \"computed\": 0.6659347710919417,\n"
-        "      \"model\": 0.6291501344548556,\n"
+        "      \"model\": 0.6291501344548553,\n"
         "      \"nu\": 5,\n"
         "      \"p\": \"4\",\n"
-        "      \"ratio\": 1.058467183940061\n"
+        "      \"ratio\": 1.0584671839400612\n"
         "    },\n"
         "    {\n"
         "      \"computed\": 0.5623899268603816,\n"
@@ -87,8 +87,8 @@ GOLDEN = {
         "      \"ratio\": 1.0\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 0.6291501344548556,\n"
-        "      \"model\": 0.6291501344548556,\n"
+        "      \"computed\": 0.6291501344548553,\n"
+        "      \"model\": 0.6291501344548553,\n"
         "      \"nu\": 10,\n"
         "      \"p\": \"4\",\n"
         "      \"ratio\": 1.0\n"

@@ -26,7 +26,9 @@ from hermult import (
     eval_phi_1d,
     eval_phi_nd,
 )
-from hermult._accel import _COLUMN_POINTS, _erfcx, phi_pair, phi_row, phi_rows, phi_table, phi_tail
+from hermult._accel import (
+    _COLUMN_POINTS, _erfcx, _recurrence, phi_pair, phi_row, phi_rows, phi_table, phi_tail,
+)
 
 mpmath.mp.dps = 50
 
@@ -115,6 +117,14 @@ def rescalings(want):
 RESCALE_LOG = 400.0 * math.log(2.0)
 
 
+def loop_rows(x, degree, lowest=0):
+    """(mantissas, log scales) of phi_lowest..phi_degree as the one loop
+    (``_recurrence``) carries them, one row per degree; the loop works in
+    place, so each row is copied."""
+    steps = [(cur.copy(), ls.copy()) for _, cur, ls, _, _ in _recurrence(x, degree, lowest)]
+    return np.array([cur for cur, _ in steps]), np.array([ls for _, ls in steps])
+
+
 def assert_power_of_two_apart(got, got_ls, want, want_ls):
     """got equals want times an exact 2^(400 d) at every entry, d read off
     the log scales of the two runs (nan-equal where a grid point is not
@@ -157,10 +167,7 @@ def test_in_place_loop_keeps_the_bits(points):
     assert rescalings(want) == ({1: 2, 65: 153, 1600: 3713}[points], 0)
     want_rows = np.array([cur for _, cur, _ in want])
     want_logs = np.array([ls for _, _, ls in want])
-    # phi_rows reuses its block arrays, so each block is copied
-    blocks = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, 1600)]
-    rows = np.concatenate([vals for vals, _ in blocks])
-    logs = np.concatenate([ls for _, ls in blocks])
+    rows, logs = loop_rows(x, 1600)
     assert_power_of_two_apart(rows, logs, want_rows, want_logs)
     assert_exact_log_scales(x, logs, want_logs)
     for n in (0, 1, 2, 48, 49, 401, 1600):
@@ -173,6 +180,19 @@ def test_in_place_loop_keeps_the_bits(points):
         assert np.all((2.0 ** -400 <= pair_max) & (pair_max <= 2.0 ** 400))
         vals, row_ls = phi_row(x, n)
         assert np.array_equal(vals, cur) and np.array_equal(row_ls, ls)
+
+
+def test_rows_are_the_table_in_plain_floats():
+    # phi_rows scales the loop's mantissas from the exact log scale
+    # -x^2/2 + 400 j ln 2, phi_table by exp(-0.5 x x) 2^(400 j); on quarter
+    # points -0.5 x x is exact, so the two agree within 2 ulps, across
+    # blocks and rescalings, and a value below the double range is 0 in both
+    x = np.arange(-24, 281) * 0.25
+    for degree, lowest in ((1600, 0), (1600, 1200), (5000, 4990)):
+        rows = np.concatenate([block.copy() for block in phi_rows(x, degree, lowest)])
+        table = phi_table(x, degree)[lowest:]
+        assert np.all(np.abs(rows - table) <= 2 * np.spacing(np.abs(table))), (degree, lowest)
+        assert np.array_equal(rows == 0.0, table == 0.0), (degree, lowest)
 
 
 def reference_tail(x, degree):
@@ -227,9 +247,7 @@ def test_skipped_range_tests_keep_the_bits(x):
             assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
             assert_exact_log_scales(x, ls, want[n][2])
         for degree, lowest in ((0, 0), (1, 0), (2, 0), (2, 2), (1200, 2), (1200, 7), (1200, 400)):
-            rows = [(vals.copy(), ls.copy()) for vals, ls in phi_rows(x, degree, lowest)]
-            got = np.concatenate([vals for vals, _ in rows])
-            logs = np.concatenate([ls for _, ls in rows])
+            got, logs = loop_rows(x, degree, lowest)
             want_logs = np.array([ls for _, _, ls in want[lowest:degree + 1]])
             assert_power_of_two_apart(got, logs, np.array([cur for _, cur, _ in want[lowest:degree + 1]]),
                                       want_logs)
@@ -354,9 +372,7 @@ def test_table_on_the_one_loop_keeps_the_bits(x):
         assert np.array_equal(got[:, near], reference_table(x[near], nmax)), nmax
         if not far:
             continue
-        blocks = [(v.copy(), ls.copy()) for v, ls in phi_rows(x, nmax)]
-        mantissas = np.concatenate([v for v, _ in blocks])
-        logs = np.concatenate([ls for _, ls in blocks])
+        mantissas, logs = loop_rows(x, nmax)
         for k in sorted({min(k, nmax) for k in (1, 2, nmax)} | set(range(0, nmax, 97))):
             for i in far:
                 j = round((logs[k, i] + 0.5 * x[i] * x[i]) / RESCALE_LOG)

@@ -236,6 +236,19 @@ class TestClassifyRegime:
         assert half.log_power == full.log_power / 2
 
 
+    @pytest.mark.parametrize("p1,p2,r", [
+        (Fraction(4, 3), 4, 1), (1.5, math.inf, Fraction(2, 3)), (3, 2.5, 0.5),
+        (Fraction(6, 5), 7, Fraction(1, 7)), (4.000000000000001, 2, 1)])
+    def test_float_views_are_the_fractions_floats(self, p1, p2, r):
+        # the readers take the case's float views, formed once, in place of
+        # converting its Fractions on every call
+        case = classify_regime(p1, p2, r)
+        for name in ("alpha", "log_power", "r"):
+            view = getattr(case, f"{name}_float")
+            assert type(view) is float
+            assert view.hex() == float(getattr(case, name)).hex(), name
+
+
 class TestPartition:
     def test_named_examples(self):
         assert partition_cell_of((11, 12, 13), 10) == 0

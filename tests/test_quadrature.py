@@ -546,8 +546,12 @@ class TestLpNorms:
         (27790, 2.0, "even"), (6255, 1.0, "zeros"),
     ])
     def test_largest_degrees_served_before_are_served(self, degree, p, route):
-        # the largest degrees within the budget when scipy supplied the nodes
+        # the largest degrees within the budget when scipy supplied the nodes;
+        # p = 2 has left the grid for its exact value, with no work
         got, work = quad._norm_route(degree, float(p))
+        if p == 2.0:
+            assert (got, work) == ("unit", 0.0) and lp_norm_1d(degree, p) == 1.0
+            route, work = got, quad._even_work(degree, p)
         assert got == route and work <= quad.NORM_WORK_BUDGET
 
     @pytest.mark.parametrize("degree,p", [(35565, 2.0), (25872, 4.0), (15329, 12.0),
@@ -555,12 +559,32 @@ class TestLpNorms:
     def test_even_served_degree_edge(self, degree, p):
         # one run over the grid's ceil((sqrt(2n + 1) + 6) / h) + 1 points,
         # h = 2 pi / (p sqrt(2n + 1) + 20); past it the panels' estimate is
-        # over the budget too
+        # over the budget too.  At p = 2 the grid's edge stays, but both
+        # degrees are served exactly, at once
+        if p == 2.0:
+            assert quad._even_work(degree, p) <= quad.NORM_WORK_BUDGET
+            assert quad._even_work(degree + 1, p) > quad.NORM_WORK_BUDGET
+            start = time.perf_counter()
+            for n in (degree, degree + 1):
+                assert quad._norm_route(n, p) == ("unit", 0.0) and lp_norm_1d(n, p) == 1.0
+            assert time.perf_counter() - start < 1.0
+            return
         route, work = quad._norm_route(degree, p)
         assert route == "even" and work <= quad.NORM_WORK_BUDGET
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
             lp_norm_1d(degree + 1, p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_l2_norm_served_exactly_up_to_the_largest_degree(self):
+        # the Hermite functions are orthonormal: ||phi_n||_2 = 1 with no
+        # work, at every degree up to MAX_DEGREE_DEFAULT, at once (the grid
+        # was refused past 35,565)
+        for degree in (0, 1, 27790, 35565, 35566, quad.MAX_DEGREE_DEFAULT):
+            assert quad._norm_route(degree, 2.0) == ("unit", 0.0)
+        start = time.perf_counter()
+        assert quad._lp_norm_1d_cached.__wrapped__(quad.MAX_DEGREE_DEFAULT, 2.0) == 1.0
+        assert lp_norm_1d(35566, 2.0) == 1.0
         assert time.perf_counter() - start < 1.0
 
     def test_sup_served_degree_edge(self):
@@ -676,8 +700,13 @@ class TestLpNorms:
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
     def test_common_even_p_keep_the_exact_rule(self, p):
         # every degree served, degree 0 among them, where both runs cost 0
-        # point-steps and the grid's fewer points win
+        # point-steps and the grid's fewer points win; p = 2 by its exact
+        # value, with no work, past the grid's edge too
         edge = {2.0: 35565, 4.0: 25872, 6.0: 21374, 8.0: 18635, 10.0: 16740, 12.0: 15329}[p]
+        if p == 2.0:
+            for degree in range(0, edge + 2):
+                assert quad._norm_route(degree, p) == ("unit", 0.0), degree
+            return
         for degree in range(0, edge + 1):
             assert quad._norm_route(degree, p)[0] == "even", degree
         assert quad._norm_route(edge + 1, p)[1] > quad.NORM_WORK_BUDGET
@@ -757,7 +786,41 @@ class TestNormSweep:
             assert sweep[u] == pytest.approx(norm_oracle(u, p), rel=1e-13), u
 
     def test_l2_norms_stay_one(self):
-        assert np.max(np.abs(lp_norms_1d(3000, 2.0) - 1.0)) <= 3e-14
+        # the grid itself, which p = 2 no longer takes
+        assert np.max(np.abs(np.array(quad._even_norm_1d(range(3000, -1, -1), 2.0)) - 1.0)) <= 3e-14
+
+    def test_l2_sweep_served_exactly_up_to_the_largest_degree(self):
+        # all ones with no work, where the grid's sweep was refused past 27,789
+        for N in (0, 27790, quad.MAX_DEGREE_DEFAULT):
+            assert quad._sweep_route(N, 2.0) == ("unit", 0.0)
+        start = time.perf_counter()
+        norms = quad._lp_norms_1d_cached.__wrapped__(quad.MAX_DEGREE_DEFAULT, 2.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(norms) == quad.MAX_DEGREE_DEFAULT + 1 and np.all(norms == 1.0)
+        assert np.all(lp_norms_1d(27790, 2.0) == 1.0)
+
+    @pytest.mark.parametrize("N,p", [(110, 6.0), (300, 6.0)])
+    def test_even_sweep_against_the_same_rule_in_40_digits(self, N, p):
+        # every degree against the trapezoid sum on the same grid points in
+        # 40-digit mpmath, phi_u from the recurrence at that precision: the
+        # norm is within 4e-15 of it (1.4e-14 at (300, 6) when the rows were
+        # summed as exp(p (ln|mantissa| + log scale)))
+        h, points = quad._even_grid(N, p)
+        with mpmath.workdps(40):
+            xs = [mpmath.mpf(float(x)) for x in h * np.arange(points)]
+            weights = [mpmath.mpf(h)] + [2 * mpmath.mpf(h)] * (points - 1)
+            prev = [mpmath.mpf(0)] * points
+            cur = [mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2) for x in xs]
+            want = []
+            for u in range(N + 1):
+                total = mpmath.fsum(w * v ** int(p) for w, v in zip(weights, cur))
+                want.append(total ** (mpmath.mpf(1) / int(p)))
+                c1 = mpmath.sqrt(mpmath.mpf(2) / (u + 1))
+                c0 = mpmath.sqrt(mpmath.mpf(u) / (u + 1))
+                prev, cur = cur, [x * c1 * a - c0 * b for x, a, b in zip(xs, cur, prev)]
+            sweep = lp_norms_1d(N, p)
+            errors = [abs(got / norm - 1) for got, norm in zip(sweep.tolist(), want)]
+        assert max(errors) <= 4e-15, int(np.argmax(errors))
 
     def test_other_p_take_the_per_degree_norms(self):
         # p = 1, p = inf and the panels sweep; no point of a sweep is
@@ -819,7 +882,7 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(27790, 2.0), (1000, 1.0), (693, math.inf)])
+    @pytest.mark.parametrize("N,p", [(1000, 1.0), (693, math.inf)])
     def test_admitted_by_the_work_of_all_its_norms(self, N, p):
         # the top norm alone is within the budget, all N + 1 of them are not
         assert quad._norm_route(N, p)[1] <= quad.NORM_WORK_BUDGET
@@ -883,6 +946,7 @@ class TestNormSweep:
         # points; its cuts only make the work smaller.
         done, kernels = [], []
         pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+        even_power = quad._even_power_norms
         row = quad.phi_row
 
         def counted_row(x, n):
@@ -909,11 +973,16 @@ class TestNormSweep:
             done.append(quad._POWER_POINTS * vals.size)
             return power(vals, logs, weights, p)
 
+        def counted_even_power(rows, weights, p):
+            done.append(quad._POWER_POINTS * rows.size)
+            return even_power(rows, weights, p)
+
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
         monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_rows", counted_rows)
         monkeypatch.setattr(quad, "phi_tail", counted_tail)
         monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
+        monkeypatch.setattr(quad, "_even_power_norms", counted_even_power)
         for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
             cache.cache_clear()
         quad._lp_norms_1d_cached.__wrapped__(N, p)
