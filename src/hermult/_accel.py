@@ -12,11 +12,12 @@ outside the range of plain doubles.  The kernels run on the one loop of
 same scale, ``phi_pair`` and ``phi_tail`` read each point at its own
 degree (``_at_degrees``), and ``phi_table`` and ``phi_rows`` turn its rows
 into plain floats: ``phi_table`` by e^(-x^2/2) 2^(400 j) from
-exp(-0.5 x x), ``phi_rows`` from the exact log scale below.  On grids
-of fewer than _COLUMN_POINTS points, where numpy's fixed cost per call
-outweighs its per-point speed, ``phi_table`` runs the same steps point by
-point in Python floats instead (``_column_mantissas``), with the same
-bits.
+exp(-0.5 x x), ``phi_rows`` from the exact log scale below.  On fewer than
+_COLUMN_POINTS points, where numpy's fixed cost per step outweighs its
+per-point speed, ``phi_pair``, ``phi_row``, ``phi_tail`` and ``phi_table``
+run the same steps point by point in Python floats instead
+(``_column_loop``), each point to its own degree, with the same mantissas
+up to exact powers of two; ``phi_rows`` always takes the numpy loop.
 
 The loop keeps an integer rescale count j per point: a rescaling
 multiplies the point's mantissas by 2^-400 (j + 1) or by 2^400 (j - 1),
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import islice
 
 import numpy as np
 
@@ -93,11 +95,12 @@ _CUT_SHARE = 0.75
 # The smallest normal double.
 _TINY = 2.0 ** -1022
 
-# phi_table builds tables on fewer points point by point
-# (_column_mantissas).  Measured on 2 vCPUs, that producer costs as much
-# as the loop at about 24-27 points, for N = 30 to 300 and on
-# Gauss-Hermite nodes.
-_COLUMN_POINTS = 24
+# _at_degrees and phi_table run fewer points than this point by point
+# (_column_loop).  Measured on 2 vCPUs, that loop costs as much as the
+# numpy one at about 18 points for phi_pair at degree 2 P (the Halley
+# passes of a P-node half-rule), 20-24 for phi_pair at degrees 100-400
+# and for phi_table, and 22-28 for phi_tail.
+_COLUMN_POINTS = 20
 
 
 def _square(t):
@@ -331,22 +334,28 @@ def _at_degrees(x, degree, tails=False):
     degree per point, nonincreasing; previous and current are the
     mantissas of phi_{d-1}(x) and phi_d(x) at the point's degree d, on one
     log scale, and tail is J_d(x) as ``_recurrence`` carries it (None
-    unless tails is set).  One run of the loop serves every degree: it
-    reads each degree's points at its own step and cuts the points whose
-    degree has passed, the last ones, once they are a quarter of those it
-    carries.  A point's values depend on its own x and degree alone, up to
-    the rescalings the range test makes, so an int degree and an array of
-    it give the same bits wherever no point is rescaled.
+    unless tails is set).  Fewer than _COLUMN_POINTS points run point by
+    point (_column_loop).  Otherwise one run of the loop serves every
+    degree: it reads each degree's points at its own step and cuts the
+    points whose degree has passed, the last ones, once they are a quarter
+    of those it carries.  A point's values depend on its own x and degree
+    alone, up to the rescalings, so an int degree and an array of it, or
+    the two loops, give the same bits wherever no point is rescaled.
     """
+    if isinstance(degree, np.ndarray) and (np.diff(degree) > 0).any():
+        raise ValueError("the degrees of the points must not increase")
+    if x.size < _COLUMN_POINTS:
+        degrees = degree.tolist() if isinstance(degree, np.ndarray) else [degree] * x.size
+        state = _column_loop(x, degrees, tails=tails)[0]
+        # at degree 0 the seeds phi_0 and J_0 are current, and phi_{-1} = 0
+        rows = [(0.0, s[0], s[2], 0.0, s[3]) if d == 0 else s for s, d in zip(state, degrees)]
+        prev, cur, counts, _, tail = np.array(rows).reshape(-1, 5).T
+        return prev, cur, _log_scale(x, counts)[0], tail if tails else None
     if not isinstance(degree, np.ndarray):
         ((prev, cur, ls, _, tail),) = _recurrence(x, degree, degree, tails)
         return prev, cur, ls, tail
     outs = [np.empty(x.shape) for _ in range(3)] + [np.empty(x.shape) if tails else None]
-    if not x.size:
-        return tuple(outs)
     steps = np.diff(degree)
-    if (steps > 0).any():
-        raise ValueError("the degrees of the points must not increase")
     bounds = [0, *(np.flatnonzero(steps) + 1).tolist(), len(x)]
     # each degree's points [lo, hi), from the lowest degree up
     blocks = {int(degree[lo]): (lo, hi) for lo, hi in reversed(list(zip(bounds, bounds[1:])))}
@@ -390,6 +399,16 @@ def phi_tail(x, degree):
     return tail, ls
 
 
+def _exp_parts(ls, rest):
+    """e^ls (1 + rest) as (frac, expo), the value frac * 2^expo with
+    frac = e^r (1 + rest) in [1, 2) and r = ls - expo ln 2 formed from the
+    split ln 2, for finite arrays ls and rest (rest a rounding's residual);
+    exact in expo while |ls| < 2^26."""
+    expo = np.floor(ls / math.log(2.0))
+    frac = np.exp((ls - expo * _LN2_HI) - expo * _LN2_LO)
+    return frac + frac * rest, expo
+
+
 def _row_factor(x, count):
     """e^(-x^2/2 + 400 count ln 2) from the exact log scale (_log_scale),
     as (scale, cols, shift): the factor of a point is scale * 2^shift.
@@ -397,8 +416,7 @@ def _row_factor(x, count):
     The factor is exp(ls) (1 + rest), (ls, rest) the log scale and its
     rounding's residual, with one rounding after the exp, and shift 0.
     At the points where that is not a normal double (deep), it is
-    frac * 2^expo, frac = e^r (1 + rest) in [1, 2) with r = ls - expo ln 2
-    formed from the split ln 2.  shift, 0 at the other points, is kept
+    frac * 2^expo (_exp_parts).  shift, 0 at the other points, is kept
     over the slice cols from the first deep point to the last, so _scale
     works on the rows in place (both None where no point is deep).
     """
@@ -411,9 +429,7 @@ def _row_factor(x, count):
     deep = np.flatnonzero((scale < _TINY) & np.isfinite(ls))
     if not len(deep):
         return scale, None, None
-    expo = np.floor(ls[deep] / math.log(2.0))
-    frac = np.exp((ls[deep] - expo * _LN2_HI) - expo * _LN2_LO)
-    scale[deep] = frac + frac * rest[deep]
+    scale[deep], expo = _exp_parts(ls[deep], rest[deep])
     cols = slice(int(deep[0]), int(deep[-1]) + 1)
     shift = np.zeros(cols.stop - cols.start, dtype=np.int64)
     shift[deep - cols.start] = expo
@@ -533,45 +549,94 @@ def _vector_mantissas(x, nmax):
     return table, changes
 
 
-def _column_mantissas(x, nmax):
-    """(table, changes) as from _vector_mantissas, built point by point in Python floats.
+def _rescaling(a, b):
+    """The range test's factor for a pair (a, b): 2^-400 when its maximum
+    max(|a|, |b|) is above 2^400, 2^400 when it is below 2^-400 but not 0,
+    else 0.0 (also for a nan)."""
+    m = max(abs(a), abs(b))
+    return _RESCALE_INV if m > _RESCALE else _RESCALE if 0.0 < m < _RESCALE_INV else 0.0
 
-    Each step is the loop's x c1 phi_k - c0 phi_{k-1} with the loop's
-    coefficients, and a point is rescaled by the range test's rule
-    whenever its pair maximum is outside [2^-400, 2^400], here at every
-    step.  A mantissa is the loop's up to an exact power of two, and its
-    count says which one, so the table built from both is the same.  Each
-    point fills its column of the preallocated table through a
-    memoryview; the coefficients are built _CHUNK steps at a time.
+
+def _column_loop(x, degrees, table=None, tails=False):
+    """Run the loop's steps point by point in Python floats, each point to its own degree.
+
+    degrees holds one int per point of x.  Returns (state, events): state[i]
+    is (phi_{d-1}, phi_d, j, J_{d-1}, J_d) at the point's degree d, in
+    mantissas (phi_{-1} = J_{-1} = 0), with j its rescale count; the tails
+    J are 0.0 unless tails is set.  table, when given (without tails),
+    receives the mantissa of phi_k(x_i) in table[k, i] for k up to the
+    point's degree, and then events lists (k, i, j) for each rescaling of
+    point i at row k to the count j.
+
+    Each step is the loop's (x c1) phi_k - c0 phi_{k-1}, and the tail's
+    c0 J_{k-1} + c1 phi_k, with the loop's coefficients and seeds, and a
+    point is rescaled by the range test's rule whenever its pair maximum is
+    outside [2^-400, 2^400], here at every step (_rescaling).  A mantissa
+    is the loop's up to an exact power of two, and its count says which
+    one.  The coefficients are built _CHUNK steps at a time; a table column
+    is filled through a memoryview.  The tails' update and the table's
+    writes each have their own copy of the step, so the other runs pay for
+    neither.
     """
     pts = x.tolist()
-    table = np.empty((nmax + 1, len(pts)))
-    table[0] = _PI_QUARTER
-    state = [(_PI_QUARTER, t * math.sqrt(2.0) * _PI_QUARTER, 0) for t in pts]
-    if nmax:
-        table[1] = [b for _, b, _ in state]
+    root2 = math.sqrt(2.0)
+    seeds = [0.0] * len(pts)
+    if tails:
+        seeds = ((_PI_QUARTER * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)).tolist()
+    state = [(_PI_QUARTER, t * root2 * _PI_QUARTER, 0, j0, root2 * _PI_QUARTER if tails else 0.0)
+             for t, j0 in zip(pts, seeds)]
+    if table is not None:
+        table[0] = _PI_QUARTER
+        if len(table) > 1:
+            table[1] = [s[1] for s in state]
     events = []
-    for start in range(1, nmax, _CHUNK):
-        c1s, c0s = _coefficients(start, min(start + _CHUNK, nmax))
-        steps = list(zip(range(start + 1, nmax + 1), c1s.tolist(), c0s.tolist()))
-        for i, t in enumerate(pts):
-            col = memoryview(table[:, i])
-            a, b, j = state[i]
-            for k, c1, c0 in steps:
-                a, b = b, t * c1 * b - c0 * a
-                # |a| <= 2^400 after the last step, so the pair maximum
-                # can have left the range only if |b| has
-                if not _RESCALE_INV <= abs(b) <= _RESCALE:
-                    m = max(abs(a), abs(b))
-                    if m > _RESCALE:
-                        a, b, j = a * _RESCALE_INV, b * _RESCALE_INV, j + 1
+    top = max(degrees, default=0)
+    for start in range(1, top, _CHUNK):
+        stop = min(start + _CHUNK, top)
+        c1s, c0s = _coefficients(start, stop)
+        # the chunk's steps (row, c1, c0): one point takes them as they are
+        # formed, several share them as a list
+        steps = zip(range(start + 1, stop + 1), c1s.tolist(), c0s.tolist())
+        if len(pts) > 1:
+            steps = list(steps)
+        for i, (t, d) in enumerate(zip(pts, degrees)):
+            if d <= start:
+                continue
+            a, b, j, ta, tb = state[i]
+            # rows start + 1, ..., up to the point's degree.  |a| <= 2^400
+            # after a step, so the pair maximum can have left the range only
+            # if |b| has
+            run = steps if d >= stop else islice(steps, d - start)
+            if tails:
+                for k, c1, c0 in run:
+                    a, b, ta, tb = b, t * c1 * b - c0 * a, tb, c0 * ta + c1 * b
+                    if not _RESCALE_INV <= abs(b) <= _RESCALE and (f := _rescaling(a, b)):
+                        a, b, ta, tb, j = a * f, b * f, ta * f, tb * f, j + (f < 1.0) - (f > 1.0)
+            elif table is None:
+                for k, c1, c0 in run:
+                    a, b = b, t * c1 * b - c0 * a
+                    if not _RESCALE_INV <= abs(b) <= _RESCALE and (f := _rescaling(a, b)):
+                        a, b, j = a * f, b * f, j + (f < 1.0) - (f > 1.0)
+            else:
+                col = memoryview(table[:, i])
+                for k, c1, c0 in run:
+                    a, b = b, t * c1 * b - c0 * a
+                    if not _RESCALE_INV <= abs(b) <= _RESCALE and (f := _rescaling(a, b)):
+                        a, b, j = a * f, b * f, j + (f < 1.0) - (f > 1.0)
                         events.append((k, i, j))
-                    elif 0.0 < m < _RESCALE_INV:
-                        a, b, j = a * _RESCALE, b * _RESCALE, j - 1
-                        events.append((k, i, j))
-                col[k] = b
-            state[i] = a, b, j
-    changes = [(0, np.zeros(len(pts)))]
+                    col[k] = b
+            state[i] = a, b, j, ta, tb
+    return state, events
+
+
+def _column_mantissas(x, nmax):
+    """(table, changes) as from _vector_mantissas, built point by point in
+    Python floats (_column_loop); a mantissa is the loop's up to an exact
+    power of two, and its count says which one, so the table built from
+    both is the same."""
+    table = np.empty((nmax + 1, x.shape[0]))
+    events = _column_loop(x, [nmax] * x.shape[0], table)[1]
+    changes = [(0, np.zeros(x.shape[0]))]
     for k, i, j in sorted(events):
         if k != changes[-1][0]:
             changes.append((k, changes[-1][1].copy()))

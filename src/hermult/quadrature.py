@@ -34,12 +34,14 @@ the route rule below.  None refines, so the tolerance is only validated.
   has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
   Polynomials, 7.6); past sqrt(lambda) |phi_n| is convex and decays.  The
-  maximum therefore lies on the last lobe, between the largest zero and
-  sqrt(lambda).  One run of the recurrence evaluates phi_n and phi_{n-1}
-  on a 65-point grid that reaches one lobe below the guess for the largest
-  zero; its last sign change brackets that zero, and the best grid point
-  to its right is polished by Newton's method on the Taylor series that
-  phi'' = (x^2 - lambda) phi gives there.
+  maximum is therefore the last critical point, on the last lobe, between
+  the largest zero and sqrt(lambda).  One run of the recurrence evaluates
+  phi_n and phi_{n-1} at one point, the Airy estimate
+  x0 = sqrt(lambda) + a'_1 / (sqrt(2) lambda^(1/6)) of that maximum (a'_1
+  the first zero of Ai'), in Python floats; Newton's method on the Taylor
+  series that phi'' = (x^2 - lambda) phi gives there finds the critical
+  point x*, which is certified as the last one or refused
+  (``_sup_polish``).
 - Panels, at every p but 1 and inf: one pass of fixed 12-node rules on pieces
   of the half-lobes and the tail of phi_n, cut at its zeros (the n-node
   rule's nodes, as at p = 1); the piece at a zero a takes the
@@ -80,11 +82,13 @@ A single norm on the grid is the same sweep without the lower rows, so
 where both take the grid ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)``
 bit for bit.
 The other routes sweep as well: the zeros of every degree take their
-Halley passes together, and the grids of all the degrees (the zeros at
-p = 1, the sup grids at p = inf, the panel points in runs of at most
-_RUN_POINTS) share a run of the recurrence, which reads each degree's
-points at its own step (the kernels take a degree per point).  A single
-norm is the sweep of one degree.  No point of these sweeps is rescaled up
+Halley passes together, and the points of all the degrees (the zeros at
+p = 1, one point per degree at p = inf, the panel points in runs of at
+most _RUN_POINTS) share a run of the recurrence, which reads each
+degree's points at its own step (the kernels take a degree per point).  A
+single norm is the sweep of one degree.  The sup scales its value by
+2^(400 j) exactly, j the point's rescale count, so its sweep keeps the
+per-degree bits at every N.  No point of the other sweeps is rescaled up
 to N = 280 (267 for the panels, whose tails reach further out), so they
 keep the per-degree bits there; above, a point rescaled at another step
 than in its own degree's run moves the last bits only.  Norms are cached
@@ -121,7 +125,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._accel import phi_pair, phi_row, phi_rows, phi_tail, weighted_abs_power_sum
+from ._accel import (
+    _RESCALE_BITS, _exp_parts, _half_square, _square, phi_pair, phi_row, phi_rows, phi_tail,
+    weighted_abs_power_sum,
+)
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
 from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
@@ -132,13 +139,18 @@ _GH_MAX_NODES = 10_000
 # P points at degree n costs n * (P + _STEP_POINTS), because each step of
 # the vectorized recurrence has a fixed cost.  It was about that of 4096
 # point updates when the range test ran at every step (19 us against
-# 4.5 ns per point on a 2-vCPU Xeon); with the test on a few steps it is
-# 3-4 us against 4.3 ns, about 800.  The constant is kept, so that the
-# routes and the largest degrees served stay where they were.
+# 4.5 ns per point on a 2-vCPU Xeon).  With the test on a few steps,
+# measured on 2 vCPUs of a shared host at degree 2000, a numpy step costs
+# 3.6-6.2 us at 1 point, 2.3-4.2 us at 65, 2.5-4.8 us at 400, 5.0-7.6 us
+# at 2,400 and 25-31 us at 20,000: 1.2-1.6 ns a point past a few hundred
+# points, dearer in cache below.  Fewer than _COLUMN_POINTS points run in
+# Python floats, at 175-255 ns a point-step.  The constant is kept, so
+# that the routes and the largest degrees served stay where they were.
 _STEP_POINTS = 4096
 # Work above which a norm is refused; it was set when the recurrence took
-# 4-15 s for it on that machine.  The exact routes' largest degrees
-# (240,326 at p = inf, 27,790 at p = 1, 25,872 at p = 4) now take 1.3-2.3 s.
+# 4-15 s for it on that machine.  The largest degrees served at p = 1 and
+# p = 4 (27,790 and 25,872) now take 1.3-2.3 s, and the sup's (244,081)
+# about 0.04 s.
 NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
@@ -172,10 +184,11 @@ _NODE_STOP = 6.0 * 2.0 ** -53
 # nearest double it is (_exact_exponent).
 _EXPONENT_DENOMINATOR = 1_000_000
 
-_SUP_POINTS = 65
-# Caps on the sup polish: at every degree up to 1600 and on a ladder to
-# 10^5 its Taylor series stops at 11 to 13 coefficients and Newton's method
-# settles in 4 steps.
+# a'_1, the first zero of Ai' (DLMF Table 9.9.1).
+_AIRY_PRIME_A1 = -1.0187929716474710
+# Caps on the sup polish: at every degree up to 3000 and on a ladder to
+# 10^6 its Taylor series stops at 28 to 30 coefficients and Newton's method
+# settles in 5 steps.
 _SUP_TERMS = 40
 _SUP_NEWTON = 8
 
@@ -634,91 +647,113 @@ def _panel_norm_1d(degrees, p: float) -> list[float]:
     return norms
 
 
-def _sup_norm_1d(degrees) -> list[float]:
-    """max |phi_u| for each u in degrees, from one run of the recurrence.
+def _sup_start(degree: int) -> float:
+    """The start of the sup polish, sqrt(lambda) + a'_1 / (sqrt(2) lambda^(1/6))
+    with lambda = 2 degree + 1, which lies within 0.16 lobe widths
+    lambda^(-1/6) of the last maximum of |phi_degree| (0.1 from degree 46
+    on).  The Plancherel-Rotach asymptotics (Szego, Orthogonal Polynomials,
+    Thm 8.22.9) put that maximum at sqrt(lambda) + a'_1 / (sqrt(2) n^(1/6))
+    to leading order; Newton's method covers the difference."""
+    lam = 2.0 * degree + 1.0
+    return math.sqrt(lam) + _AIRY_PRIME_A1 / (math.sqrt(2.0) * lam ** (1.0 / 6.0))
 
-    The grid of _SUP_POINTS points over [g - (sqrt(lambda) - g), sqrt(lambda)],
-    with g the guess for the largest zero, reaches one lobe below it.  The
-    grids of all the degrees, in nonincreasing order, share one phi_pair
-    run; each degree then takes its maximum from its own grid (_sup_polish).
+
+def _sup_norm_1d(degrees) -> list[float]:
+    """max |phi_u| for each u in degrees, nonincreasing, from one run of the
+    recurrence over one point per degree, _sup_start(u).
+
+    Each degree takes its maximum from its own point (_sup_polish), in the
+    units of the point's mantissas, e^(-x^2/2) 2^(400 j) with j its rescale
+    count; the value is scaled by e^(-x^2/2) from the exact -x^2/2, as a
+    fraction in [1, 2) times 2^E (_exp_parts), and by 2^(E + 400 j) exactly,
+    so it does not depend on which step rescaled the point.
     """
     degrees = [int(u) for u in degrees]
     us = [u for u in degrees if u]
     if not us:
         return [math.pi ** -0.25] * len(degrees)
-    guesses = _zero_guesses(_one_block([max(u, 2) for u in us], 1), np.ones(len(us))).tolist()
-    grids = []
-    for u, g in zip(us, guesses):
-        b = math.sqrt(2.0 * u + 1.0)
-        # phi_1's largest zero is 0
-        g = g if u > 1 else 0.0
-        grids.append(np.linspace(max(0.0, g - (b - g)), b, _SUP_POINTS))
-    prev, cur, logs = (
-        [a[k:k + _SUP_POINTS] for k in range(0, a.size, _SUP_POINTS)]
-        for a in phi_pair(np.concatenate(grids), _one_block(us, _SUP_POINTS)))
-    polished = iter(map(_sup_polish, us, grids, prev, cur, logs))
-    return [next(polished) if u else math.pi ** -0.25 for u in degrees]
+    x = np.array([_sup_start(u) for u in us])
+    prev, cur, logs = phi_pair(x, _one_block(us, 1))
+    hi, lo = _half_square(x)
+    frac, expo = _exp_parts(hi, lo)
+    # logs - hi is 400 j ln 2 up to the rounding of logs
+    counts = np.rint((logs - hi) / (_RESCALE_BITS * math.log(2.0)))
+    sups = (math.ldexp(_sup_polish(u, x0, a, b)[1] * f, int(e + _RESCALE_BITS * j))
+            for u, x0, a, b, f, e, j in zip(us, x.tolist(), prev.tolist(), cur.tolist(),
+                                            frac.tolist(), expo.tolist(), counts.tolist()))
+    return [next(sups) if u else math.pi ** -0.25 for u in degrees]
 
 
-def _sup_polish(degree: int, grid, prev, cur, logs) -> float:
-    """max |phi_degree| from its grid, where phi_degree and phi_{degree-1}
-    are cur and prev times e^logs.
+def _horner(coefficients, t: float) -> float:
+    """The polynomial sum_k coefficients[k] t^k at t, by Horner's rule."""
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * t + c
+    return value
 
-    The grid's last sign change of phi brackets the largest zero, and
-    Sonin's argument puts the maximum on the points to its right, where
-    log|phi| is concave: the maximum lies within one cell of the best of
-    them, x0.  With x = x0 + t, phi'' = (x^2 - lambda) phi gives the
-    Taylor coefficients of P(t) = phi(x0 + t) from a_0 = phi(x0) and
+
+def _sup_polish(degree: int, x0: float, prev: float, cur: float):
+    """(x*, |phi_degree(x*)|) at the last maximum x* of |phi_degree|, from the
+    mantissas prev and cur of phi_{degree-1}(x0) and phi_degree(x0), in
+    their units; raises ConvergenceError unless x* is certified.
+
+    With x = x0 + t, phi'' = (x^2 - lambda) phi gives the Taylor
+    coefficients of P(t) = phi(x0 + t) from a_0 = phi(x0) and
     a_1 = phi'(x0) = sqrt(2n) phi_{n-1}(x0) - x0 phi(x0):
 
         (k + 2)(k + 1) a_{k+2} = (x0^2 - lambda) a_k + 2 x0 a_{k-1} + a_{k-2},
 
-    summed until two consecutive terms over the cell are below 2^-53 of
-    a_0.  Newton's method on P'(t) = 0, with t kept within one cell of
-    x0, finds the maximum |P(t*)|.
+    summed until two consecutive terms over the lobe width
+    w = lambda^(-1/6) are below 2^-53 of a_0.  Newton's method on P'(t) = 0
+    from t = 0, with t kept within w of x0, settles at t*, and x* = x0 + t*.
+
+    The certificate: by Sonin's argument (the module docstring) the maximum
+    is the last critical point of phi_n, and it lies below sqrt(lambda).
+    In x^2 < lambda every critical point is a maximum of |phi|, and two of
+    them have a zero between them, so x* is the last one if phi has no
+    zero on [x*, sqrt(lambda)].  x* is accepted only if it lies below
+    sqrt(lambda), P(t*) and P(sqrt(lambda) - x0) have one sign, and
+    (sqrt(lambda) - x*) sqrt(lambda - x*^2) < pi.  On that interval
+    lambda - x^2 <= lambda - x*^2, so by Sturm comparison two zeros of phi
+    there lie more than pi / sqrt(lambda - x*^2) apart, farther than the
+    interval is long: with one sign at both ends, phi has no zero on it.
     """
     lam = 2.0 * degree + 1.0
-    # an exact zero counts as a sign change: phi_1's only zero is the grid's first point
-    sign = np.sign(cur)
-    changes = np.flatnonzero(sign[:-1] != sign[1:])
-    if not len(changes):
-        raise ConvergenceError(
-            f"phi_{degree} changes sign nowhere on [{grid[0]!r}, {grid[-1]!r}], so its "
-            f"largest zero is not bracketed"
-        )
-    start = changes[-1] + 1
-    with np.errstate(divide="ignore"):
-        i = start + int(np.argmax(np.log(np.abs(cur[start:])) + logs[start:]))
-    x0, h = float(grid[i]), float(grid[1] - grid[0])
-    a = [float(cur[i]), math.sqrt(2.0 * degree) * float(prev[i]) - x0 * float(cur[i])]
-    q = x0 * x0 - lam
+    root = math.sqrt(lam)
+    w = lam ** (-1.0 / 6.0)
+    sq, sq_lo = _square(x0)
+    # x0^2 - lambda without the cancellation of x0 * x0 - lambda
+    q = (sq - lam) + sq_lo
+    a = [cur, math.sqrt(2.0 * degree) * prev - x0 * cur]
     small = 2.0 ** -53 * abs(a[0])
     for k in range(_SUP_TERMS):
         nxt = q * a[k] + (2.0 * x0 * a[k - 1] if k else 0.0) + (a[k - 2] if k > 1 else 0.0)
         a.append(nxt / ((k + 2.0) * (k + 1.0)))
-        if k and (abs(a[-1]) * h + abs(a[-2])) * h ** (k + 1) <= small:
+        if k and (abs(a[-1]) * w + abs(a[-2])) * w ** (k + 1) <= small:
             break
     else:
         raise ConvergenceError(f"the Taylor series of phi_{degree} at {x0!r} did not converge")
+    # the coefficients of P' and P''
+    d1 = [j * c for j, c in enumerate(a[1:], 1)]
+    d2 = [j * c for j, c in enumerate(d1[1:], 1)]
     t = 0.0
     for _ in range(_SUP_NEWTON):
-        d1 = d2 = 0.0
-        for j in range(len(a) - 1, 1, -1):
-            d1 = d1 * t + j * a[j]
-            d2 = d2 * t + j * (j - 1.0) * a[j]
-        step = -(d1 * t + a[1]) / d2
-        t_next = min(max(t + step, -h), h)
+        t_next = min(max(t - _horner(d1, t) / _horner(d2, t), -w), w)
         # the last steps may swing by an ulp of t
-        settled = abs(t_next - t) <= 2.0 ** -52 * h
+        settled = abs(t_next - t) <= 2.0 ** -52 * w
         t = t_next
         if settled:
             break
     else:
         raise ConvergenceError(f"Newton's method for the maximum of phi_{degree} did not settle")
-    value = 0.0
-    for c in reversed(a):
-        value = value * t + c
-    return abs(value) * math.exp(float(logs[i]))
+    top, edge, x_star = _horner(a, t), _horner(a, root - x0), x0 + t
+    if not (abs(t) < w and x_star < root and top * edge > 0.0
+            and (root - x_star) * math.sqrt(lam - x_star * x_star) < math.pi):
+        raise ConvergenceError(
+            f"the maximum of |phi_{degree}| near {x0!r} is not certified: the critical "
+            f"point {x_star!r} is not shown to be the last one below sqrt({lam!r}) = {root!r}"
+        )
+    return x_star, abs(top)
 
 
 def _node_work(M: int, points: int) -> float:
@@ -743,14 +778,14 @@ def _panel_work(degree: int, p: float, rows: int = 0) -> float:
 def _norm_route(degree: int, p: float):
     """(route, estimated point-steps of recurrence work) of one norm, by
     the route rule of the module docstring.  The estimate counts the runs
-    the route makes: none at p = 2; the sup grid; the run over the even
-    grid; or the n-node rule's pass and the run over its zeros or the
-    panel points.
+    the route makes: none at p = 2; the sup's run at one point; the run
+    over the even grid; or the n-node rule's pass and the run over its
+    zeros or the panel points.
     """
     if p == 2.0:
         return "unit", 0.0
     if math.isinf(p):
-        return "sup", _phi_row_work(_SUP_POINTS, degree)
+        return "sup", _phi_row_work(1, degree)
     if p == 1.0:
         return "zeros", (_node_work(degree, degree - degree // 2)
                          + _phi_row_work(degree // 2 + 1, degree))
@@ -870,12 +905,13 @@ def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     All ones at p = 2.  At other even p, by the route rule, one
     recurrence run over the grid of degree N (entry N is lp_norm_1d(N, p)
     bit for bit where that takes the grid too) or the panels.  The other
-    routes share recurrence runs over the grids of all degrees, and give
-    lp_norm_1d's norms bit for bit up to N = 280 (267 for the panels) and
-    within 1e-13 relative above.  Raises CapabilityError, before any
-    recurrence work, when the estimated work of all N + 1 norms exceeds
-    NORM_WORK_BUDGET: the run's and the N + 1 row power sums' for the
-    even-p sweep, the sum of the per-degree estimates otherwise.
+    routes share recurrence runs over the points of all degrees, and give
+    lp_norm_1d's norms bit for bit at every N at p = inf, and up to N = 280
+    (267 for the panels) and within 1e-13 relative above at the others.
+    Raises CapabilityError, before any recurrence work, when the estimated
+    work of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the
+    N + 1 row power sums' for the even-p sweep, the sum of the per-degree
+    estimates otherwise.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 

@@ -22,9 +22,10 @@ from .errors import CapabilityError, DomainError
 from .hermite_core import as_entries, count_up_to, enumerate_up_to
 from .quadrature import QuadratureRule, _full_line, roots_hermite
 
-# Classical uniform bound sup_x |phi_k(x)| <= 1.086435 * pi^(-1/4),
-# used as the per-factor constant in certified series tails.
-PHI_SUP_BOUND = 1.086435 * math.pi ** -0.25
+# Indritz's uniform bound sup_x |phi_k(x)| <= pi^(-1/4) (Proc. Amer. Math.
+# Soc. 12 (1961)), an equality at k = 0, used as the per-factor constant in
+# certified series tails; Cramer's classical 1.086435 pi^(-1/4) is weaker.
+PHI_SUP_BOUND = math.pi ** -0.25
 
 _SNAP = 1e-14
 _LATTICE_CAP = 2_000_000

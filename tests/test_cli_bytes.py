@@ -39,13 +39,13 @@ GOLDEN = {
         ["kernel", "--n", "2", "--grid=-1,0.5", "--N", "40", "--format", "csv"],
         "x,y,series,closed_form,abs_error,tail_bound\n"
         "-1.0;-1.0,-1.0;-1.0,0.009567027278914517,0.009567027278914517,0.0,"
-        "7.147359567290639e-36\n"
+        "5.130156789752825e-36\n"
         "-1.0;-1.0,0.5;0.5,0.009107942857278662,0.009107942857278667,5.204170427930421e-18,"
-        "7.147359567290639e-36\n"
+        "5.130156789752825e-36\n"
         "0.5;0.5,-1.0;-1.0,0.009107942857278662,0.009107942857278667,5.204170427930421e-18,"
-        "7.147359567290639e-36\n"
+        "5.130156789752825e-36\n"
         "0.5;0.5,0.5;0.5,0.029985494917312016,0.029985494917312033,1.734723475976807e-17,"
-        "7.147359567290639e-36\n"
+        "5.130156789752825e-36\n"
     ),
     "semigroup-csv": (
         ["semigroup", "--t", "0.5,1", "--format", "csv"],

@@ -26,6 +26,7 @@ from hermult import (
     eval_phi_1d,
     eval_phi_nd,
 )
+from hermult import _accel
 from hermult._accel import (
     _COLUMN_POINTS, _erfcx, _recurrence, phi_pair, phi_row, phi_rows, phi_table, phi_tail,
 )
@@ -409,6 +410,75 @@ def test_column_table_keeps_the_bits_of_the_loop(x):
                 window = np.arange(start, start + size) % len(pts)
                 got = phi_table(pts[window], nmax)
                 assert np.array_equal(got, loop[:, window], equal_nan=True), (nmax, size, start)
+
+
+POINT_GRIDS = {
+    "origin": np.array([0.0]),
+    "far": np.array([60.0]),
+    "tiny-and-far": np.array([0.0, 1e-300, 38.5, 40.0, 70.0, 110.0]),
+    "random-17": np.random.default_rng(13).uniform(-80.0, 80.0, 17),
+    "wide-23": np.linspace(-110.0, 110.0, 23),
+    "wide-30": np.linspace(-100.0, 100.0, 30),
+}
+
+
+@pytest.mark.parametrize("tails", [False, True])
+@pytest.mark.parametrize("x", POINT_GRIDS.values(), ids=POINT_GRIDS.keys())
+def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
+    # _at_degrees runs fewer than _COLUMN_POINTS points in Python floats
+    # and more on the numpy loop.  Run through each on the same points, at
+    # an int degree and at one degree per point, the two give the same
+    # mantissas and tails up to exact powers of two, with exact log scales;
+    # the far points are rescaled many times
+    x = np.abs(x) if tails else x
+    per_point = np.sort(np.random.default_rng(len(x)).choice(
+        [0, 1, 2, 3, 401, 1600, 5000], len(x)))[::-1]
+    for degree in (0, 1, 2, 401, 5000, per_point):
+        runs = []
+        for size in (0, len(x) + 1):
+            monkeypatch.setattr(_accel, "_COLUMN_POINTS", size)
+            runs.append(_accel._at_degrees(x, degree, tails))
+        (prev, cur, ls, tail), (*vector, vector_tail) = runs
+        assert_power_of_two_apart(prev, ls, vector[0], vector[2])
+        assert_power_of_two_apart(cur, ls, vector[1], vector[2])
+        assert_exact_log_scales(x, ls, vector[2])
+        if tails:
+            assert_power_of_two_apart(tail, ls, vector_tail, vector[2])
+        else:
+            assert tail is None and vector_tail is None
+
+
+# phi_n(x) to 40 digits, from the scaled recurrence in 60-digit mpmath with
+# exact coefficients and no rescaling
+SINGLE_POINTS = {
+    (10**4, 50.0): "-0.06893230223493004288360973957696458059987",
+    (10**4, 100.3): "-0.06316050660812269611365438309822588874156",
+    (10**4, 141.0): "-0.1595847140630700591676160810710938083295",
+    (10**4, 141.4): "0.219163613116594958069009991198497150151",
+    (10**4, 160.0): "1.770650254431607582687534342825454885445e-399",
+    (10**4, 200.0): "4.192050892663102719718732170083409753757e-2316",
+    (10**5, 100.5): "-0.03559245012073280922201204252406722585852",
+    (10**5, 300.25): "0.04382347886359785878930130844587202390004",
+    (10**5, 447.0): "0.08381200963785022003702072716018433184062",
+    (10**5, 447.2): "0.178389929132107052041760794800848239626",
+    (10**5, 470.0): "3.796592658853468359169136684991242883235e-951",
+    (10**5, 600.0): "4.335214003816845160969380269547333024401e-17169",
+}
+
+
+@pytest.mark.parametrize("n,x", SINGLE_POINTS.keys())
+def test_single_points_at_high_degree(n, x):
+    # eval_phi_1d and phi_row on one point run the recurrence in Python
+    # floats: in the oscillatory region, near the turning point
+    # sqrt(2n + 1) and deep in the tail.  The bound covers the recurrence's
+    # rounding (at most 2.4e-13 here, as from the numpy loop) and, in the
+    # tail, the log scale's, |ln phi| 2^-52
+    want = mpmath.mpf(SINGLE_POINTS[n, x])
+    tol = 3e-13 + abs(float(mpmath.log(abs(want)))) * 2.0 ** -52
+    vals, logs = phi_row(np.array([x]), n)
+    row = mpmath.mpf(float(vals[0])) * mpmath.exp(float(logs[0]))
+    for got in (as_mpf(eval_phi_1d(n, x)), row):
+        assert abs(got / want - 1) <= tol, (n, x)
 
 
 def test_table_past_the_gaussian_underflow():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hermult.quadrature as quad
-from hermult import CapabilityError, DomainError, _accel
+from hermult import CapabilityError, ConvergenceError, DomainError, _accel
 from hermult._accel import phi_row, phi_table
 from hermult.quadrature import (
     NormEstimate,
@@ -282,23 +282,43 @@ class TestGaussHermiteNodes:
         assert not y.flags.writeable and not w.flags.writeable
         assert 0 < quad.roots_hermite.cache_info().maxsize <= 1024
 
-    def test_sup_grid_brackets_the_largest_zero(self, monkeypatch):
-        # the last sign change on the sup norm's one grid
-        runs = []
-        pair = quad.phi_pair
+    def test_sup_maximum_lies_on_the_last_lobe(self, monkeypatch):
+        # the certified critical point x* of the sup route lies between the
+        # largest zero of phi_n and the turning point sqrt(2n + 1), at every
+        # degree up to 3000 and on a ladder to 10^5
+        found = {}
+        polish = quad._sup_polish
 
-        def recorded(x, n):
-            out = pair(x, n)
-            runs.append((x, out[1]))
+        def recorded(n, x0, prev, cur):
+            out = polish(n, x0, prev, cur)
+            found[n] = out[0]
             return out
 
-        monkeypatch.setattr(quad, "phi_pair", recorded)
-        for n in list(range(1, 120)) + [401, 1606, 5000]:
-            runs.clear()
+        monkeypatch.setattr(quad, "_sup_polish", recorded)
+        quad._sup_norm_1d(range(3000, 0, -1))
+        for n in (4000, 6000, 10000, 20000, 34332, 60000, 100000):
             quad._sup_norm_1d([n])
-            ((grid, cur),) = runs
-            i = np.flatnonzero(np.sign(cur[:-1]) != np.sign(cur[1:]))[-1]
-            assert grid[i] <= quad.roots_hermite(n)[0][-1] <= grid[i + 1], n
+        # phi_1's largest zero is 0; the others from one set of Halley
+        # passes over the largest guesses, which gives each rule's own node
+        assert 0.0 < found.pop(1) < math.sqrt(3.0)
+        degrees = np.array(sorted(found, reverse=True))
+        guesses = quad._zero_guesses(degrees, np.ones(len(degrees)))
+        largest = quad._halley_nodes(guesses, degrees)[0]
+        for n in (2, 3, 48, 49, 1606, 3000):
+            assert largest[degrees == n][0] == quad.roots_hermite(n)[0][-1], n
+        for n, z in zip(degrees.tolist(), largest.tolist()):
+            assert z < found[n] < math.sqrt(2.0 * n + 1.0), n
+
+
+    @pytest.mark.parametrize("n", [3, 10, 50, 1000])
+    def test_sup_refuses_a_maximum_it_cannot_certify(self, monkeypatch, n):
+        # started on the lobe below the last one, Newton's method settles on
+        # the maximum there; a zero of phi_n lies between it and sqrt(2n + 1),
+        # so the certificate fails and the norm is refused, not wrong
+        zeros = quad.roots_hermite(n)[0]
+        monkeypatch.setattr(quad, "_sup_start", lambda u: 0.5 * (zeros[-2] + zeros[-1]))
+        with pytest.raises(ConvergenceError, match="not certified"):
+            quad._sup_norm_1d([n])
 
 
 class TestRuleValidation:
@@ -588,12 +608,12 @@ class TestLpNorms:
         assert time.perf_counter() - start < 1.0
 
     def test_sup_served_degree_edge(self):
-        # one 65-point run, n (65 + 4096) point-steps
-        route, work = quad._norm_route(240326, math.inf)
+        # one run at one point, n (1 + 4096) point-steps
+        route, work = quad._norm_route(244081, math.inf)
         assert route == "sup" and work <= quad.NORM_WORK_BUDGET
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
-            lp_norm_1d(240327, math.inf)
+            lp_norm_1d(244082, math.inf)
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("degree,p", [(8511, 2.5), (2201, 1000.0)])
@@ -824,23 +844,27 @@ class TestNormSweep:
 
     def test_other_p_take_the_per_degree_norms(self):
         # p = 1, p = inf and the panels sweep; no point of a sweep is
-        # rescaled up to N = 280 at p = 1 and p = inf and N = 267 for the
-        # panels, whose tail reaches further out, so it keeps each degree's
-        # bits there
+        # rescaled up to N = 280 at p = 1 and N = 267 for the panels, whose
+        # tail reaches further out, so it keeps each degree's bits there;
+        # the sup is scaled exactly, whatever the rescalings, at every N
         cases = [(3.0, 12), (4 / 3, 267), (999.5, 60)] + [
             (p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
         for p, N in cases:
             assert lp_norms_1d(N, p).tolist() == [lp_norm_1d(u, p) for u in range(N + 1)], (p, N)
 
-    @pytest.mark.parametrize("N,p", [(483, 1.0), (692, math.inf), (405, 4 / 3), (313, 37.5)])
+    @pytest.mark.parametrize("N,p", [(483, 1.0), (692, math.inf), (698, math.inf),
+                                     (405, 4 / 3), (313, 37.5)])
     def test_sweeps_at_the_served_edges_match_per_degree_norms(self, N, p):
         # past N = 280 (267 for the panels) a point may be rescaled at
         # another step than in its own degree's run; the first bits moved at
-        # degree 285 (inf), 295 (1), 268 (4/3) and 281 (37.5), by at most
-        # 2.6e-14 relative
+        # degree 295 (1), 268 (4/3) and 281 (37.5), by at most 2.6e-14
+        # relative.  The sup scales by 2^(400 j) exactly, so it keeps them
         sweep = lp_norms_1d(N, p)
         for u in sorted({*range(0, N + 1, 3), N - 1, N}):
-            assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=1e-13, abs=0), u
+            if math.isinf(p):
+                assert sweep[u] == lp_norm_1d(u, p), u
+            else:
+                assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=1e-13, abs=0), u
 
     def test_rules_do_not_depend_on_a_sweep(self):
         # the p = 1 sweep refines its zeros itself and leaves the rule cache alone
@@ -882,7 +906,7 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(1000, 1.0), (693, math.inf)])
+    @pytest.mark.parametrize("N,p", [(1000, 1.0), (699, math.inf)])
     def test_admitted_by_the_work_of_all_its_norms(self, N, p):
         # the top norm alone is within the budget, all N + 1 of them are not
         assert quad._norm_route(N, p)[1] <= quad.NORM_WORK_BUDGET
@@ -931,10 +955,10 @@ class TestNormSweep:
         assert quad.check_sweep_budget(100, 1e5) == "panels"
 
     def test_sup_sweep_served_past_400(self):
-        # the sum of n (65 + 4096) point-steps over n <= N is within the
-        # budget up to N = 692; 693 is refused above
+        # the sum of n (1 + 4096) point-steps over n <= N is within the
+        # budget up to N = 698; 699 is refused above
         assert quad.check_sweep_budget(400, math.inf) == "sup"
-        assert quad.check_sweep_budget(692, math.inf) == "sup"
+        assert quad.check_sweep_budget(698, math.inf) == "sup"
 
     @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
                                      (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0),
