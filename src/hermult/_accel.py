@@ -4,28 +4,31 @@ Every kernel follows the scaled three-term recurrence
 
     phi_{k+1}(x) = x*sqrt(2/(k+1))*phi_k(x) - sqrt(k/(k+1))*phi_{k-1}(x)
 
-seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  Values are carried as
-``mantissa * exp(log_scale)`` so the seed and the tails survive far
-outside the range of plain doubles.  The kernels run on the one loop of
-``_recurrence``, vectorized with numpy over the grid points:
-``phi_tail`` carries the tail integrals int_x^inf phi_k along it on the
-same scale, ``phi_pair`` and ``phi_tail`` read each point at its own
-degree (``_at_degrees``), and ``phi_table`` and ``phi_rows`` turn its rows
-into plain floats: ``phi_table`` by e^(-x^2/2) 2^(400 j) from
-exp(-0.5 x x), ``phi_rows`` from the exact log scale below.  On fewer than
-_COLUMN_POINTS points, where numpy's fixed cost per step outweighs its
-per-point speed, ``phi_pair``, ``phi_row``, ``phi_tail`` and ``phi_table``
+seeded with phi_0(x) = pi^(-1/4) * exp(-x^2/2).  The recurrence runs on
+mantissas seeded with pi^(-1/4), one loop (``_recurrence``) vectorized
+with numpy over the grid points, and keeps an integer rescale count j per
+point: a rescaling multiplies the point's mantissas by 2^-400 (j + 1) or
+by 2^400 (j - 1), which is exact.  A mantissa m stands for
+m e^(-x^2/2) 2^(400 j), so the seed and the tails survive far outside
+the range of plain doubles, and m is the same number, up to an exact
+power of two, whichever step rescales it.  ``phi_tail`` carries the tail
+integrals int_x^inf phi_k along the loop on the same scale; ``phi_pair``,
+``phi_row`` and ``phi_tail`` read each point at its own degree
+(``_at_degrees``).  On fewer than _COLUMN_POINTS points, where numpy's
+fixed cost per step outweighs its per-point speed, they and ``phi_table``
 run the same steps point by point in Python floats instead
-(``_column_loop``), each point to its own degree, with the same mantissas
-up to exact powers of two; ``phi_rows`` always takes the numpy loop.
+(``_column_loop``), with the same mantissas up to exact powers of two;
+``phi_rows`` always takes the numpy loop.
 
-The loop keeps an integer rescale count j per point: a rescaling
-multiplies the point's mantissas by 2^-400 (j + 1) or by 2^400 (j - 1),
-which is exact, and its log scale is formed from j alone, as
--x^2/2 + 400 j ln 2 rounded once (-x^2/2 and ln 2 are each held as two
-doubles).  So a mantissa is the same number, up to an exact power of two,
-whichever step rescales it, and the log scale does not drift with the
-number of rescalings.
+One stage turns mantissas into plain floats (``_to_floats``).
+e^(-x^2/2) = frac 2^E is formed once per grid from -x^2/2 in two doubles
+(``_gauss``), and a mantissa of count j becomes m ldexp(frac, E + 400 j),
+or ldexp(m frac, E + 400 j) where that factor is not a normal double.
+The stage is exact in j, so a value does not depend on which step
+rescaled its point.  ``phi_table``, ``phi_rows``, ``phi_row`` and
+``phi_tail`` give plain floats through it; ``phi_pair`` gives the
+mantissas and counts themselves, for the Newton and Halley steps and for
+log scales (``_log_scale``) where a value leaves the double range.
 
 The range test rescales the points whose pair maximum
 max(|phi_{k-1}|, |phi_k|), in mantissas, has left [2^-400, 2^400].  With
@@ -56,8 +59,18 @@ _RESCALE_INV = 2.0 ** -_RESCALE_BITS
 
 # ln 2 = _LN2_HI + _LN2_LO to 2^-82; _LN2_HI has 26 significant bits, so
 # its product with an integer below 2^27 is exact.
+_LN2 = math.log(2.0)
 _LN2_HI = 0.6931471824645996
 _LN2_LO = -1.904654299957768e-09
+
+# _gauss forms e^(-x^2/2) = frac 2^E from -x^2/2 down to this, where E,
+# below 2^27 in size, times _LN2_HI is exact.  Past it (|x| > 11,585)
+# phi_k(x) is below the double range for every k up to 6e6, since a step
+# grows a value by at most 1.42 |x| + 1, and e^(-x^2/2) is taken as 0.
+_GAUSS_FLOOR = -2.0 ** 26
+
+# e^h is a normal double from h = -708 on (e^-708 is 3.3e-308).
+_NORMAL_FROM = -708.0
 
 # Between range tests the growth bounds keep every pair maximum inside
 # [2^-_WIDE, 2^_WIDE], and at the last step inside [2^-_LAST, 2^_LAST];
@@ -77,15 +90,18 @@ _CHUNK = 1 << 14
 # is half the smallest subnormal, and the rest covers rounding.
 _VANISH_BELOW = -750.0
 
-# Below this largest exponent every term of a power sum is factored by it.
-_SHIFT_BELOW = -700.0
-
 # erfc(t) e^(t^2) is summed as a series from here on; math.erfc(26) is
 # 5.7e-296, near the bottom of the double range.
 _ERFCX_SERIES_FROM = 26.0
 
 # Values in one block of phi_rows: 1 MB per array.
 _BLOCK_POINTS = 1 << 17
+
+# phi_row runs a larger grid in pieces of this many points, so the loop's
+# arrays stay in cache: lp_norms_1d(400, 3) took 0.65 s in runs of these
+# and 1.2 s in runs of 2^18, and lp_norm_1d(2201, 1000), 444,756 points,
+# 2.8 s in one run and 1.2-1.4 s in pieces (2 vCPUs).
+_RUN_POINTS = 1 << 14
 
 # _at_degrees cuts the passed points off the loop once those left are at
 # most this share of the points it carries (shares from 0.5 to 1 ran within
@@ -153,27 +169,24 @@ def _half_square(x):
 
 
 def _log_scale(x, count):
-    """-x^2/2 + 400 count ln 2 as (ls, rest): ls the sum rounded once, from
-    -x^2/2 = hi + lo (_half_square), and rest that rounding's residual.
+    """-x^2/2 + 400 count ln 2, the log scale of a point of rescale count j,
+    rounded once from -x^2/2 = hi + lo (_half_square).
 
     400 count _LN2_HI is exact, and Knuth's two-sum carries the rounding
-    of its sum with hi into the low parts, so ls + rest is the sum to about
-    400 |count| 2^-82.  A point with count 0 keeps hi, and rest = lo; a
-    non-finite one keeps hi + 400 count _LN2_HI, and rest = 0.
+    of its sum with hi into the low parts, so the result is the sum to
+    about 400 |count| 2^-82.  A point with count 0 keeps hi = -0.5 x x; a
+    non-finite one keeps hi + 400 count _LN2_HI.
     """
-    hi, lo = _half_square(x)
     if not count.any():
-        return hi, lo
+        return -0.5 * x * x
+    hi, lo = _half_square(x)
     n = _RESCALE_BITS * count
     a = n * _LN2_HI
     with np.errstate(invalid="ignore"):
         s = hi + a
         b = s - hi
         low = ((hi - (s - b)) + (a - b)) + (lo + n * _LN2_LO)
-        finite = np.isfinite(s)
-        ls = np.where(count == 0, hi, np.where(finite, s + low, s))
-        rest = np.where(finite, (s - ls) + low, 0.0)
-    return ls, rest
+        return np.where(count == 0, hi, np.where(np.isfinite(s), s + low, s))
 
 
 def _coefficients(start, stop):
@@ -210,14 +223,13 @@ def _range_test(v0, v1, count, t0, t1, m, buf):
 
 
 def _recurrence(x, degree, lowest, tails=False, cuts=()):
-    """Yield (previous, current, log_scale, count, tail) for current = phi_lowest, ..., phi_degree.
+    """Yield (previous, current, count, tail) for current = phi_lowest, ..., phi_degree.
 
-    The represented values are previous * exp(log_scale) and
-    current * exp(log_scale), and phi_{-1} = 0; count is the rescale
-    count j of the module docstring, whole numbers held as doubles, and
-    log_scale is formed from it.  tail is None unless tails is set; then it is the mantissa, on the
-    same log scale, of the tail integral J_current(x) = int_x^inf
-    phi_current for x >= 0.  Integrating
+    previous and current are mantissas, with phi_{-1} = 0, and count is
+    the rescale count j of the module docstring, whole numbers held as
+    doubles: a mantissa m stands for m e^(-x^2/2) 2^(400 j).  tail is None
+    unless tails is set; then it is the mantissa, on the same scale, of the
+    tail integral J_current(x) = int_x^inf phi_current for x >= 0.  Integrating
     phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} over [x, inf)
     gives
 
@@ -234,9 +246,10 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
     largest pair maximum could pass 2^_WIDE or the smallest fall below
     2^-_WIDE, and the next test runs there.  The last step is tested too
     where the bounds do not keep its pair maxima in [2^-400, 2^400], so
-    the last pair leaves the loop with them there, where an exp of its
-    log scale loses the fewest bits.  A grid with a non-finite point or
-    max |x| >= _BOUNDED_BELOW is tested at every step.
+    the last pair leaves the loop with them there, where a log scale
+    formed from its count (_log_scale) loses the fewest bits.  A grid with
+    a non-finite point or max |x| >= _BOUNDED_BELOW is tested at every
+    step.
 
     cuts, (step, n) pairs, drop points whose degree has passed: the loop
     step that forms phi_{step+1} and every later one carry only the first
@@ -246,7 +259,6 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
 
     The loop works in place: a yielded tuple is valid until the next step.
     """
-    ls = -0.5 * x * x
     count = np.zeros(x.shape)
     v0 = np.full(x.shape, _PI_QUARTER)
     t0 = t1 = None
@@ -254,12 +266,12 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
         t0 = (_PI_QUARTER * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
         t1 = math.sqrt(2.0) * v0
     if lowest == 0:
-        yield np.zeros(x.shape), v0, ls, count, t0
+        yield np.zeros(x.shape), v0, count, t0
     if degree == 0:
         return
     v1 = x * math.sqrt(2.0) * v0
     if lowest <= 1:
-        yield v0, v1, ls, count, t1
+        yield v0, v1, count, t1
     buf = np.empty(x.shape)
     m = np.empty(x.shape)
     a = float(np.max(np.abs(x))) if x.size else 0.0
@@ -285,7 +297,7 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
             if lo in sizes:
                 n = sizes[lo]
                 x, v0, v1, buf, m = x[:n], v0[:n], v1[:n], buf[:n], m[:n]
-                count, ls = count[:n], ls[:n]
+                count = count[:n]
                 if tails:
                     t0, t1 = t0[:n], t1[:n]
             run = slice(lo - start, hi - start)
@@ -302,10 +314,7 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
                     t0, t1 = t1, t0
                 v0, v1 = v1, v0
                 if k == test_at:
-                    before = count
                     count, top, bottom = _range_test(v0, v1, count, t0, t1, m, buf)
-                    if count is not before:
-                        ls = _log_scale(x, count)[0]
                     test_at = k + 1
                     if bounded and bottom > 0.0:
                         # log2 bounds at chunk step s: high + grow[s] on the
@@ -324,23 +333,23 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
                             out = high + grow[last] > _LAST or low - shrink[last] < -_LAST
                             test_at = degree - 1 if out else degree
                 if k >= lowest - 1:
-                    yield v0, v1, ls, count, t1
+                    yield v0, v1, count, t1
 
 
 def _at_degrees(x, degree, tails=False):
-    """(previous, current, log_scale, tail) arrays of each point at its own degree.
+    """(previous, current, count, tail) arrays of each point at its own degree.
 
     degree is an int, the degree of every point, or an int ndarray with one
     degree per point, nonincreasing; previous and current are the
-    mantissas of phi_{d-1}(x) and phi_d(x) at the point's degree d, on one
-    log scale, and tail is J_d(x) as ``_recurrence`` carries it (None
-    unless tails is set).  Fewer than _COLUMN_POINTS points run point by
-    point (_column_loop).  Otherwise one run of the loop serves every
-    degree: it reads each degree's points at its own step and cuts the
-    points whose degree has passed, the last ones, once they are a quarter
-    of those it carries.  A point's values depend on its own x and degree
-    alone, up to the rescalings, so an int degree and an array of it, or
-    the two loops, give the same bits wherever no point is rescaled.
+    mantissas of phi_{d-1}(x) and phi_d(x) at the point's degree d, count
+    its rescale count, and tail is J_d(x) as ``_recurrence`` carries it
+    (None unless tails is set).  Fewer than _COLUMN_POINTS points run
+    point by point (_column_loop).  Otherwise one run of the loop serves
+    every degree: it reads each degree's points at its own step and cuts
+    the points whose degree has passed, the last ones, once they are a
+    quarter of those it carries.  A point's values depend on its own x and
+    degree alone, up to the rescalings, so an int degree and an array of
+    it, or the two loops, give the same bits wherever no point is rescaled.
     """
     if isinstance(degree, np.ndarray) and (np.diff(degree) > 0).any():
         raise ValueError("the degrees of the points must not increase")
@@ -349,11 +358,11 @@ def _at_degrees(x, degree, tails=False):
         state = _column_loop(x, degrees, tails=tails)[0]
         # at degree 0 the seeds phi_0 and J_0 are current, and phi_{-1} = 0
         rows = [(0.0, s[0], s[2], 0.0, s[3]) if d == 0 else s for s, d in zip(state, degrees)]
-        prev, cur, counts, _, tail = np.array(rows).reshape(-1, 5).T
-        return prev, cur, _log_scale(x, counts)[0], tail if tails else None
+        prev, cur, count, _, tail = np.array(rows).reshape(-1, 5).T
+        return prev, cur, count, tail if tails else None
     if not isinstance(degree, np.ndarray):
-        ((prev, cur, ls, _, tail),) = _recurrence(x, degree, degree, tails)
-        return prev, cur, ls, tail
+        ((prev, cur, count, tail),) = _recurrence(x, degree, degree, tails)
+        return prev, cur, count, tail
     outs = [np.empty(x.shape) for _ in range(3)] + [np.empty(x.shape) if tails else None]
     steps = np.diff(degree)
     bounds = [0, *(np.flatnonzero(steps) + 1).tolist(), len(x)]
@@ -365,86 +374,120 @@ def _at_degrees(x, degree, tails=False):
         if lo <= _CUT_SHARE * carried:
             cuts[max(u, 1)] = carried = lo
     rows = _recurrence(x, int(degree[0]), int(degree[-1]), tails, cuts.items())
-    for u, (prev, cur, ls, _, tail) in enumerate(rows, int(degree[-1])):
+    for u, row in enumerate(rows, int(degree[-1])):
         if u in blocks:
             lo, hi = blocks[u]
-            for out, row in zip(outs, (prev, cur, ls, tail)):
+            for out, part in zip(outs, row):
                 if out is not None:
-                    out[lo:hi] = row[lo:hi]
+                    out[lo:hi] = part[lo:hi]
     return tuple(outs)
 
 
-def phi_pair(x, degree):
-    """phi_{d-1} and phi_d on the grid x, on one log scale, at the degree d
-    of each point: degree is an int, or one int per point, nonincreasing
-    (_at_degrees).
+def _gauss(x):
+    """e^(-x^2/2) on the grid x as (frac, expo), the value frac * 2^expo.
 
-    Returns (previous, current, log_scale) arrays; the represented values
-    are previous * exp(log_scale) and current * exp(log_scale), and
-    phi_{-1} = 0.
+    -x^2/2 = hi + lo in two doubles (_half_square), and frac 2^expo is
+    e^hi (1 + lo).  Where e^hi is a normal double (hi >= _NORMAL_FROM), it
+    is split by frexp; below, down to _GAUSS_FLOOR, it is e^r 2^expo with
+    expo = floor(hi / ln 2) and r = hi - expo ln 2 formed from the split
+    ln 2.  Past _GAUSS_FLOOR, and where hi is not finite, frac = e^hi (0,
+    or nan at a nan point) and expo = 0.  Fewer than _COLUMN_POINTS points
+    take the same steps in Python floats, with one np.exp for them all,
+    which costs less than numpy's fixed cost per call and gives the same
+    bits.
     """
-    prev, cur, ls, _ = _at_degrees(x, degree)
-    return prev, cur, ls
+    if x.size < _COLUMN_POINTS:
+        pts, his, args, expos = x.tolist(), [], [], []
+        for t in pts:
+            hi = -0.5 * t * t
+            e = float(math.floor(hi / _LN2)) if _GAUSS_FLOOR <= hi < _NORMAL_FROM else 0.0
+            his.append(hi)
+            args.append((hi - e * _LN2_HI) - e * _LN2_LO)
+            expos.append(e)
+        frac, expo = [], []
+        for t, hi, v, e in zip(pts, his, np.exp(args).tolist(), expos):
+            if hi >= _NORMAL_FROM:
+                v, e = math.frexp(v)
+            if hi >= _GAUSS_FLOOR:
+                # the low part of -t^2/2, from Dekker's product as in _square
+                c = 134217729.0 * t
+                th = c - (c - t)
+                tl = t - th
+                v += v * (-0.5 * (((th * th - t * t) + 2.0 * th * tl) + tl * tl))
+            frac.append(v)
+            expo.append(e)
+        return np.array(frac), np.array(expo)
+    hi, lo = _half_square(x)
+    frac, expo = np.frexp(np.exp(hi))
+    deep = np.flatnonzero(hi < _NORMAL_FROM)
+    if len(deep):
+        h = hi[deep]
+        e = np.where(h >= _GAUSS_FLOOR, np.floor(h / _LN2), 0.0)
+        frac[deep] = np.exp((h - e * _LN2_HI) - e * _LN2_LO)
+        expo[deep] = e
+    frac += frac * lo
+    return frac, expo
+
+
+def _to_floats(vals, gauss, count):
+    """Turn mantissas into plain floats in place, and return them.
+
+    vals holds one mantissa per grid point, or rows of them; gauss is the
+    grid's e^(-x^2/2) (_gauss) and count the points' rescale counts j.
+    With s = expo + 400 j, a mantissa becomes mantissa * ldexp(frac, s),
+    an exact factor; where that factor is not a normal double, it becomes
+    ldexp(mantissa * frac, s), so the power of two is applied last and a
+    value is rounded to the double range once.  Values below the double
+    range are exact zeros.
+    """
+    frac, expo = gauss
+    shift = (expo + _RESCALE_BITS * count).astype(np.int64)
+    factor = np.ldexp(frac, shift)
+    deep = np.flatnonzero(factor < _TINY)
+    if len(deep):
+        low = np.ldexp(vals[..., deep] * frac[deep], shift[deep])
+    vals *= factor
+    if len(deep):
+        vals[..., deep] = low
+    return vals
+
+
+def phi_pair(x, degree):
+    """phi_{d-1} and phi_d on the grid x at the degree d of each point:
+    degree is an int, or one int per point, nonincreasing (_at_degrees).
+
+    Returns (previous, current, count) arrays: the mantissas and the
+    points' rescale counts j, the values being previous and current times
+    e^(-x^2/2) 2^(400 j), and phi_{-1} = 0.  _log_scale gives their log
+    scale, _to_floats the plain floats.
+    """
+    prev, cur, count, _ = _at_degrees(x, degree)
+    return prev, cur, count
+
+
+def phi_row(x, degree):
+    """phi_d on the grid x as plain floats, at the degree d of each point:
+    degree is an int, or one int per point, nonincreasing.
+
+    A grid of more than _RUN_POINTS points runs in pieces of at most that
+    many, so the loop's arrays stay in cache; the values are scaled
+    exactly in the rescale counts, so they are those of one run.
+    """
+    if x.size > _RUN_POINTS:
+        per_point = isinstance(degree, np.ndarray)
+        return np.concatenate([
+            phi_row(x[lo:lo + _RUN_POINTS], degree[lo:lo + _RUN_POINTS] if per_point else degree)
+            for lo in range(0, x.size, _RUN_POINTS)])
+    _, cur, count, _ = _at_degrees(x, degree)
+    return _to_floats(cur, _gauss(x), count)
 
 
 def phi_tail(x, degree):
-    """Tail integrals J_d(x) = int_x^inf phi_d on the grid x >= 0, at the
-    degree d of each point: degree is an int, or one int per point,
-    nonincreasing.
-
-    Returns (mantissa, log_scale) arrays; the represented value is
-    mantissa * exp(log_scale).
-    """
-    _, _, ls, tail = _at_degrees(x, degree, tails=True)
-    return tail, ls
-
-
-def _exp_parts(ls, rest):
-    """e^ls (1 + rest) as (frac, expo), the value frac * 2^expo with
-    frac = e^r (1 + rest) in [1, 2) and r = ls - expo ln 2 formed from the
-    split ln 2, for finite arrays ls and rest (rest a rounding's residual);
-    exact in expo while |ls| < 2^26."""
-    expo = np.floor(ls / math.log(2.0))
-    frac = np.exp((ls - expo * _LN2_HI) - expo * _LN2_LO)
-    return frac + frac * rest, expo
-
-
-def _row_factor(x, count):
-    """e^(-x^2/2 + 400 count ln 2) from the exact log scale (_log_scale),
-    as (scale, cols, shift): the factor of a point is scale * 2^shift.
-
-    The factor is exp(ls) (1 + rest), (ls, rest) the log scale and its
-    rounding's residual, with one rounding after the exp, and shift 0.
-    At the points where that is not a normal double (deep), it is
-    frac * 2^expo (_exp_parts).  shift, 0 at the other points, is kept
-    over the slice cols from the first deep point to the last, so _scale
-    works on the rows in place (both None where no point is deep).
-    """
-    ls, rest = _log_scale(x, count)
-    with np.errstate(under="ignore", invalid="ignore"):
-        scale = np.exp(ls)
-        scale += scale * rest
-    # |phi| <= 1 and the loop keeps a pair maximum above 2^-800, so ls
-    # stays below 555 and the factor finite
-    deep = np.flatnonzero((scale < _TINY) & np.isfinite(ls))
-    if not len(deep):
-        return scale, None, None
-    scale[deep], expo = _exp_parts(ls[deep], rest[deep])
-    cols = slice(int(deep[0]), int(deep[-1]) + 1)
-    shift = np.zeros(cols.stop - cols.start, dtype=np.int64)
-    shift[deep - cols.start] = expo
-    return scale, cols, shift
-
-
-def _scale(rows, factor):
-    """Turn rows of mantissas into plain floats in place, by their factor
-    (_row_factor): times scale first, then times 2^shift, so each value
-    is rounded to the double range once."""
-    scale, cols, shift = factor
-    rows *= scale
-    if cols is not None:
-        part = rows[:, cols]
-        np.ldexp(part, shift, out=part)
+    """Tail integrals J_d(x) = int_x^inf phi_d on the grid x >= 0 as plain
+    floats, at the degree d of each point: degree is an int, or one int per
+    point, nonincreasing."""
+    _, _, count, tail = _at_degrees(x, degree, tails=True)
+    return _to_floats(tail, _gauss(x), count)
 
 
 def phi_rows(x, degree, lowest=0):
@@ -452,39 +495,28 @@ def phi_rows(x, degree, lowest=0):
 
     Yields arrays of shape (rows, len(x)), one row per degree in increasing
     order, with at most _BLOCK_POINTS values per block (one row when a row
-    is longer), so memory stays bounded whatever the degree.  The loop's
-    mantissas are scaled by e^(log scale), a factor built from the exact
-    log scale (_row_factor) only when the loop's rescale count changes and
-    applied to each run of rows that shares it (_scale); values below the
-    double range are exact zeros.  The block array is reused, and its
-    consumer may overwrite it: consume each block before asking for the
-    next.
+    is longer), so memory stays bounded whatever the degree.  Each run of
+    rows that shares the loop's rescale counts is turned into plain floats
+    at once (_to_floats); values below the double range are exact zeros.
+    The block array is reused, and its consumer may overwrite it: consume
+    each block before asking for the next.
     """
     rows = min(max(1, _BLOCK_POINTS // max(len(x), 1)), degree - lowest + 1)
     vals = np.empty((rows, len(x)))
+    gauss = _gauss(x)
     i = start = 0
-    count = factor = None
-    for u, (_, v, _, c, _) in enumerate(_recurrence(x, degree, lowest), lowest):
+    count = None
+    for u, (_, v, c, _) in enumerate(_recurrence(x, degree, lowest), lowest):
         if c is not count:
-            if factor is not None:
-                _scale(vals[start:i], factor)
-            count, factor, start = c, _row_factor(x, c), i
+            if i > start:
+                _to_floats(vals[start:i], gauss, count)
+            count, start = c, i
         vals[i] = v
         i += 1
         if i == rows or u == degree:
-            _scale(vals[start:i], factor)
+            _to_floats(vals[start:i], gauss, count)
             yield vals[:i]
             i = start = 0
-
-
-def phi_row(x, degree):
-    """Scaled Hermite-function row: values of phi_degree on the grid x.
-
-    Returns (mantissa, log_scale) arrays; the represented value is
-    mantissa * exp(log_scale).
-    """
-    _, v, ls = phi_pair(x, degree)
-    return v, ls
 
 
 def _vanishing(x, nmax):
@@ -511,28 +543,6 @@ def _vanishing(x, nmax):
     return out
 
 
-def _gauss_factor(x):
-    """e^(-x^2/2) as (frac, expo) with frac * 2^expo equal to it, frac in [0.5, 1).
-
-    Where exp(-0.5 x x) is a normal double, frac and expo are its own
-    parts, exactly; elsewhere e^(-x^2/2) has left the double range and is
-    formed from -x^2/2 in two doubles (_half_square) as 2^E e^r, with
-    r = -x^2/2 - E ln 2 in [0, ln 2) from the split ln 2.  A non-finite
-    -x^2/2 keeps exp(-0.5 x x).
-    """
-    hi = -0.5 * x * x
-    e0 = np.exp(hi)
-    frac, expo = np.frexp(e0)
-    far = e0 < _TINY
-    if far.any():
-        far &= np.isfinite(hi)
-        h, lo = _half_square(x[far])
-        big = np.floor(h / math.log(2.0))
-        frac[far], e = np.frexp(np.exp((h - big * _LN2_HI) + (lo - big * _LN2_LO)))
-        expo[far] = e + big.astype(e.dtype)
-    return frac, expo
-
-
 def _vector_mantissas(x, nmax):
     """Mantissas of phi_0..phi_nmax on the grid x from the one loop.
 
@@ -542,7 +552,7 @@ def _vector_mantissas(x, nmax):
     """
     table = np.empty((nmax + 1, x.shape[0]))
     changes = []
-    for k, (_, v, _, count, _) in enumerate(_recurrence(x, nmax, 0)):
+    for k, (_, v, count, _) in enumerate(_recurrence(x, nmax, 0)):
         if not changes or count is not changes[-1][1]:
             changes.append((k, count))
         table[k] = v
@@ -644,43 +654,18 @@ def _column_mantissas(x, nmax):
     return table, changes
 
 
-def _scale_rows(table, x, changes):
-    """Turn the mantissas of a table into plain floats, in place.
-
-    Each entry is multiplied by e^(-x^2/2) 2^(400 j), j its point's
-    rescale count, with the factor built once for each entry of changes
-    (row k, counts) and applied to the rows up to the next entry.  Where
-    the factor is a normal double it is exact and multiplies the mantissa;
-    elsewhere (deep) the mantissa is multiplied by the fraction of
-    e^(-x^2/2) first and the power of two is applied last, so each entry
-    is rounded to the double range once.
-    """
-    frac, expo = _gauss_factor(x)
-    ends = [k for k, _ in changes[1:]] + [len(table)]
-    for (k, count), end in zip(changes, ends):
-        shift = expo + _RESCALE_BITS * count
-        # the factor is below the normal range there
-        deep = np.flatnonzero(shift < -1021.0)
-        shift = shift.astype(np.int64)
-        rows = table[k:end]
-        if len(deep):
-            low = np.ldexp(rows[:, deep] * frac[deep], shift[deep])
-        rows *= np.ldexp(frac, shift)
-        if len(deep):
-            rows[:, deep] = low
-
-
 def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
     The mantissas come from the one loop, or, on grids of fewer than
     _COLUMN_POINTS points, from the same recurrence run point by point in
     Python floats (_column_mantissas), where numpy's fixed cost per call
-    outweighs its per-point speed; _scale_rows turns either into plain
-    floats, with the same bits.  Entries whose true magnitude is below the
-    double range come out as exact zeros, and so do the columns of the
-    points that _vanishing finds, which never enter a recurrence: huge
-    points and +-inf, where the zero column is the limit.
+    outweighs its per-point speed; each run of rows that shares the
+    points' rescale counts is turned into plain floats at once
+    (_to_floats), exactly in the counts, so the two give the same bits.  Entries whose true
+    magnitude is below the double range come out as exact zeros, and so
+    do the columns of the points that _vanishing finds, which never enter
+    a recurrence: huge points and +-inf, where the zero column is the limit.
     """
     gone = _vanishing(x, nmax)
     if gone.any():
@@ -690,29 +675,39 @@ def phi_table(x, nmax):
         return out
     produce = _column_mantissas if x.shape[0] < _COLUMN_POINTS else _vector_mantissas
     table, changes = produce(x, nmax)
-    _scale_rows(table, x, changes)
+    gauss = _gauss(x)
+    ends = [k for k, _ in changes[1:]] + [len(table)]
+    for (k, count), end in zip(changes, ends):
+        _to_floats(table[k:end], gauss, count)
     return table
 
 
-def weighted_abs_power_sum(vals, logs, weights, p):
-    """The sum of weights[i] * |vals[i] * exp(logs[i])|^p as (total, shift).
+def weighted_abs_power_sum(vals, weights, p):
+    """(sums, tops) over rows of plain floats, the last axis of vals, which
+    it overwrites: each row's largest |value| top and the sum of
+    weights |value / top|^p, so that the row's weighted p-th power sum is
+    sum * top^p and no power overflows.
 
-    The sum is total * exp(shift).  shift is 0.0 unless the largest
-    exponent p * ln|value| is below -700, where every term would
-    underflow; then that exponent is factored out of the terms, so a p-th
-    root taken as total^(1/p) * exp(shift/p) stays in range.  Terms more
-    than 745 below the shift are dropped.
+    Even p takes the squares, scaled by the reciprocal of the largest one
+    and raised to p / 2 by repeated squaring; any other p takes
+    |value| / top, raised by np.power.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.log(np.abs(vals))
-        t += logs
-        t *= p
-    top = float(np.max(t))
-    shift = top if -math.inf < top < _SHIFT_BELOW else 0.0
-    if shift:
-        t -= shift
-    # e^-inf = 0 drops a term exactly; zeros of vals are at -inf already
-    np.copyto(t, -math.inf, where=~(t >= -745.0))
-    np.exp(t, out=t)
-    t *= weights
-    return float(np.sum(t)), shift
+    if p % 2.0 == 0.0:
+        acc = np.square(vals, out=vals)
+        top = acc.max(axis=-1, keepdims=True)
+        acc *= 1.0 / top
+        # left to right over the bits of p / 2 after the leading one
+        bits = bin(int(p) // 2)[3:]
+        squares = acc.copy() if "1" in bits else None
+        for bit in bits:
+            np.square(acc, out=acc)
+            if bit == "1":
+                acc *= squares
+        top = np.sqrt(top)
+    else:
+        acc = np.abs(vals, out=vals)
+        top = acc.max(axis=-1, keepdims=True)
+        acc /= top
+        np.power(acc, p, out=acc)
+    acc *= weights
+    return acc.sum(axis=-1), top[..., 0]

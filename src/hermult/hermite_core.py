@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._accel import _BOUNDED_BELOW, _vanishing, phi_row
+from ._accel import _BOUNDED_BELOW, _log_scale, _vanishing, phi_pair
+# phi_row stays a module attribute for code that looks it up here.
+from ._accel import phi_row  # noqa: F401
 from .errors import CapabilityError, DomainError
 
 MAX_DEGREE_DEFAULT = 1_000_000
@@ -145,8 +147,8 @@ def eval_phi_1d(degree: int, x: float, max_degree: int = MAX_DEGREE_DEFAULT) -> 
     # the value is below the double range at every degree it serves
     if abs(x) >= _BOUNDED_BELOW and _vanishing(point, int(degree))[0]:
         return HermiteValue(0.0, None)
-    vals, logs = phi_row(point, int(degree))
-    return _pack(float(vals[0]), float(logs[0]))
+    _, vals, count = phi_pair(point, int(degree))
+    return _pack(float(vals[0]), float(_log_scale(point, count)[0]))
 
 
 def eval_phi_nd(nu, x: Sequence[float], max_degree: int = MAX_DEGREE_DEFAULT) -> HermiteValue:

@@ -22,8 +22,8 @@ the route rule below.  None refines, so the tolerance is only validated.
   p (2n + 1) / (2 pi) points and needs no nodes: one run of the
   recurrence over it is the whole norm.  The run gives the row of phi_n
   in plain floats (``phi_rows``); the row is divided by its largest
-  value, so no power overflows or underflows, and raised to p by
-  repeated squaring (``_even_power_norms``).
+  |value|, so no power overflows, and raised to p by repeated squaring
+  (``weighted_abs_power_sum``).
 - p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
   J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
   |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
@@ -46,7 +46,9 @@ the route rule below.  None refines, so the tolerance is only validated.
   of the half-lobes and the tail of phi_n, cut at its zeros (the n-node
   rule's nodes, as at p = 1); the piece at a zero a takes the
   Gauss-Jacobi rule for the |x - a|^alpha kink of |phi_n|^p there, the
-  others Gauss-Legendre (``_panel_rule``).
+  others Gauss-Legendre (``_panel_rule``).  The values come from runs of
+  at most _RUN_POINTS points in plain floats (``phi_row``); each degree's
+  are divided by their largest |value| and raised to p.
 
 The Gauss-Hermite rules are built here, by ``roots_hermite``:
 
@@ -56,7 +58,7 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
   asymptotic series), the largest ones; each is used where its error is
   the smaller (Townsend, Trogdon and Olver, IMA J. Numer. Anal. 36 (2016)).
 - Refinement: a Halley step per zero from one run of the scaled
-  recurrence, which returns phi_M and phi_{M-1} on one log scale:
+  recurrence, which returns phi_M and phi_{M-1} on one scale:
   phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
   gives the second derivative at no cost.
 - Stop rule: after a Halley step h the error is |x^2 - 2M - 1| |h|^3 / 6
@@ -86,14 +88,12 @@ Halley passes together, and the points of all the degrees (the zeros at
 p = 1, one point per degree at p = inf, the panel points in runs of at
 most _RUN_POINTS) share a run of the recurrence, which reads each
 degree's points at its own step (the kernels take a degree per point).  A
-single norm is the sweep of one degree.  The sup scales its value by
-2^(400 j) exactly, j the point's rescale count, so its sweep keeps the
-per-degree bits at every N.  No point of the other sweeps is rescaled up
-to N = 280 (267 for the panels, whose tails reach further out), so they
-keep the per-degree bits there; above, a point rescaled at another step
-than in its own degree's run moves the last bits only.  Norms are cached
-per (n, p) and sweeps per (N, p), 16 of them; each sweep depends on N
-alone, so no result depends on what was computed before.
+single norm is the sweep of one degree.  Every value is scaled exactly in
+its point's rescale count j (``_accel``), so a point rescaled at another
+step than in its own degree's run keeps its value, and these sweeps keep
+the per-degree bits at every N.  Norms are cached per (n, p) and sweeps
+per (N, p), 16 of them; each sweep depends on N alone, so no result
+depends on what was computed before.
 
 Each route estimates its recurrence work in point-steps, and a norm
 whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
@@ -126,7 +126,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._accel import (
-    _RESCALE_BITS, _exp_parts, _half_square, _square, phi_pair, phi_row, phi_rows, phi_tail,
+    _RUN_POINTS, _gauss, _log_scale, _square, _to_floats, phi_pair, phi_row, phi_rows, phi_tail,
     weighted_abs_power_sum,
 )
 from .errors import CapabilityError, ConvergenceError, DomainError
@@ -164,13 +164,12 @@ _TAIL_MARGIN = 6.0
 # its memory (180 MB at the peak), whatever its work: the budget would admit
 # 6e7 panel points at degree 0 and p = 1e12.  Served edges stay below it.
 _MAX_POINTS = 1 << 21
-# Points of a phi_row run of a panel sweep, so its arrays stay in cache:
-# lp_norms_1d(400, 3) took 0.65 s with these and 1.2 s with 2^18 (2 vCPUs).
-_RUN_POINTS = 1 << 14
 # A weighted power sum over a row is charged four recurrence point-steps
 # a value.  The panels' log-and-exp sum cost about that when this was set
 # (21 ns against 5-6 ns); the even grid's repeated squaring costs 4 to 16
-# point-steps a value, the most on small sweeps (ROADMAP item 4).
+# point-steps a value, the most on small sweeps (ROADMAP item 4).  The
+# constant is kept, so that the routes and the largest degrees served
+# stay where they were.
 _POWER_POINTS = 4
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
@@ -355,8 +354,9 @@ def _halley_nodes(y: np.ndarray, M):
     an int or an int array with one M per guess, and all the rules take
     each pass together.
 
-    Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs.  A pass runs
-    the scaled recurrence once for phi_M and phi_{M-1} on one log scale;
+    Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs, logs the
+    log scale of the evaluated point (_log_scale).  A pass runs the scaled
+    recurrence once for the mantissas of phi_M and phi_{M-1};
     phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
     gives the higher derivatives.  The step's cubic error bound decides
     which nodes are final; only the others take another pass.  phi_M' is
@@ -372,7 +372,7 @@ def _halley_nodes(y: np.ndarray, M):
     for _ in range(_MAX_NODE_PASSES):
         x = y[todo]
         m = M[todo] if isinstance(M, np.ndarray) else M
-        prev, cur, ls = phi_pair(x, m)
+        prev, cur, count = phi_pair(x, m)
         dx = np.sqrt(2.0 * m) * prev - x * cur
         q = x * x - (2.0 * m + 1.0)
         ratio = cur / dx
@@ -380,7 +380,7 @@ def _halley_nodes(y: np.ndarray, M):
         y[todo] = x + h
         d[todo] = dx + h * (q * cur + 0.5 * h * (
             2.0 * x * cur + q * dx + h / 3.0 * (4.0 * x * dx + (2.0 + q * q) * cur)))
-        logs[todo] = ls
+        logs[todo] = _log_scale(x, count)
         # Halley's error after the step is |q| / 6 * |h|^3 to leading order
         todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
         if not len(todo):
@@ -461,7 +461,7 @@ def _pieces(p: float) -> int:
 @functools.lru_cache(maxsize=32)
 def _kink_rule(alpha: float):
     """The _PANEL_NODES-point Gauss rule for the weight t^alpha on [0, 1],
-    alpha >= 0, as read-only (nodes, log weights), by Golub and Welsch
+    alpha >= 0, as read-only (nodes, weights), by Golub and Welsch
     (Math. Comp. 23 (1969)): the eigenvalues of the recurrence matrix of
     P^(0, alpha)(2t - 1), and 1 / (alpha + 1) times the squared first
     components of the unit eigenvectors."""
@@ -471,10 +471,10 @@ def _kink_rule(alpha: float):
     diag = np.concatenate([[alpha / (alpha + 2.0)], alpha * alpha / (j * (j + 2.0))])
     off = k * (k + alpha) / (j * np.sqrt((j + 1.0) * (j - 1.0)))
     t, v = np.linalg.eigh(np.diag(0.5 + 0.5 * diag) + np.diag(off, 1) + np.diag(off, -1))
-    logw = 2.0 * np.log(np.abs(v[0])) - math.log1p(alpha)
+    w = v[0] * v[0] / (alpha + 1.0)
     t.flags.writeable = False
-    logw.flags.writeable = False
-    return t, logw
+    w.flags.writeable = False
+    return t, w
 
 
 def _tail_pieces(degree: int, s: int) -> int:
@@ -489,18 +489,18 @@ def _tail_pieces(degree: int, s: int) -> int:
 
 
 def _panel_rule(degree: int, zeros: np.ndarray, p: float):
-    """(points, log weights) of the panel rule for the integral of
+    """(points, weights) of the panel rule for the integral of
     |phi_degree|^p over [0, sqrt(2 (2 degree + 1)) + 12], from the positive
     zeros of phi_degree.  Runs of pieces start at a zero: each half-lobe,
     to the middle of its lobe or to 0, in _pieces(p), and the tail in
     _tail_pieces.  Across a zero a, |phi|^p = |x - a|^alpha g(x), g smooth,
     alpha = p - 2 floor(p / 2), so the piece at a zero takes the kink rule,
-    its log weights taking in |x - a|^-alpha, and the others Gauss-Legendre.
+    its weights taking in |x - a|^-alpha, and the others Gauss-Legendre.
     """
     s = _pieces(p)
     alpha = p - 2.0 * math.floor(0.5 * p)
     x, w = _leggauss(_PANEL_NODES)
-    t, logw = _kink_rule(alpha)
+    t, kink_w = _kink_rule(alpha)
     # the zeros on [0, R], 0 among them for odd degrees; phi_0's tail starts at 0
     at = np.concatenate([[0.0], zeros]) if degree % 2 else np.asarray(zeros)
     mids = 0.5 * (at[:-1] + at[1:])
@@ -514,9 +514,9 @@ def _panel_rule(degree: int, zeros: np.ndarray, p: float):
     i = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)
     kink = (i == 0)[:, None] & (degree > 0)
     nodes = np.where(kink, t, 0.5 * (x + 1.0))
-    log_weights = np.where(kink, logw - alpha * np.log(t), np.log(0.5 * w))
+    weights = np.where(kink, kink_w * t ** -alpha, 0.5 * w)
     points = np.repeat(a, counts)[:, None] + h[:, None] * (i[:, None] + nodes)
-    return points.ravel(), (np.log(np.abs(h))[:, None] + log_weights).ravel()
+    return points.ravel(), (np.abs(h)[:, None] * weights).ravel()
 
 
 def _even_grid(degree: int, p: float):
@@ -537,34 +537,15 @@ def _even_work(degree: int, p: float, rows: int = 0) -> float:
     return _phi_row_work(points, degree) + _POWER_POINTS * rows * points
 
 
-def _even_power_norms(rows, weights, p: float) -> list[float]:
-    """||row||_p by the grid's weights for each row of a block of plain
-    floats, even p; overwrites the block.
-
-    Each row is squared and divided by its largest square T, so every
-    value lies in [0, 1] and nothing overflows; it is raised to p / 2 by
-    repeated squaring, weighted and summed to S, and the norm is
-    sqrt(T) S^(1/p).  Each row is summed on its own, so its sum does not
-    depend on the other rows of its block.
-    """
-    np.square(rows, out=rows)
-    top = rows.max(axis=1, keepdims=True)
-    rows *= 1.0 / top
-    acc = rows.copy()
-    # left to right over the bits of p / 2 after the leading one
-    for bit in bin(int(p) // 2)[3:]:
-        np.square(acc, out=acc)
-        if bit == "1":
-            acc *= rows
-    acc *= weights
-    sums = acc.sum(axis=1).tolist()
-    return [math.sqrt(t) * s ** (1.0 / p) for t, s in zip(top[:, 0].tolist(), sums)]
-
-
 def _even_norm_1d(degrees, p: float) -> list[float]:
     """||phi_u||_p for each u in degrees, nonincreasing, and even p, by the
     trapezoidal rule on the top degree's grid, from the rows
-    u = smallest..largest of one run over it."""
+    u = smallest..largest of one run over it.
+
+    Each row is summed on its own, whatever its block, scaled by its
+    largest |value| T so that no power overflows (weighted_abs_power_sum,
+    which overwrites the block): the norm is T S^(1/p).
+    """
     top, low = degrees[0], degrees[-1]
     h, points = _even_grid(top, p)
     # doubled for the mirrored point -x_j except at x_0 = 0
@@ -572,16 +553,16 @@ def _even_norm_1d(degrees, p: float) -> list[float]:
     weights[0] = h
     norms = []
     for rows in phi_rows(h * np.arange(points), top, low):
-        norms += _even_power_norms(rows, weights, p)
+        sums, tops = weighted_abs_power_sum(rows, weights, p)
+        norms += [t * s ** (1.0 / p) for s, t in zip(sums.tolist(), tops.tolist())]
     return [norms[u - low] for u in degrees]
 
 
-def _one_block(degrees, sizes):
-    """The degree argument of a kernel call over blocks of sizes points, one
-    block per degree: the int itself for one block, else one per point."""
-    if len(degrees) == 1:
-        return int(degrees[0])
-    return np.repeat(np.asarray(degrees, dtype=np.int64), sizes)
+def _degree_arg(per_point: np.ndarray):
+    """The degree argument of a kernel call whose points take these
+    degrees, nonincreasing: the int itself where they are all one, else
+    the array."""
+    return int(per_point[0]) if per_point[0] == per_point[-1] else per_point
 
 
 def _positive_zeros(degrees) -> np.ndarray:
@@ -612,8 +593,7 @@ def _l1_norm_1d(degrees) -> list[float]:
     zeros = np.zeros(len(points), dtype=bool)
     zeros[ends - sizes] = True
     points[~zeros] = _positive_zeros(degrees)
-    mantissa, logs = phi_tail(points, _one_block(degrees, sizes))
-    tails = mantissa * np.exp(logs)
+    tails = phi_tail(points, _degree_arg(np.repeat(degrees, sizes)))
     after = np.append(tails[1:], 0.0)
     after[ends - 1] = 0.0
     gaps = np.abs(tails - after).tolist()
@@ -623,27 +603,26 @@ def _l1_norm_1d(degrees) -> list[float]:
 def _panel_norm_1d(degrees, p: float) -> list[float]:
     """||phi_u||_p for each u in degrees, nonincreasing, by _panel_rule.
 
-    Consecutive degrees share a phi_row run of up to _RUN_POINTS points
-    (one degree may exceed it).  Each degree's block is summed on its own
-    shift, with the log weights folded into its log scale, so underflowing
-    powers keep their shift."""
+    Consecutive degrees share a phi_row call of _RUN_POINTS points or more
+    (the last ones fewer), which runs them in pieces of at most that many.
+    Each degree's values are summed on their own, scaled by their largest
+    |value| T (weighted_abs_power_sum), and the norm is T (2 S)^(1/p)."""
     degrees = [int(u) for u in degrees]
     zeros = np.split(_positive_zeros(degrees), np.cumsum([u // 2 for u in degrees])[:-1])
-    norms, run, size = [], [], 0
+    norms, rules, size = [], [], 0
     for i, (u, z) in enumerate(zip(degrees, zeros)):
-        run.append((u, *_panel_rule(u, z, p)))
-        size += len(run[-1][1])
+        rules.append((u, *_panel_rule(u, z, p)))
+        size += len(rules[-1][1])
         if size < _RUN_POINTS and i + 1 < len(degrees):
             continue
-        sizes = [len(x) for _, x, _ in run]
-        vals, logs = phi_row(np.concatenate([x for _, x, _ in run]),
-                             _one_block([v for v, _, _ in run], sizes))
-        logs = logs + np.concatenate([w for _, _, w in run]) / p
+        sizes = [len(x) for _, x, _ in rules]
+        vals = phi_row(np.concatenate([x for _, x, _ in rules]),
+                       _degree_arg(np.repeat([v for v, _, _ in rules], sizes)))
         ends = np.cumsum(sizes).tolist()
-        for lo, hi in zip([0, *ends], ends):
-            total, shift = weighted_abs_power_sum(vals[lo:hi], logs[lo:hi], 1.0, p)
-            norms.append(_root(2.0 * total, shift, p))
-        run, size = [], 0
+        for (_, _, w), lo, hi in zip(rules, [0, *ends], ends):
+            total, top = weighted_abs_power_sum(vals[lo:hi], w, p)
+            norms.append(float(top) * (2.0 * float(total)) ** (1.0 / p))
+        rules, size = [], 0
     return norms
 
 
@@ -663,24 +642,18 @@ def _sup_norm_1d(degrees) -> list[float]:
     recurrence over one point per degree, _sup_start(u).
 
     Each degree takes its maximum from its own point (_sup_polish), in the
-    units of the point's mantissas, e^(-x^2/2) 2^(400 j) with j its rescale
-    count; the value is scaled by e^(-x^2/2) from the exact -x^2/2, as a
-    fraction in [1, 2) times 2^E (_exp_parts), and by 2^(E + 400 j) exactly,
-    so it does not depend on which step rescaled the point.
+    units of the point's mantissas, and the scaling stage (_to_floats)
+    turns it into a plain float, exactly in the point's rescale count.
     """
     degrees = [int(u) for u in degrees]
     us = [u for u in degrees if u]
     if not us:
         return [math.pi ** -0.25] * len(degrees)
     x = np.array([_sup_start(u) for u in us])
-    prev, cur, logs = phi_pair(x, _one_block(us, 1))
-    hi, lo = _half_square(x)
-    frac, expo = _exp_parts(hi, lo)
-    # logs - hi is 400 j ln 2 up to the rounding of logs
-    counts = np.rint((logs - hi) / (_RESCALE_BITS * math.log(2.0)))
-    sups = (math.ldexp(_sup_polish(u, x0, a, b)[1] * f, int(e + _RESCALE_BITS * j))
-            for u, x0, a, b, f, e, j in zip(us, x.tolist(), prev.tolist(), cur.tolist(),
-                                            frac.tolist(), expo.tolist(), counts.tolist()))
+    prev, cur, count = phi_pair(x, _degree_arg(np.array(us)))
+    tops = np.array([_sup_polish(u, x0, a, b)[1]
+                     for u, x0, a, b in zip(us, x.tolist(), prev.tolist(), cur.tolist())])
+    sups = iter(_to_floats(tops, _gauss(x), count).tolist())
     return [next(sups) if u else math.pi ** -0.25 for u in degrees]
 
 
@@ -848,11 +821,6 @@ def check_sweep_budget(N: int, p: float) -> str:
     return route
 
 
-def _root(total: float, shift: float, p: float) -> float:
-    """The p-th root of the integral total * e^shift."""
-    return total ** (1.0 / p) * math.exp(shift / p)
-
-
 # The norms of each route, for a list of degrees in nonincreasing order.
 _ROUTES = {"unit": lambda degrees, p: [1.0] * len(degrees),
            "sup": lambda degrees, p: _sup_norm_1d(degrees),
@@ -906,8 +874,7 @@ def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     recurrence run over the grid of degree N (entry N is lp_norm_1d(N, p)
     bit for bit where that takes the grid too) or the panels.  The other
     routes share recurrence runs over the points of all degrees, and give
-    lp_norm_1d's norms bit for bit at every N at p = inf, and up to N = 280
-    (267 for the panels) and within 1e-13 relative above at the others.
+    lp_norm_1d's norms bit for bit.
     Raises CapabilityError, before any recurrence work, when the estimated
     work of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the
     N + 1 row power sums' for the even-p sweep, the sum of the per-degree

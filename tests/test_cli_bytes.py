@@ -59,8 +59,8 @@ GOLDEN = {
         "  \"k\": 10,\n"
         "  \"rows\": [\n"
         "    {\n"
-        "      \"computed\": 2.6038508894329264,\n"
-        "      \"model\": 2.937569799269476,\n"
+        "      \"computed\": 2.603850889432926,\n"
+        "      \"model\": 2.9375697992694754,\n"
         "      \"nu\": 5,\n"
         "      \"p\": \"1\",\n"
         "      \"ratio\": 0.8863962619987652\n"
@@ -80,8 +80,8 @@ GOLDEN = {
         "      \"ratio\": 1.0621165580605976\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 2.937569799269476,\n"
-        "      \"model\": 2.937569799269476,\n"
+        "      \"computed\": 2.9375697992694754,\n"
+        "      \"model\": 2.9375697992694754,\n"
         "      \"nu\": 10,\n"
         "      \"p\": \"1\",\n"
         "      \"ratio\": 1.0\n"

@@ -28,7 +28,8 @@ from hermult import (
 )
 from hermult import _accel
 from hermult._accel import (
-    _COLUMN_POINTS, _erfcx, _recurrence, phi_pair, phi_row, phi_rows, phi_table, phi_tail,
+    _COLUMN_POINTS, _at_degrees, _erfcx, _gauss, _log_scale, _recurrence, _to_floats, phi_pair,
+    phi_row, phi_rows, phi_table, phi_tail,
 )
 
 mpmath.mp.dps = 50
@@ -120,10 +121,28 @@ RESCALE_LOG = 400.0 * math.log(2.0)
 
 def loop_rows(x, degree, lowest=0):
     """(mantissas, log scales) of phi_lowest..phi_degree as the one loop
-    (``_recurrence``) carries them, one row per degree; the loop works in
-    place, so each row is copied."""
-    steps = [(cur.copy(), ls.copy()) for _, cur, ls, _, _ in _recurrence(x, degree, lowest)]
+    (``_recurrence``) carries them, one row per degree, with the log scale
+    formed from each row's rescale counts (``_log_scale``); the loop works
+    in place, so each row is copied."""
+    steps, counts, logs = [], None, None
+    for _, cur, count, _ in _recurrence(x, degree, lowest):
+        if count is not counts:
+            counts, logs = count, _log_scale(x, count)
+        steps.append((cur.copy(), logs))
     return np.array([cur for cur, _ in steps]), np.array([ls for _, ls in steps])
+
+
+def pair_logs(x, degree):
+    """phi_pair's mantissas with the log scale of their rescale counts."""
+    prev, cur, count = phi_pair(x, degree)
+    return prev, cur, _log_scale(x, count)
+
+
+def tail_logs(x, degree):
+    """phi_tail's mantissas (from _at_degrees) with the log scale of their
+    rescale counts."""
+    _, _, count, tail = _at_degrees(x, degree, tails=True)
+    return tail, _log_scale(x, count)
 
 
 def assert_power_of_two_apart(got, got_ls, want, want_ls):
@@ -172,28 +191,31 @@ def test_in_place_loop_keeps_the_bits(points):
     assert_power_of_two_apart(rows, logs, want_rows, want_logs)
     assert_exact_log_scales(x, logs, want_logs)
     for n in (0, 1, 2, 48, 49, 401, 1600):
-        prev, cur, ls = phi_pair(x, n)
+        prev, cur, ls = pair_logs(x, n)
         assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
         assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
         assert_exact_log_scales(x, ls, want[n][2])
         # the last step is tested, so the pair ends inside [2^-400, 2^400]
         pair_max = np.maximum(np.abs(prev), np.abs(cur))
         assert np.all((2.0 ** -400 <= pair_max) & (pair_max <= 2.0 ** 400))
-        vals, row_ls = phi_row(x, n)
-        assert np.array_equal(vals, cur) and np.array_equal(row_ls, ls)
+        count = phi_pair(x, n)[2]
+        assert np.array_equal(phi_row(x, n), _to_floats(cur, _gauss(x), count))
+
+
+def stacked_rows(x, degree, lowest=0):
+    """phi_rows' blocks stacked into one array."""
+    return np.concatenate([block.copy() for block in phi_rows(x, degree, lowest)])
 
 
 def test_rows_are_the_table_in_plain_floats():
-    # phi_rows scales the loop's mantissas from the exact log scale
-    # -x^2/2 + 400 j ln 2, phi_table by exp(-0.5 x x) 2^(400 j); on quarter
-    # points -0.5 x x is exact, so the two agree within 2 ulps, across
-    # blocks and rescalings, and a value below the double range is 0 in both
+    # phi_rows and phi_table turn the loop's mantissas into plain floats
+    # by the one stage, exact in the rescale count, so they agree bit for
+    # bit across blocks and rescalings, and a value below the double range
+    # is 0 in both
     x = np.arange(-24, 281) * 0.25
     for degree, lowest in ((1600, 0), (1600, 1200), (5000, 4990)):
-        rows = np.concatenate([block.copy() for block in phi_rows(x, degree, lowest)])
         table = phi_table(x, degree)[lowest:]
-        assert np.all(np.abs(rows - table) <= 2 * np.spacing(np.abs(table))), (degree, lowest)
-        assert np.array_equal(rows == 0.0, table == 0.0), (degree, lowest)
+        assert np.array_equal(stacked_rows(x, degree, lowest), table), (degree, lowest)
 
 
 def reference_tail(x, degree):
@@ -243,7 +265,7 @@ def test_skipped_range_tests_keep_the_bits(x):
     with np.errstate(invalid="ignore", over="ignore"):
         want = list(reference_recurrence(x, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
-            prev, cur, ls = phi_pair(x, n)
+            prev, cur, ls = pair_logs(x, n)
             assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
             assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
             assert_exact_log_scales(x, ls, want[n][2])
@@ -256,7 +278,7 @@ def test_skipped_range_tests_keep_the_bits(x):
         xt = np.abs(x)
         tails = list(reference_tail(xt, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
-            tail, ls = phi_tail(xt, n)
+            tail, ls = tail_logs(xt, n)
             assert_power_of_two_apart(tail, ls, tails[n][0], tails[n][1])
             assert_exact_log_scales(xt, ls, tails[n][1])
 
@@ -280,8 +302,10 @@ def test_huge_points_have_zero_table_columns():
 def test_one_degree_per_point_reads_each_at_its_own_step(tails):
     # one run of the loop over points of mixed degrees, nonincreasing, with
     # the passed degrees cut off the loop: each point gets the reference's
-    # values at its own degree, and the int call's bits wherever neither
-    # run rescales it (the far points are rescaled, see above)
+    # mantissas at its own degree, and the int call's bits wherever neither
+    # run rescales it (the far points are rescaled, see above).  The plain
+    # floats are scaled exactly in the rescale count, so they keep the int
+    # call's bits at every point
     rng = np.random.default_rng(5)
     x = rng.permutation(np.linspace(-3.0, 70.0, 130))
     x = np.abs(x) if tails else x
@@ -289,10 +313,14 @@ def test_one_degree_per_point_reads_each_at_its_own_step(tails):
     degree[[0, -1]] = 1600, 0
     with pytest.raises(ValueError):
         (phi_tail if tails else phi_pair)(x, degree[::-1])
+    plain = phi_tail if tails else phi_row
+    values = plain(x, degree)
+    plain_lone = {n: plain(x, n) for n in np.unique(degree).tolist()}
+    assert values.tolist() == [plain_lone[n][i] for i, n in enumerate(degree.tolist())]
     if tails:
         want = list(reference_tail(x, 1600))
-        got, ls = phi_tail(x, degree)
-        lone = {n: phi_tail(x, n) for n in np.unique(degree).tolist()}
+        got, ls = tail_logs(x, degree)
+        lone = {n: tail_logs(x, n) for n in np.unique(degree).tolist()}
         for i, n in enumerate(degree.tolist()):
             assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][0][i:i + 1],
                                       want[n][1][i:i + 1])
@@ -301,8 +329,8 @@ def test_one_degree_per_point_reads_each_at_its_own_step(tails):
                 assert (got[i], ls[i]) == (lone[n][0][i], lone[n][1][i]), (x[i], n)
         return
     want = list(reference_recurrence(x, 1600))
-    prev, cur, ls = phi_pair(x, degree)
-    lone = {n: phi_pair(x, n) for n in np.unique(degree).tolist()}
+    prev, cur, ls = pair_logs(x, degree)
+    lone = {n: pair_logs(x, n) for n in np.unique(degree).tolist()}
     for i, n in enumerate(degree.tolist()):
         for got, j in ((prev, 0), (cur, 1)):
             assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][j][i:i + 1],
@@ -311,44 +339,6 @@ def test_one_degree_per_point_reads_each_at_its_own_step(tails):
         if abs(x[i]) < 20.0:
             assert (prev[i], cur[i], ls[i]) == tuple(a[i] for a in lone[n]), (x[i], n)
     assert all(len(a) == 0 for a in phi_pair(np.array([]), np.array([], dtype=int)))
-
-
-def reference_table(x, nmax):
-    """phi_table as it ran on its own loop, carrying exp(log_scale) along
-    as es and multiplying it by 2^(+-400) at every rescaling."""
-    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
-    out = np.empty((nmax + 1, x.shape[0]))
-    ls = -0.5 * x * x
-    es = np.exp(ls)
-    v0 = np.full(x.shape, math.pi ** -0.25)
-    out[0] = v0 * es
-    if nmax == 0:
-        return out
-    v1 = x * math.sqrt(2.0) * v0
-    out[1] = v1 * es
-    for k in range(1, nmax):
-        c1 = math.sqrt(2.0 / (k + 1.0))
-        c0 = math.sqrt(k / (k + 1.0))
-        v0, v1 = v1, x * c1 * v1 - c0 * v0
-        m = np.maximum(np.abs(v1), np.abs(v0))
-        big = m > R
-        if big.any():
-            v0, v1 = np.where(big, v0 * RI, v0), np.where(big, v1 * RI, v1)
-            ls, es = np.where(big, ls + RL, ls), np.where(big, es * R, es)
-        small = (m > 0.0) & (m < RI)
-        if small.any():
-            v0, v1 = np.where(small, v0 * R, v0), np.where(small, v1 * R, v1)
-            ls, es = np.where(small, ls - RL, ls), np.where(small, es * RI, es)
-        row = v1 * es
-        deep = ls <= -700.0
-        if deep.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.log(np.abs(v1)) + ls
-                alt = np.where(t > -745.0, np.copysign(np.exp(np.maximum(t, -745.0)), v1), 0.0)
-            alt = np.where(v1 == 0.0, 0.0, alt)
-            row = np.where(deep, alt, row)
-        out[k + 1] = row
-    return out
 
 
 @pytest.mark.parametrize("x", [
@@ -361,26 +351,22 @@ def reference_table(x, nmax):
     np.random.default_rng(7).uniform(-110.0, 110.0, 23),
 ], ids=["origin", "far", "tiny", "subnormal-seed", "wide-81", "random-23"])
 def test_table_on_the_one_loop_keeps_the_bits(x):
-    # columns with |x| <= 37 keep the reference's bits whenever either loop
-    # rescales.  Past 37.6 the reference multiplied by a subnormal or zero
-    # e^(-x^2/2), so there each entry is checked against its mantissa times
-    # e^(-x^2/2) 2^(400 j) in mpmath; up to 37.6 the table keeps the seed
-    # exp(-0.5 x x) of every column, so it stands for e^(-x^2/2) there
-    near = np.abs(x) <= 37.0
-    far = np.flatnonzero(~near).tolist()
+    # phi_table is the stacked phi_rows blocks bit for bit: the same loop
+    # and the same scaling stage.  Past 37, where e^(-x^2/2) nears the
+    # bottom of the double range (subnormal from 37.6, zero from 38.6),
+    # each entry is checked against its mantissa times e^(-x^2/2) 2^(400 j)
+    # in mpmath, from the exact -x^2/2
+    far = np.flatnonzero(np.abs(x) > 37.0).tolist()
     for nmax in (0, 1, 2, 3, 401, 5000):
         got = phi_table(x, nmax)
-        assert np.array_equal(got[:, near], reference_table(x[near], nmax)), nmax
+        assert np.array_equal(got, stacked_rows(x, nmax)), nmax
         if not far:
             continue
         mantissas, logs = loop_rows(x, nmax)
         for k in sorted({min(k, nmax) for k in (1, 2, nmax)} | set(range(0, nmax, 97))):
             for i in far:
                 j = round((logs[k, i] + 0.5 * x[i] * x[i]) / RESCALE_LOG)
-                half = -0.5 * x[i] * x[i]
-                if math.exp(half) < 2.0 ** -1022:
-                    half = -mpmath.mpf(x[i]) ** 2 / 2
-                scale = half + 400 * j * mpmath.log(2)
+                scale = -mpmath.mpf(x[i]) ** 2 / 2 + 400 * j * mpmath.log(2)
                 want = mpmath.mpf(mantissas[k, i]) * mpmath.exp(scale)
                 # one rounding to the double range, after at most 3 ulps
                 tol = 4 * 2.0 ** -53 * abs(want) + 2.0 ** -1074
@@ -412,6 +398,31 @@ def test_column_table_keeps_the_bits_of_the_loop(x):
                 assert np.array_equal(got, loop[:, window], equal_nan=True), (nmax, size, start)
 
 
+def test_table_within_two_ulps_of_its_mantissas_at_degree_400():
+    # phi_table scales each mantissa by e^(-x^2/2) 2^(400 j) from the exact
+    # -x^2/2: every entry up to degree 400 is within 2 ulps of that product
+    # in 40 digits (0.6 and 1.0 at most), where rounding -x^2/2 first put
+    # them up to 50.9 ulps off at 30.3 and 297.6 at 36.1.  Against the
+    # recurrence run in 40 digits the double recurrence's own rounding adds
+    # to that: degree 400 is 11.1 and 4.6 ulps off there (42.1 and 215.6
+    # when -x^2/2 was rounded first)
+    for x in (30.3, 36.1):
+        xm = mpmath.mpf(x)
+        for grid in (np.array([x]), np.concatenate(([x], np.linspace(-3.0, 3.0, _COLUMN_POINTS)))):
+            got = phi_table(grid, 400)[:, 0]
+            mantissas, logs = loop_rows(grid, 400)
+            for k in range(401):
+                j = round((logs[k, 0] + 0.5 * x * x) / RESCALE_LOG)
+                want = mpmath.mpf(mantissas[k, 0]) * mpmath.exp(-xm * xm / 2 + 400 * j * mpmath.log(2))
+                assert abs(got[k] - want) <= 2 * math.ulp(float(want)), (x, len(grid), k)
+        with mpmath.workdps(40):
+            prev, cur = 0, mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xm * xm / 2)
+            for k in range(400):
+                c1, c0 = mpmath.sqrt(mpmath.mpf(2) / (k + 1)), mpmath.sqrt(mpmath.mpf(k) / (k + 1))
+                prev, cur = cur, xm * c1 * cur - c0 * prev
+            assert abs(got[400] - cur) <= 12 * math.ulp(float(cur)), x
+
+
 POINT_GRIDS = {
     "origin": np.array([0.0]),
     "far": np.array([60.0]),
@@ -433,11 +444,16 @@ def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
     x = np.abs(x) if tails else x
     per_point = np.sort(np.random.default_rng(len(x)).choice(
         [0, 1, 2, 3, 401, 1600, 5000], len(x)))[::-1]
+    # and the plain floats, e^(-x^2/2) formed point by point or on numpy
+    # alike, the same bits
+    plain = phi_tail if tails else phi_row
     for degree in (0, 1, 2, 401, 5000, per_point):
-        runs = []
+        runs, values = [], []
         for size in (0, len(x) + 1):
             monkeypatch.setattr(_accel, "_COLUMN_POINTS", size)
-            runs.append(_accel._at_degrees(x, degree, tails))
+            prev, cur, count, tail = _at_degrees(x, degree, tails)
+            runs.append((prev, cur, _log_scale(x, count), tail))
+            values.append(plain(x, degree))
         (prev, cur, ls, tail), (*vector, vector_tail) = runs
         assert_power_of_two_apart(prev, ls, vector[0], vector[2])
         assert_power_of_two_apart(cur, ls, vector[1], vector[2])
@@ -446,6 +462,7 @@ def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
             assert_power_of_two_apart(tail, ls, vector_tail, vector[2])
         else:
             assert tail is None and vector_tail is None
+        assert np.array_equal(values[0], values[1])
 
 
 # phi_n(x) to 40 digits, from the scaled recurrence in 60-digit mpmath with
@@ -475,10 +492,13 @@ def test_single_points_at_high_degree(n, x):
     # tail, the log scale's, |ln phi| 2^-52
     want = mpmath.mpf(SINGLE_POINTS[n, x])
     tol = 3e-13 + abs(float(mpmath.log(abs(want)))) * 2.0 ** -52
-    vals, logs = phi_row(np.array([x]), n)
+    _, vals, logs = pair_logs(np.array([x]), n)
     row = mpmath.mpf(float(vals[0])) * mpmath.exp(float(logs[0]))
     for got in (as_mpf(eval_phi_1d(n, x)), row):
         assert abs(got / want - 1) <= tol, (n, x)
+    # in the double range, the plain float too
+    if abs(want) > 2.0 ** -1022:
+        assert abs(phi_row(np.array([x]), n)[0] / want - 1) <= 3e-13, (n, x)
 
 
 def test_table_past_the_gaussian_underflow():
@@ -486,8 +506,9 @@ def test_table_past_the_gaussian_underflow():
     for x in (39.0, 40.0):
         T = phi_table(np.array([x]), 1500)
         for k in (0, 1, 2, 100, 799, 800, 1000, 1500):
-            v, ls = phi_row(np.array([x]), k)
-            want = float(mpmath.mpf(v[0]) * mpmath.exp(ls[0]))
+            _, v, count = phi_pair(np.array([x]), k)
+            scale = -mpmath.mpf(x) ** 2 / 2 + 400 * int(count[0]) * mpmath.log(2)
+            want = float(mpmath.mpf(v[0]) * mpmath.exp(scale))
             assert abs(T[k, 0] - want) <= 1e-13 * abs(want) + 2.0 ** -1074, (x, k)
     assert phi_table(np.array([40.0]), 1500)[800, 0] == pytest.approx(0.2513631, rel=1e-6)
 
@@ -513,19 +534,19 @@ def tail_oracle(k, a):
 @pytest.mark.parametrize("degree", [0, 1, 7, 24])
 def test_tail_integrals_against_mpmath(degree):
     a = np.array([0.0, 0.3, 1.7, 4.2, 9.0])
-    mantissa, logs = phi_tail(a, degree)
-    for ai, m, ls in zip(a.tolist(), mantissa.tolist(), logs.tolist()):
+    for ai, got in zip(a.tolist(), phi_tail(a, degree).tolist()):
         want = tail_oracle(degree, ai)
-        got = mpmath.mpf(m) * mpmath.exp(ls)
         assert abs(got - want) <= 1e-14 * max(abs(want), mpmath.mpf("1e-300")), (degree, ai)
 
 
 def test_tail_integrals_far_out_stay_in_range():
-    # J_0(40) = pi^-1/4 sqrt(pi/2) erfc(40/sqrt 2) is about e^-803.7
-    mantissa, logs = phi_tail(np.array([40.0]), 0)
+    # J_0(40) = pi^-1/4 sqrt(pi/2) erfc(40/sqrt 2) is about e^-803.7, below
+    # the double range: its mantissa is in range, and its plain float is 0
+    mantissa, logs = tail_logs(np.array([40.0]), 0)
     want = mpmath.pi ** -0.25 * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(40 / mpmath.sqrt(2))
     got = mpmath.mpf(mantissa[0]) * mpmath.exp(logs[0])
     assert abs(got - want) <= 1e-13 * want
+    assert phi_tail(np.array([40.0]), 0)[0] == 0.0
 
 
 def test_log_scaled_agrees_with_oracle_far_out():

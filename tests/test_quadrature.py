@@ -60,6 +60,17 @@ def norm_oracle(k, p):
     return float(val ** (mpmath.mpf(1) / p))
 
 
+def power_sum_norm(vals, weights, p):
+    """(sum of weights |vals|^p)^(1/p), summed in logs: the terms
+    t = ln w + p ln|v| less their largest, exponentiated and added by
+    math.fsum, the largest added back after the root.  It shares no code
+    with the routes' power sums."""
+    with np.errstate(divide="ignore"):
+        t = np.log(weights) + p * np.log(np.abs(vals))
+    top = float(np.max(t))
+    return math.exp((top + math.log(math.fsum(np.exp(t - top).tolist()))) / p)
+
+
 def dense_norm(k, p, panels=40_000):
     """||phi_k||_p from composite 16-point Gauss-Legendre on `panels` equal
     panels of [-L, L], L = sqrt(2 (2k + 1)) + 14, not aligned to the zeros.
@@ -69,9 +80,7 @@ def dense_norm(k, p, panels=40_000):
     pi / sqrt(2k + 1) wide, so the sum is converged for p up to 1e4.
     """
     rule = truncated_rule(math.sqrt(2 * (2 * k + 1)) + 14, panels=panels)
-    vals, logs = phi_row(rule.nodes, k)
-    total, shift = _accel.weighted_abs_power_sum(vals, logs, rule.weights, p)
-    return total ** (1 / p) * math.exp(shift / p)
+    return power_sum_norm(phi_row(rule.nodes, k), rule.weights, p)
 
 
 def gauss_hermite_norm(k, p):
@@ -86,9 +95,7 @@ def gauss_hermite_norm(k, p):
     if M % 2:
         weights[0] = w[0]
     scale = math.sqrt(2.0 / p)
-    vals, logs = phi_row(scale * y, k)
-    total, shift = _accel.weighted_abs_power_sum(vals, logs, weights, p)
-    return (scale * total) ** (1 / p) * math.exp(shift / p)
+    return power_sum_norm(phi_row(scale * y, k), scale * weights, p)
 
 
 def sup_oracle(k):
@@ -456,8 +463,7 @@ class TestLpNorms:
         for k in range(nmax + 1):
             i = int(np.argmax(table[k]))
             fine = np.linspace(coarse[max(i - 1, 0)], coarse[i + 1], 2001)
-            vals, logs = phi_row(fine, k)
-            dense = float(np.max(np.abs(vals) * np.exp(logs)))
+            dense = float(np.max(np.abs(phi_row(fine, k))))
             got = lp_norm_1d(k, math.inf)
             assert dense * (1 - 1e-14) <= got <= dense * (1 + 3e-9), k
 
@@ -491,24 +497,25 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("n", [977, 34332, 240326])
     def test_sup_grid_log_scales_are_exact(self, monkeypatch, n):
-        # each log scale on the sup norm's grid, its best point included,
-        # is -x^2/2 + 400 j ln 2 rounded once from the rescale count j
+        # the sup's point is rescaled (j > 0), and its value is the polished
+        # mantissa times e^(-x^2/2) 2^(400 j), from the exact -x^2/2 and the
+        # count j, within 2 ulps of that product in 50 digits
         runs = []
         pair = quad.phi_pair
 
         def recorded(x, m):
             out = pair(x, m)
-            runs.append((x, out[2]))
+            runs.append((x, *out))
             return out
 
         monkeypatch.setattr(quad, "phi_pair", recorded)
-        quad._sup_norm_1d([n])
-        ((grid, logs),) = runs
+        (got,) = quad._sup_norm_1d([n])
+        ((grid, prev, cur, count),) = runs
+        x, j = float(grid[0]), int(count[0])
+        top = quad._sup_polish(n, x, float(prev[0]), float(cur[0]))[1]
         with mpmath.workdps(50):
-            for x, ls in zip(grid.tolist(), logs.tolist()):
-                j = round((ls + 0.5 * x * x) / (400.0 * math.log(2.0)))
-                exact = -mpmath.mpf(x) ** 2 / 2 + 400 * j * mpmath.log(2)
-                assert j > 0 and abs(mpmath.mpf(ls) - exact) <= 2 * math.ulp(ls), (n, x)
+            want = mpmath.mpf(top) * mpmath.exp(-mpmath.mpf(x) ** 2 / 2 + 400 * j * mpmath.log(2))
+            assert j > 0 and abs(got - want) <= 2 * math.ulp(got), (n, x)
 
     def test_sup_norm_at_the_served_edge(self):
         # max |phi_240326| to 40 digits, from the recurrence in 50-digit
@@ -774,10 +781,10 @@ class TestLpNorms:
         from scipy.special import roots_jacobi
 
         x, w = roots_jacobi(quad._PANEL_NODES, 0.0, alpha)
-        t, logw = quad._kink_rule(alpha)
+        t, got = quad._kink_rule(alpha)
         assert np.max(np.abs(t - 0.5 * (1.0 + x))) <= 1e-15
         want = w * 2.0 ** -(alpha + 1.0)
-        assert np.max(np.abs(np.exp(logw) - want)) <= 2e-13 * want.sum()
+        assert np.max(np.abs(got - want)) <= 2e-13 * want.sum()
 
 
 class TestNormSweep:
@@ -843,12 +850,12 @@ class TestNormSweep:
         assert max(errors) <= 4e-15, int(np.argmax(errors))
 
     def test_other_p_take_the_per_degree_norms(self):
-        # p = 1, p = inf and the panels sweep; no point of a sweep is
-        # rescaled up to N = 280 at p = 1 and N = 267 for the panels, whose
-        # tail reaches further out, so it keeps each degree's bits there;
-        # the sup is scaled exactly, whatever the rescalings, at every N
-        cases = [(3.0, 12), (4 / 3, 267), (999.5, 60)] + [
-            (p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280)]
+        # p = 1, p = inf and the panels sweep.  Past N = 280 at p = 1 and
+        # N = 267 for the panels a point of a sweep may be rescaled at
+        # another step than in its own degree's run; every value is scaled
+        # exactly in its rescale count, so each degree keeps its bits
+        cases = [(3.0, 12), (4 / 3, 267), (4 / 3, 290), (999.5, 60)] + [
+            (p, N) for p in (1.0, math.inf) for N in (0, 1, 2, 12, 280, 310)]
         for p, N in cases:
             assert lp_norms_1d(N, p).tolist() == [lp_norm_1d(u, p) for u in range(N + 1)], (p, N)
 
@@ -856,15 +863,11 @@ class TestNormSweep:
                                      (405, 4 / 3), (313, 37.5)])
     def test_sweeps_at_the_served_edges_match_per_degree_norms(self, N, p):
         # past N = 280 (267 for the panels) a point may be rescaled at
-        # another step than in its own degree's run; the first bits moved at
-        # degree 295 (1), 268 (4/3) and 281 (37.5), by at most 2.6e-14
-        # relative.  The sup scales by 2^(400 j) exactly, so it keeps them
+        # another step than in its own degree's run; the values are scaled
+        # exactly in the rescale count, so every degree keeps its bits
         sweep = lp_norms_1d(N, p)
         for u in sorted({*range(0, N + 1, 3), N - 1, N}):
-            if math.isinf(p):
-                assert sweep[u] == lp_norm_1d(u, p), u
-            else:
-                assert sweep[u] == pytest.approx(lp_norm_1d(u, p), rel=1e-13, abs=0), u
+            assert sweep[u] == lp_norm_1d(u, p), u
 
     def test_rules_do_not_depend_on_a_sweep(self):
         # the p = 1 sweep refines its zeros itself and leaves the rule cache alone
@@ -970,7 +973,6 @@ class TestNormSweep:
         # points; its cuts only make the work smaller.
         done, kernels = [], []
         pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
-        even_power = quad._even_power_norms
         row = quad.phi_row
 
         def counted_row(x, n):
@@ -993,20 +995,15 @@ class TestNormSweep:
             done.append(quad._phi_row_work(len(x), int(np.max(n))))
             return tail(x, n)
 
-        def counted_power(vals, logs, weights, p):
+        def counted_power(vals, weights, p):
             done.append(quad._POWER_POINTS * vals.size)
-            return power(vals, logs, weights, p)
-
-        def counted_even_power(rows, weights, p):
-            done.append(quad._POWER_POINTS * rows.size)
-            return even_power(rows, weights, p)
+            return power(vals, weights, p)
 
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
         monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_rows", counted_rows)
         monkeypatch.setattr(quad, "phi_tail", counted_tail)
         monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
-        monkeypatch.setattr(quad, "_even_power_norms", counted_even_power)
         for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
             cache.cache_clear()
         quad._lp_norms_1d_cached.__wrapped__(N, p)
