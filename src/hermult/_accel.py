@@ -18,7 +18,8 @@ integrals int_x^inf phi_k along the loop on the same scale; ``phi_pair``,
 fixed cost per step outweighs its per-point speed, they and ``phi_table``
 run the same steps point by point in Python floats instead
 (``_column_loop``), with the same mantissas up to exact powers of two;
-``phi_rows`` always takes the numpy loop.
+``phi_rows`` always takes the numpy loop, and ``phi_table`` on more
+points is one block of it that holds every row.
 
 One stage turns mantissas into plain floats (``_to_floats``).
 e^(-x^2/2) = frac 2^E is formed once per grid from -x^2/2 in two doubles
@@ -502,7 +503,13 @@ def phi_rows(x, degree, lowest=0):
     each block before asking for the next.
     """
     rows = min(max(1, _BLOCK_POINTS // max(len(x), 1)), degree - lowest + 1)
-    vals = np.empty((rows, len(x)))
+    return _row_blocks(x, degree, lowest, np.empty((rows, len(x))))
+
+
+def _row_blocks(x, degree, lowest, vals):
+    """phi_rows' blocks, filled in the array vals, whose first axis is the
+    rows of a block: phi_table passes one that holds them all."""
+    rows = len(vals)
     gauss = _gauss(x)
     i = start = 0
     count = None
@@ -541,22 +548,6 @@ def _vanishing(x, nmax):
             growth = float(np.maximum(0.0, np.log(c1 + c0 / t) + math.log(t)).sum())
             out[j] = -0.5 * t * t + math.log(_PI_QUARTER) + growth < _VANISH_BELOW
     return out
-
-
-def _vector_mantissas(x, nmax):
-    """Mantissas of phi_0..phi_nmax on the grid x from the one loop.
-
-    Returns (table, changes): table[k, i] is the mantissa of phi_k(x_i),
-    and changes lists (k, count), the rescale counts of every point from
-    row k up to the next entry's row.
-    """
-    table = np.empty((nmax + 1, x.shape[0]))
-    changes = []
-    for k, (_, v, count, _) in enumerate(_recurrence(x, nmax, 0)):
-        if not changes or count is not changes[-1][1]:
-            changes.append((k, count))
-        table[k] = v
-    return table, changes
 
 
 def _rescaling(a, b):
@@ -639,33 +630,36 @@ def _column_loop(x, degrees, table=None, tails=False):
     return state, events
 
 
-def _column_mantissas(x, nmax):
-    """(table, changes) as from _vector_mantissas, built point by point in
-    Python floats (_column_loop); a mantissa is the loop's up to an exact
-    power of two, and its count says which one, so the table built from
-    both is the same."""
+def _column_table(x, nmax):
+    """phi_table on few points: the mantissas from _column_loop, each run of
+    rows that shares the points' rescale counts turned into plain floats
+    at once (_to_floats).  A mantissa is the loop's up to an exact power of
+    two, and its count says which one, so the table is the loop's."""
     table = np.empty((nmax + 1, x.shape[0]))
     events = _column_loop(x, [nmax] * x.shape[0], table)[1]
-    changes = [(0, np.zeros(x.shape[0]))]
+    gauss = _gauss(x)
+    count, start = np.zeros(x.shape[0]), 0
     for k, i, j in sorted(events):
-        if k != changes[-1][0]:
-            changes.append((k, changes[-1][1].copy()))
-        changes[-1][1][i] = j
-    return table, changes
+        if k != start:
+            _to_floats(table[start:k], gauss, count)
+            count, start = count.copy(), k
+        count[i] = j
+    _to_floats(table[start:], gauss, count)
+    return table
 
 
 def phi_table(x, nmax):
     """Plain-float table out[k, i] = phi_k(x_i) for k = 0..nmax.
 
-    The mantissas come from the one loop, or, on grids of fewer than
-    _COLUMN_POINTS points, from the same recurrence run point by point in
-    Python floats (_column_mantissas), where numpy's fixed cost per call
-    outweighs its per-point speed; each run of rows that shares the
-    points' rescale counts is turned into plain floats at once
-    (_to_floats), exactly in the counts, so the two give the same bits.  Entries whose true
-    magnitude is below the double range come out as exact zeros, and so
-    do the columns of the points that _vanishing finds, which never enter
-    a recurrence: huge points and +-inf, where the zero column is the limit.
+    The table is one block of phi_rows' loop that holds all nmax + 1 rows,
+    or, on grids of fewer than _COLUMN_POINTS points, where numpy's fixed
+    cost per call outweighs its per-point speed, the same recurrence run
+    point by point in Python floats (_column_table); both are scaled
+    exactly in the rescale counts, so they give the same bits.  Entries
+    whose true magnitude is below the double range come out as exact
+    zeros, and so do the columns of the points that _vanishing finds,
+    which never enter a recurrence: huge points and +-inf, where the zero
+    column is the limit.
     """
     gone = _vanishing(x, nmax)
     if gone.any():
@@ -673,12 +667,9 @@ def phi_table(x, nmax):
         out = np.zeros((nmax + 1, x.shape[0]))
         out[:, ~gone] = phi_table(x[~gone], nmax)
         return out
-    produce = _column_mantissas if x.shape[0] < _COLUMN_POINTS else _vector_mantissas
-    table, changes = produce(x, nmax)
-    gauss = _gauss(x)
-    ends = [k for k, _ in changes[1:]] + [len(table)]
-    for (k, count), end in zip(changes, ends):
-        _to_floats(table[k:end], gauss, count)
+    if x.shape[0] < _COLUMN_POINTS:
+        return _column_table(x, nmax)
+    (table,) = _row_blocks(x, nmax, 0, np.empty((nmax + 1, x.shape[0])))
     return table
 
 

@@ -69,7 +69,10 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
   evaluated point to the refined zero by its Taylor series from the same
   equation.  This stays in the double range where w underflows.
 
-Half-rules (y >= 0) are cached per M.
+Every zero comes from one batched Halley pass, each guess with its own
+M, which gives a rule's nodes bit for bit whatever rules share it.  Only
+Gauss-Hermite half-rules (y >= 0) are cached, per M: the zeros of the
+p = 1 and panel routes, single norms or sweeps, fill no cache.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
 summability sum needs them.  For even p one grid serves all degrees: that
@@ -281,24 +284,22 @@ def _edge_count(m: int) -> int:
     return max(1, int(0.77 * m ** 0.45))
 
 
-def _rule_constants(M):
+def _rule_constants(M: np.ndarray):
     """(nu, nu^(1/3), nu^(-1/3), nu^(-5/3), nu^(-7/3), edge count) of the
-    rule of M nodes, nu = 2M + 1, in Python floats; for an array of M, one
-    array per constant with an entry per M, each formed once per rule."""
-    if not isinstance(M, np.ndarray):
-        nu = 2.0 * M + 1.0
-        return (nu, nu ** (1.0 / 3.0), nu ** (-1.0 / 3.0), nu ** (-5.0 / 3.0),
-                nu ** (-7.0 / 3.0), _edge_count(M // 2))
+    rule of M nodes, nu = 2M + 1, for an int array of M: one array per
+    constant with an entry per M, each formed once per rule in Python
+    floats."""
     # one rule per run of equal M
     starts = np.flatnonzero(np.diff(M, prepend=-1))
-    rules = [_rule_constants(m) for m in M[starts].tolist()]
+    nus = [(m, 2.0 * m + 1.0) for m in M[starts].tolist()]
+    rules = [(nu, nu ** (1.0 / 3.0), nu ** (-1.0 / 3.0), nu ** (-5.0 / 3.0),
+              nu ** (-7.0 / 3.0), _edge_count(m // 2)) for m, nu in nus]
     return np.repeat(np.array(rules).reshape(-1, 6), np.diff(starts, append=len(M)), axis=0).T
 
 
-def _zero_guesses(M, j: np.ndarray) -> np.ndarray:
+def _zero_guesses(M: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Asymptotic guesses for the positive zeros of H_M, j = 1, 2, ... counting
-    down from the largest; M is an int or an int array with one M per
-    entry of j.
+    down from the largest; M is an int array with one M per entry of j.
 
     x^2 is a zero of the Laguerre polynomial L_m^(alpha), m = M // 2,
     alpha = -1/2 for even M and 1/2 for odd M, whose zeros Gatteschi (near
@@ -308,14 +309,9 @@ def _zero_guesses(M, j: np.ndarray) -> np.ndarray:
     gets the same bits whichever rules share the call.
     """
     constants = _rule_constants(M)
-
-    def of(entries):
-        # the rule constants of the entries picked by the mask
-        return [c[entries] for c in constants] if isinstance(M, np.ndarray) else constants
-
     x2 = np.empty(len(j))
     edge = j <= constants[5]
-    nu, nu13, nu_13, nu_53, nu_73, _ = of(edge)
+    nu, nu13, nu_13, nu_53, nu_73, _ = (c[edge] for c in constants)
     a = _airy_zeros(j[edge])
     c = 2.0 ** (1.0 / 3.0)
     x2[edge] = (
@@ -328,7 +324,7 @@ def _zero_guesses(M, j: np.ndarray) -> np.ndarray:
         return np.sqrt(x2)
     # theta - sin(theta) = pi (4j - 1) / nu by Newton's method from below,
     # where theta^3 / 6 >= theta - sin(theta) puts the start
-    nu = of(~edge)[0]
+    nu = constants[0][~edge]
     rhs = math.pi * (4.0 * j[~edge] - 1.0) / nu
     theta = np.cbrt(6.0 * rhs)
     for _ in range(8):
@@ -349,29 +345,30 @@ def _rule_guesses(rules):
     return _zero_guesses(M, j.astype(float)), M
 
 
-def _halley_nodes(y: np.ndarray, M):
+def _halley_nodes(y: np.ndarray, M: np.ndarray):
     """Zeros of phi_M refined from the guesses y >= 0 by Halley passes; M is
-    an int or an int array with one M per guess, and all the rules take
-    each pass together.
+    an int array with one M per guess, and all the rules take each pass
+    together.
 
     Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs, logs the
     log scale of the evaluated point (_log_scale).  A pass runs the scaled
     recurrence once for the mantissas of phi_M and phi_{M-1};
     phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
     gives the higher derivatives.  The step's cubic error bound decides
-    which nodes are final; only the others take another pass.  phi_M' is
-    carried from the evaluated point to the refined node by the Taylor
-    series the same equation supplies.  A node depends on its guess and M
-    alone: a rescaling multiplies phi_M and phi_{M-1} by one power of two,
-    which leaves the step unchanged.
+    which nodes are final; only the others take another pass, and with no
+    guesses there is no pass.  phi_M' is carried from the evaluated point
+    to the refined node by the Taylor series the same equation supplies.
+    A node depends on its guess and M alone: a rescaling multiplies phi_M
+    and phi_{M-1} by one power of two, which leaves the step unchanged.
     """
     y = np.array(y, dtype=float)
     d = np.empty_like(y)
     logs = np.empty_like(y)
     todo = np.arange(len(y))
     for _ in range(_MAX_NODE_PASSES):
-        x = y[todo]
-        m = M[todo] if isinstance(M, np.ndarray) else M
+        if not len(todo):
+            break
+        x, m = y[todo], M[todo]
         prev, cur, count = phi_pair(x, m)
         dx = np.sqrt(2.0 * m) * prev - x * cur
         q = x * x - (2.0 * m + 1.0)
@@ -383,13 +380,13 @@ def _halley_nodes(y: np.ndarray, M):
         logs[todo] = _log_scale(x, count)
         # Halley's error after the step is |q| / 6 * |h|^3 to leading order
         todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
-        if not len(todo):
-            return y, d, logs
-    missed = sorted(set(np.broadcast_to(M, y.shape)[todo].tolist()))
-    raise ConvergenceError(
-        f"{len(todo)} zeros of phi_M, M in {missed}, missed the stop rule after "
-        f"{_MAX_NODE_PASSES} passes"
-    )
+    if len(todo):
+        missed = sorted(set(M[todo].tolist()))
+        raise ConvergenceError(
+            f"{len(todo)} zeros of phi_M, M in {missed}, missed the stop rule after "
+            f"{_MAX_NODE_PASSES} passes"
+        )
+    return y, d, logs
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
@@ -401,10 +398,10 @@ def roots_hermite(M: int):
     the weight of y for e^{-x^2}; the rule's other nodes are -y.  The
     scaled weights are 2 / phi_M'(y)^2, in range where w underflows.
     """
-    y = _zero_guesses(M, np.arange(M // 2, 0, -1, dtype=float))
+    y, degrees = _rule_guesses([M])
     if M % 2:
-        y = np.concatenate([[0.0], y])
-    y, d, logs = _halley_nodes(y, M)
+        y, degrees = np.concatenate([[0.0], y]), np.append(M, degrees)
+    y, d, logs = _halley_nodes(y, degrees)
     w = 2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs))
     y.flags.writeable = False
     w.flags.writeable = False
@@ -567,13 +564,10 @@ def _degree_arg(per_point: np.ndarray):
 
 def _positive_zeros(degrees) -> np.ndarray:
     """The u // 2 positive zeros of phi_u, increasing, for each u in degrees,
-    as one array: one degree's from its cached rule (roots_hermite), those of
-    several, nonincreasing, from one set of Halley passes over all their
-    rules, which gives each rule's nodes bit for bit."""
-    if len(degrees) > 1:
-        return _halley_nodes(*_rule_guesses(degrees))[0]
-    u = degrees[0]
-    return roots_hermite(u)[0][u % 2:] if u else np.zeros(0)
+    nonincreasing, as one array: one set of Halley passes over all their
+    rules, which gives each rule's nodes bit for bit and leaves the rule
+    cache (roots_hermite) alone."""
+    return _halley_nodes(*_rule_guesses(degrees))[0]
 
 
 def _l1_norm_1d(degrees) -> list[float]:

@@ -279,7 +279,7 @@ class TestGaussHermiteNodes:
         # another pass from the result moves the nodes and weights only by
         # the rounding of the recurrence: 1 ulp up to M = 200, 4 at 3201
         y, w = quad.roots_hermite(M)
-        again, d, logs = quad._halley_nodes(y, M)
+        again, d, logs = quad._halley_nodes(y, np.full(len(y), M))
         assert np.all(np.abs(again - y) <= 4 * np.spacing(y))
         assert np.allclose(2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs)), w, rtol=1e-12, atol=0)
 
@@ -670,7 +670,7 @@ class TestLpNorms:
             return row(x, n)
 
         def counted_pair(x, M):
-            done.append(quad._phi_row_work(len(x), max(M - 1, 0)))
+            done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
             return pair(x, M)
 
         def counted_rows(x, n, lowest=0):
@@ -870,7 +870,8 @@ class TestNormSweep:
             assert sweep[u] == lp_norm_1d(u, p), u
 
     def test_rules_do_not_depend_on_a_sweep(self):
-        # the p = 1 sweep refines its zeros itself and leaves the rule cache alone
+        # the p = 1 and panel norms, single or swept, refine their zeros
+        # themselves and leave the rule cache alone
         def rules():
             return [tuple(a.tobytes() for a in quad.roots_hermite(u))
                     for u in (1, 2, 7, 48, 49, 60, 283, 300)]
@@ -879,17 +880,29 @@ class TestNormSweep:
         alone = rules()
         quad.roots_hermite.cache_clear()
         quad._lp_norms_1d_cached.__wrapped__(300, 1.0)
+        for u in (0, 1, 2, 7, 49, 300):
+            for p in (1.0, 4 / 3, 37.5):
+                quad._lp_norm_1d_cached.__wrapped__(u, p)
         assert quad.roots_hermite.cache_info().currsize == 0
         assert rules() == alone
+
+    def test_rules_without_positive_zeros_take_no_pass(self, monkeypatch):
+        calls = _count_passes(monkeypatch)
+        for rules in ([0], [1], [1, 0]):
+            assert len(quad._halley_nodes(*quad._rule_guesses(rules))[0]) == 0
+        assert calls == []
 
     def test_batched_nodes_are_each_rules_nodes(self):
         # a rescaling multiplies phi_M and phi_{M-1} by one power of two, so
         # the Halley steps, and the nodes, keep their bits at every degree
-        rules = [700, 483, 300, 283, *range(120, 0, -1)]
+        rules = [700, 483, 300, 283, *range(120, -1, -1)]
         nodes = quad._halley_nodes(*quad._rule_guesses(rules))[0]
         parts = np.split(nodes, np.cumsum([u // 2 for u in rules])[:-1])
         for u, part in zip(rules, parts):
-            assert np.array_equal(part, quad.roots_hermite(u)[0][u % 2:]), u
+            alone = quad._halley_nodes(*quad._rule_guesses([u]))[0]
+            assert np.array_equal(alone, part), u
+            if u:
+                assert np.array_equal(part, quad.roots_hermite(u)[0][u % 2:]), u
 
     def test_read_only_and_cached(self):
         a = lp_norms_1d(30, 4.0)
