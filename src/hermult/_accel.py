@@ -27,9 +27,10 @@ e^(-x^2/2) = frac 2^E is formed once per grid from -x^2/2 in two doubles
 or ldexp(m frac, E + 400 j) where that factor is not a normal double.
 The stage is exact in j, so a value does not depend on which step
 rescaled its point.  ``phi_table``, ``phi_rows``, ``phi_row`` and
-``phi_tail`` give plain floats through it; ``phi_pair`` gives the
-mantissas and counts themselves, for the Newton and Halley steps and for
-log scales (``_log_scale``) where a value leaves the double range.
+``phi_tail`` give plain floats through it.  ``phi_pair`` gives the
+mantissas and counts themselves, for the Halley and Newton steps and for
+``eval_phi_1d``; the derivatives, maxima and values formed from them
+leave through the stage too.
 
 The range test rescales the points whose pair maximum
 max(|phi_{k-1}|, |phi_k|), in mantissas, has left [2^-400, 2^400].  With
@@ -74,10 +75,8 @@ _GAUSS_FLOOR = -2.0 ** 26
 _NORMAL_FROM = -708.0
 
 # Between range tests the growth bounds keep every pair maximum inside
-# [2^-_WIDE, 2^_WIDE], and at the last step inside [2^-_LAST, 2^_LAST];
-# the bit to 800 and to 400 covers their rounding.
+# [2^-_WIDE, 2^_WIDE]; the bit to 800 covers their rounding.
 _WIDE = 799.0
-_LAST = 399.0
 
 # On a grid with max |x| below this, one step grows a value by less than
 # 2^399, so the step after a range test stays inside the window.  Other
@@ -158,38 +157,6 @@ def _erfcx(t):
     return out
 
 
-def _half_square(x):
-    """-x^2/2 as two doubles (hi, lo): hi = -0.5 x x, the log scale of a
-    point never rescaled, and lo the rest (0 where x^2 overflows or x is
-    not finite)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        hi = -0.5 * x * x
-        lo = -0.5 * _square(x)[1]
-    lo[~np.isfinite(lo)] = 0.0
-    return hi, lo
-
-
-def _log_scale(x, count):
-    """-x^2/2 + 400 count ln 2, the log scale of a point of rescale count j,
-    rounded once from -x^2/2 = hi + lo (_half_square).
-
-    400 count _LN2_HI is exact, and Knuth's two-sum carries the rounding
-    of its sum with hi into the low parts, so the result is the sum to
-    about 400 |count| 2^-82.  A point with count 0 keeps hi = -0.5 x x; a
-    non-finite one keeps hi + 400 count _LN2_HI.
-    """
-    if not count.any():
-        return -0.5 * x * x
-    hi, lo = _half_square(x)
-    n = _RESCALE_BITS * count
-    a = n * _LN2_HI
-    with np.errstate(invalid="ignore"):
-        s = hi + a
-        b = s - hi
-        low = ((hi - (s - b)) + (a - b)) + (lo + n * _LN2_LO)
-        return np.where(count == 0, hi, np.where(np.isfinite(s), s + low, s))
-
-
 def _coefficients(start, stop):
     """The step coefficients c1 = sqrt(2/(k+1)) and c0 = sqrt(k/(k+1)) for
     k = start, ..., stop - 1, as two arrays."""
@@ -245,12 +212,8 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
     of _CHUNK steps.  After each test, cumulative sums of log2 of the
     growth bounds of the module docstring give the last step before the
     largest pair maximum could pass 2^_WIDE or the smallest fall below
-    2^-_WIDE, and the next test runs there.  The last step is tested too
-    where the bounds do not keep its pair maxima in [2^-400, 2^400], so
-    the last pair leaves the loop with them there, where a log scale
-    formed from its count (_log_scale) loses the fewest bits.  A grid with
-    a non-finite point or max |x| >= _BOUNDED_BELOW is tested at every
-    step.
+    2^-_WIDE, and the next test runs there.  A grid with a non-finite
+    point or max |x| >= _BOUNDED_BELOW is tested at every step.
 
     cuts, (step, n) pairs, drop points whose degree has passed: the loop
     step that forms phi_{step+1} and every later one carry only the first
@@ -327,12 +290,6 @@ def _recurrence(x, degree, lowest, tails=False, cuts=()):
                         leave = min(bisect_right(grow, _WIDE - high),
                                     bisect_right(shrink, low + _WIDE))
                         test_at = max(k + 1, start + leave - 1) if leave < len(grow) else degree
-                        last = degree - 1 - start
-                        if test_at >= degree - 1 and last < len(grow):
-                            # the last step is tested where the bounds let a
-                            # pair maximum end outside [2^-_LAST, 2^_LAST]
-                            out = high + grow[last] > _LAST or low - shrink[last] < -_LAST
-                            test_at = degree - 1 if out else degree
                 if k >= lowest - 1:
                     yield v0, v1, count, t1
 
@@ -349,21 +306,19 @@ def _at_degrees(x, degree, tails=False):
     every degree: it reads each degree's points at its own step and cuts
     the points whose degree has passed, the last ones, once they are a
     quarter of those it carries.  A point's values depend on its own x and
-    degree alone, up to the rescalings, so an int degree and an array of
-    it, or the two loops, give the same bits wherever no point is rescaled.
+    degree alone, up to the rescalings, so the two loops give the same
+    bits wherever no point is rescaled.
     """
-    if isinstance(degree, np.ndarray) and (np.diff(degree) > 0).any():
+    degree = np.broadcast_to(degree, x.shape)
+    if (np.diff(degree) > 0).any():
         raise ValueError("the degrees of the points must not increase")
     if x.size < _COLUMN_POINTS:
-        degrees = degree.tolist() if isinstance(degree, np.ndarray) else [degree] * x.size
+        degrees = degree.tolist()
         state = _column_loop(x, degrees, tails=tails)[0]
         # at degree 0 the seeds phi_0 and J_0 are current, and phi_{-1} = 0
         rows = [(0.0, s[0], s[2], 0.0, s[3]) if d == 0 else s for s, d in zip(state, degrees)]
         prev, cur, count, _, tail = np.array(rows).reshape(-1, 5).T
         return prev, cur, count, tail if tails else None
-    if not isinstance(degree, np.ndarray):
-        ((prev, cur, count, tail),) = _recurrence(x, degree, degree, tails)
-        return prev, cur, count, tail
     outs = [np.empty(x.shape) for _ in range(3)] + [np.empty(x.shape) if tails else None]
     steps = np.diff(degree)
     bounds = [0, *(np.flatnonzero(steps) + 1).tolist(), len(x)]
@@ -387,7 +342,8 @@ def _at_degrees(x, degree, tails=False):
 def _gauss(x):
     """e^(-x^2/2) on the grid x as (frac, expo), the value frac * 2^expo.
 
-    -x^2/2 = hi + lo in two doubles (_half_square), and frac 2^expo is
+    -x^2/2 = hi + lo in two doubles, hi = -0.5 x x and lo the rest from
+    _square (0 where x^2 overflows or x is not finite), and frac 2^expo is
     e^hi (1 + lo).  Where e^hi is a normal double (hi >= _NORMAL_FROM), it
     is split by frexp; below, down to _GAUSS_FLOOR, it is e^r 2^expo with
     expo = floor(hi / ln 2) and r = hi - expo ln 2 formed from the split
@@ -418,7 +374,10 @@ def _gauss(x):
             frac.append(v)
             expo.append(e)
         return np.array(frac), np.array(expo)
-    hi, lo = _half_square(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = -0.5 * x * x
+        lo = -0.5 * _square(x)[1]
+    lo[~np.isfinite(lo)] = 0.0
     frac, expo = np.frexp(np.exp(hi))
     deep = np.flatnonzero(hi < _NORMAL_FROM)
     if len(deep):
@@ -459,8 +418,8 @@ def phi_pair(x, degree):
 
     Returns (previous, current, count) arrays: the mantissas and the
     points' rescale counts j, the values being previous and current times
-    e^(-x^2/2) 2^(400 j), and phi_{-1} = 0.  _log_scale gives their log
-    scale, _to_floats the plain floats.
+    e^(-x^2/2) 2^(400 j), and phi_{-1} = 0.  _to_floats gives the plain
+    floats.
     """
     prev, cur, count, _ = _at_degrees(x, degree)
     return prev, cur, count

@@ -19,7 +19,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._accel import _BOUNDED_BELOW, _log_scale, _vanishing, phi_pair
+from ._accel import (
+    _BOUNDED_BELOW, _LN2_HI, _LN2_LO, _RESCALE_BITS, _gauss, _square, _to_floats, _vanishing,
+    phi_pair,
+)
 # phi_row stays a module attribute for code that looks it up here.
 from ._accel import phi_row  # noqa: F401
 from .errors import CapabilityError, DomainError
@@ -28,6 +31,9 @@ MAX_DEGREE_DEFAULT = 1_000_000
 
 # Refuse to materialize lattice slices larger than this.
 _ENUMERATION_CAP = 50_000_000
+
+# eval_phi_1d gives values below this in log form (_pack's range).
+_PLAIN_FROM = math.exp(-690.0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,14 @@ def _pack(value: float, log_scale: float) -> HermiteValue:
 
 
 def eval_phi_1d(degree: int, x: float, max_degree: int = MAX_DEGREE_DEFAULT) -> HermiteValue:
-    """Evaluate phi_degree(x) via the stable normalized recurrence."""
+    """Evaluate phi_degree(x) via the stable normalized recurrence.
+
+    A value from e^-690 up is the plain float of the scaling stage
+    (_accel._to_floats), so it equals phi_table's entry bit for bit.  A
+    smaller one keeps its log form: the mantissa m of rescale count j
+    stands for m e^(-x^2/2 + 400 j ln 2), that log scale formed from
+    x^2 in two doubles and the split ln 2.
+    """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
         raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
     if degree > max_degree:
@@ -148,7 +161,13 @@ def eval_phi_1d(degree: int, x: float, max_degree: int = MAX_DEGREE_DEFAULT) -> 
     if abs(x) >= _BOUNDED_BELOW and _vanishing(point, int(degree))[0]:
         return HermiteValue(0.0, None)
     _, vals, count = phi_pair(point, int(degree))
-    return _pack(float(vals[0]), float(_log_scale(point, count)[0]))
+    mantissa = float(vals[0])
+    value = float(_to_floats(vals, _gauss(point), count)[0])
+    if abs(value) >= _PLAIN_FROM or mantissa == 0.0:
+        return HermiteValue(value, None)
+    hi, lo = _square(x)
+    n = _RESCALE_BITS * float(count[0])
+    return _pack(mantissa, (n * _LN2_HI - 0.5 * hi) + (n * _LN2_LO - 0.5 * lo))
 
 
 def eval_phi_nd(nu, x: Sequence[float], max_degree: int = MAX_DEGREE_DEFAULT) -> HermiteValue:

@@ -67,7 +67,10 @@ The Gauss-Hermite rules are built here, by ``roots_hermite``:
   is final after one pass, smaller ones after two.
 - Weights: w e^{y^2} = 2 / phi_M'(y)^2, with phi_M' carried from the
   evaluated point to the refined zero by its Taylor series from the same
-  equation.  This stays in the double range where w underflows.
+  equation.  Its mantissa becomes a plain float once per rule, through
+  the scaling stage (``_accel._to_floats``), exactly in the evaluated
+  point's rescale count.  This stays in the double range where w
+  underflows.
 
 Every zero comes from one batched Halley pass, each guess with its own
 M, which gives a rule's nodes bit for bit whatever rules share it.  Only
@@ -129,7 +132,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._accel import (
-    _RUN_POINTS, _gauss, _log_scale, _square, _to_floats, phi_pair, phi_row, phi_rows, phi_tail,
+    _RUN_POINTS, _gauss, _square, _to_floats, phi_pair, phi_row, phi_rows, phi_tail,
     weighted_abs_power_sum,
 )
 from .errors import CapabilityError, ConvergenceError, DomainError
@@ -350,9 +353,11 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
     an int array with one M per guess, and all the rules take each pass
     together.
 
-    Returns (nodes, d, logs) with phi_M'(nodes) = d * e^logs, logs the
-    log scale of the evaluated point (_log_scale).  A pass runs the scaled
-    recurrence once for the mantissas of phi_M and phi_{M-1};
+    Returns (nodes, d, at, count): at is the point each node's last pass
+    evaluated and count that point's rescale count, and d is the mantissa
+    of phi_M'(nodes) on that point's scale, so _to_floats(d, _gauss(at),
+    count) is phi_M' in plain floats.  A pass runs the scaled recurrence
+    once for the mantissas of phi_M and phi_{M-1};
     phi_M' = sqrt(2M) phi_{M-1} - x phi_M, and phi'' = (x^2 - 2M - 1) phi
     gives the higher derivatives.  The step's cubic error bound decides
     which nodes are final; only the others take another pass, and with no
@@ -362,8 +367,7 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
     and phi_{M-1} by one power of two, which leaves the step unchanged.
     """
     y = np.array(y, dtype=float)
-    d = np.empty_like(y)
-    logs = np.empty_like(y)
+    d, at, counts = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     todo = np.arange(len(y))
     for _ in range(_MAX_NODE_PASSES):
         if not len(todo):
@@ -377,7 +381,7 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
         y[todo] = x + h
         d[todo] = dx + h * (q * cur + 0.5 * h * (
             2.0 * x * cur + q * dx + h / 3.0 * (4.0 * x * dx + (2.0 + q * q) * cur)))
-        logs[todo] = _log_scale(x, count)
+        at[todo], counts[todo] = x, count
         # Halley's error after the step is |q| / 6 * |h|^3 to leading order
         todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
     if len(todo):
@@ -386,7 +390,7 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
             f"{len(todo)} zeros of phi_M, M in {missed}, missed the stop rule after "
             f"{_MAX_NODE_PASSES} passes"
         )
-    return y, d, logs
+    return y, d, at, counts
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
@@ -401,8 +405,8 @@ def roots_hermite(M: int):
     y, degrees = _rule_guesses([M])
     if M % 2:
         y, degrees = np.concatenate([[0.0], y]), np.append(M, degrees)
-    y, d, logs = _halley_nodes(y, degrees)
-    w = 2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs))
+    y, d, at, count = _halley_nodes(y, degrees)
+    w = 2.0 / np.square(_to_floats(d, _gauss(at), count))
     y.flags.writeable = False
     w.flags.writeable = False
     return y, w

@@ -32,8 +32,8 @@ GOLDEN = {
         "symbol,dimension,truncation_order,symbol_sum,symbol_tail,diagonal_quadrature,"
         "quadrature_tol,closed_form,symbol_vs_quadrature,symbol_vs_closed,"
         "quadrature_vs_closed\n"
-        "heat:0.7,2,400,0.43444318941654236,2.0258987349535585e-242,0.4344431894165409,1e-08,"
-        "0.43444318941654236,1.4432899320127035e-15,0.0,1.4432899320127035e-15\n"
+        "heat:0.7,2,400,0.43444318941654236,2.0258987349535585e-242,0.4344431894165411,1e-08,"
+        "0.43444318941654236,1.27675647831893e-15,0.0,1.27675647831893e-15\n"
     ),
     "kernel-n2-csv": (
         ["kernel", "--n", "2", "--grid=-1,0.5", "--N", "40", "--format", "csv"],
@@ -50,8 +50,8 @@ GOLDEN = {
     "semigroup-csv": (
         ["semigroup", "--t", "0.5,1", "--format", "csv"],
         "t,symbol_sum,diagonal_quadrature,closed_form,max_abs_discrepancy\n"
-        "0.5,0.9595173756674719,0.9595173756674712,0.959517375667472,7.771561172376096e-16\n"
-        "1.0,0.4254590641196608,0.42545906411966056,0.4254590641196608,2.220446049250313e-16\n"
+        "0.5,0.9595173756674719,0.9595173756674714,0.959517375667472,5.551115123125783e-16\n"
+        "1.0,0.4254590641196608,0.4254590641196606,0.4254590641196608,1.6653345369377348e-16\n"
     ),
     "norms-json": (
         ["norms", "--degrees", "5,10", "--p", "1,4,inf"],

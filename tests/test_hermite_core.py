@@ -28,7 +28,7 @@ from hermult import (
 )
 from hermult import _accel
 from hermult._accel import (
-    _COLUMN_POINTS, _at_degrees, _erfcx, _gauss, _log_scale, _recurrence, _to_floats, phi_pair,
+    _COLUMN_POINTS, _at_degrees, _erfcx, _gauss, _recurrence, _to_floats, phi_pair,
     phi_row, phi_rows, phi_table, phi_tail,
 )
 
@@ -82,15 +82,15 @@ def test_deep_tail_is_log_scaled():
 def reference_recurrence(x, degree):
     """The scaled recurrence with fresh arrays and masks at every step, as
     _accel ran it before its loop went in place; yields (previous, current,
-    log_scale) for degrees 0..degree."""
-    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
-    ls = -0.5 * x * x
+    count) for degrees 0..degree, count the points' rescale counts."""
+    R, RI = 2.0 ** 400, 2.0 ** -400
+    count = np.zeros(x.shape)
     v0 = np.full(x.shape, math.pi ** -0.25)
-    yield np.zeros(x.shape), v0, ls
+    yield np.zeros(x.shape), v0, count
     if degree == 0:
         return
     v1 = x * math.sqrt(2.0) * v0
-    yield v0, v1, ls
+    yield v0, v1, count
     for k in range(1, degree):
         c1 = math.sqrt(2.0 / (k + 1.0))
         c0 = math.sqrt(k / (k + 1.0))
@@ -98,77 +98,44 @@ def reference_recurrence(x, degree):
         m = np.maximum(np.abs(v1), np.abs(v0))
         big = m > R
         if big.any():
-            v0, v1, ls = (np.where(big, v0 * RI, v0), np.where(big, v1 * RI, v1),
-                          np.where(big, ls + RL, ls))
+            v0, v1 = np.where(big, v0 * RI, v0), np.where(big, v1 * RI, v1)
+            count = count + big
         small = (m > 0.0) & (m < RI)
         if small.any():
-            v0, v1, ls = (np.where(small, v0 * R, v0), np.where(small, v1 * R, v1),
-                          np.where(small, ls - RL, ls))
-        yield v0, v1, ls
+            v0, v1 = np.where(small, v0 * R, v0), np.where(small, v1 * R, v1)
+            count = count - small
+        yield v0, v1, count
 
 
 def rescalings(want):
     """Point rescalings (upward, downward) in a run of reference_recurrence,
-    read off the steps of its log scales."""
-    logs = [ls for _, _, ls in want]
-    up = sum(int(np.sum(b > a)) for a, b in zip(logs, logs[1:]))
-    down = sum(int(np.sum(b < a)) for a, b in zip(logs, logs[1:]))
+    read off the steps of its rescale counts."""
+    counts = [j for _, _, j in want]
+    up = sum(int(np.sum(b > a)) for a, b in zip(counts, counts[1:]))
+    down = sum(int(np.sum(b < a)) for a, b in zip(counts, counts[1:]))
     return up, down
 
 
-RESCALE_LOG = 400.0 * math.log(2.0)
-
-
 def loop_rows(x, degree, lowest=0):
-    """(mantissas, log scales) of phi_lowest..phi_degree as the one loop
-    (``_recurrence``) carries them, one row per degree, with the log scale
-    formed from each row's rescale counts (``_log_scale``); the loop works
-    in place, so each row is copied."""
-    steps, counts, logs = [], None, None
-    for _, cur, count, _ in _recurrence(x, degree, lowest):
-        if count is not counts:
-            counts, logs = count, _log_scale(x, count)
-        steps.append((cur.copy(), logs))
-    return np.array([cur for cur, _ in steps]), np.array([ls for _, ls in steps])
+    """(mantissas, rescale counts) of phi_lowest..phi_degree as the one loop
+    (``_recurrence``) carries them, one row per degree; the loop works in
+    place, so each row is copied."""
+    steps = [(cur.copy(), count) for _, cur, count, _ in _recurrence(x, degree, lowest)]
+    return np.array([cur for cur, _ in steps]), np.array([j for _, j in steps])
 
 
-def pair_logs(x, degree):
-    """phi_pair's mantissas with the log scale of their rescale counts."""
-    prev, cur, count = phi_pair(x, degree)
-    return prev, cur, _log_scale(x, count)
-
-
-def tail_logs(x, degree):
-    """phi_tail's mantissas (from _at_degrees) with the log scale of their
-    rescale counts."""
+def tail_counts(x, degree):
+    """phi_tail's mantissas (from _at_degrees) with their rescale counts."""
     _, _, count, tail = _at_degrees(x, degree, tails=True)
-    return tail, _log_scale(x, count)
+    return tail, count
 
 
-def assert_power_of_two_apart(got, got_ls, want, want_ls):
-    """got equals want times an exact 2^(400 d) at every entry, d read off
-    the log scales of the two runs (nan-equal where a grid point is not
-    finite)."""
-    with np.errstate(invalid="ignore"):
-        d = np.rint((want_ls - got_ls) / RESCALE_LOG)
-    d = np.where(np.isfinite(d), d, 0.0).astype(np.int64)
+def assert_power_of_two_apart(got, got_count, want, want_count):
+    """got equals want times an exact 2^(400 d) at every entry, d the
+    difference of the two runs' rescale counts (nan-equal where a grid
+    point is not finite)."""
+    d = (want_count - got_count).astype(np.int64)
     assert np.array_equal(got, np.ldexp(want, 400 * d), equal_nan=True)
-
-
-def assert_exact_log_scales(x, got_ls, want_ls):
-    """Where the reference has not rescaled a point (its log scale is still
-    -0.5 x x), got_ls is bit-identical to it; elsewhere it is within 2 ulps
-    of -x^2/2 + 400 j ln 2 in 50-digit mpmath, j the run's rescale count."""
-    xs = np.broadcast_to(x, got_ls.shape)
-    with np.errstate(invalid="ignore", over="ignore"):
-        ls0 = -0.5 * xs * xs
-        fresh = want_ls == ls0
-        assert np.array_equal(got_ls[fresh], want_ls[fresh])
-        rest = ~fresh & np.isfinite(got_ls)
-        j = np.rint((got_ls[rest] - ls0[rest]) / RESCALE_LOG)
-    for xi, ji, li in set(zip(xs[rest].tolist(), j.tolist(), got_ls[rest].tolist())):
-        exact = -mpmath.mpf(xi) ** 2 / 2 + 400 * int(ji) * mpmath.log(2)
-        assert abs(mpmath.mpf(li) - exact) <= 2 * math.ulp(li), (xi, ji)
 
 
 @pytest.mark.parametrize("points", [1, 65, 1600])
@@ -186,19 +153,13 @@ def test_in_place_loop_keeps_the_bits(points):
     want = list(reference_recurrence(x, 1600))
     assert rescalings(want) == ({1: 2, 65: 153, 1600: 3713}[points], 0)
     want_rows = np.array([cur for _, cur, _ in want])
-    want_logs = np.array([ls for _, _, ls in want])
-    rows, logs = loop_rows(x, 1600)
-    assert_power_of_two_apart(rows, logs, want_rows, want_logs)
-    assert_exact_log_scales(x, logs, want_logs)
+    want_counts = np.array([j for _, _, j in want])
+    rows, counts = loop_rows(x, 1600)
+    assert_power_of_two_apart(rows, counts, want_rows, want_counts)
     for n in (0, 1, 2, 48, 49, 401, 1600):
-        prev, cur, ls = pair_logs(x, n)
-        assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
-        assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
-        assert_exact_log_scales(x, ls, want[n][2])
-        # the last step is tested, so the pair ends inside [2^-400, 2^400]
-        pair_max = np.maximum(np.abs(prev), np.abs(cur))
-        assert np.all((2.0 ** -400 <= pair_max) & (pair_max <= 2.0 ** 400))
-        count = phi_pair(x, n)[2]
+        prev, cur, count = phi_pair(x, n)
+        assert_power_of_two_apart(prev, count, want[n][0], want[n][2])
+        assert_power_of_two_apart(cur, count, want[n][1], want[n][2])
         assert np.array_equal(phi_row(x, n), _to_floats(cur, _gauss(x), count))
 
 
@@ -220,29 +181,29 @@ def test_rows_are_the_table_in_plain_floats():
 
 def reference_tail(x, degree):
     """phi_tail's loop with the range test at every step, beside
-    reference_recurrence; yields (tail, log_scale) for degrees 0..degree."""
-    R, RI, RL = 2.0 ** 400, 2.0 ** -400, 400.0 * math.log(2.0)
-    ls = -0.5 * x * x
+    reference_recurrence; yields (tail, count) for degrees 0..degree."""
+    R, RI = 2.0 ** 400, 2.0 ** -400
+    count = np.zeros(x.shape)
     v0 = np.full(x.shape, math.pi ** -0.25)
     j0 = (math.pi ** -0.25 * math.sqrt(0.5 * math.pi)) * _erfcx(math.sqrt(0.5) * x)
     j1 = math.sqrt(2.0) * v0
-    yield j0, ls
+    yield j0, count
     if degree == 0:
         return
     v1 = x * math.sqrt(2.0) * v0
-    yield j1, ls
+    yield j1, count
     for k in range(1, degree):
         c1 = math.sqrt(2.0 / (k + 1.0))
         c0 = math.sqrt(k / (k + 1.0))
         v0, v1 = v1, x * c1 * v1 - c0 * v0
         j0, j1 = j1, j0 * c0 + v0 * c1
         m = np.maximum(np.abs(v1), np.abs(v0))
-        for mask, f, dl in ((m > R, RI, RL), ((m > 0.0) & (m < RI), R, -RL)):
+        for mask, f, dj in ((m > R, RI, 1), ((m > 0.0) & (m < RI), R, -1)):
             if mask.any():
                 v0, v1 = np.where(mask, v0 * f, v0), np.where(mask, v1 * f, v1)
                 j0, j1 = np.where(mask, j0 * f, j0), np.where(mask, j1 * f, j1)
-                ls = np.where(mask, ls + dl, ls)
-        yield j1, ls
+                count = count + dj * mask
+        yield j1, count
 
 
 SKIP_GRIDS = {
@@ -265,22 +226,18 @@ def test_skipped_range_tests_keep_the_bits(x):
     with np.errstate(invalid="ignore", over="ignore"):
         want = list(reference_recurrence(x, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
-            prev, cur, ls = pair_logs(x, n)
-            assert_power_of_two_apart(prev, ls, want[n][0], want[n][2])
-            assert_power_of_two_apart(cur, ls, want[n][1], want[n][2])
-            assert_exact_log_scales(x, ls, want[n][2])
+            prev, cur, count = phi_pair(x, n)
+            assert_power_of_two_apart(prev, count, want[n][0], want[n][2])
+            assert_power_of_two_apart(cur, count, want[n][1], want[n][2])
         for degree, lowest in ((0, 0), (1, 0), (2, 0), (2, 2), (1200, 2), (1200, 7), (1200, 400)):
-            got, logs = loop_rows(x, degree, lowest)
-            want_logs = np.array([ls for _, _, ls in want[lowest:degree + 1]])
-            assert_power_of_two_apart(got, logs, np.array([cur for _, cur, _ in want[lowest:degree + 1]]),
-                                      want_logs)
-            assert_exact_log_scales(x, logs, want_logs)
+            got, counts = loop_rows(x, degree, lowest)
+            assert_power_of_two_apart(got, counts, np.array([cur for _, cur, _ in want[lowest:degree + 1]]),
+                                      np.array([j for _, _, j in want[lowest:degree + 1]]))
         xt = np.abs(x)
         tails = list(reference_tail(xt, 1200))
         for n in (0, 1, 2, 3, 401, 1200):
-            tail, ls = tail_logs(xt, n)
-            assert_power_of_two_apart(tail, ls, tails[n][0], tails[n][1])
-            assert_exact_log_scales(xt, ls, tails[n][1])
+            tail, count = tail_counts(xt, n)
+            assert_power_of_two_apart(tail, count, tails[n][0], tails[n][1])
 
 
 def test_huge_points_have_zero_table_columns():
@@ -319,25 +276,23 @@ def test_one_degree_per_point_reads_each_at_its_own_step(tails):
     assert values.tolist() == [plain_lone[n][i] for i, n in enumerate(degree.tolist())]
     if tails:
         want = list(reference_tail(x, 1600))
-        got, ls = tail_logs(x, degree)
-        lone = {n: tail_logs(x, n) for n in np.unique(degree).tolist()}
+        got, count = tail_counts(x, degree)
+        lone = {n: tail_counts(x, n) for n in np.unique(degree).tolist()}
         for i, n in enumerate(degree.tolist()):
-            assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][0][i:i + 1],
+            assert_power_of_two_apart(got[i:i + 1], count[i:i + 1], want[n][0][i:i + 1],
                                       want[n][1][i:i + 1])
-            assert_exact_log_scales(x[i:i + 1], ls[i:i + 1], want[n][1][i:i + 1])
             if x[i] < 20.0:
-                assert (got[i], ls[i]) == (lone[n][0][i], lone[n][1][i]), (x[i], n)
+                assert (got[i], count[i]) == (lone[n][0][i], lone[n][1][i]), (x[i], n)
         return
     want = list(reference_recurrence(x, 1600))
-    prev, cur, ls = pair_logs(x, degree)
-    lone = {n: pair_logs(x, n) for n in np.unique(degree).tolist()}
+    prev, cur, count = phi_pair(x, degree)
+    lone = {n: phi_pair(x, n) for n in np.unique(degree).tolist()}
     for i, n in enumerate(degree.tolist()):
         for got, j in ((prev, 0), (cur, 1)):
-            assert_power_of_two_apart(got[i:i + 1], ls[i:i + 1], want[n][j][i:i + 1],
+            assert_power_of_two_apart(got[i:i + 1], count[i:i + 1], want[n][j][i:i + 1],
                                       want[n][2][i:i + 1])
-        assert_exact_log_scales(x[i:i + 1], ls[i:i + 1], want[n][2][i:i + 1])
         if abs(x[i]) < 20.0:
-            assert (prev[i], cur[i], ls[i]) == tuple(a[i] for a in lone[n]), (x[i], n)
+            assert (prev[i], cur[i], count[i]) == tuple(a[i] for a in lone[n]), (x[i], n)
     assert all(len(a) == 0 for a in phi_pair(np.array([]), np.array([], dtype=int)))
 
 
@@ -362,10 +317,10 @@ def test_table_on_the_one_loop_keeps_the_bits(x):
         assert np.array_equal(got, stacked_rows(x, nmax)), nmax
         if not far:
             continue
-        mantissas, logs = loop_rows(x, nmax)
+        mantissas, counts = loop_rows(x, nmax)
         for k in sorted({min(k, nmax) for k in (1, 2, nmax)} | set(range(0, nmax, 97))):
             for i in far:
-                j = round((logs[k, i] + 0.5 * x[i] * x[i]) / RESCALE_LOG)
+                j = int(counts[k, i])
                 scale = -mpmath.mpf(x[i]) ** 2 / 2 + 400 * j * mpmath.log(2)
                 want = mpmath.mpf(mantissas[k, i]) * mpmath.exp(scale)
                 # one rounding to the double range, after at most 3 ulps
@@ -410,9 +365,9 @@ def test_table_within_two_ulps_of_its_mantissas_at_degree_400():
         xm = mpmath.mpf(x)
         for grid in (np.array([x]), np.concatenate(([x], np.linspace(-3.0, 3.0, _COLUMN_POINTS)))):
             got = phi_table(grid, 400)[:, 0]
-            mantissas, logs = loop_rows(grid, 400)
+            mantissas, counts = loop_rows(grid, 400)
             for k in range(401):
-                j = round((logs[k, 0] + 0.5 * x * x) / RESCALE_LOG)
+                j = int(counts[k, 0])
                 want = mpmath.mpf(mantissas[k, 0]) * mpmath.exp(-xm * xm / 2 + 400 * j * mpmath.log(2))
                 assert abs(got[k] - want) <= 2 * math.ulp(float(want)), (x, len(grid), k)
         with mpmath.workdps(40):
@@ -439,8 +394,8 @@ def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
     # _at_degrees runs fewer than _COLUMN_POINTS points in Python floats
     # and more on the numpy loop.  Run through each on the same points, at
     # an int degree and at one degree per point, the two give the same
-    # mantissas and tails up to exact powers of two, with exact log scales;
-    # the far points are rescaled many times
+    # mantissas and tails up to exact powers of two, which their rescale
+    # counts tell; the far points are rescaled many times
     x = np.abs(x) if tails else x
     per_point = np.sort(np.random.default_rng(len(x)).choice(
         [0, 1, 2, 3, 401, 1600, 5000], len(x)))[::-1]
@@ -452,14 +407,13 @@ def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
         for size in (0, len(x) + 1):
             monkeypatch.setattr(_accel, "_COLUMN_POINTS", size)
             prev, cur, count, tail = _at_degrees(x, degree, tails)
-            runs.append((prev, cur, _log_scale(x, count), tail))
+            runs.append((prev, cur, count, tail))
             values.append(plain(x, degree))
-        (prev, cur, ls, tail), (*vector, vector_tail) = runs
-        assert_power_of_two_apart(prev, ls, vector[0], vector[2])
-        assert_power_of_two_apart(cur, ls, vector[1], vector[2])
-        assert_exact_log_scales(x, ls, vector[2])
+        (prev, cur, count, tail), (*vector, vector_tail) = runs
+        assert_power_of_two_apart(prev, count, vector[0], vector[2])
+        assert_power_of_two_apart(cur, count, vector[1], vector[2])
         if tails:
-            assert_power_of_two_apart(tail, ls, vector_tail, vector[2])
+            assert_power_of_two_apart(tail, count, vector_tail, vector[2])
         else:
             assert tail is None and vector_tail is None
         assert np.array_equal(values[0], values[1])
@@ -489,11 +443,12 @@ def test_single_points_at_high_degree(n, x):
     # floats: in the oscillatory region, near the turning point
     # sqrt(2n + 1) and deep in the tail.  The bound covers the recurrence's
     # rounding (at most 2.4e-13 here, as from the numpy loop) and, in the
-    # tail, the log scale's, |ln phi| 2^-52
+    # tail, that of eval_phi_1d's log scale, |ln phi| 2^-52
     want = mpmath.mpf(SINGLE_POINTS[n, x])
     tol = 3e-13 + abs(float(mpmath.log(abs(want)))) * 2.0 ** -52
-    _, vals, logs = pair_logs(np.array([x]), n)
-    row = mpmath.mpf(float(vals[0])) * mpmath.exp(float(logs[0]))
+    _, vals, count = phi_pair(np.array([x]), n)
+    scale = -mpmath.mpf(x) ** 2 / 2 + 400 * int(count[0]) * mpmath.log(2)
+    row = mpmath.mpf(float(vals[0])) * mpmath.exp(scale)
     for got in (as_mpf(eval_phi_1d(n, x)), row):
         assert abs(got / want - 1) <= tol, (n, x)
     # in the double range, the plain float too
@@ -542,11 +497,26 @@ def test_tail_integrals_against_mpmath(degree):
 def test_tail_integrals_far_out_stay_in_range():
     # J_0(40) = pi^-1/4 sqrt(pi/2) erfc(40/sqrt 2) is about e^-803.7, below
     # the double range: its mantissa is in range, and its plain float is 0
-    mantissa, logs = tail_logs(np.array([40.0]), 0)
+    mantissa, count = tail_counts(np.array([40.0]), 0)
     want = mpmath.pi ** -0.25 * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(40 / mpmath.sqrt(2))
-    got = mpmath.mpf(mantissa[0]) * mpmath.exp(logs[0])
+    scale = -mpmath.mpf(40) ** 2 / 2 + 400 * int(count[0]) * mpmath.log(2)
+    got = mpmath.mpf(mantissa[0]) * mpmath.exp(scale)
     assert abs(got - want) <= 1e-13 * want
     assert phi_tail(np.array([40.0]), 0)[0] == 0.0
+
+
+def test_eval_phi_1d_is_the_table_entry():
+    # eval_phi_1d and phi_table on one point run the same steps and the
+    # same scaling stage, so a value that leaves in plain form is the
+    # table's entry bit for bit, on a ladder of degrees and far out
+    compared = 0
+    for n in (0, 1, 2, 3, 7, 10, 48, 49, 200, 401, 1000, 2000):
+        for x in np.linspace(-80.0, 80.0, 41).tolist() + [0.3, 5.5, 13.2, 29.9]:
+            hv = eval_phi_1d(n, x)
+            if hv.log_scale is None:
+                assert hv.value == phi_table(np.array([x]), n)[n, 0], (n, x)
+                compared += 1
+    assert compared >= 250
 
 
 def test_log_scaled_agrees_with_oracle_far_out():

@@ -279,9 +279,26 @@ class TestGaussHermiteNodes:
         # another pass from the result moves the nodes and weights only by
         # the rounding of the recurrence: 1 ulp up to M = 200, 4 at 3201
         y, w = quad.roots_hermite(M)
-        again, d, logs = quad._halley_nodes(y, np.full(len(y), M))
+        again, d, at, count = quad._halley_nodes(y, np.full(len(y), M))
         assert np.all(np.abs(again - y) <= 4 * np.spacing(y))
-        assert np.allclose(2.0 * np.exp(-2.0 * (np.log(np.abs(d)) + logs)), w, rtol=1e-12, atol=0)
+        d = _accel._to_floats(d, _accel._gauss(at), count)
+        assert np.allclose(2.0 / (d * d), w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("M", [150, 600, 2000])
+    def test_weights_against_a_40_digit_recurrence(self, M):
+        # w e^{y^2} = 2 / phi_M'(y)^2 with phi_M' = sqrt(2M) phi_{M-1} - y phi_M
+        # from the recurrence in 40 digits, at 12 nodes from 0 to the largest:
+        # at most 7.6e-15, 3.1e-14 and 1.9e-14 when written (9.5e-14 at
+        # M = 2000 when phi_M' was taken through a log scale)
+        y, w = quad.roots_hermite(M)
+        for i in np.unique(np.linspace(0, len(y) - 1, 12).astype(int)).tolist():
+            x = mpmath.mpf(y[i])
+            prev, cur = 0, mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+            for k in range(M):
+                c1, c0 = mpmath.sqrt(mpmath.mpf(2) / (k + 1)), mpmath.sqrt(mpmath.mpf(k) / (k + 1))
+                prev, cur = cur, x * c1 * cur - c0 * prev
+            want = 2 / (mpmath.sqrt(2 * M) * prev - x * cur) ** 2
+            assert abs(w[i] - want) <= 4e-14 * want, (M, y[i])
 
     def test_half_rules_are_cached_read_only(self):
         y, w = quad.roots_hermite(33)
