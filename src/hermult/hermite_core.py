@@ -14,6 +14,7 @@ naive overflow/underflow limits stay meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -148,8 +149,7 @@ def eval_phi_1d(degree: int, x: float, max_degree: int = MAX_DEGREE_DEFAULT) -> 
     stands for m e^(-x^2/2 + 400 j ln 2), that log scale formed from
     x^2 in two doubles and the split ln 2.
     """
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
+    degree = _check_order(degree, 0, "degree")
     if degree > max_degree:
         raise CapabilityError(f"degree {degree} exceeds the configured maximum {max_degree}")
     x = float(x)
@@ -195,11 +195,17 @@ def _level_count(n: int, k: int) -> int:
     return math.comb(k + n - 1, n - 1)
 
 
+def _check_order(N, floor: int = 0, name: str = "truncation order") -> int:
+    """An integer argument (an order, a dimension, a count) as an int;
+    anything but an integer >= floor, bool included, is refused."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < floor:
+        raise DomainError(f"{name} must be an integer >= {floor}, got {N!r}")
+    return int(N)
+
+
 def _check_dims(n: int, order: int):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"dimension must be a positive int, got {n!r}")
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 0:
-        raise DomainError(f"order must be a nonnegative int, got {order!r}")
+    _check_order(n, 1, "dimension")
+    _check_order(order, 0, "order")
 
 
 def _level_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:

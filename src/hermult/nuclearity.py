@@ -43,9 +43,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .hermite_core import as_entries
+from .hermite_core import _check_order, as_entries
 from .quadrature import (
-    _exact_exponent, _norm_case, check_sweep_budget, lp_norm_1d, lp_norms_1d,
+    _exact_exponent, _float_exponent, _norm_case, check_budget, lp_norm_1d, lp_norms_1d,
 )
 from .spectral_ops import Symbol, _exp_polylog_tail, lattice_sum
 
@@ -137,8 +137,7 @@ def classify_regime(p1, p2, r, k: int = 10) -> RegimeCase:
             hypothesis=_P1_HYPOTHESIS,
         )
     p2f, rf = _p2_and_r(p2, r)
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"cutoff k must be an integer >= 2, got {k!r}")
+    k = _check_order(k, 2, "cutoff k")
     p1_conj = p1f / (p1f - 1)
     (regime2, e2, lam2), (regime1, e1, lam1) = _norm_case(p2f), _norm_case(p1_conj)
     return RegimeCase(
@@ -168,8 +167,7 @@ class PartitionCell:
 
 def partition_cell_of(nu, k: int) -> int:
     """Number of entries <= k."""
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"cutoff k must be an integer >= 2, got {k!r}")
+    k = _check_order(k, 2, "cutoff k")
     entries = as_entries(nu)
     return sum(1 for u in entries if u <= k)
 
@@ -281,13 +279,6 @@ class CriterionReport(_Report):
 def _check_tol(tol) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-
-
-def _check_order(N, floor: int = 0) -> int:
-    """A truncation order as an int; anything but an integer >= floor is refused."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < floor:
-        raise DomainError(f"truncation order must be an integer >= {floor}, got {N!r}")
-    return int(N)
 
 
 def _criterion_tail(m: Symbol, N: int, r: float, weight, exp_tail):
@@ -435,17 +426,13 @@ def kappa_sum(m: Symbol, case: RegimeCase, N: int | None = None,
     )
 
 
-def _float_exponent(p) -> float:
-    return float(p) if p != math.inf else math.inf
-
-
 def _sr_factors(p2, p1_conj, r: float, top: int) -> np.ndarray:
     """(||phi_u||_{p2} ||phi_u||_{p1'})^r for u = 0..top, from one lp_norms_1d
     array per exponent; refused before any norm is computed when either
     array is over the work budget."""
     ps = (_float_exponent(p2), _float_exponent(p1_conj))
     for p in ps:
-        check_sweep_budget(top, p)
+        check_budget(top, p, top + 1)
     a, b = (lp_norms_1d(top, p).tolist() for p in ps)
     return np.array([(x * y) ** r for x, y in zip(a, b)])
 

@@ -1,6 +1,6 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of five routes (``_norm_route``), at even p by
+``lp_norm_1d`` takes one of five routes (``_route``), at even p by
 the route rule below.  None refines, so the tolerance is only validated.
 
 - p = 2: the Hermite functions are orthonormal, so ||phi_n||_2 = 1 at
@@ -101,15 +101,15 @@ the per-degree bits at every N.  Norms are cached per (n, p) and sweeps
 per (N, p), 16 of them; each sweep depends on N alone, so no result
 depends on what was computed before.
 
-Each route estimates its recurrence work in point-steps, and a norm
-whose estimate exceeds ``NORM_WORK_BUDGET`` is refused with
-``CapabilityError`` before any recurrence work.  A sweep is admitted by
-the work of all its norms: the even-p sweep's run and N + 1 row power
-sums, or the sum of the per-degree estimates.  The route rule: p = 2
-takes its exact route, at every degree up to MAX_DEGREE_DEFAULT; at
-other even p a norm or a sweep takes the grid when its estimate is
-within the budget and, with each route's row power sums counted (N + 1
-rows, one for a norm), no larger than the panels'; ties go to the grid.
+A norm and a sweep are charged by one estimate (``_route``), in
+point-steps: the kernel calls the route makes, each its top degree times
+(its points + _STEP_POINTS), and _POWER_POINTS a value of each row power
+sum.  A request whose estimate exceeds ``NORM_WORK_BUDGET`` is refused
+with ``CapabilityError`` before any recurrence work.  The route rule:
+p = 2 takes its exact route, at every degree up to MAX_DEGREE_DEFAULT; at
+other even p a norm or a sweep takes the grid when its estimate is within
+the budget and no larger than the panels', each with its row power sums
+(N + 1 rows, one for a norm); ties go to the grid.
 
 The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 (Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
@@ -137,26 +137,20 @@ from ._accel import (
 )
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
-from .hermite_core import MAX_DEGREE_DEFAULT, as_entries, eval_phi_1d  # noqa: F401
+from .hermite_core import MAX_DEGREE_DEFAULT, _check_order, as_entries, eval_phi_1d  # noqa: F401
 
 _GH_MAX_NODES = 10_000
 
-# Recurrence work of a norm is counted in point-steps: a phi_row call over
-# P points at degree n costs n * (P + _STEP_POINTS), because each step of
-# the vectorized recurrence has a fixed cost.  It was about that of 4096
-# point updates when the range test ran at every step (19 us against
-# 4.5 ns per point on a 2-vCPU Xeon).  With the test on a few steps,
-# measured on 2 vCPUs of a shared host at degree 2000, a numpy step costs
-# 3.6-6.2 us at 1 point, 2.3-4.2 us at 65, 2.5-4.8 us at 400, 5.0-7.6 us
-# at 2,400 and 25-31 us at 20,000: 1.2-1.6 ns a point past a few hundred
-# points, dearer in cache below.  Fewer than _COLUMN_POINTS points run in
-# Python floats, at 175-255 ns a point-step.  The constant is kept, so
-# that the routes and the largest degrees served stay where they were.
+# Recurrence work is counted in point-steps: a kernel call over P points
+# whose top degree is n costs n * (P + _STEP_POINTS), for the fixed cost
+# of a step, once that of 4096 point updates (2-vCPU Xeon).  On 2 vCPUs of
+# a shared host at degree 2000 a numpy step now costs 3.6-6.2 us at 1
+# point, 2.5-4.8 us at 400 and 25-31 us at 20,000; fewer than
+# _COLUMN_POINTS points run in Python floats, at 175-255 ns a point-step.
 _STEP_POINTS = 4096
-# Work above which a norm is refused; it was set when the recurrence took
-# 4-15 s for it on that machine.  The largest degrees served at p = 1 and
-# p = 4 (27,790 and 25,872) now take 1.3-2.3 s, and the sup's (244,081)
-# about 0.04 s.
+# Work above which a request is refused, set when the recurrence took
+# 4-15 s for it.  The largest degrees served at p = 1 and p = 4 (27,790 and
+# 25,870) take 0.9-1.3 s, and the sweep at p = 1 to 1,254 2.4 s.
 NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
@@ -170,12 +164,9 @@ _TAIL_MARGIN = 6.0
 # its memory (180 MB at the peak), whatever its work: the budget would admit
 # 6e7 panel points at degree 0 and p = 1e12.  Served edges stay below it.
 _MAX_POINTS = 1 << 21
-# A weighted power sum over a row is charged four recurrence point-steps
-# a value.  The panels' log-and-exp sum cost about that when this was set
-# (21 ns against 5-6 ns); the even grid's repeated squaring costs 4 to 16
-# point-steps a value, the most on small sweeps (ROADMAP item 4).  The
-# constant is kept, so that the routes and the largest degrees served
-# stay where they were.
+# A weighted power sum over a row is charged four point-steps a value,
+# what the panels' log-and-exp sum cost when this was set; the repeated
+# squaring costs 4 to 16, the most on small sweeps and at large p.
 _POWER_POINTS = 4
 # Entries of the norm cache: an s_r_sum at N = 200 computes about 400.
 _NORM_CACHE_SIZE = 4096
@@ -429,9 +420,7 @@ def truncated_rule(radius: float, panels: int = 64, order: int = 16) -> Quadratu
     radius = float(radius)
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    for name, value in (("panels", panels), ("order", order)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-            raise DomainError(f"{name} must be an int >= 1, got {value!r}")
+    panels, order = _check_order(panels, 1, "panels"), _check_order(order, 1, "order")
     if order > _TRUNCATED_MAX_ORDER or panels * order > _TRUNCATED_MAX_NODES:
         raise CapabilityError(
             f"a rule of {panels} panels of order {order} exceeds order {_TRUNCATED_MAX_ORDER} "
@@ -727,94 +716,75 @@ def _sup_polish(degree: int, x0: float, prev: float, cur: float):
     return x_star, abs(top)
 
 
-def _node_work(M: int, points: int) -> float:
-    """Point-steps of the Halley passes for `points` zeros of phi_M; each
-    pass runs the recurrence loop M - 1 times."""
-    passes = 1 if M >= _ONE_PASS_NODES else 2
-    return passes * _phi_row_work(points, max(M - 1, 0))
+def _half_sum(n: int, up: bool = False) -> int:
+    """The sum of u // 2 over u = 0..n, or of u - u // 2 if up; 0 for n < 0."""
+    return ((n + up) // 2) * ((n + 1 + up) // 2)
 
 
-def _panel_work(degree: int, p: float, rows: int = 0) -> float:
-    """Point-steps of the panel route at degree: the n-node rule's pass, the
-    run over its points and `rows` row power sums; inf past _MAX_POINTS."""
+def _halley_work(top: int, low: int) -> float:
+    """Point-steps of the Halley calls for the zeros of phi_u, u = low..top:
+    one over every rule and one over those below _ONE_PASS_NODES, each one
+    step short of its largest M and charged u - u // 2 points a rule."""
+    below = _half_sum(low - 1, True)
+    work = _phi_row_work(_half_sum(top, True) - below, top - 1 if top else 0)
+    if (hi := top if top < _ONE_PASS_NODES else _ONE_PASS_NODES - 1) >= low:
+        work += _phi_row_work(_half_sum(hi, True) - below, hi - 1 if hi else 0)
+    return work
+
+
+def _panel_work(top: int, low: int, p: float, limit: float) -> float:
+    """Point-steps of the panel route for u = low..top: the Halley calls,
+    the phi_row calls as _panel_norm_1d groups the degrees, and the power
+    sums; inf past _MAX_POINTS.  Once past limit, with the pending call's
+    points so far, the sum stops."""
     s = _pieces(p)
-    # degree - 1 half-lobes of s pieces, and the tail
-    points = _PANEL_NODES * (s * max(degree - 1, 0) + _tail_pieces(degree, s))
-    if points > _MAX_POINTS:
-        return math.inf
-    return (_node_work(degree, degree - degree // 2) + _phi_row_work(points, degree)
-            + _POWER_POINTS * rows * points)
-
-
-def _norm_route(degree: int, p: float):
-    """(route, estimated point-steps of recurrence work) of one norm, by
-    the route rule of the module docstring.  The estimate counts the runs
-    the route makes: none at p = 2; the sup's run at one point; the run
-    over the even grid; or the n-node rule's pass and the run over its
-    zeros or the panel points.
-    """
-    if p == 2.0:
-        return "unit", 0.0
-    if math.isinf(p):
-        return "sup", _phi_row_work(1, degree)
-    if p == 1.0:
-        return "zeros", (_node_work(degree, degree - degree // 2)
-                         + _phi_row_work(degree // 2 + 1, degree))
-    if p % 2.0 == 0.0 and (grid := _even_work(degree, p)) <= NORM_WORK_BUDGET and (
-            _even_work(degree, p, 1) <= _panel_work(degree, p, 1)):
-        return "even", grid
-    return "panels", _panel_work(degree, p)
+    work, size, lead = _halley_work(top, low), 0, top
+    for u in range(top, low - 1, -1):
+        if work + (_phi_row_work(size, lead) if size else 0.0) > limit:
+            break
+        # u - 1 half-lobes of s pieces, and the tail
+        points = _PANEL_NODES * (s * max(u - 1, 0) + _tail_pieces(u, s))
+        if points > _MAX_POINTS:
+            return math.inf
+        work, size = work + _POWER_POINTS * points, size + points
+        if size >= _RUN_POINTS or u == low:
+            work, size, lead = work + _phi_row_work(size, lead), 0, u - 1
+    return work + (_phi_row_work(size, lead) if size else 0.0)
 
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
-def _sweep_route(N: int, p: float):
-    """(route, estimated point-steps) of lp_norms_1d(N, p).
-
-    p = 2 takes its exact route.  At other even p the route rule weighs
-    the grid of degree N against the per-degree panel estimates; a panel
-    sweep, and every other one, is admitted by the sum of its N + 1
-    norms' estimates.  The sums run from
-    degree N down, largest first, and stop once past their limit; their
-    terms are whole numbers below 2^53, so each total is exact in any
-    order.  Cached: s_r_sum's check and lp_norms_1d's cost one estimate.
-    """
+def _route(top: int, p: float, rows: int = 1):
+    """(route, point-steps of the kernel calls it makes) for the norms of
+    phi_u, u from top down `rows` degrees: one for lp_norm_1d, top + 1 for
+    lp_norms_1d; by the route rule of the module docstring.  The sup makes
+    one call at one point per nonzero degree, p = 1 its Halley calls and
+    one phi_tail call, the grid one run.  Cached: s_r_sum's check and
+    lp_norms_1d's cost one estimate."""
+    low = top - rows + 1
     if p == 2.0:
         return "unit", 0.0
-    even = p % 2.0 == 0.0
-    grid = _even_work(N, p, N + 1) if even else math.inf
-    # a grid over the budget leaves the sweep to the panels' own estimate
-    rows = int(grid <= NORM_WORK_BUDGET)
-    limit = min(grid, NORM_WORK_BUDGET)
-    total = 0.0
-    for u in range(N, -1, -1):
-        total += _panel_work(u, p, rows) if even else _norm_route(u, p)[1]
-        if total > limit:
-            break
-    if even and grid <= total:
+    if math.isinf(p):
+        return "sup", _phi_row_work(rows - (low == 0), top)
+    if p == 1.0:
+        tails = _half_sum(top) - _half_sum(low - 1) + rows
+        return "zeros", _halley_work(top, low) + _phi_row_work(tails, top)
+    grid = _even_work(top, p, rows) if p % 2.0 == 0.0 else math.inf
+    panels = _panel_work(top, low, p, grid if grid < NORM_WORK_BUDGET else NORM_WORK_BUDGET)
+    if grid <= panels and grid <= NORM_WORK_BUDGET:
         return "even", grid
-    return ("panels" if even else _norm_route(N, p)[0]), total
+    return "panels", panels
 
 
-def check_norm_budget(degree: int, p: float) -> str:
-    """The route of ||phi_degree||_p; raises CapabilityError when its
-    estimated recurrence work exceeds NORM_WORK_BUDGET."""
-    route, work = _norm_route(degree, p)
+def check_budget(top: int, p: float, rows: int = 1) -> str:
+    """The route of the norms of phi_u for the `rows` degrees u from top
+    down (_route); raises CapabilityError when their estimated recurrence
+    work exceeds NORM_WORK_BUDGET."""
+    route, work = _route(top, p, rows)
     if work > NORM_WORK_BUDGET:
+        what = f"||phi_{top}||_{p}" if rows == 1 else f"||phi_u||_{p} for u <= {top}"
         raise CapabilityError(
-            f"||phi_{degree}||_{p} needs about {work:.2g} point-steps of recurrence work, "
+            f"{what} needs at least {work:.2g} point-steps of recurrence work, "
             f"above the budget {NORM_WORK_BUDGET:.0e}"
-        )
-    return route
-
-
-def check_sweep_budget(N: int, p: float) -> str:
-    """The route of lp_norms_1d(N, p); raises CapabilityError when its
-    estimated recurrence work, all N + 1 norms, exceeds NORM_WORK_BUDGET."""
-    route, work = _sweep_route(N, p)
-    if work > NORM_WORK_BUDGET:
-        raise CapabilityError(
-            f"||phi_u||_{p} for u <= {N} need more than {NORM_WORK_BUDGET:.0e} point-steps "
-            f"of recurrence work in all"
         )
     return route
 
@@ -828,29 +798,36 @@ _ROUTES = {"unit": lambda degrees, p: [1.0] * len(degrees),
 
 @functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
 def _lp_norm_1d_cached(degree: int, p: float) -> float:
-    return _ROUTES[check_norm_budget(degree, p)]([degree], p)[0]
+    return _ROUTES[check_budget(degree, p)]([degree], p)[0]
 
 
 @functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _lp_norms_1d_cached(degree: int, p: float) -> np.ndarray:
-    norms = np.array(_ROUTES[check_sweep_budget(degree, p)](range(degree, -1, -1), p)[::-1])
+    norms = np.array(_ROUTES[check_budget(degree, p, degree + 1)](range(degree, -1, -1), p)[::-1])
     norms.flags.writeable = False
     return norms
 
 
+def _float_exponent(p) -> float:
+    """p as a float; an exponent past the double range is refused."""
+    try:
+        return float(p)
+    except OverflowError:
+        raise CapabilityError("the exponent p is past the double range") from None
+
+
 def _norm_args(degree, p, tol):
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative int, got {degree!r}")
+    degree = _check_order(degree, 0, "degree")
     if degree > MAX_DEGREE_DEFAULT:
         raise CapabilityError(f"degree {degree} exceeds {MAX_DEGREE_DEFAULT}")
     if not isinstance(p, numbers.Real) or isinstance(p, bool):
         raise DomainError(f"p must be a real number, got {p!r}")
-    p = float(p)
+    p = _float_exponent(p)
     if not (p >= 1.0):
         raise DomainError(f"p must be in [1, inf], got {p}")
     if not 1e-14 < tol < 1e-2:
         raise DomainError(f"tol must be in (1e-14, 1e-2), got {tol}")
-    return int(degree), p
+    return degree, p
 
 
 def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
@@ -858,9 +835,10 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 
     By the routes and the route rule of the module docstring; none
     refines, so ``tol`` is only validated.  Raises CapabilityError, before
-    any recurrence work, when the estimated work exceeds NORM_WORK_BUDGET
-    point-steps (for example degree 10**6 at p = 4, degree 10**5 at p = 1,
-    or degree 10**4 at p = 5/2).
+    any recurrence work, when the kernel calls of the route (check_budget)
+    exceed NORM_WORK_BUDGET point-steps (for example degree 10**6 at p = 4,
+    degree 10**5 at p = 1, or degree 10**4 at p = 5/2), or when p is past
+    the double range.
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -873,10 +851,10 @@ def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     bit for bit where that takes the grid too) or the panels.  The other
     routes share recurrence runs over the points of all degrees, and give
     lp_norm_1d's norms bit for bit.
-    Raises CapabilityError, before any recurrence work, when the estimated
-    work of all N + 1 norms exceeds NORM_WORK_BUDGET: the run's and the
-    N + 1 row power sums' for the even-p sweep, the sum of the per-degree
-    estimates otherwise.
+    Raises CapabilityError, before any recurrence work, when the kernel
+    calls the sweep makes for all N + 1 norms and its N + 1 row power sums
+    (check_budget(N, p, N + 1)) exceed NORM_WORK_BUDGET, or when p is past
+    the double range.
     """
     return _lp_norms_1d_cached(*_norm_args(N, p, tol))
 
@@ -953,8 +931,7 @@ def norm_model(nu_1d, p: float, k: int = 10) -> float:
     nu = float(nu_1d)
     if nu < 0 or not math.isfinite(nu):
         raise DomainError(f"degree must be nonnegative and finite, got {nu_1d!r}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise DomainError(f"cutoff k must be an int >= 2, got {k!r}")
+    _check_order(k, 2, "cutoff k")
     e, lam = norm_law(p)
     if nu <= k:
         return _lp_norm_1d_cached(int(k), float(p))
@@ -982,7 +959,7 @@ def norm_estimate(nu, p: float, k: int = 10, tol: float = 1e-8) -> NormEstimate:
     """Bundle the quadrature norm of phi_nu with its model value, both at
     the float p the norm is computed at; the model reads that float as the
     laws do (_exact_exponent), so float(4/3) models with e(4/3) = 1/8."""
-    p = float(p)
+    p = _float_exponent(p)
     entries = as_entries(nu)
     computed = lp_norm_phi(entries, p, tol)
     predicted = 1.0
@@ -1014,8 +991,7 @@ def _fit(p, degree_range, samples, tol, with_log_term):
     lo, hi = (int(degree_range[0]), int(degree_range[1]))
     if not (10 <= lo < hi):
         raise DomainError(f"degree range must satisfy 10 <= lo < hi, got [{lo}, {hi}]")
-    if samples < 8:
-        raise DomainError(f"need at least 8 samples, got {samples}")
+    samples = _check_order(samples, 8, "samples")
     degrees = np.unique(np.rint(np.geomspace(lo, hi, samples)).astype(int))
     if len(degrees) < 2:
         raise DomainError("fewer than 2 distinct degrees in the fit range")

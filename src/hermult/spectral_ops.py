@@ -19,7 +19,7 @@ import numpy as np
 
 from ._accel import phi_table
 from .errors import CapabilityError, DomainError
-from .hermite_core import as_entries, count_up_to, enumerate_up_to
+from .hermite_core import _check_order, as_entries, count_up_to, enumerate_up_to
 from .quadrature import QuadratureRule, _full_line, roots_hermite
 
 # Indritz's uniform bound sup_x |phi_k(x)| <= pi^(-1/4) (Proc. Amer. Math.
@@ -29,6 +29,11 @@ PHI_SUP_BOUND = math.pi ** -0.25
 
 _SNAP = 1e-14
 _LATTICE_CAP = 2_000_000
+# Products of the level-column convolutions above which kernel_series
+# refuses a radial symbol, (n - 1) (N + 1)^2: in dimension 2 order 10^5,
+# which took 1.3 s (6.2 s at 2 * 10^5), and in dimension 3 order 70,710
+# (0.7 s at 5 * 10^4; 2 vCPUs).
+_CONVOLUTION_CAP = 10**10
 
 
 def _scaled_power(C: float, x: float, e: float) -> float:
@@ -111,8 +116,7 @@ class Symbol:
     def __post_init__(self):
         if self.kind not in ("heat", "power", "table", "custom"):
             raise DomainError(f"unknown symbol kind {self.kind!r}")
-        if self.dimension < 1:
-            raise DomainError("symbol dimension must be >= 1")
+        _check_order(self.dimension, 1, "symbol dimension")
 
     def __call__(self, nu) -> float:
         entries = as_entries(nu)
@@ -144,8 +148,7 @@ def heat_symbol(t: float, n: int = 1) -> Symbol:
     t = float(t)
     if not (t > 0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
 
     def ev(entries):
         return math.exp(-t * (2 * sum(entries) + n))
@@ -172,8 +175,7 @@ def power_symbol(a: float, n: int = 1) -> Symbol:
     a = float(a)
     if not (a > 0 and math.isfinite(a)):
         raise DomainError(f"a must be positive and finite, got {a}")
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
     if 2.0 ** -a == 0.0:
         raise DomainError(f"a = {a:g} is too large: the envelope constant 2^-a underflows to 0")
 
@@ -197,8 +199,7 @@ def power_symbol(a: float, n: int = 1) -> Symbol:
 
 def table_symbol(mapping: dict, n: int = 1) -> Symbol:
     """Finite-support symbol; zero outside the given map."""
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
     clean = {}
     maxlevel = -1
     maxval = 0.0
@@ -226,8 +227,7 @@ def constant_symbol(value: float, n: int = 1) -> Symbol:
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"constant symbol value must be finite, got {value}")
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
     env = Envelope(kind="polynomial", C=abs(value), rate=0.0)
     low = LowerEnvelope(c=abs(value), beta=0.0) if value != 0.0 else None
     return Symbol(
@@ -241,8 +241,7 @@ def custom_symbol(fn, n: int = 1, envelope: Envelope | None = None,
                   lower_envelope: LowerEnvelope | None = None,
                   level_fn=None, label: str = "custom") -> Symbol:
     """Wrap a user evaluator; envelopes are trusted as certified."""
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
     return Symbol(kind="custom", dimension=n, evaluator=fn, envelope=envelope,
                   lower_envelope=lower_envelope, level_evaluator=level_fn, label=label)
 
@@ -454,10 +453,7 @@ def _grid_values(f, nodes, n):
 
 def analyze(f, N: int, rule: QuadratureRule, dimension: int = 1) -> CoefficientVector:
     """Hermite-Fourier coefficients of f up to order N via the given rule."""
-    if N < 0:
-        raise DomainError("max order must be >= 0")
-    if dimension < 1:
-        raise DomainError("dimension must be >= 1")
+    N, dimension = _check_order(N), _check_order(dimension, 1, "dimension")
     ew = effective_weights(rule)
     T = phi_table(rule.nodes, N)
     fvals = _grid_values(f, rule.nodes, dimension)
@@ -524,10 +520,18 @@ class KernelValue:
 
 
 def kernel_series(m: Symbol, x, y, N: int) -> KernelValue:
-    """Truncated kernel sum_{|nu| <= N} m(nu) phi_nu(x) phi_nu(y)."""
-    if N < 0:
-        raise DomainError("max order must be >= 0")
+    """Truncated kernel sum_{|nu| <= N} m(nu) phi_nu(x) phi_nu(y).
+
+    A radial symbol sums its levels with weights from n - 1 convolutions
+    of the order-N columns; past _CONVOLUTION_CAP products of them it is
+    refused with CapabilityError before any work."""
+    N = _check_order(N)
     n = m.dimension
+    if m.is_radial and (n - 1) * (N + 1) ** 2 > _CONVOLUTION_CAP:
+        raise CapabilityError(
+            f"order {N} in dimension {n} needs {(n - 1) * (N + 1) ** 2:.2g} convolution "
+            f"products, above {_CONVOLUTION_CAP:.0e}"
+        )
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if len(xs) != n or len(ys) != n:

@@ -29,10 +29,10 @@ from .errors import (
     TraceCheckRefused,
     UnsupportedRegimeError,
 )
+from .hermite_core import _check_order
 from .nuclearity import (
     CriterionReport,
     _as_fraction,
-    _check_order,
     _check_tol,
     _default_order,
     _exponent_str,
@@ -146,8 +146,7 @@ def semigroup_trace_closed_form(t: float, n: int = 1) -> float:
     t = float(t)
     if not (t > 0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
+    n = _check_order(n, 1, "dimension")
     log_direct = -n * (math.log(2.0) + _log_sinh(t))
     return math.exp(log_direct) if log_direct > -745.0 else 0.0
 
@@ -215,8 +214,7 @@ def galerkin_matrix(m: Symbol, truncation: int) -> np.ndarray:
     assembly, not the symbol.  One-dimensional symbols only.
     """
     _check_galerkin_dimension(m)
-    if truncation < 0:
-        raise DomainError("truncation must be >= 0")
+    truncation = _check_order(truncation, 0, "truncation")
     rule = gauss_hermite_rule(truncation + 1)
     ew = effective_weights(rule)
     V = phi_table(rule.nodes, truncation)
@@ -260,6 +258,7 @@ def spectral_trace_check(m: Symbol, p, n: int | None = None, tol: float = 1e-8,
     """
     n = _check_dimension(m, n)
     _check_galerkin_dimension(m)
+    truncation = _check_order(truncation, 0, "truncation")
     r_gl = gl_condition(p)
     r_used = Fraction(r_gl) if r is None else r
     hypotheses_met = r is None or Fraction(r) == r_gl

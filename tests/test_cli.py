@@ -262,6 +262,12 @@ class TestNorms:
         assert proc.returncode == 2
         assert stderr_json(proc)["error"]["type"] == "ConfigError"
 
+    def test_exponent_past_the_double_range_exits_two(self):
+        # 1e400 reads as an exact rational with no float
+        proc = run_cli("norms", "--degrees", "3", "--p", "1e400")
+        assert proc.returncode == 2
+        assert stderr_json(proc)["error"]["type"] == "CapabilityError"
+
 
 class TestParsing:
     def test_unknown_flag(self):

@@ -205,6 +205,13 @@ class TestClassifyRegime:
         with pytest.raises(UnsupportedRegimeError):
             classify_regime(math.inf, 2, 1)
 
+    def test_cutoff_is_any_integer_from_two(self):
+        # a NumPy integer as norm_model takes it; not a float or a bool
+        assert classify_regime(2, 2, 1, k=np.int64(10)) == classify_regime(2, 2, 1, k=10)
+        for bad in (10.0, 2.5, True, 1):
+            with pytest.raises(DomainError, match="cutoff k"):
+                classify_regime(2, 2, 1, k=bad)
+
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             classify_regime(2, 0.5, 1)
@@ -468,6 +475,10 @@ class TestSrSum:
         assert rep.truncation_order == 5 and asked == [5, 5]
         assert rep.partial_sum == pytest.approx(want, rel=1e-13)
 
+    def test_exponent_past_the_double_range_refused(self):
+        with pytest.raises(CapabilityError, match="double range"):
+            s_r_sum(heat_symbol(1.0), 2, Fraction(10**400), 1, N=5)
+
     def test_refused_before_any_norm(self, monkeypatch):
         # the p2 = 1 norm of degree 7000 is over the work budget; refused
         # before any of the norms below it is computed
@@ -480,18 +491,13 @@ class TestSrSum:
             s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=7000)
         assert time.perf_counter() - start < 1.0
 
-    def test_refused_by_the_work_of_all_norms(self, monkeypatch):
-        # the L^1 norm of degree 1000 is within the budget, the 1001 norms
-        # up to it are not
-        def computed(*args):
-            raise AssertionError(f"norm {args} computed before the refusal")
-
-        monkeypatch.setattr(quad, "_lp_norm_1d_cached", computed)
-        assert quad._norm_route(1000, 1.0)[1] <= quad.NORM_WORK_BUDGET
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1000)
-        assert time.perf_counter() - start < 1.0
+    def test_p1_equal_one_served_at_the_last_doubling_in_dimension_two(self):
+        # the doubling from 200 n reaches 12800 n; at p1 = 1 that is the
+        # sup-norm sweep to 25,600, within the budget (its edge is 29,641)
+        rep = s_r_sum(heat_symbol(1.0, n=2), 1, 2, 1, N=25600)
+        assert rep.truncation_order == 25600 and rep.verdict == "finite"
+        one = s_r_sum(heat_symbol(1.0), 1, 2, 1, N=25600).partial_sum
+        assert rep.partial_sum == pytest.approx(one ** 2, rel=1e-12)
 
     def test_p1_equal_one_served_at_the_default_order_in_dimension_two(self):
         # the default order is 32, where the certified tail is below the

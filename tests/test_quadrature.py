@@ -171,6 +171,17 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(M)
 
 
+# (degrees of single norms, orders of sweeps) whose counted kernel work
+# test_estimates_cover_the_work_done holds to the estimate, per exponent
+_DEGREES = (*range(0, 130), 401, 1606, 5000)
+_COVERED = {
+    math.inf: (_DEGREES, (60,)), 1.0: (_DEGREES, (60, 483)), 2.0: (_DEGREES, (3000,)),
+    4.0: (_DEGREES, (300,)), 6.0: (_DEGREES, ()), 2.5: (_DEGREES, (60, 300)),
+    14.0: (_DEGREES, ()), 100.0: (_DEGREES, ()), 600.0: ((), (100,)), 599.5: ((), (100,)),
+    1e4: ((), (60, 50)),
+}
+
+
 def _count_passes(monkeypatch):
     """Record the number of points of every Halley pass."""
     calls = []
@@ -567,6 +578,13 @@ class TestLpNorms:
             with pytest.raises(DomainError):
                 norms(3, p)
 
+    def test_exponent_past_the_double_range_refused(self):
+        # 10^400 is a real exponent with no float to take it to
+        for call in (lambda: lp_norm_1d(3, Fraction(10**400)), lambda: lp_norms_1d(3, 10**400),
+                     lambda: norm_estimate(3, Fraction(10**400))):
+            with pytest.raises(CapabilityError, match="double range"):
+                call()
+
     def test_real_p_of_every_kind_is_taken(self):
         want = lp_norm_1d(3, 4.0)
         for p in (4, np.int64(4), np.float64(4.0), Fraction(4)):
@@ -592,32 +610,35 @@ class TestLpNorms:
     def test_largest_degrees_served_before_are_served(self, degree, p, route):
         # the largest degrees within the budget when scipy supplied the nodes;
         # p = 2 has left the grid for its exact value, with no work
-        got, work = quad._norm_route(degree, float(p))
+        got, work = quad._route(degree, float(p))
         if p == 2.0:
             assert (got, work) == ("unit", 0.0) and lp_norm_1d(degree, p) == 1.0
             route, work = got, quad._even_work(degree, p)
         assert got == route and work <= quad.NORM_WORK_BUDGET
 
-    @pytest.mark.parametrize("degree,p", [(35565, 2.0), (25872, 4.0), (15329, 12.0),
-                                          (14224, 14.0), (10930, 24.0), (5383, 100.0)])
-    def test_even_served_degree_edge(self, degree, p):
-        # one run over the grid's ceil((sqrt(2n + 1) + 6) / h) + 1 points,
-        # h = 2 pi / (p sqrt(2n + 1) + 20); past it the panels' estimate is
-        # over the budget too.  At p = 2 the grid's edge stays, but both
-        # degrees are served exactly, at once
-        if p == 2.0:
-            assert quad._even_work(degree, p) <= quad.NORM_WORK_BUDGET
-            assert quad._even_work(degree + 1, p) > quad.NORM_WORK_BUDGET
-            start = time.perf_counter()
-            for n in (degree, degree + 1):
-                assert quad._norm_route(n, p) == ("unit", 0.0) and lp_norm_1d(n, p) == 1.0
-            assert time.perf_counter() - start < 1.0
-            return
-        route, work = quad._norm_route(degree, p)
-        assert route == "even" and work <= quad.NORM_WORK_BUDGET
+    @pytest.mark.parametrize("p,sweep,edge,route", [
+        (4.0, False, 25870, "even"), (12.0, False, 15327, "even"), (14.0, False, 14222, "even"),
+        (24.0, False, 10928, "even"), (100.0, False, 5381, "even"),
+        (math.inf, False, 244081, "sup"), (1.0, False, 27790, "zeros"),
+        (2.5, False, 8509, "panels"), (1000.0, False, 2199, "panels"),
+        (1.0, True, 1254, "zeros"), (math.inf, True, 29641, "sup"),
+        (4 / 3, True, 554, "panels"), (37.5, True, 350, "panels"),
+        (4.0, True, 11802, "even"), (14.0, True, 6401, "even"), (16.0, True, 5991, "even"),
+        (24.0, True, 4896, "even"), (100.0, True, 2388, "even"), (1e4, True, 220, "even"),
+        (4e4, True, 118, "panels"), (1e5, True, 100, "panels"),
+    ])
+    def test_served_edge(self, p, sweep, edge, route):
+        # the largest degree of a norm, or order of a sweep (its N + 1
+        # norms), within the budget: each kernel call the route makes is
+        # charged its top degree times (its points + 4096), and each row
+        # power sum 4 point-steps a value.  Past the edge every route is
+        # over the budget, and the refusal comes before any work
+        rows = edge + 1 if sweep else 1
+        got, work = quad._route(edge, p, rows)
+        assert got == route and work <= quad.NORM_WORK_BUDGET
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
-            lp_norm_1d(degree + 1, p)
+            (lp_norms_1d if sweep else lp_norm_1d)(edge + 1, p)
         assert time.perf_counter() - start < 1.0
 
     def test_l2_norm_served_exactly_up_to_the_largest_degree(self):
@@ -625,42 +646,16 @@ class TestLpNorms:
         # work, at every degree up to MAX_DEGREE_DEFAULT, at once (the grid
         # was refused past 35,565)
         for degree in (0, 1, 27790, 35565, 35566, quad.MAX_DEGREE_DEFAULT):
-            assert quad._norm_route(degree, 2.0) == ("unit", 0.0)
+            assert quad._route(degree, 2.0) == ("unit", 0.0)
         start = time.perf_counter()
         assert quad._lp_norm_1d_cached.__wrapped__(quad.MAX_DEGREE_DEFAULT, 2.0) == 1.0
         assert lp_norm_1d(35566, 2.0) == 1.0
         assert time.perf_counter() - start < 1.0
 
-    def test_sup_served_degree_edge(self):
-        # one run at one point, n (1 + 4096) point-steps
-        route, work = quad._norm_route(244081, math.inf)
-        assert route == "sup" and work <= quad.NORM_WORK_BUDGET
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            lp_norm_1d(244082, math.inf)
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("degree,p", [(8511, 2.5), (2201, 1000.0)])
-    def test_panel_served_degree_edge(self, degree, p):
-        # the n-node rule's pass and one run over 12 (s (n - 1) + tail)
-        # points, s = 1 at p = 5/2 and 16 at p = 1000; the largest degree
-        # served returns, within Hoelder's ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
-        route, work = quad._norm_route(degree, p)
-        assert route == "panels" and work <= quad.NORM_WORK_BUDGET
+    @pytest.mark.parametrize("degree,p", [(8509, 2.5), (2199, 1000.0)])
+    def test_panel_norm_at_the_served_edge(self, degree, p):
+        # within Hoelder's ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
         assert 0.0 < lp_norm_1d(degree, p) <= lp_norm_1d(degree, math.inf) ** (1 - 2 / p)
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            lp_norm_1d(degree + 1, p)
-        assert time.perf_counter() - start < 1.0
-
-    def test_l1_served_degree_edge(self):
-        # one node pass and one tail pass, about 2 n (n/2 + 4096) point-steps
-        route, work = quad._norm_route(27790, 1.0)
-        assert route == "zeros" and work <= quad.NORM_WORK_BUDGET
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            lp_norm_1d(27791, 1.0)
-        assert time.perf_counter() - start < 1.0
 
     def test_rule_at_the_p1_edge_takes_one_pass(self, monkeypatch):
         # degree 27790 at p = 1 needs the 27790-node rule, the largest a
@@ -674,58 +669,81 @@ class TestLpNorms:
         want = scipy_roots(M)[0][M // 2:]
         assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
 
-    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0, 2.5, 14.0, 100.0])
+    @pytest.mark.parametrize("p", list(_COVERED))
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
-        # point-steps as the estimate counts them: a phi_row, phi_rows or
-        # phi_tail call at degree n n (P + 4096), a node pass at M nodes
-        # (M - 1) (P + 4096)
-        done = []
-        row, pair, rows, tail = quad.phi_row, quad.phi_pair, quad.phi_rows, quad.phi_tail
+        # point-steps as the estimate counts them, for single norms and for
+        # sweeps: a phi_row, phi_rows or phi_tail call whose largest degree
+        # is n, n (P + 4096); a phi_pair call at largest M, (M - 1) (P + 4096);
+        # each value of a weighted power sum, 4.  A call with one degree per
+        # point runs the loop to the largest one; its cuts only make the
+        # work smaller
+        done, kernels = [], []
+        pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+        row = quad.phi_row
 
         def counted_row(x, n):
-            done.append(quad._phi_row_work(len(x), n))
+            kernels.append(np.ndim(n))
+            done.append(quad._phi_row_work(len(x), int(np.max(n))))
             return row(x, n)
 
         def counted_pair(x, M):
+            kernels.append(np.ndim(M))
             done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
             return pair(x, M)
 
         def counted_rows(x, n, lowest=0):
+            kernels.append(0)
             done.append(quad._phi_row_work(len(x), n))
             return rows(x, n, lowest)
 
-        monkeypatch.setattr(quad, "phi_row", counted_row)
-        monkeypatch.setattr(quad, "phi_pair", counted_pair)
         def counted_tail(x, n):
-            done.append(quad._phi_row_work(len(x), n))
+            kernels.append(np.ndim(n))
+            done.append(quad._phi_row_work(len(x), int(np.max(n))))
             return tail(x, n)
 
+        def counted_power(vals, weights, p):
+            done.append(quad._POWER_POINTS * vals.size)
+            return power(vals, weights, p)
+
+        monkeypatch.setattr(quad, "phi_pair", counted_pair)
+        monkeypatch.setattr(quad, "phi_row", counted_row)
         monkeypatch.setattr(quad, "phi_rows", counted_rows)
         monkeypatch.setattr(quad, "phi_tail", counted_tail)
-        for degree in list(range(0, 130)) + [401, 1606, 5000]:
+        monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
+        degrees, orders = _COVERED[p]
+        for top, sweep in [(u, False) for u in degrees] + [(N, True) for N in orders]:
             done.clear()
-            quad.roots_hermite.cache_clear()
-            quad._lp_norm_1d_cached.__wrapped__(degree, p)
-            assert sum(done) <= quad._norm_route(degree, p)[1], degree
+            kernels.clear()
+            for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
+                cache.cache_clear()
+            if sweep:
+                quad._lp_norms_1d_cached.__wrapped__(top, p)
+            else:
+                quad._lp_norm_1d_cached.__wrapped__(top, p)
+            assert sum(done) <= quad._route(top, p, top + 1 if sweep else 1)[1], (top, sweep)
+            if sweep and p in (1.0, math.inf):
+                # the sweep's own calls, one degree per point: the sup's one
+                # run, or at most two node passes and one tail run
+                assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
 
     def test_large_even_p_takes_panels(self):
         # the grid's cost per n^2, about p / pi, passes the panels',
         # 12 ceil(sqrt(p) / 2) + 1/2, at p = 378: at p = 600 the grid is
         # cheaper only up to degree 50, where the step cost dominates
         for degree in (0, 1, 50):
-            assert quad._norm_route(degree, 600.0)[0] == "even"
+            assert quad._route(degree, 600.0)[0] == "even"
         for degree in (51, 300, 2442):
-            assert quad._norm_route(degree, 600.0)[0] == "panels"
-        for degree in (0, 1, 300, 5000, 14224):
-            assert quad._norm_route(degree, 14.0)[0] == "even"
-            assert quad._norm_route(degree, 12.0)[0] == "even"
+            assert quad._route(degree, 600.0)[0] == "panels"
+        for degree in (0, 1, 300, 5000, 14222):
+            assert quad._route(degree, 14.0)[0] == "even"
+            assert quad._route(degree, 12.0)[0] == "even"
         sup = lp_norm_1d(300, math.inf)
         # Hoelder: ||phi||_p <= ||phi||_inf^(1 - 2/p) ||phi||_2^(2/p)
         assert 0.99 * sup < lp_norm_1d(300, 600.0) <= sup ** (1 - 2 / 600)
 
     def test_route_by_cost(self):
         # the even grid would hold 27,383 points at degree 100
-        assert quad._norm_route(100, 600.0)[0] == "panels"
+        assert quad._route(100, 600.0)[0] == "panels"
         start = time.perf_counter()
         got = lp_norm_1d(100, 600.0)
         assert time.perf_counter() - start < 0.5
@@ -737,7 +755,7 @@ class TestLpNorms:
         (200, 26.0), (1000, 100.0), (50, 600.0)])
     def test_even_p_moved_to_the_grid_keep_their_value(self, degree, p):
         # single even-p norms the route rule gives the grid, against the panels
-        assert quad._norm_route(degree, p)[0] == "even"
+        assert quad._route(degree, p)[0] == "even"
         panels = quad._panel_norm_1d([degree], p)[0]
         assert lp_norm_1d(degree, p) == pytest.approx(panels, rel=2e-14)
 
@@ -746,14 +764,14 @@ class TestLpNorms:
         # every degree served, degree 0 among them, where both runs cost 0
         # point-steps and the grid's fewer points win; p = 2 by its exact
         # value, with no work, past the grid's edge too
-        edge = {2.0: 35565, 4.0: 25872, 6.0: 21374, 8.0: 18635, 10.0: 16740, 12.0: 15329}[p]
+        edge = {2.0: 35565, 4.0: 25870, 6.0: 21373, 8.0: 18633, 10.0: 16738, 12.0: 15327}[p]
         if p == 2.0:
             for degree in range(0, edge + 2):
-                assert quad._norm_route(degree, p) == ("unit", 0.0), degree
+                assert quad._route(degree, p) == ("unit", 0.0), degree
             return
         for degree in range(0, edge + 1):
-            assert quad._norm_route(degree, p)[0] == "even", degree
-        assert quad._norm_route(edge + 1, p)[1] > quad.NORM_WORK_BUDGET
+            assert quad._route(degree, p)[0] == "even", degree
+        assert quad._route(edge + 1, p)[1] > quad.NORM_WORK_BUDGET
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 400, 1600])
     def test_zero_route_matches_bisection(self, degree):
@@ -836,7 +854,7 @@ class TestNormSweep:
     def test_l2_sweep_served_exactly_up_to_the_largest_degree(self):
         # all ones with no work, where the grid's sweep was refused past 27,789
         for N in (0, 27790, quad.MAX_DEGREE_DEFAULT):
-            assert quad._sweep_route(N, 2.0) == ("unit", 0.0)
+            assert quad._route(N, 2.0, N + 1) == ("unit", 0.0)
         start = time.perf_counter()
         norms = quad._lp_norms_1d_cached.__wrapped__(quad.MAX_DEGREE_DEFAULT, 2.0)
         assert time.perf_counter() - start < 1.0
@@ -939,27 +957,6 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(1000, 1.0), (699, math.inf)])
-    def test_admitted_by_the_work_of_all_its_norms(self, N, p):
-        # the top norm alone is within the budget, all N + 1 of them are not
-        assert quad._norm_route(N, p)[1] <= quad.NORM_WORK_BUDGET
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            lp_norms_1d(N, p)
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("N,p", [(6401, 14.0), (5991, 16.0), (4896, 24.0), (2388, 100.0)])
-    def test_even_p_above_12_sweep_by_the_exact_rule(self, N, p):
-        # one grid serves every degree, so the sweep is admitted by its own
-        # estimate, where the panels' per-degree sum stops at N = 296 to 362;
-        # the single norm at N takes the grid too
-        assert quad._norm_route(N, p)[0] == "even"
-        assert quad.check_sweep_budget(N, p) == "even"
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            lp_norms_1d(N + 1, p)
-        assert time.perf_counter() - start < 1.0
-
     def test_even_p_above_12_sweep_matches_the_panel_norms(self):
         sweep = lp_norms_1d(3000, 14.0)
         for u in [*range(0, 3000, 500), 2999, 3000]:
@@ -967,91 +964,35 @@ class TestNormSweep:
             assert sweep[u] == pytest.approx(panels, rel=1e-13, abs=0), u
 
     @pytest.mark.parametrize("N,p,route", [
-        (0, 1e4, "panels"), (53, 1e4, "panels"), (54, 1e4, "even"), (220, 1e4, "even"),
+        (0, 1e4, "panels"), (53, 1e4, "panels"), (64, 1e4, "panels"), (65, 1e4, "even"),
+        (220, 1e4, "even"),
         (100, 4e4, "panels"), (38, 1e5, "panels"), (0, 14.0, "even"), (1, 600.0, "even")])
     def test_even_sweep_takes_the_cheaper_route(self, N, p, route):
         # each route counted with its N + 1 row power sums: at p = 10^4 the
-        # grid's run costs p / pi per n^2 of the top degree, the panels a
-        # cubic sum over the degrees
-        assert quad.check_sweep_budget(N, p) == route
+        # grid's run costs p / pi per n^2 of the top degree, the panels' runs
+        # about 600 points a degree at the top degree each
+        assert quad.check_budget(N, p, N + 1) == route
 
     def test_sweep_to_degree_zero_takes_the_single_norms_route(self):
-        # with one row power sum each, the sweep's rule is the norm's
+        # a sweep to degree 0 is that one norm, one row and one estimate
         for p in (2.0, 14.0, 600.0, 3000.0, 1e4, 1e5):
-            assert quad._sweep_route(0, p)[0] == quad._norm_route(0, p)[0], p
             assert lp_norms_1d(0, p)[0] == lp_norm_1d(0, p), p
 
     def test_even_p_sweep_past_the_budget_takes_the_panels(self):
         # the grid of N = 100 at p = 10^5, 4.55 million points, is past the
         # point cap and the budget; the panels' per-degree sum is within it
         assert quad._even_work(100, 1e5, 101) > quad.NORM_WORK_BUDGET
-        assert quad.check_sweep_budget(100, 1e5) == "panels"
-
-    def test_sup_sweep_served_past_400(self):
-        # the sum of n (1 + 4096) point-steps over n <= N is within the
-        # budget up to N = 698; 699 is refused above
-        assert quad.check_sweep_budget(400, math.inf) == "sup"
-        assert quad.check_sweep_budget(698, math.inf) == "sup"
-
-    @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
-                                     (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0),
-                                     (100, 599.5), (60, 1e4), (50, 1e4)])
-    def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
-        # recurrence point-steps as in the per-norm test, and each value of a
-        # weighted power sum as _POWER_POINTS of them.  A kernel call with
-        # one degree per point runs the loop to the largest one over all its
-        # points; its cuts only make the work smaller.
-        done, kernels = [], []
-        pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
-        row = quad.phi_row
-
-        def counted_row(x, n):
-            kernels.append(np.ndim(n))
-            done.append(quad._phi_row_work(len(x), int(np.max(n))))
-            return row(x, n)
-
-        def counted_pair(x, M):
-            kernels.append(np.ndim(M))
-            done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
-            return pair(x, M)
-
-        def counted_rows(x, n, lowest=0):
-            kernels.append(0)
-            done.append(quad._phi_row_work(len(x), n))
-            return rows(x, n, lowest)
-
-        def counted_tail(x, n):
-            kernels.append(np.ndim(n))
-            done.append(quad._phi_row_work(len(x), int(np.max(n))))
-            return tail(x, n)
-
-        def counted_power(vals, weights, p):
-            done.append(quad._POWER_POINTS * vals.size)
-            return power(vals, weights, p)
-
-        monkeypatch.setattr(quad, "phi_pair", counted_pair)
-        monkeypatch.setattr(quad, "phi_row", counted_row)
-        monkeypatch.setattr(quad, "phi_rows", counted_rows)
-        monkeypatch.setattr(quad, "phi_tail", counted_tail)
-        monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
-        for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
-            cache.cache_clear()
-        quad._lp_norms_1d_cached.__wrapped__(N, p)
-        assert sum(done) <= quad._sweep_route(N, p)[1]
-        if p in (1.0, math.inf):
-            # the sweep's own calls, one degree per point: the sup grids'
-            # one run, or at most two node passes and one tail run
-            assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
+        assert quad.check_budget(100, 1e5, 101) == "panels"
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_is_estimated_once_per_order_and_exponent(self, p):
         # s_r_sum admits a sweep and then asks lp_norms_1d for it, which
         # checks it again; the second check reuses the first estimate
-        quad._sweep_route.cache_clear()
+        quad._route.cache_clear()
         quad._lp_norms_1d_cached.cache_clear()
-        quad.check_sweep_budget(37, p)
+        quad.check_budget(37, p, 38)
         quad.lp_norms_1d(37, p)
-        info = quad._sweep_route.cache_info()
+        info = quad._route.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_s_r_sum_does_not_depend_on_a_larger_order(self):
@@ -1234,3 +1175,9 @@ class TestExponentFits:
             fit_norm_exponent(2.0, (100, 2000), 5)
         with pytest.raises(DomainError):
             fit_norm_exponent(2.0, (2000, 100), 10)
+
+    def test_sample_count_must_be_an_integer(self):
+        for bad in (8.5, True, "10"):
+            with pytest.raises(DomainError, match="samples"):
+                fit_norm_exponent(2.0, (100, 2000), samples=bad)
+        assert fit_norm_exponent(2.0, (100, 600), np.int64(8)) == fit_norm_exponent(2.0, (100, 600), 8)

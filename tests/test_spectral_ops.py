@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import mpmath
@@ -75,6 +76,14 @@ class TestSymbols:
             power_symbol(0.0)
         with pytest.raises(DomainError):
             power_symbol(-2.0)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, 0])
+    def test_dimension_must_be_a_positive_integer(self, bad):
+        for make in (lambda n: heat_symbol(1.0, n), lambda n: power_symbol(2.0, n),
+                     lambda n: constant_symbol(1.0, n), lambda n: table_symbol({}, n)):
+            with pytest.raises(DomainError, match="dimension"):
+                make(bad)
+        assert heat_symbol(1.0, np.int64(2)).dimension == 2
 
     @pytest.mark.parametrize("a, n", [(700.0, 1), (500.0, 3), (1074.0, 1)])
     def test_power_without_lower_envelope(self, a, n):
@@ -612,6 +621,27 @@ class TestKernelSeries:
             assert kernel_series(heat_symbol(0.5, n=2), [0.5, x], [x, -1.0], 40).value == 0.0
             assert mehler_kernel(1.0, [x], [0.5]) == 0.0
             assert mehler_kernel(1.0, [x, 0.0], [-x, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, -1, "2"])
+    def test_order_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="truncation order"):
+            kernel_series(heat_symbol(1.0), [0.1], [0.2], bad)
+        with pytest.raises(DomainError, match="truncation order"):
+            analyze(lambda x: x, bad, gauss_hermite_rule(4))
+
+    def test_numpy_integer_order_is_taken(self):
+        got = kernel_series(heat_symbol(1.0, n=2), [0.1, 0.3], [0.2, 0.4], np.int64(40))
+        assert got == kernel_series(heat_symbol(1.0, n=2), [0.1, 0.3], [0.2, 0.4], 40)
+
+    @pytest.mark.parametrize("n,N", [(2, 10**5), (3, 70711), (4, 10**6)])
+    def test_convolution_past_its_cap_refused_before_any_work(self, n, N):
+        # (n - 1) (N + 1)^2 level-column products: n = 2 at N = 2 * 10^5
+        # took 6.2 s; 100 n and the CLI's 200 n are far inside
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="convolution"):
+            kernel_series(heat_symbol(1.0, n=n), [0.1] * n, [0.2] * n, N)
+        assert time.perf_counter() - start < 1.0
+        assert kernel_series(heat_symbol(1.0, n=n), [0.1] * n, [0.2] * n, 200 * n).value > 0.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_points_are_refused(self, bad):

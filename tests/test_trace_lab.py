@@ -261,6 +261,9 @@ class TestSemigroupClosedForm:
                 semigroup_trace_closed_form(bad)
         with pytest.raises(DomainError):
             semigroup_trace_closed_form(1.0, n=0)
+        for bad in (1.5, True):
+            with pytest.raises(DomainError, match="dimension"):
+                semigroup_trace_closed_form(1.0, n=bad)
 
 
 class TestTraceReportRoutes:
@@ -328,6 +331,13 @@ class TestGalerkinMatrix:
     def test_negative_truncation(self):
         with pytest.raises(DomainError):
             galerkin_matrix(heat_symbol(1.0), truncation=-1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_truncation_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError, match="truncation"):
+            galerkin_matrix(heat_symbol(1.0), bad)
+        with pytest.raises(DomainError, match="truncation"):
+            spectral_trace_check(heat_symbol(1.0), 2, truncation=bad)
 
 
 class TestTruncationOrder:
