@@ -491,6 +491,20 @@ class TestSrSum:
             s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=7000)
         assert time.perf_counter() - start < 1.0
 
+    def test_refused_by_the_work_of_all_norms(self, monkeypatch):
+        # the L^1 norm of degree 1255 is within the budget, the sweep of the
+        # 1256 norms up to it is not (its edge is 1,254)
+        def computed(*args):
+            raise AssertionError(f"norms {args} computed before the refusal")
+
+        monkeypatch.setattr(quad, "_lp_norm_1d_cached", computed)
+        monkeypatch.setattr(quad, "_lp_norms_1d_cached", computed)
+        assert quad._route(1255, 1.0)[1] <= quad.NORM_WORK_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1255)
+        assert time.perf_counter() - start < 1.0
+
     def test_p1_equal_one_served_at_the_last_doubling_in_dimension_two(self):
         # the doubling from 200 n reaches 12800 n; at p1 = 1 that is the
         # sup-norm sweep to 25,600, within the budget (its edge is 29,641)

@@ -171,15 +171,47 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(M)
 
 
-# (degrees of single norms, orders of sweeps) whose counted kernel work
-# test_estimates_cover_the_work_done holds to the estimate, per exponent
-_DEGREES = (*range(0, 130), 401, 1606, 5000)
-_COVERED = {
-    math.inf: (_DEGREES, (60,)), 1.0: (_DEGREES, (60, 483)), 2.0: (_DEGREES, (3000,)),
-    4.0: (_DEGREES, (300,)), 6.0: (_DEGREES, ()), 2.5: (_DEGREES, (60, 300)),
-    14.0: (_DEGREES, ()), 100.0: (_DEGREES, ()), 600.0: ((), (100,)), 599.5: ((), (100,)),
-    1e4: ((), (60, 50)),
-}
+def _count_work(monkeypatch):
+    """Record point-steps as _route counts them, for single norms and for
+    sweeps: a phi_row, phi_rows or phi_tail call whose largest degree is n,
+    n (P + 4096); a phi_pair call at largest M, (M - 1) (P + 4096); each
+    value of a weighted power sum, 4.  A call with one degree per point runs
+    the loop to the largest one; its cuts only make the work smaller.  Also
+    record np.ndim of each kernel call's degrees."""
+    done, kernels = [], []
+    pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+    row = quad.phi_row
+
+    def counted_row(x, n):
+        kernels.append(np.ndim(n))
+        done.append(quad._phi_row_work(len(x), int(np.max(n))))
+        return row(x, n)
+
+    def counted_pair(x, M):
+        kernels.append(np.ndim(M))
+        done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
+        return pair(x, M)
+
+    def counted_rows(x, n, lowest=0):
+        kernels.append(0)
+        done.append(quad._phi_row_work(len(x), n))
+        return rows(x, n, lowest)
+
+    def counted_tail(x, n):
+        kernels.append(np.ndim(n))
+        done.append(quad._phi_row_work(len(x), int(np.max(n))))
+        return tail(x, n)
+
+    def counted_power(vals, weights, p):
+        done.append(quad._POWER_POINTS * vals.size)
+        return power(vals, weights, p)
+
+    monkeypatch.setattr(quad, "phi_pair", counted_pair)
+    monkeypatch.setattr(quad, "phi_row", counted_row)
+    monkeypatch.setattr(quad, "phi_rows", counted_rows)
+    monkeypatch.setattr(quad, "phi_tail", counted_tail)
+    monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
+    return done, kernels
 
 
 def _count_passes(monkeypatch):
@@ -669,62 +701,15 @@ class TestLpNorms:
         want = scipy_roots(M)[0][M // 2:]
         assert np.max(np.abs(y - want) / np.maximum(want, 1.0)) <= 5e-13
 
-    @pytest.mark.parametrize("p", list(_COVERED))
+    @pytest.mark.parametrize("p", [math.inf, 1.0, 2.0, 4.0, 6.0, 2.5, 14.0, 100.0])
     def test_estimates_cover_the_work_done(self, monkeypatch, p):
-        # point-steps as the estimate counts them, for single norms and for
-        # sweeps: a phi_row, phi_rows or phi_tail call whose largest degree
-        # is n, n (P + 4096); a phi_pair call at largest M, (M - 1) (P + 4096);
-        # each value of a weighted power sum, 4.  A call with one degree per
-        # point runs the loop to the largest one; its cuts only make the
-        # work smaller
-        done, kernels = [], []
-        pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
-        row = quad.phi_row
-
-        def counted_row(x, n):
-            kernels.append(np.ndim(n))
-            done.append(quad._phi_row_work(len(x), int(np.max(n))))
-            return row(x, n)
-
-        def counted_pair(x, M):
-            kernels.append(np.ndim(M))
-            done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
-            return pair(x, M)
-
-        def counted_rows(x, n, lowest=0):
-            kernels.append(0)
-            done.append(quad._phi_row_work(len(x), n))
-            return rows(x, n, lowest)
-
-        def counted_tail(x, n):
-            kernels.append(np.ndim(n))
-            done.append(quad._phi_row_work(len(x), int(np.max(n))))
-            return tail(x, n)
-
-        def counted_power(vals, weights, p):
-            done.append(quad._POWER_POINTS * vals.size)
-            return power(vals, weights, p)
-
-        monkeypatch.setattr(quad, "phi_pair", counted_pair)
-        monkeypatch.setattr(quad, "phi_row", counted_row)
-        monkeypatch.setattr(quad, "phi_rows", counted_rows)
-        monkeypatch.setattr(quad, "phi_tail", counted_tail)
-        monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
-        degrees, orders = _COVERED[p]
-        for top, sweep in [(u, False) for u in degrees] + [(N, True) for N in orders]:
+        # a single norm's counted work (_count_work), its power sums too
+        done, _ = _count_work(monkeypatch)
+        for degree in list(range(0, 130)) + [401, 1606, 5000]:
             done.clear()
-            kernels.clear()
-            for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
-                cache.cache_clear()
-            if sweep:
-                quad._lp_norms_1d_cached.__wrapped__(top, p)
-            else:
-                quad._lp_norm_1d_cached.__wrapped__(top, p)
-            assert sum(done) <= quad._route(top, p, top + 1 if sweep else 1)[1], (top, sweep)
-            if sweep and p in (1.0, math.inf):
-                # the sweep's own calls, one degree per point: the sup's one
-                # run, or at most two node passes and one tail run
-                assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
+            quad.roots_hermite.cache_clear()
+            quad._lp_norm_1d_cached.__wrapped__(degree, p)
+            assert sum(done) <= quad._route(degree, p)[1], degree
 
     def test_large_even_p_takes_panels(self):
         # the grid's cost per n^2, about p / pi, passes the panels',
@@ -957,6 +942,25 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("N,p", [(1000, 1.0), (699, math.inf)])
+    def test_admitted_by_the_work_of_all_its_norms(self, N, p):
+        # the sweep is charged the one run it makes over all N + 1 norms:
+        # their single-norm estimates sum past the budget, the sweep's own
+        # is within it, and it gives each norm's value
+        single = quad._route.__wrapped__
+        assert sum(single(n, p)[1] for n in range(N + 1)) > quad.NORM_WORK_BUDGET
+        assert quad.check_budget(N, p, N + 1) == {1.0: "zeros", math.inf: "sup"}[p]
+        sweep = lp_norms_1d(N, p)
+        for u in (0, N // 2, N):
+            assert sweep[u] == lp_norm_1d(u, p), u
+
+    def test_sup_sweep_served_past_400(self):
+        # one run at one point per nonzero degree, N (N + 4096) point-steps;
+        # 699, where the per-degree sum stopped, is served too
+        for N in (400, 698, 699):
+            assert quad._route(N, math.inf, N + 1) == ("sup", N * (N + 4096))
+            assert quad.check_budget(N, math.inf, N + 1) == "sup"
+
     def test_even_p_above_12_sweep_matches_the_panel_norms(self):
         sweep = lp_norms_1d(3000, 14.0)
         for u in [*range(0, 3000, 500), 2999, 3000]:
@@ -983,6 +987,22 @@ class TestNormSweep:
         # point cap and the budget; the panels' per-degree sum is within it
         assert quad._even_work(100, 1e5, 101) > quad.NORM_WORK_BUDGET
         assert quad.check_budget(100, 1e5, 101) == "panels"
+
+    @pytest.mark.parametrize("N,p", [(300, 4.0), (3000, 2.0), (60, 1.0), (60, math.inf),
+                                     (483, 1.0), (60, 2.5), (300, 2.5), (100, 600.0),
+                                     (100, 599.5), (60, 1e4), (50, 1e4)])
+    def test_sweep_estimate_covers_the_work_done(self, monkeypatch, N, p):
+        # the N + 1 norms' counted work (_count_work), by the one estimate
+        # of the single norm's test with rows = N + 1
+        done, kernels = _count_work(monkeypatch)
+        for cache in (quad._lp_norm_1d_cached, quad.roots_hermite):
+            cache.cache_clear()
+        quad._lp_norms_1d_cached.__wrapped__(N, p)
+        assert sum(done) <= quad._route(N, p, N + 1)[1]
+        if p in (1.0, math.inf):
+            # the sweep's own calls, one degree per point: the sup's one
+            # run, or at most two node passes and one tail run
+            assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_is_estimated_once_per_order_and_exponent(self, p):
