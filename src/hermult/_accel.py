@@ -11,10 +11,11 @@ point: a rescaling multiplies the point's mantissas by 2^-400 (j + 1) or
 by 2^400 (j - 1), which is exact.  A mantissa m stands for
 m e^(-x^2/2) 2^(400 j), so the seed and the tails survive far outside
 the range of plain doubles, and m is the same number, up to an exact
-power of two, whichever step rescales it.  ``phi_tail`` carries the tail
-integrals int_x^inf phi_k along the loop on the same scale; ``phi_pair``,
-``phi_row`` and ``phi_tail`` read each point at its own degree
-(``_at_degrees``).  On fewer than _COLUMN_POINTS points, where numpy's
+power of two, whichever step rescales it.  The loop can carry the tail
+integrals int_x^inf phi_k on the same scale, which ``phi_pair`` gives
+beside phi for the Halley passes of the p = 1 norms; ``phi_pair`` and
+``phi_row`` read each point at its own degree (``_at_degrees``).  On
+fewer than _COLUMN_POINTS points, where numpy's
 fixed cost per step outweighs its per-point speed, they and ``phi_table``
 run the same steps point by point in Python floats instead
 (``_column_loop``), with the same mantissas up to exact powers of two;
@@ -26,11 +27,11 @@ e^(-x^2/2) = frac 2^E is formed once per grid from -x^2/2 in two doubles
 (``_gauss``), and a mantissa of count j becomes m ldexp(frac, E + 400 j),
 or ldexp(m frac, E + 400 j) where that factor is not a normal double.
 The stage is exact in j, so a value does not depend on which step
-rescaled its point.  ``phi_table``, ``phi_rows``, ``phi_row`` and
-``phi_tail`` give plain floats through it.  ``phi_pair`` gives the
-mantissas and counts themselves, for the Halley and Newton steps and for
-``eval_phi_1d``; the derivatives, maxima and values formed from them
-leave through the stage too.
+rescaled its point.  ``phi_table``, ``phi_rows`` and ``phi_row`` give
+plain floats through it.  ``phi_pair`` gives the mantissas and counts
+themselves, for the Halley and Newton steps and for ``eval_phi_1d``; the
+derivatives, tails, maxima and values formed from them leave through the
+stage too.
 
 The range test rescales the points whose pair maximum
 max(|phi_{k-1}|, |phi_k|), in mantissas, has left [2^-400, 2^400].  With
@@ -115,7 +116,7 @@ _TINY = 2.0 ** -1022
 # (_column_loop).  Measured on 2 vCPUs, that loop costs as much as the
 # numpy one at about 18 points for phi_pair at degree 2 P (the Halley
 # passes of a P-node half-rule), 20-24 for phi_pair at degrees 100-400
-# and for phi_table, and 22-28 for phi_tail.
+# and for phi_table, and 22-28 for phi_pair with tails.
 _COLUMN_POINTS = 20
 
 
@@ -412,17 +413,19 @@ def _to_floats(vals, gauss, count):
     return vals
 
 
-def phi_pair(x, degree):
+def phi_pair(x, degree, tails=False):
     """phi_{d-1} and phi_d on the grid x at the degree d of each point:
     degree is an int, or one int per point, nonincreasing (_at_degrees).
 
     Returns (previous, current, count) arrays: the mantissas and the
     points' rescale counts j, the values being previous and current times
-    e^(-x^2/2) 2^(400 j), and phi_{-1} = 0.  _to_floats gives the plain
-    floats.
+    e^(-x^2/2) 2^(400 j), and phi_{-1} = 0.  With tails, on a grid x >= 0,
+    a fourth array follows from the same run: the mantissas of the tail
+    integrals J_d(x) = int_x^inf phi_d on the same scale.  _to_floats
+    gives the plain floats.
     """
-    prev, cur, count, _ = _at_degrees(x, degree)
-    return prev, cur, count
+    prev, cur, count, tail = _at_degrees(x, degree, tails)
+    return (prev, cur, count, tail) if tails else (prev, cur, count)
 
 
 def phi_row(x, degree):
@@ -440,14 +443,6 @@ def phi_row(x, degree):
             for lo in range(0, x.size, _RUN_POINTS)])
     _, cur, count, _ = _at_degrees(x, degree)
     return _to_floats(cur, _gauss(x), count)
-
-
-def phi_tail(x, degree):
-    """Tail integrals J_d(x) = int_x^inf phi_d on the grid x >= 0 as plain
-    floats, at the degree d of each point: degree is an int, or one int per
-    point, nonincreasing."""
-    _, _, count, tail = _at_degrees(x, degree, tails=True)
-    return _to_floats(tail, _gauss(x), count)
 
 
 def phi_rows(x, degree, lowest=0):

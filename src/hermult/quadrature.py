@@ -27,9 +27,12 @@ the route rule below.  None refines, so the tolerance is only validated.
 - p = 1: phi_n keeps its sign between consecutive zeros z_j, so with
   J(a) = int_a^inf phi_n the half-line integral of |phi_n| is
   |J(0) - J(z_1)| + sum_j |J(z_j) - J(z_{j+1})| + |J(z_m)|.  J comes from
-  its own recurrence, carried along the scaled one for phi at 0 and the
-  n-node rule's zeros.  A zero's error enters only at second order,
-  since phi_n vanishes there.
+  its own recurrence, carried along the scaled one for phi in the Halley
+  passes that find the n-node rule's zeros (their tails mode): one run a
+  pass serves 0 and the guesses, and J at each zero comes from J at the
+  point its last pass evaluated, by the Taylor series of the step, since
+  J' = -phi.  A zero's error enters only at second order, since phi_n
+  vanishes there.
 - p = inf: on x > 0, f = phi^2 + phi'^2/(lambda - x^2) with lambda = 2n + 1
   has f' = 2x phi'^2/(lambda - x^2)^2 >= 0, so the relative maxima of |phi_n|
   increase on (0, sqrt(lambda)) (Sonin's argument, Szego, Orthogonal
@@ -90,10 +93,11 @@ A single norm on the grid is the same sweep without the lower rows, so
 where both take the grid ``lp_norms_1d(N, p)[N]`` is ``lp_norm_1d(N, p)``
 bit for bit.
 The other routes sweep as well: the zeros of every degree take their
-Halley passes together, and the points of all the degrees (the zeros at
-p = 1, one point per degree at p = inf, the panel points in runs of at
-most _RUN_POINTS) share a run of the recurrence, which reads each
-degree's points at its own step (the kernels take a degree per point).  A
+Halley passes together, and the points of all the degrees (0 and the
+guesses at p = 1, whose Halley passes carry the tails, one point per
+degree at p = inf, the panel points in runs of at most _RUN_POINTS)
+share a run of the recurrence, which reads each degree's points at its
+own step (the kernels take a degree per point).  A
 single norm is the sweep of one degree.  Every value is scaled exactly in
 its point's rescale count j (``_accel``), so a point rescaled at another
 step than in its own degree's run keeps its value, and these sweeps keep
@@ -132,8 +136,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._accel import (
-    _RUN_POINTS, _gauss, _square, _to_floats, phi_pair, phi_row, phi_rows, phi_tail,
-    weighted_abs_power_sum,
+    _RUN_POINTS, _gauss, _square, _to_floats, phi_pair, phi_row, phi_rows, weighted_abs_power_sum,
 )
 from .errors import CapabilityError, ConvergenceError, DomainError
 # eval_phi_1d stays a module attribute for code that looks it up here.
@@ -149,8 +152,9 @@ _GH_MAX_NODES = 10_000
 # _COLUMN_POINTS points run in Python floats, at 175-255 ns a point-step.
 _STEP_POINTS = 4096
 # Work above which a request is refused, set when the recurrence took
-# 4-15 s for it.  The largest degrees served at p = 1 and p = 4 (27,790 and
-# 25,870) take 0.9-1.3 s, and the sweep at p = 1 to 1,254 2.4 s.
+# 4-15 s for it.  The largest degrees served at p = 1 and p = 4 (40,812 and
+# 25,870) take 1.5-1.6 s and 0.9-1.2 s, and the sweep at p = 1 to 1,582
+# 3.6-3.7 s.
 NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
@@ -339,7 +343,7 @@ def _rule_guesses(rules):
     return _zero_guesses(M, j.astype(float)), M
 
 
-def _halley_nodes(y: np.ndarray, M: np.ndarray):
+def _halley_nodes(y: np.ndarray, M: np.ndarray, held=None):
     """Zeros of phi_M refined from the guesses y >= 0 by Halley passes; M is
     an int array with one M per guess, and all the rules take each pass
     together.
@@ -356,22 +360,38 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
     to the refined node by the Taylor series the same equation supplies.
     A node depends on its guess and M alone: a rescaling multiplies phi_M
     and phi_{M-1} by one power of two, which leaves the step unchanged.
+
+    The tails mode, for the p = 1 norms: held, a mask of points kept
+    where they are (they take no step and are final after the first pass),
+    makes each pass's run carry the tail integrals J_M(x) = int_x^inf phi_M
+    too, and a fifth array follows, J_M at each returned point in plain
+    floats.  Since J' = -phi, the same series carries J from the evaluated
+    point x to the node x + h,
+
+        J(x + h) = J(x) - h (phi + h/2 (phi' + h/3 (phi'' + h/4 phi'''))),
+
+    on the point's scale, so the tails become plain floats once, with d.
     """
     y = np.array(y, dtype=float)
     d, at, counts = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    tails = None if held is None else np.empty_like(y)
     todo = np.arange(len(y))
     for _ in range(_MAX_NODE_PASSES):
         if not len(todo):
             break
         x, m = y[todo], M[todo]
-        prev, cur, count = phi_pair(x, m)
+        prev, cur, count, *tail = phi_pair(x, m, tails=held is not None)
         dx = np.sqrt(2.0 * m) * prev - x * cur
         q = x * x - (2.0 * m + 1.0)
-        ratio = cur / dx
+        # a held point's step is 0, whatever its phi_M'
+        ratio = cur / (dx if held is None else np.where(held[todo], math.inf, dx))
         h = -ratio / (1.0 - 0.5 * q * ratio * ratio)
         y[todo] = x + h
-        d[todo] = dx + h * (q * cur + 0.5 * h * (
-            2.0 * x * cur + q * dx + h / 3.0 * (4.0 * x * dx + (2.0 + q * q) * cur)))
+        # phi'' and phi''' at x
+        d2, d3 = q * cur, 2.0 * x * cur + q * dx
+        d[todo] = dx + h * (d2 + 0.5 * h * (d3 + h / 3.0 * (4.0 * x * dx + (2.0 + q * q) * cur)))
+        if tail:
+            tails[todo] = tail[0] - h * (cur + 0.5 * h * (dx + h / 3.0 * (d2 + 0.25 * h * d3)))
         at[todo], counts[todo] = x, count
         # Halley's error after the step is |q| / 6 * |h|^3 to leading order
         todo = todo[~(np.abs(q) * np.abs(h) ** 3 <= _NODE_STOP * y[todo])]
@@ -381,7 +401,9 @@ def _halley_nodes(y: np.ndarray, M: np.ndarray):
             f"{len(todo)} zeros of phi_M, M in {missed}, missed the stop rule after "
             f"{_MAX_NODE_PASSES} passes"
         )
-    return y, d, at, counts
+    if tails is None:
+        return y, d, at, counts
+    return y, d, at, counts, _to_floats(tails, _gauss(at), counts)
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
@@ -555,32 +577,26 @@ def _degree_arg(per_point: np.ndarray):
     return int(per_point[0]) if per_point[0] == per_point[-1] else per_point
 
 
-def _positive_zeros(degrees) -> np.ndarray:
-    """The u // 2 positive zeros of phi_u, increasing, for each u in degrees,
-    nonincreasing, as one array: one set of Halley passes over all their
-    rules, which gives each rule's nodes bit for bit and leaves the rule
-    cache (roots_hermite) alone."""
-    return _halley_nodes(*_rule_guesses(degrees))[0]
-
-
 def _l1_norm_1d(degrees) -> list[float]:
     """||phi_u||_1 for each u in degrees, from the tail integrals
     J(a) = int_a^inf phi_u at 0 and the positive zeros: phi keeps its sign
     between consecutive points, so the half-line integral of |phi| is the
     sum of |J(a_j) - J(a_{j+1})| and of |J| at the largest zero.
 
-    The zeros come from _positive_zeros and the tails from one phi_tail
-    run over all the points, a block of u // 2 + 1 per degree.
+    The zeros and their tails come from one set of Halley passes in the
+    tails mode (_halley_nodes) over a block of u // 2 + 1 points per
+    degree, its guesses led by 0, which is held there: one run of the
+    recurrence a pass.
     """
     degrees = [int(u) for u in degrees]
     sizes = [u // 2 + 1 for u in degrees]
     ends = np.cumsum(sizes)
-    points = np.zeros(int(ends[-1]))
     # 0 leads each block
-    zeros = np.zeros(len(points), dtype=bool)
-    zeros[ends - sizes] = True
-    points[~zeros] = _positive_zeros(degrees)
-    tails = phi_tail(points, _degree_arg(np.repeat(degrees, sizes)))
+    held = np.zeros(int(ends[-1]), dtype=bool)
+    held[ends - sizes] = True
+    points = np.zeros(len(held))
+    points[~held] = _rule_guesses(degrees)[0]
+    tails = _halley_nodes(points, np.repeat(degrees, sizes), held)[4]
     after = np.append(tails[1:], 0.0)
     after[ends - 1] = 0.0
     gaps = np.abs(tails - after).tolist()
@@ -595,7 +611,11 @@ def _panel_norm_1d(degrees, p: float) -> list[float]:
     Each degree's values are summed on their own, scaled by their largest
     |value| T (weighted_abs_power_sum), and the norm is T (2 S)^(1/p)."""
     degrees = [int(u) for u in degrees]
-    zeros = np.split(_positive_zeros(degrees), np.cumsum([u // 2 for u in degrees])[:-1])
+    # the u // 2 positive zeros of each phi_u from one set of Halley passes
+    # over all the rules, each rule's nodes bit for bit, the rule cache
+    # (roots_hermite) left alone
+    zeros = np.split(_halley_nodes(*_rule_guesses(degrees))[0],
+                     np.cumsum([u // 2 for u in degrees])[:-1])
     norms, rules, size = [], [], 0
     for i, (u, z) in enumerate(zip(degrees, zeros)):
         rules.append((u, *_panel_rule(u, z, p)))
@@ -721,12 +741,18 @@ def _half_sum(n: int, up: bool = False) -> int:
     return ((n + up) // 2) * ((n + 1 + up) // 2)
 
 
-def _halley_work(top: int, low: int) -> float:
+def _halley_work(top: int, low: int, tails: bool = False) -> float:
     """Point-steps of the Halley calls for the zeros of phi_u, u = low..top:
     one over every rule and one over those below _ONE_PASS_NODES, each one
-    step short of its largest M and charged u - u // 2 points a rule."""
+    step short of its largest M and charged u - u // 2 points a rule; in
+    the tails mode (p = 1) the first call is charged the u // 2 + 1 points
+    of each degree's block, its zeros and 0."""
     below = _half_sum(low - 1, True)
-    work = _phi_row_work(_half_sum(top, True) - below, top - 1 if top else 0)
+    if tails:
+        first = _half_sum(top) - _half_sum(low - 1) + top - low + 1
+    else:
+        first = _half_sum(top, True) - below
+    work = _phi_row_work(first, top - 1 if top else 0)
     if (hi := top if top < _ONE_PASS_NODES else _ONE_PASS_NODES - 1) >= low:
         work += _phi_row_work(_half_sum(hi, True) - below, hi - 1 if hi else 0)
     return work
@@ -757,8 +783,8 @@ def _route(top: int, p: float, rows: int = 1):
     """(route, point-steps of the kernel calls it makes) for the norms of
     phi_u, u from top down `rows` degrees: one for lp_norm_1d, top + 1 for
     lp_norms_1d; by the route rule of the module docstring.  The sup makes
-    one call at one point per nonzero degree, p = 1 its Halley calls and
-    one phi_tail call, the grid one run.  Cached: s_r_sum's check and
+    one call at one point per nonzero degree, p = 1 its Halley calls in the
+    tails mode, the grid one run.  Cached: s_r_sum's check and
     lp_norms_1d's cost one estimate."""
     low = top - rows + 1
     if p == 2.0:
@@ -766,8 +792,7 @@ def _route(top: int, p: float, rows: int = 1):
     if math.isinf(p):
         return "sup", _phi_row_work(rows - (low == 0), top)
     if p == 1.0:
-        tails = _half_sum(top) - _half_sum(low - 1) + rows
-        return "zeros", _halley_work(top, low) + _phi_row_work(tails, top)
+        return "zeros", _halley_work(top, low, tails=True)
     grid = _even_work(top, p, rows) if p % 2.0 == 0.0 else math.inf
     panels = _panel_work(top, low, p, grid if grid < NORM_WORK_BUDGET else NORM_WORK_BUDGET)
     if grid <= panels and grid <= NORM_WORK_BUDGET:

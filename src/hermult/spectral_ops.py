@@ -19,7 +19,7 @@ import numpy as np
 
 from ._accel import phi_table
 from .errors import CapabilityError, DomainError
-from .hermite_core import _check_order, as_entries, count_up_to, enumerate_up_to
+from .hermite_core import MAX_DEGREE_DEFAULT, _check_order, as_entries, count_up_to, enumerate_up_to
 from .quadrature import QuadratureRule, _full_line, roots_hermite
 
 # Indritz's uniform bound sup_x |phi_k(x)| <= pi^(-1/4) (Proc. Amer. Math.
@@ -315,6 +315,17 @@ def level_tail_bound(m: Symbol, N: int) -> float | None:
     return _scaled_power(C, N + s, n - beta) / (math.factorial(n - 1) * (beta - n))
 
 
+def _check_lattice(n: int, N: int):
+    """Refuse with CapabilityError a sum over every index of |nu| <= N in
+    dimension n, as a non-radial custom symbol takes, past _LATTICE_CAP
+    indices."""
+    size = count_up_to(n, N)
+    if size > _LATTICE_CAP:
+        raise CapabilityError(
+            f"lattice of {size} indices is too large for a non-radial custom symbol"
+        )
+
+
 def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
     """fsum over |nu| <= N of term(m(nu)) * prod_j factors[nu_j, j].
 
@@ -345,11 +356,7 @@ def lattice_sum(m: Symbol, N: int, term=float, factors=None) -> float:
     if m.table is not None:
         items = [(key, v) for key, v in m.support_items() if sum(key) <= N]
     else:
-        size = count_up_to(n, N)
-        if size > _LATTICE_CAP:
-            raise CapabilityError(
-                f"lattice of {size} indices is too large for a non-radial custom symbol"
-            )
+        _check_lattice(n, N)
         items = ((nu.entries, m(nu)) for nu in enumerate_up_to(n, N))
     if F is None:
         return math.fsum(term(v) for _, v in items)
@@ -523,15 +530,22 @@ def kernel_series(m: Symbol, x, y, N: int) -> KernelValue:
     """Truncated kernel sum_{|nu| <= N} m(nu) phi_nu(x) phi_nu(y).
 
     A radial symbol sums its levels with weights from n - 1 convolutions
-    of the order-N columns; past _CONVOLUTION_CAP products of them it is
-    refused with CapabilityError before any work."""
+    of the order-N columns.  Refused with CapabilityError before any work,
+    phi_table's included: an order above MAX_DEGREE_DEFAULT, a radial
+    symbol past _CONVOLUTION_CAP products of the columns, and a non-radial
+    custom symbol past _LATTICE_CAP indices, as lattice_sum refuses it."""
     N = _check_order(N)
     n = m.dimension
-    if m.is_radial and (n - 1) * (N + 1) ** 2 > _CONVOLUTION_CAP:
-        raise CapabilityError(
-            f"order {N} in dimension {n} needs {(n - 1) * (N + 1) ** 2:.2g} convolution "
-            f"products, above {_CONVOLUTION_CAP:.0e}"
-        )
+    if N > MAX_DEGREE_DEFAULT:
+        raise CapabilityError(f"order {N} exceeds {MAX_DEGREE_DEFAULT}")
+    if m.is_radial:
+        if (n - 1) * (N + 1) ** 2 > _CONVOLUTION_CAP:
+            raise CapabilityError(
+                f"order {N} in dimension {n} needs {(n - 1) * (N + 1) ** 2:.2g} convolution "
+                f"products, above {_CONVOLUTION_CAP:.0e}"
+            )
+    elif m.table is None:
+        _check_lattice(n, N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if len(xs) != n or len(ys) != n:

@@ -29,7 +29,7 @@ from hermult import (
 from hermult import _accel
 from hermult._accel import (
     _COLUMN_POINTS, _at_degrees, _erfcx, _gauss, _recurrence, _to_floats, phi_pair,
-    phi_row, phi_rows, phi_table, phi_tail,
+    phi_row, phi_rows, phi_table,
 )
 
 mpmath.mp.dps = 50
@@ -125,9 +125,18 @@ def loop_rows(x, degree, lowest=0):
 
 
 def tail_counts(x, degree):
-    """phi_tail's mantissas (from _at_degrees) with their rescale counts."""
-    _, _, count, tail = _at_degrees(x, degree, tails=True)
+    """The tail mantissas that phi_pair carries with tails, with their
+    rescale counts."""
+    _, _, count, tail = phi_pair(x, degree, tails=True)
     return tail, count
+
+
+def plain_tails(x, degree):
+    """The tail integrals J_d(x) = int_x^inf phi_d in plain floats, as the
+    p = 1 Halley pass forms them: phi_pair's tail mantissas through the
+    scaling stage."""
+    tail, count = tail_counts(x, degree)
+    return _to_floats(tail, _gauss(x), count)
 
 
 def assert_power_of_two_apart(got, got_count, want, want_count):
@@ -180,7 +189,7 @@ def test_rows_are_the_table_in_plain_floats():
 
 
 def reference_tail(x, degree):
-    """phi_tail's loop with the range test at every step, beside
+    """The tail loop with the range test at every step, beside
     reference_recurrence; yields (tail, count) for degrees 0..degree."""
     R, RI = 2.0 ** 400, 2.0 ** -400
     count = np.zeros(x.shape)
@@ -269,8 +278,8 @@ def test_one_degree_per_point_reads_each_at_its_own_step(tails):
     degree = np.sort(rng.choice([0, 1, 2, 3, 48, 49, 401, 1600], len(x)))[::-1]
     degree[[0, -1]] = 1600, 0
     with pytest.raises(ValueError):
-        (phi_tail if tails else phi_pair)(x, degree[::-1])
-    plain = phi_tail if tails else phi_row
+        (plain_tails if tails else phi_pair)(x, degree[::-1])
+    plain = plain_tails if tails else phi_row
     values = plain(x, degree)
     plain_lone = {n: plain(x, n) for n in np.unique(degree).tolist()}
     assert values.tolist() == [plain_lone[n][i] for i, n in enumerate(degree.tolist())]
@@ -401,7 +410,7 @@ def test_point_loop_keeps_the_bits_of_the_vector_loop(monkeypatch, x, tails):
         [0, 1, 2, 3, 401, 1600, 5000], len(x)))[::-1]
     # and the plain floats, e^(-x^2/2) formed point by point or on numpy
     # alike, the same bits
-    plain = phi_tail if tails else phi_row
+    plain = plain_tails if tails else phi_row
     for degree in (0, 1, 2, 401, 5000, per_point):
         runs, values = [], []
         for size in (0, len(x) + 1):
@@ -489,7 +498,7 @@ def tail_oracle(k, a):
 @pytest.mark.parametrize("degree", [0, 1, 7, 24])
 def test_tail_integrals_against_mpmath(degree):
     a = np.array([0.0, 0.3, 1.7, 4.2, 9.0])
-    for ai, got in zip(a.tolist(), phi_tail(a, degree).tolist()):
+    for ai, got in zip(a.tolist(), plain_tails(a, degree).tolist()):
         want = tail_oracle(degree, ai)
         assert abs(got - want) <= 1e-14 * max(abs(want), mpmath.mpf("1e-300")), (degree, ai)
 
@@ -502,7 +511,7 @@ def test_tail_integrals_far_out_stay_in_range():
     scale = -mpmath.mpf(40) ** 2 / 2 + 400 * int(count[0]) * mpmath.log(2)
     got = mpmath.mpf(mantissa[0]) * mpmath.exp(scale)
     assert abs(got - want) <= 1e-13 * want
-    assert phi_tail(np.array([40.0]), 0)[0] == 0.0
+    assert plain_tails(np.array([40.0]), 0)[0] == 0.0
 
 
 def test_eval_phi_1d_is_the_table_entry():

@@ -480,8 +480,8 @@ class TestSrSum:
             s_r_sum(heat_symbol(1.0), 2, Fraction(10**400), 1, N=5)
 
     def test_refused_before_any_norm(self, monkeypatch):
-        # the p2 = 1 norm of degree 7000 is over the work budget; refused
-        # before any of the norms below it is computed
+        # the p2 = 1 norms up to degree 7000 are over the work budget;
+        # refused before any of them is computed
         def computed(*args):
             raise AssertionError(f"norm {args} computed before the refusal")
 
@@ -492,17 +492,17 @@ class TestSrSum:
         assert time.perf_counter() - start < 1.0
 
     def test_refused_by_the_work_of_all_norms(self, monkeypatch):
-        # the L^1 norm of degree 1255 is within the budget, the sweep of the
-        # 1256 norms up to it is not (its edge is 1,254)
+        # the L^1 norm of degree 1583 is within the budget, the sweep of the
+        # 1584 norms up to it is not (its edge is 1,582)
         def computed(*args):
             raise AssertionError(f"norms {args} computed before the refusal")
 
         monkeypatch.setattr(quad, "_lp_norm_1d_cached", computed)
         monkeypatch.setattr(quad, "_lp_norms_1d_cached", computed)
-        assert quad._route(1255, 1.0)[1] <= quad.NORM_WORK_BUDGET
+        assert quad._route(1583, 1.0)[1] <= quad.NORM_WORK_BUDGET
         start = time.perf_counter()
         with pytest.raises(CapabilityError):
-            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1255)
+            s_r_sum(heat_symbol(1.0), 1, 1, Fraction(2, 3), N=1583)
         assert time.perf_counter() - start < 1.0
 
     def test_p1_equal_one_served_at_the_last_doubling_in_dimension_two(self):

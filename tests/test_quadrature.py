@@ -173,13 +173,14 @@ class TestGaussHermiteRule:
 
 def _count_work(monkeypatch):
     """Record point-steps as _route counts them, for single norms and for
-    sweeps: a phi_row, phi_rows or phi_tail call whose largest degree is n,
-    n (P + 4096); a phi_pair call at largest M, (M - 1) (P + 4096); each
-    value of a weighted power sum, 4.  A call with one degree per point runs
-    the loop to the largest one; its cuts only make the work smaller.  Also
-    record np.ndim of each kernel call's degrees."""
+    sweeps: a phi_row or phi_rows call whose largest degree is n,
+    n (P + 4096); a phi_pair call at largest M, with or without the tails
+    of the p = 1 route, (M - 1) (P + 4096); each value of a weighted power
+    sum, 4.  A call with one degree per point runs the loop to the largest
+    one; its cuts only make the work smaller.  Also record np.ndim of each
+    kernel call's degrees."""
     done, kernels = [], []
-    pair, rows, tail, power = quad.phi_pair, quad.phi_rows, quad.phi_tail, quad.weighted_abs_power_sum
+    pair, rows, power = quad.phi_pair, quad.phi_rows, quad.weighted_abs_power_sum
     row = quad.phi_row
 
     def counted_row(x, n):
@@ -187,20 +188,15 @@ def _count_work(monkeypatch):
         done.append(quad._phi_row_work(len(x), int(np.max(n))))
         return row(x, n)
 
-    def counted_pair(x, M):
+    def counted_pair(x, M, tails=False):
         kernels.append(np.ndim(M))
         done.append(quad._phi_row_work(len(x), max(int(np.max(M)) - 1, 0)))
-        return pair(x, M)
+        return pair(x, M, tails)
 
     def counted_rows(x, n, lowest=0):
         kernels.append(0)
         done.append(quad._phi_row_work(len(x), n))
         return rows(x, n, lowest)
-
-    def counted_tail(x, n):
-        kernels.append(np.ndim(n))
-        done.append(quad._phi_row_work(len(x), int(np.max(n))))
-        return tail(x, n)
 
     def counted_power(vals, weights, p):
         done.append(quad._POWER_POINTS * vals.size)
@@ -209,7 +205,6 @@ def _count_work(monkeypatch):
     monkeypatch.setattr(quad, "phi_pair", counted_pair)
     monkeypatch.setattr(quad, "phi_row", counted_row)
     monkeypatch.setattr(quad, "phi_rows", counted_rows)
-    monkeypatch.setattr(quad, "phi_tail", counted_tail)
     monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
     return done, kernels
 
@@ -219,9 +214,9 @@ def _count_passes(monkeypatch):
     calls = []
     pair = quad.phi_pair
 
-    def counted(x, M):
+    def counted(x, M, tails=False):
         calls.append(len(x))
-        return pair(x, M)
+        return pair(x, M, tails)
 
     monkeypatch.setattr(quad, "phi_pair", counted)
     return calls
@@ -637,11 +632,13 @@ class TestLpNorms:
 
     @pytest.mark.parametrize("degree,p,route", [
         (34332, math.inf, "sup"), (16323, 4.0, "even"), (11616, 6.0, "even"),
-        (27790, 2.0, "even"), (6255, 1.0, "zeros"),
+        (27790, 2.0, "even"), (6255, 1.0, "zeros"), (27790, 1.0, "zeros"),
     ])
     def test_largest_degrees_served_before_are_served(self, degree, p, route):
-        # the largest degrees within the budget when scipy supplied the nodes;
-        # p = 2 has left the grid for its exact value, with no work
+        # the largest degrees within the budget when scipy supplied the nodes,
+        # and at p = 1 when the tails took a run of their own after the
+        # Halley passes; p = 2 has left the grid for its exact value, with
+        # no work
         got, work = quad._route(degree, float(p))
         if p == 2.0:
             assert (got, work) == ("unit", 0.0) and lp_norm_1d(degree, p) == 1.0
@@ -651,9 +648,9 @@ class TestLpNorms:
     @pytest.mark.parametrize("p,sweep,edge,route", [
         (4.0, False, 25870, "even"), (12.0, False, 15327, "even"), (14.0, False, 14222, "even"),
         (24.0, False, 10928, "even"), (100.0, False, 5381, "even"),
-        (math.inf, False, 244081, "sup"), (1.0, False, 27790, "zeros"),
+        (math.inf, False, 244081, "sup"), (1.0, False, 40812, "zeros"),
         (2.5, False, 8509, "panels"), (1000.0, False, 2199, "panels"),
-        (1.0, True, 1254, "zeros"), (math.inf, True, 29641, "sup"),
+        (1.0, True, 1582, "zeros"), (math.inf, True, 29641, "sup"),
         (4 / 3, True, 554, "panels"), (37.5, True, 350, "panels"),
         (4.0, True, 11802, "even"), (14.0, True, 6401, "even"), (16.0, True, 5991, "even"),
         (24.0, True, 4896, "even"), (100.0, True, 2388, "even"), (1e4, True, 220, "even"),
@@ -690,12 +687,13 @@ class TestLpNorms:
         assert 0.0 < lp_norm_1d(degree, p) <= lp_norm_1d(degree, math.inf) ** (1 - 2 / p)
 
     def test_rule_at_the_p1_edge_takes_one_pass(self, monkeypatch):
-        # degree 27790 at p = 1 needs the 27790-node rule, the largest a
-        # route builds; the route's estimate counts one pass of it
+        # degree 40812 at p = 1 refines the zeros of the 40812-node rule,
+        # the largest a route refines; the route's estimate counts one pass
+        # of it
         from scipy.special import roots_hermite as scipy_roots
 
         calls = _count_passes(monkeypatch)
-        M = 27790
+        M = 40812
         y = quad.roots_hermite.__wrapped__(M)[0]
         assert calls == [M - M // 2]
         want = scipy_roots(M)[0][M // 2:]
@@ -763,6 +761,51 @@ class TestLpNorms:
         # against the panel route, an independent quadrature
         assert quad._l1_norm_1d([degree])[0] == pytest.approx(
             quad._panel_norm_1d([degree], 1.0)[0], rel=2e-14)
+
+    def test_p1_norm_makes_one_recurrence_run_per_pass(self, monkeypatch):
+        # the tails come from the Halley passes' own runs: one run from
+        # _ONE_PASS_NODES on, at most two below, and no other kernel call
+        _, kernels = _count_work(monkeypatch)
+        for degree in list(range(0, 60)) + [200]:
+            kernels.clear()
+            quad._lp_norm_1d_cached.__wrapped__(degree, 1.0)
+            assert 1 <= len(kernels) <= (1 if degree >= quad._ONE_PASS_NODES else 2), degree
+        kernels.clear()
+        quad._lp_norms_1d_cached.__wrapped__(300, 1.0)
+        assert len(kernels) == 2
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 10, 15, 34, 48, 49, 100, 200])
+    def test_l1_norm_against_a_30_digit_tail_recurrence(self, degree):
+        # the zeros refined by Newton's method in 30 digits, and the tail
+        # integrals at 0 and at them from the tail recurrence in 30 digits,
+        # J_0 = pi^(-1/4) sqrt(pi/2) erfc(x / sqrt 2), J_1 = sqrt(2) phi_0
+        # and J_{k+1} = sqrt(k/(k+1)) J_{k-1} + sqrt(2/(k+1)) phi_k
+        from scipy.special import roots_hermite as scipy_roots
+
+        with mpmath.workdps(30):
+            def tail(x):
+                p0 = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+                j0 = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(
+                    x / mpmath.sqrt(2))
+                p1, j1 = mpmath.sqrt(2) * x * p0, mpmath.sqrt(2) * p0
+                for k in range(1, degree):
+                    c1 = mpmath.sqrt(mpmath.mpf(2) / (k + 1))
+                    c0 = mpmath.sqrt(mpmath.mpf(k) / (k + 1))
+                    j0, j1 = j1, c0 * j0 + c1 * p1
+                    p0, p1 = p1, x * c1 * p1 - c0 * p0
+                return j1 if degree else j0
+
+            points = [mpmath.mpf(0)]
+            for z in sorted(z for z in scipy_roots(degree)[0].tolist() if z > 0) if degree else []:
+                x = mpmath.mpf(z)
+                for _ in range(2):
+                    prev, cur = _mp_phi_pair(x, degree)
+                    x -= cur / (mpmath.sqrt(2 * degree) * prev - x * cur)
+                points.append(x)
+            J = [tail(x) for x in points]
+            want = 2 * (mpmath.fsum(abs(a - b) for a, b in zip(J, J[1:])) + abs(J[-1]))
+            got = lp_norm_1d(degree, 1.0)
+            assert abs(got / want - 1) <= 1e-14, (degree, float(got / want - 1))
 
     @pytest.mark.parametrize("degree", [3000, 10000])
     def test_zero_route_within_its_bounds_at_large_degree(self, degree):
@@ -942,11 +985,12 @@ class TestNormSweep:
             lp_norms_1d(-1, 4.0)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("N,p", [(1000, 1.0), (699, math.inf)])
+    @pytest.mark.parametrize("N,p", [(1000, 1.0), (1254, 1.0), (699, math.inf)])
     def test_admitted_by_the_work_of_all_its_norms(self, N, p):
         # the sweep is charged the one run it makes over all N + 1 norms:
         # their single-norm estimates sum past the budget, the sweep's own
-        # is within it, and it gives each norm's value
+        # is within it, and it gives each norm's value; 1,254 was the p = 1
+        # edge when the tails took a run of their own
         single = quad._route.__wrapped__
         assert sum(single(n, p)[1] for n in range(N + 1)) > quad.NORM_WORK_BUDGET
         assert quad.check_budget(N, p, N + 1) == {1.0: "zeros", math.inf: "sup"}[p]
@@ -1001,8 +1045,8 @@ class TestNormSweep:
         assert sum(done) <= quad._route(N, p, N + 1)[1]
         if p in (1.0, math.inf):
             # the sweep's own calls, one degree per point: the sup's one
-            # run, or at most two node passes and one tail run
-            assert kernels and all(kernels) and len(kernels) <= {1.0: 3, math.inf: 1}[p]
+            # run, or at most two node passes that carry the tails
+            assert kernels and all(kernels) and len(kernels) <= {1.0: 2, math.inf: 1}[p]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_sweep_is_estimated_once_per_order_and_exponent(self, p):

@@ -11,7 +11,7 @@ import pytest
 
 from hermult.errors import CapabilityError, DomainError
 from hermult.hermite_core import enumerate_up_to, eval_phi_1d, eval_phi_nd
-from hermult import _accel
+from hermult import _accel, spectral_ops
 from hermult._accel import phi_table
 from hermult.quadrature import QuadratureRule, gauss_hermite_rule, roots_hermite, truncated_rule
 from hermult.spectral_ops import (
@@ -642,6 +642,23 @@ class TestKernelSeries:
             kernel_series(heat_symbol(1.0, n=n), [0.1] * n, [0.2] * n, N)
         assert time.perf_counter() - start < 1.0
         assert kernel_series(heat_symbol(1.0, n=n), [0.1] * n, [0.2] * n, 200 * n).value > 0.0
+
+    @pytest.mark.parametrize("symbol", [
+        heat_symbol(1.0), custom_symbol(lambda e: 2.0 ** -sum(e), n=2)], ids=["heat-1", "custom-2"])
+    def test_huge_order_refused_before_the_table(self, monkeypatch, symbol):
+        # order 10^8 is past MAX_DEGREE_DEFAULT, and a custom symbol's
+        # lattice in n = 2 past _LATTICE_CAP at far lower orders: refused
+        # before phi_table builds its N + 1 rows
+        def built(*args):
+            raise AssertionError("phi_table ran before the refusal")
+
+        monkeypatch.setattr(spectral_ops, "phi_table", built)
+        n = symbol.dimension
+        for N in (10**8, *((2000,) if n == 2 else ())):
+            start = time.perf_counter()
+            with pytest.raises(CapabilityError):
+                kernel_series(symbol, [0.1] * n, [0.2] * n, N)
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_points_are_refused(self, bad):
