@@ -1,13 +1,18 @@
 """Quadrature rules, L^p norms of Hermite functions, and norm models.
 
-``lp_norm_1d`` takes one of five routes (``_route``), at even p by
-the route rule below.  None refines, so the tolerance is only validated.
+``lp_norm_1d`` takes one of six routes (``_route``), at even p from 6 on
+by the route rule below.  None refines, so the tolerance is only validated.
 
 - p = 2: the Hermite functions are orthonormal, so ||phi_n||_2 = 1 at
   every degree, with no work.
-- The grid, at even p: f = |phi_n|^p = phi_n^p is entire and even, with a
-  Gaussian tail, so the trapezoidal rule on the grid x_j = j h converges
-  faster than geometrically (Trefethen and Weideman, SIAM Rev. 56
+- p = 4, in closed form: with c_k = C(2k, k) / 4^k,
+  ||phi_n||_4^4 = (2 pi)^(-1/2) sum_{b=0}^{n} c_{n-b} c_b^2, a sum of n + 1
+  positive terms (``_quartic_norm_1d``, which derives it and bounds its
+  rounding).  The c_k come from exact ints, then from the asymptotic series
+  of Gamma(k + 1/2) / Gamma(k + 1), each within 2^-52 relative.
+- The grid, at even p >= 6: f = |phi_n|^p = phi_n^p is entire and even,
+  with a Gaussian tail, so the trapezoidal rule on the grid x_j = j h
+  converges faster than geometrically (Trefethen and Weideman, SIAM Rev. 56
   (2014), section 5); f being even, the sum runs over j >= 0 with weight
   h at x_0 and 2h elsewhere.  By Poisson summation the rule on the whole
   line is the sum of F(2 pi k / h) over all integers k, F the Fourier
@@ -81,7 +86,10 @@ Gauss-Hermite half-rules (y >= 0) are cached, per M: the zeros of the
 p = 1 and panel routes, single norms or sweeps, fill no cache.
 
 ``lp_norms_1d(N, p)`` gives ||phi_u||_p for every u <= N, as the direct
-summability sum needs them.  For even p one grid serves all degrees: that
+summability sum needs them.  At p = 4 each row is its own closed-form sum,
+on the one table of c_k for k <= N, by the call a single norm makes, so
+every entry is ``lp_norm_1d(u, 4)`` bit for bit.  For the other even p
+one grid serves all degrees: that
 of degree N has a finer step and a longer reach than that of any u <= N.
 One run of the recurrence at its points passes through every degree
 0..N, and each row's weighted p-th power sum is one of the integrals, so
@@ -107,13 +115,14 @@ depends on what was computed before.
 
 A norm and a sweep are charged by one estimate (``_route``), in
 point-steps: the kernel calls the route makes, each its top degree times
-(its points + _STEP_POINTS), and _POWER_POINTS a value of each row power
-sum.  A request whose estimate exceeds ``NORM_WORK_BUDGET`` is refused
-with ``CapabilityError`` before any recurrence work.  The route rule:
-p = 2 takes its exact route, at every degree up to MAX_DEGREE_DEFAULT; at
-other even p a norm or a sweep takes the grid when its estimate is within
-the budget and no larger than the panels', each with its row power sums
-(N + 1 rows, one for a norm); ties go to the grid.
+(its points + _STEP_POINTS), _POWER_POINTS a value of each row power
+sum, and at p = 4 the u + 1 terms of each row's sum.  A request whose
+estimate exceeds ``NORM_WORK_BUDGET`` is refused with ``CapabilityError``
+before any recurrence work.  The route rule: p = 2 and p = 4 take their
+exact routes, at every degree up to MAX_DEGREE_DEFAULT (a p = 4 sweep to
+N = 44,719); at other even p a norm or a sweep takes the grid when its
+estimate is within the budget and no larger than the panels', each with
+its row power sums (N + 1 rows, one for a norm); ties go to the grid.
 
 The norm law ``norm_law(p)`` gives ||phi_n||_p of order n^e(p) (ln n)^lam(p)
 (Koch and Tataru, Duke Math. J. 128 (2005); Thangavelu, Lectures on
@@ -152,9 +161,10 @@ _GH_MAX_NODES = 10_000
 # _COLUMN_POINTS points run in Python floats, at 175-255 ns a point-step.
 _STEP_POINTS = 4096
 # Work above which a request is refused, set when the recurrence took
-# 4-15 s for it.  The largest degrees served at p = 1 and p = 4 (40,812 and
-# 25,870) take 1.5-1.6 s and 0.9-1.2 s, and the sweep at p = 1 to 1,582
-# 3.6-3.7 s.
+# 4-15 s for it.  The largest degree served at p = 1, 40,812, takes
+# 1.5-1.6 s, and the sweep at p = 1 to 1,582 3.6-3.7 s; at p = 4 the
+# closed form serves every degree up to MAX_DEGREE_DEFAULT (10^6 in 0.07 s)
+# and the sweep to 44,719 (about 1 s).
 NORM_WORK_BUDGET = 1e9
 # Nodes of the panel route's rule on each piece, the fewest that reach
 # rounding: 10 left 2.5e-13 at p = 100 (CHANGES.md has the table).
@@ -191,6 +201,18 @@ _AIRY_PRIME_A1 = -1.0187929716474710
 # settles in 5 steps.
 _SUP_TERMS = 40
 _SUP_NEWTON = 8
+
+# c_k = C(2k, k) / 4^k (_central) from exact ints below this k, from the
+# asymptotic series of Gamma(k + 1/2) / Gamma(k + 1) from it on.
+_CENTRAL_EXACT = 64
+# sqrt(pi k) c_k = 1 + sum_j g_j k^-j: g_1..g_9, exact in binary, from
+# ln Gamma(k + 1/2) - ln Gamma(k + 1) (DLMF 5.11.8, Bernoulli polynomials
+# at 1/2 and 1); the next term is below 3e-6 ulp from k = 64 on.
+_CENTRAL_SERIES = (-1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304,
+                   39325 / 33554432, -334477 / 2147483648, -28717403 / 17179869184)
+# 1 / sqrt(pi) and 1 / sqrt(2 pi), each as two doubles.
+_INV_SQRT_PI = (0.5641895835477563, 7.66772980658294e-18)
+_INV_SQRT_TWO_PI = (0.3989422804014327, -2.49232720227773e-17)
 
 
 @dataclass(frozen=True)
@@ -633,6 +655,111 @@ def _panel_norm_1d(degrees, p: float) -> list[float]:
     return norms
 
 
+def _product(a, b):
+    """a * b as two doubles (hi, lo), hi = a * b rounded and hi + lo exact
+    (Dekker's product), for normal doubles well inside the range."""
+    hi = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+@functools.cache
+def _exact_central() -> np.ndarray:
+    """c_k = C(2k, k) / 4^k for k < _CENTRAL_EXACT, each the correctly
+    rounded quotient of two ints, as a read-only array built on first use."""
+    c = np.array([math.comb(2 * k, k) / 4 ** k for k in range(_CENTRAL_EXACT)])
+    c.flags.writeable = False
+    return c
+
+
+def _central(top: int) -> np.ndarray:
+    """c_k = C(2k, k) / 4^k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)) for
+    k = 0..top, each within 2^-52 relative and the same whatever top.
+
+    Below _CENTRAL_EXACT from exact ints; from it on c_k = K (1 + x) / sqrt(k)
+    with K = 1 / sqrt(pi) and x = sum_j g_j k^-j (_CENTRAL_SERIES).  The
+    quotient q of K (1 + x) by r = sqrt(k) is corrected by its residual,
+    found exactly from Dekker's products q r and r^2 (the latter giving
+    sqrt(k) - r to second order), so c_k is within half an ulp and about
+    0.02 2^-53 (x's own rounding) of its value.
+    """
+    exact = _exact_central()[:top + 1]
+    if top < _CENTRAL_EXACT:
+        return exact
+    k = np.arange(_CENTRAL_EXACT, top + 1, dtype=float)
+    t = 1.0 / k
+    x = np.full_like(t, _CENTRAL_SERIES[-1])
+    for g in _CENTRAL_SERIES[-2::-1]:
+        x = x * t + g
+    x *= t
+    # K (1 + x) = hi + lo with hi = K's leading double
+    hi, lo = _INV_SQRT_PI
+    lo = hi * x + lo
+    r = np.sqrt(k)
+    q = (hi + lo) / r
+    qr, qr_lo = _product(q, r)
+    rr, rr_lo = _square(r)
+    # sqrt(k) = r + d, and hi + lo - q (r + d) from exact differences
+    d = ((k - rr) - rr_lo) / (2.0 * r)
+    return np.concatenate([exact, q + ((((hi - qr) + lo) - qr_lo) - q * d) / r])
+
+
+def _binomial_sum(c: np.ndarray, squares: np.ndarray, u: int) -> float:
+    """S_u = sum_{b <= u} c_{u-b} c_b^2 by one pairwise np.add.reduce over
+    the u + 1 products, given c_0..c_top and their squares, top >= u."""
+    return float(np.add.reduce(c[u::-1] * squares[:u + 1]))
+
+
+def _quartic_norm_1d(degrees) -> list[float]:
+    """||phi_u||_4 for each u in degrees, nonincreasing, in closed form:
+    ||phi_u||_4^4 = (2 pi)^(-1/2) S_u, S_u = sum_{b=0}^{u} c_{u-b} c_b^2,
+    c_k = C(2k, k) / 4^k (_central, _binomial_sum).
+
+    The 45-degree rotation of phi_u(x) phi_u(y), on the diagonal, gives
+    phi_u(x)^2 = sum_a beta_2a phi_2a(sqrt(2) x) with
+    beta_2a^2 = pi^(-1/2) c_a c_{u-a}^2, and orthonormality then the sum.
+    Every degree's sum is the same call on the same values, whatever the
+    other degrees, so a sweep keeps the single norms' bits.
+
+    Rounding, with eps = 2^-53 and to first order in it: the terms are
+    positive.  With each c_k within 2 eps and the two products rounded, a
+    term is within 8 eps; numpy's pairwise sum passes a term through at
+    most d = ceil(log2(u + 1)) + 17 additions (eight running sums on
+    blocks of at most 128 terms, blocks halved above), so S_u is within
+    (d + 8) eps.  The norm, (2 pi)^(-1/4) S_u^(1/4) (_norm_from_sum), is
+    within a quarter of that and eps more: (d + 12) eps / 4
+    (_quartic_error).
+    """
+    degrees = [int(u) for u in degrees]
+    c = _central(degrees[0])
+    squares = c * c
+    return [_norm_from_sum(_binomial_sum(c, squares, u)) for u in degrees]
+
+
+def _norm_from_sum(s: float) -> float:
+    """(K s)^(1/4), K = (2 pi)^(-1/2), within half an ulp and O(2^-106)
+    relative: K s = y + y_lo from Dekker's product and K's second double;
+    the root r of y by two square roots is corrected by Newton's step
+    r - (r^4 - y - y_lo) / (4 r^3), r^4 - y formed exactly from Dekker's
+    squares."""
+    k, k_lo = _INV_SQRT_TWO_PI
+    y, y_lo = _product(k, s)
+    y_lo += k_lo * s
+    r = math.sqrt(math.sqrt(y))
+    r2, r2_lo = _square(r)
+    r4, r4_lo = _square(r2)
+    return r - ((((r4 - y) + r4_lo) + 2.0 * r2 * r2_lo) - y_lo) / (4.0 * r * r2)
+
+
+def _quartic_error(degree: int) -> float:
+    """The relative rounding bound of _quartic_norm_1d at degree, to first
+    order in 2^-53 (the second-order terms are below 2^-90): (d + 12) 2^-55
+    with d = ceil(log2(degree + 1)) + 17."""
+    return (degree.bit_length() + 29) * 2.0 ** -55
+
+
 def _sup_start(degree: int) -> float:
     """The start of the sup polish, sqrt(lambda) + a'_1 / (sqrt(2) lambda^(1/6))
     with lambda = 2 degree + 1, which lies within 0.16 lobe widths
@@ -784,11 +911,15 @@ def _route(top: int, p: float, rows: int = 1):
     phi_u, u from top down `rows` degrees: one for lp_norm_1d, top + 1 for
     lp_norms_1d; by the route rule of the module docstring.  The sup makes
     one call at one point per nonzero degree, p = 1 its Halley calls in the
-    tails mode, the grid one run.  Cached: s_r_sum's check and
-    lp_norms_1d's cost one estimate."""
+    tails mode, the grid one run; p = 4 makes none, and each row is charged
+    its sum's u + 1 terms.  Cached: s_r_sum's check and lp_norms_1d's cost
+    one estimate."""
     low = top - rows + 1
     if p == 2.0:
         return "unit", 0.0
+    if p == 4.0:
+        # u + 1 terms a row
+        return "quartic", ((top + 1) * (top + 2) - low * (low + 1)) / 2
     if math.isinf(p):
         return "sup", _phi_row_work(rows - (low == 0), top)
     if p == 1.0:
@@ -818,6 +949,7 @@ def check_budget(top: int, p: float, rows: int = 1) -> str:
 _ROUTES = {"unit": lambda degrees, p: [1.0] * len(degrees),
            "sup": lambda degrees, p: _sup_norm_1d(degrees),
            "zeros": lambda degrees, p: _l1_norm_1d(degrees),
+           "quartic": lambda degrees, p: _quartic_norm_1d(degrees),
            "even": _even_norm_1d, "panels": _panel_norm_1d}
 
 
@@ -861,9 +993,9 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
     By the routes and the route rule of the module docstring; none
     refines, so ``tol`` is only validated.  Raises CapabilityError, before
     any recurrence work, when the kernel calls of the route (check_budget)
-    exceed NORM_WORK_BUDGET point-steps (for example degree 10**6 at p = 4,
-    degree 10**5 at p = 1, or degree 10**4 at p = 5/2), or when p is past
-    the double range.
+    exceed NORM_WORK_BUDGET point-steps (for example degree 10**5 at p = 6,
+    degree 10**5 at p = 1, or degree 10**4 at p = 5/2; p = 2 and p = 4 are
+    served at every degree), or when p is past the double range.
     """
     return _lp_norm_1d_cached(*_norm_args(degree, p, tol))
 
@@ -871,11 +1003,12 @@ def lp_norm_1d(degree: int, p: float, tol: float = 1e-8) -> float:
 def lp_norms_1d(N: int, p: float, tol: float = 1e-8) -> np.ndarray:
     """The read-only array of ||phi_u||_p for u = 0..N.
 
-    All ones at p = 2.  At other even p, by the route rule, one
-    recurrence run over the grid of degree N (entry N is lp_norm_1d(N, p)
-    bit for bit where that takes the grid too) or the panels.  The other
-    routes share recurrence runs over the points of all degrees, and give
-    lp_norm_1d's norms bit for bit.
+    All ones at p = 2, and lp_norm_1d's closed forms bit for bit at p = 4.
+    At other even p, by the route rule, one recurrence run over the grid
+    of degree N (entry N is lp_norm_1d(N, p) bit for bit where that takes
+    the grid too) or the panels.  The other routes share recurrence runs
+    over the points of all degrees, and give lp_norm_1d's norms bit for
+    bit.
     Raises CapabilityError, before any recurrence work, when the kernel
     calls the sweep makes for all N + 1 norms and its N + 1 row power sums
     (check_budget(N, p, N + 1)) exceed NORM_WORK_BUDGET, or when p is past

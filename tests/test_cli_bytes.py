@@ -66,11 +66,11 @@ GOLDEN = {
         "      \"ratio\": 0.8863962619987652\n"
         "    },\n"
         "    {\n"
-        "      \"computed\": 0.6659347710919417,\n"
+        "      \"computed\": 0.6659347710919414,\n"
         "      \"model\": 0.6291501344548553,\n"
         "      \"nu\": 5,\n"
         "      \"p\": \"4\",\n"
-        "      \"ratio\": 1.0584671839400612\n"
+        "      \"ratio\": 1.058467183940061\n"
         "    },\n"
         "    {\n"
         "      \"computed\": 0.5623899268603816,\n"

@@ -6,6 +6,8 @@ p take a dense composite Gauss-Legendre sum instead.
 """
 
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -176,12 +178,13 @@ def _count_work(monkeypatch):
     sweeps: a phi_row or phi_rows call whose largest degree is n,
     n (P + 4096); a phi_pair call at largest M, with or without the tails
     of the p = 1 route, (M - 1) (P + 4096); each value of a weighted power
-    sum, 4.  A call with one degree per point runs the loop to the largest
-    one; its cuts only make the work smaller.  Also record np.ndim of each
-    kernel call's degrees."""
+    sum, 4; each term of the p = 4 closed form's sum for degree u, u + 1.
+    A call with one degree per point runs the loop to the largest one; its
+    cuts only make the work smaller.  Also record np.ndim of each kernel
+    call's degrees."""
     done, kernels = [], []
     pair, rows, power = quad.phi_pair, quad.phi_rows, quad.weighted_abs_power_sum
-    row = quad.phi_row
+    row, binomial = quad.phi_row, quad._binomial_sum
 
     def counted_row(x, n):
         kernels.append(np.ndim(n))
@@ -202,10 +205,15 @@ def _count_work(monkeypatch):
         done.append(quad._POWER_POINTS * vals.size)
         return power(vals, weights, p)
 
+    def counted_binomial(c, squares, u):
+        done.append(u + 1)
+        return binomial(c, squares, u)
+
     monkeypatch.setattr(quad, "phi_pair", counted_pair)
     monkeypatch.setattr(quad, "phi_row", counted_row)
     monkeypatch.setattr(quad, "phi_rows", counted_rows)
     monkeypatch.setattr(quad, "weighted_abs_power_sum", counted_power)
+    monkeypatch.setattr(quad, "_binomial_sum", counted_binomial)
     return done, kernels
 
 
@@ -467,7 +475,7 @@ class TestLpNorms:
 
         monkeypatch.setattr(quad, "roots_hermite", counted_rule)
         monkeypatch.setattr(quad, "phi_pair", counted_pair)
-        quad._lp_norm_1d_cached.__wrapped__(401, 4.0)
+        quad._lp_norm_1d_cached.__wrapped__(401, 8.0)
         quad._lp_norms_1d_cached.__wrapped__(401, 6.0)
         quad._lp_norms_1d_cached.__wrapped__(60, 100.0)
         assert calls == []
@@ -619,7 +627,7 @@ class TestLpNorms:
         assert lp_norm_1d(3, Fraction(4, 3)) == lp_norm_1d(3, 4 / 3)
 
     @pytest.mark.parametrize("degree,p", [
-        (10**6, 4.0), (10**5, 6.0), (10**6, math.inf), (10**5, 1.0), (10**6, 2.5),
+        (10**5, 6.0), (10**6, math.inf), (10**5, 1.0), (10**6, 2.5),
         (0, 1e12), (1, 1e300),
     ])
     def test_refused_before_any_work(self, degree, p):
@@ -638,30 +646,36 @@ class TestLpNorms:
         # the largest degrees within the budget when scipy supplied the nodes,
         # and at p = 1 when the tails took a run of their own after the
         # Halley passes; p = 2 has left the grid for its exact value, with
-        # no work
+        # no work, and p = 4 for its closed form, u + 1 terms
         got, work = quad._route(degree, float(p))
         if p == 2.0:
             assert (got, work) == ("unit", 0.0) and lp_norm_1d(degree, p) == 1.0
             route, work = got, quad._even_work(degree, p)
+        if p == 4.0:
+            assert (got, work) == ("quartic", degree + 1)
+            route = got
         assert got == route and work <= quad.NORM_WORK_BUDGET
 
     @pytest.mark.parametrize("p,sweep,edge,route", [
-        (4.0, False, 25870, "even"), (12.0, False, 15327, "even"), (14.0, False, 14222, "even"),
+        (4.0, False, 10**6, "quartic"), (12.0, False, 15327, "even"),
+        (14.0, False, 14222, "even"),
         (24.0, False, 10928, "even"), (100.0, False, 5381, "even"),
         (math.inf, False, 244081, "sup"), (1.0, False, 40812, "zeros"),
         (2.5, False, 8509, "panels"), (1000.0, False, 2199, "panels"),
         (1.0, True, 1582, "zeros"), (math.inf, True, 29641, "sup"),
         (4 / 3, True, 554, "panels"), (37.5, True, 350, "panels"),
-        (4.0, True, 11802, "even"), (14.0, True, 6401, "even"), (16.0, True, 5991, "even"),
+        (4.0, True, 44719, "quartic"), (14.0, True, 6401, "even"), (16.0, True, 5991, "even"),
         (24.0, True, 4896, "even"), (100.0, True, 2388, "even"), (1e4, True, 220, "even"),
         (4e4, True, 118, "panels"), (1e5, True, 100, "panels"),
     ])
     def test_served_edge(self, p, sweep, edge, route):
         # the largest degree of a norm, or order of a sweep (its N + 1
         # norms), within the budget: each kernel call the route makes is
-        # charged its top degree times (its points + 4096), and each row
-        # power sum 4 point-steps a value.  Past the edge every route is
-        # over the budget, and the refusal comes before any work
+        # charged its top degree times (its points + 4096), each row
+        # power sum 4 point-steps a value, and each row of the p = 4 closed
+        # form its u + 1 terms.  Past the edge every route is over the
+        # budget, or past MAX_DEGREE_DEFAULT (a p = 4 norm), and the refusal
+        # comes before any work
         rows = edge + 1 if sweep else 1
         got, work = quad._route(edge, p, rows)
         assert got == route and work <= quad.NORM_WORK_BUDGET
@@ -746,11 +760,16 @@ class TestLpNorms:
     def test_common_even_p_keep_the_exact_rule(self, p):
         # every degree served, degree 0 among them, where both runs cost 0
         # point-steps and the grid's fewer points win; p = 2 by its exact
-        # value, with no work, past the grid's edge too
+        # value, with no work, and p = 4 by its closed form, u + 1 terms,
+        # past the grid's edge too, up to MAX_DEGREE_DEFAULT
         edge = {2.0: 35565, 4.0: 25870, 6.0: 21373, 8.0: 18633, 10.0: 16738, 12.0: 15327}[p]
         if p == 2.0:
             for degree in range(0, edge + 2):
                 assert quad._route(degree, p) == ("unit", 0.0), degree
+            return
+        if p == 4.0:
+            for degree in [*range(0, edge + 2), quad.MAX_DEGREE_DEFAULT]:
+                assert quad._route(degree, p) == ("quartic", degree + 1), degree
             return
         for degree in range(0, edge + 1):
             assert quad._route(degree, p)[0] == "even", degree
@@ -1075,14 +1094,130 @@ class TestNormSweep:
         assert after.tail_bound == alone.tail_bound
 
     def test_memory_is_bounded(self):
-        # the whole (N + 1) x 5741 table of the grid would take about 175 MB
+        # the whole (N + 1) x 8458 table of the grid would take about 270 MB
         tracemalloc.start()
         try:
-            quad._lp_norms_1d_cached.__wrapped__(4000, 4.0)
+            quad._lp_norms_1d_cached.__wrapped__(4000, 6.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def exact_quartic_sum(n):
+    """S_n = sum_b c_{n-b} c_b^2, c_k = C(2k, k) / 4^k, as an exact Fraction."""
+    total = sum(math.comb(2 * (n - b), n - b) * math.comb(2 * b, b) ** 2 * 4 ** (n - b)
+                for b in range(n + 1))
+    return Fraction(total, 4 ** (2 * n))
+
+
+def quartic_norm_from(s):
+    """((2 pi)^(-1/2) s)^(1/4) for a Fraction s, in the working precision."""
+    return mpmath.root(mpmath.mpf(s.numerator) / s.denominator / mpmath.sqrt(2 * mpmath.pi), 4)
+
+
+class TestQuarticNorm:
+    """p = 4 in closed form: ||phi_n||_4^4 = (2 pi)^(-1/2) sum_b c_{n-b} c_b^2."""
+
+    def test_degrees_zero_and_one(self):
+        # S_0 = 1 and S_1 = c_1 + c_1^2 = 3/4, exact in floats
+        c = quad._central(1)
+        assert quad._binomial_sum(c, c * c, 0) == 1.0
+        assert quad._binomial_sum(c, c * c, 1) == 0.75
+        assert lp_norm_1d(0, 4.0) == pytest.approx((2 * math.pi) ** -0.125, rel=2e-16)
+        assert lp_norm_1d(1, 4.0) == pytest.approx((0.75 / math.sqrt(2 * math.pi)) ** 0.25,
+                                                   rel=2e-16)
+
+    def test_central_binomials_within_an_ulp(self):
+        # against Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)) in 30 digits, on
+        # the exact quotients, both sides of the switch to the series and a
+        # sample up to 10^6: half an ulp at most when written, where the
+        # series' quotient alone, uncorrected, was 2.4 ulps off
+        rng = np.random.default_rng(4)
+        ks = sorted({*range(200), *rng.integers(200, 10**6, 300).tolist(), 10**6})
+        c = quad._central(10**6)
+        with mpmath.workdps(30):
+            for k in ks:
+                want = mpmath.gamma(k + mpmath.mpf(0.5)) / (
+                    mpmath.sqrt(mpmath.pi) * mpmath.gamma(k + 1))
+                assert abs(mpmath.mpf(c[k]) - want) <= math.ulp(c[k]), k
+
+    # _CENTRAL_EXACT - 1, _CENTRAL_EXACT and _CENTRAL_EXACT + 1 among them
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 34, 63, 64, 65, 200, 1592, 3000])
+    def test_rounding_bound_covers_the_exact_sum(self, n):
+        # the docstring's bounds: S_n within (d + 8) 2^-53, d the pairwise
+        # sum's ceil(log2(n + 1)) + 17 additions, and the norm within
+        # _quartic_error(n), against the exact rational sum
+        assert quad._CENTRAL_EXACT == 64
+        exact = exact_quartic_sum(n)
+        c = quad._central(n)
+        s = quad._binomial_sum(c, c * c, n)
+        assert abs(Fraction(s) / exact - 1) <= (n.bit_length() + 25) * 2.0 ** -53
+        want = quartic_norm_from(exact)
+        assert abs(quad._quartic_norm_1d([n])[0] / want - 1) <= quad._quartic_error(n)
+
+    def test_rounding_bound_at_degree_1e5(self):
+        # c_k by c_k = c_{k-1} (2k - 1) / (2k) and the sum, in 30 digits
+        n = 10**5
+        with mpmath.workdps(30):
+            c = [mpmath.mpf(1)]
+            for k in range(1, n + 1):
+                c.append(c[-1] * (2 * k - 1) / (2 * k))
+            s = mpmath.fsum(a * b * b for a, b in zip(c[::-1], c))
+            want = mpmath.root(s / mpmath.sqrt(2 * mpmath.pi), 4)
+            got = quad._quartic_norm_1d([n])[0]
+            assert abs(got / want - 1) <= quad._quartic_error(n)
+
+    def test_within_an_ulp_of_40_digits(self):
+        # 1.2e-16 relative at most here when written, where the grid was
+        # 3.3e-15 off at 3000
+        for n in [*range(301), 399, 795, 1592, 3000]:
+            got = quad._lp_norm_1d_cached.__wrapped__(n, 4.0)
+            want = quartic_norm_from(exact_quartic_sum(n))
+            assert abs(mpmath.mpf(got) - want) <= math.ulp(got), n
+
+    def test_the_log_law_with_its_constant(self):
+        # ||phi_n||_4^4 = (ln n + C) / (pi^2 sqrt(2n)) + o: the (ln n)^(1/4)
+        # law of Koch and Tataru, with C near 4.736 (4.7178 at 10^2, 4.7361
+        # at 10^5 and 10^6 when written)
+        for n in (10**2, 10**3, 10**4, 10**5, 10**6):
+            value = math.sqrt(2 * n) * math.pi ** 2 * lp_norm_1d(n, 4.0) ** 4 - math.log(n)
+            assert 4.70 <= value <= 4.75, (n, value)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 48, 49, 127, 128, 200, 1000, 10000])
+    def test_sweep_rows_are_the_single_norms(self, N):
+        # at every degree; N = 10000 sums rows past numpy's 8192-value buffers
+        sweep = quad._lp_norms_1d_cached.__wrapped__(N, 4.0)
+        single = quad._lp_norm_1d_cached.__wrapped__
+        assert [u for u in range(N + 1) if sweep[u] != single(u, 4.0)] == []
+
+    def test_largest_degree_served_in_a_fresh_process(self):
+        # MAX_DEGREE_DEFAULT, refused on the grid, with no cache warm
+        code = ("import time; from hermult.quadrature import lp_norm_1d; "
+                "t = time.perf_counter(); v = lp_norm_1d(10**6, 4); "
+                "print(time.perf_counter() - t, v)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        elapsed, value = map(float, proc.stdout.split())
+        assert elapsed < 1.0
+        assert value == quad._quartic_norm_1d([10**6])[0]
+
+    def test_the_grid_edges_are_still_served(self):
+        # the grid's largest single norm and sweep
+        assert quad.check_budget(25870, 4.0) == "quartic"
+        assert quad.check_budget(11802, 4.0, 11803) == "quartic"
+        assert lp_norms_1d(11802, 4.0)[11802] == lp_norm_1d(11802, 4.0)
+        assert 0.0 < lp_norm_1d(25870, 4.0) < lp_norm_1d(11802, 4.0)
+
+    def test_sweep_at_the_served_edge(self):
+        # (N + 1) (N + 2) / 2 = 999,961,560 terms at N = 44,719: about 1 s
+        # on 2 vCPUs when written
+        assert quad._route(44719, 4.0, 44720) == ("quartic", 999_961_560)
+        start = time.perf_counter()
+        sweep = quad._lp_norms_1d_cached.__wrapped__(44719, 4.0)
+        assert time.perf_counter() - start < 5.0
+        assert sweep[44719] == quad._quartic_norm_1d([44719])[0]
 
 
 class TestOrthonormality:
